@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import sys
+from functools import lru_cache
 
 from . import algebra, cones, coxeter, igusa, latticezeta, ratfun, repzeta
 from .errors import (
@@ -349,6 +350,52 @@ def cmd_coxeter_check(args):
 # parser
 
 
+def _int(text):
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _prime(text):
+    """--prime: the enumerators and the Smith-form code assume a prime."""
+    p = _int(text)
+    if not _is_prime(p):
+        raise argparse.ArgumentTypeError(f"{p} is not a prime")
+    return p
+
+
+def _is_prime(n):
+    """Miller-Rabin with the first twelve prime bases: exact for n < 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for q in bases:
+        if n % q == 0:
+            return n == q
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _positive_int(text):
+    n = _int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def _add_common(parser, suppress):
     kw = {"default": argparse.SUPPRESS} if suppress else {}
     parser.add_argument(
@@ -356,7 +403,7 @@ def _add_common(parser, suppress):
         **(kw if suppress else {"default": "table"}),
     )
     parser.add_argument(
-        "--threads", type=int, help="shard count (results identical)",
+        "--threads", type=_positive_int, help="shard count >= 1 (results identical)",
         **(kw if suppress else {"default": 1}),
     )
     if suppress:
@@ -371,7 +418,11 @@ def _add_common(parser, suppress):
     )
 
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The CLI parser, built once per process and shared: parsing does not
+    modify it, and rebuilding it for every call leaves cyclic garbage that
+    raises the peak memory of a process making many calls."""
     parser = argparse.ArgumentParser(
         prog="ringzeta",
         description="Truncations of local zeta functions of rings: enumeration vs. closed forms.",
@@ -396,19 +447,19 @@ def build_parser():
     )
     c = zeta.add_parser("count", help="enumerate and count", parents=[common])
     c.add_argument("--ring", required=True)
-    c.add_argument("--prime", type=int, required=True)
+    c.add_argument("--prime", type=_prime, required=True)
     c.add_argument("--max-index", type=int, required=True, help="count up to index p^K")
     c.add_argument("--mode", choices=latticezeta.MODES, default="subrings")
     c.set_defaults(handler=cmd_zeta_count)
     f = zeta.add_parser("formula", help="expand a catalog formula", parents=[common])
     f.add_argument("--name", required=True)
-    f.add_argument("--prime", type=int, required=True)
+    f.add_argument("--prime", type=_prime, required=True)
     f.add_argument("--max-index", type=int, required=True)
     f.set_defaults(handler=cmd_zeta_formula)
     cp = zeta.add_parser("compare", help="enumeration vs. formula", parents=[common])
     cp.add_argument("--ring", required=True)
     cp.add_argument("--formula", required=True)
-    cp.add_argument("--prime", type=int, required=True)
+    cp.add_argument("--prime", type=_prime, required=True)
     cp.add_argument("--max-index", type=int, required=True)
     cp.add_argument("--mode", choices=latticezeta.MODES, default="subrings")
     cp.set_defaults(handler=cmd_zeta_compare)
@@ -436,12 +487,12 @@ def build_parser():
     pc = ig.add_parser("poincare", parents=[common])
     pc.add_argument("--poly", required=True,
                     help="polynomial over named variables; grammar: integer literals, variables, +, -, *, ^ (or **), parentheses")
-    pc.add_argument("--prime", type=int, required=True)
+    pc.add_argument("--prime", type=_prime, required=True)
     pc.add_argument("--depth", type=int, required=True)
     pc.set_defaults(handler=cmd_igusa_poincare)
     z3 = ig.add_parser("zeta3d", parents=[common])
     z3.add_argument("--ring", required=True)
-    z3.add_argument("--prime", type=int, required=True)
+    z3.add_argument("--prime", type=_prime, required=True)
     z3.add_argument("--scale-exp", type=int, default=0)
     z3.add_argument("--max-index", "--depth", dest="max_index", type=int, required=True)
     z3.set_defaults(handler=cmd_igusa_zeta3d)
@@ -451,13 +502,13 @@ def build_parser():
     )
     rz = rep.add_parser("zeta", parents=[common])
     rz.add_argument("--presentation", required=True)
-    rz.add_argument("--prime", type=int, required=True)
+    rz.add_argument("--prime", type=_prime, required=True)
     rz.add_argument("--max-exp", type=int, required=True)
     rz.set_defaults(handler=cmd_rep_zeta)
     rc = rep.add_parser("compare", parents=[common])
     rc.add_argument("--presentation", required=True)
     rc.add_argument("--formula", required=True)
-    rc.add_argument("--prime", type=int, required=True)
+    rc.add_argument("--prime", type=_prime, required=True)
     rc.add_argument("--max-exp", type=int, required=True)
     rc.set_defaults(handler=cmd_rep_compare)
 

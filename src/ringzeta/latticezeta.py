@@ -1,15 +1,29 @@
-"""Brute-force counting of finite-index sublattices, subrings and ideals.
+"""Counting of finite-index sublattices, subrings and ideals by enumeration.
 
 Sublattices of Z_p^n of index p^k are enumerated in a canonical Hermite form:
 rows are generators, the matrix is upper triangular, the diagonal entry of row
 i is p^{m_i}, and entries above a diagonal entry are reduced modulo it.  Every
 sublattice appears exactly once.  This module is the independent oracle the
 closed-form Euler factors are checked against.
+
+`count` takes one of two paths, chosen from the ring:
+
+* filtered rings, where every structure constant (i, j, k) has k > max(i, j)
+  (nilpotent rings in a basis adapted to a central series), are counted in
+  modes "subrings" and "ideals" by a depth-first search that fixes rows from
+  the last one up and cuts a subtree as soon as a row fails closure;
+* every other ring, and every ring in mode "sublattices", goes through
+  `enumerate_sublattices` and tests each lattice with `is_subring`/`is_ideal`.
+
+The second path is the brute oracle the search is tested against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain, product
 
 from .algebra import StructureConstantAlgebra, multiply
 from .errors import MalformedInputError, ResourceGuardError
@@ -39,6 +53,15 @@ class HermiteSublattice:
                         "entries must be reduced modulo the diagonal of their column"
                     )
 
+    @classmethod
+    def _trusted(cls, p, n, rows):
+        """Construct without validation, for rows already in canonical form."""
+        lat = object.__new__(cls)
+        object.__setattr__(lat, "p", p)
+        object.__setattr__(lat, "n", n)
+        object.__setattr__(lat, "rows", rows)
+        return lat
+
     def index(self):
         out = 1
         for i in range(self.n):
@@ -59,9 +82,15 @@ def contains(lat: HermiteSublattice, v) -> bool:
     the coefficients are p-integral iff each pivot division is exact."""
     if len(v) != lat.n:
         raise MalformedInputError("vector length must equal the rank")
-    rows = lat.rows
+    return _in_span(lat.rows, 0, v)
+
+
+def _in_span(rows, start, v):
+    """Is v, zero in coordinates before start, a Z_p-combination of
+    rows[start:]?  Only those rows are read."""
+    n = len(v)
     residual = list(v)
-    for i in range(lat.n):
+    for i in range(start, n):
         t = residual[i]
         if t:
             d = rows[i][i]
@@ -69,7 +98,7 @@ def contains(lat: HermiteSublattice, v) -> bool:
                 return False
             c = t // d
             row = rows[i]
-            for j in range(i + 1, lat.n):
+            for j in range(i + 1, n):
                 if row[j]:
                     residual[j] -= c * row[j]
     return True
@@ -122,7 +151,7 @@ def _lattices_for_composition(n, p, m):
     for i in range(n):
         base[i][i] = diag[i]
     if not cells:
-        yield HermiteSublattice(p, n, tuple(tuple(r) for r in base))
+        yield HermiteSublattice._trusted(p, n, tuple(tuple(r) for r in base))
         return
     radices = [diag[j] for (_, j) in cells]
     counter = [0] * len(cells)
@@ -130,7 +159,7 @@ def _lattices_for_composition(n, p, m):
         rows = [row[:] for row in base]
         for (i, j), v in zip(cells, counter):
             rows[i][j] = v
-        yield HermiteSublattice(p, n, tuple(tuple(r) for r in rows))
+        yield HermiteSublattice._trusted(p, n, tuple(tuple(r) for r in rows))
         pos = 0
         while pos < len(cells):
             counter[pos] += 1
@@ -165,10 +194,8 @@ def is_ideal(alg: StructureConstantAlgebra, lat: HermiteSublattice) -> bool:
     if alg.rank != lat.n:
         raise MalformedInputError("algebra rank must equal lattice rank")
     antisym = "antisymmetric" in alg.flags
-    n = lat.n
-    basis = [alg.basis_vector(b) for b in range(1, n + 1)]
     for row in lat.rows:
-        for e in basis:
+        for e in _unit_vectors(lat.n):
             prod = multiply(alg, row, e)
             if any(prod) and not contains(lat, prod):
                 return False
@@ -177,6 +204,16 @@ def is_ideal(alg: StructureConstantAlgebra, lat: HermiteSublattice) -> bool:
                 if any(prod) and not contains(lat, prod):
                     return False
     return True
+
+
+@lru_cache(maxsize=None)
+def _unit_vectors(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _is_filtered(alg: StructureConstantAlgebra) -> bool:
+    """Every product e_i * e_j lies in the span of e_k, k > max(i, j)."""
+    return all(k > max(i, j) for i, j, k in alg.constants)
 
 
 MODES = ("subrings", "ideals", "sublattices")
@@ -192,11 +229,29 @@ def count(
 ) -> LocalDirichletTruncation:
     """a[k] = number of index-p^k objects of the requested kind, k = 0..K.
 
-    Shards are enumerated independently and combined by exact addition, so the
+    Subrings and ideals of a filtered ring (see the module docstring) are
+    counted by the pruned search; there `ceiling` bounds the number of search
+    nodes, one per candidate row tested, and ResourceGuardError is raised as
+    soon as the search visits more.  Everything else is enumerated and tested
+    lattice by lattice; there `ceiling` bounds the predicted number of
+    index-p^k sublattices, checked for each k before it is enumerated.
+
+    Shards are disjoint parts of the work combined by exact addition, so the
     result is identical for every shard_count.
     """
     if mode not in MODES:
         raise MalformedInputError(f"mode must be one of {MODES}")
+    if shard_count < 1:
+        raise MalformedInputError("shard_count must be >= 1")
+    if mode != "sublattices" and _is_filtered(alg):
+        coeffs = _search_counts(alg, p, K, mode, ceiling, shard_count)
+    else:
+        coeffs = _brute_counts(alg, p, K, mode, ceiling, shard_count)
+    return LocalDirichletTruncation(p, tuple(coeffs))
+
+
+def _brute_counts(alg, p, K, mode, ceiling, shard_count):
+    """Enumerate every index-p^k sublattice and test it, k = 0..K."""
     test = {
         "subrings": lambda lat: is_subring(alg, lat),
         "ideals": lambda lat: is_ideal(alg, lat),
@@ -214,4 +269,76 @@ def count(
                 if test(lat)
             )
         coeffs.append(total)
-    return LocalDirichletTruncation(p, tuple(coeffs))
+    return coeffs
+
+
+def _search_counts(alg, p, K, mode, ceiling, shard_count):
+    """Subrings or ideals of a filtered ring of index p^k, k = 0..K, by a
+    depth-first search over Hermite rows from the last row up.
+
+    Row i is chosen after rows i+1..n-1: first its diagonal exponent from the
+    remaining budget, then its entries above the diagonal, reduced modulo the
+    column diagonals already fixed.  In a filtered ring every product of row i
+    with itself, a later row or a basis vector has support in coordinates > i,
+    so whether it lies in the lattice depends on rows i+1..n-1 alone and is
+    decided as soon as row i is chosen; a row that fails cuts its subtree.
+    Shard s takes the subtrees whose last-row exponent is s mod shard_count.
+    """
+    n = alg.rank
+    antisym = "antisymmetric" in alg.flags
+    rows = [None] * n
+    coeffs = [0] * (K + 1)
+    nodes = 0
+    if mode == "ideals":
+        # basis vectors whose products on that side can be nonzero
+        units = _unit_vectors(n)
+        right = [units[b - 1] for b in sorted({b for _, b, _ in alg.constants})]
+        left = [] if antisym else [units[a - 1] for a in sorted({a for a, _, _ in alg.constants})]
+
+    def closed(i):
+        row = rows[i]
+        if mode == "ideals":
+            pairs = chain(((row, e) for e in right), ((e, row) for e in left))
+        elif antisym:
+            pairs = ((row, r) for r in rows[i + 1:])
+        else:
+            pairs = chain(((row, r) for r in rows[i:]), ((r, row) for r in rows[i + 1:]))
+        for u, v in pairs:
+            prod = multiply(alg, u, v)
+            if any(prod) and not _in_span(rows, i + 1, prod):
+                return False
+        return True
+
+    # Columns that occur in no structure constant are inert: no product reads
+    # them.  Row i's closure test does not depend on its inert entries, so it
+    # runs once for all of them; they matter only to the membership tests of
+    # rows < i, and row 0 enters none, so there they just multiply the count.
+    active = {c - 1 for key in alg.constants for c in key[:2]}
+
+    def place(i, used, exponents):
+        nonlocal nodes
+        cols = range(i + 1, n)
+        choices = [range(rows[j][j]) if j in active else (0,) for j in cols]
+        fills = [(0,) if j in active else range(rows[j][j]) for j in cols]
+        weight = math.prod(len(f) for f in fills)
+        for m in exponents:
+            head = (0,) * i + (p**m,)
+            for tail in product(*choices):
+                nodes += 1
+                if nodes > ceiling:
+                    raise ResourceGuardError(
+                        f"search visited more than {ceiling} nodes", ceiling=ceiling
+                    )
+                rows[i] = head + tail
+                if not closed(i):
+                    continue
+                if not i:
+                    coeffs[m + used] += weight
+                    continue
+                for fill in product(*fills):
+                    rows[i] = head + tuple(a + b for a, b in zip(tail, fill))
+                    place(i - 1, used + m, range(K - used - m + 1))
+
+    for s in range(shard_count):
+        place(n - 1, 0, range(s, K + 1, shard_count))
+    return coeffs

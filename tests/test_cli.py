@@ -48,6 +48,42 @@ def test_usage_error_exit_two():
     assert exc.value.code == 2
 
 
+PRIME_COMMANDS = [
+    ["zeta", "count", "--ring", "catalog:heisenberg", "--max-index", "1"],
+    ["zeta", "formula", "--name", "heisenberg_subring", "--max-index", "1"],
+    ["zeta", "compare", "--ring", "catalog:heisenberg", "--formula", "heisenberg_subring",
+     "--max-index", "1"],
+    ["igusa", "poincare", "--poly", "x^2", "--depth", "1"],
+    ["igusa", "zeta3d", "--ring", "catalog:heisenberg", "--max-index", "1"],
+    ["rep", "zeta", "--presentation", "catalog:heisenberg", "--max-exp", "1"],
+    ["rep", "compare", "--presentation", "catalog:heisenberg", "--formula", "heisenberg_rep",
+     "--max-exp", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", PRIME_COMMANDS, ids=lambda argv: " ".join(argv[:2]))
+def test_prime_checked_at_the_boundary(argv):
+    assert run(["--yes", *argv, "--prime", "3"])[0] == 0
+    for bad in ("4", "9", "1", "0", "-3", "x"):
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--prime", bad])
+        assert exc.value.code == 2, bad
+
+
+def test_threads_must_be_positive():
+    for bad in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            run(["--threads", bad, "zeta", "formula", "--name", "heisenberg_subring",
+                 "--prime", "2", "--max-index", "1"])
+        assert exc.value.code == 2, bad
+
+
+def test_is_prime():
+    sieve = [n for n in range(200) if n > 1 and all(n % q for q in range(2, n))]
+    assert [n for n in range(200) if cli._is_prime(n)] == sieve
+    assert cli._is_prime(2**61 - 1) and not cli._is_prime(3215031751)  # strong pseudoprime
+
+
 def test_guard_exit_three():
     code, _ = run(
         ["--ceiling", "10", "zeta", "count", "--ring", "catalog:abelian(4)",

@@ -175,16 +175,36 @@ def test_count_invariant_under_basis_automorphism():
 
 
 def test_shard_count_independence():
-    heis = algebra.catalog("heisenberg")
-    base = latticezeta.count(heis, 3, 2, "subrings", shard_count=1).coefficients
-    for shards in (2, 3, 7):
-        assert latticezeta.count(heis, 3, 2, "subrings", shard_count=shards).coefficients == base
+    # heisenberg takes the search, sl2 the enumeration
+    for name in ("heisenberg", "sl2"):
+        alg = algebra.catalog(name)
+        base = latticezeta.count(alg, 3, 2, "subrings", shard_count=1).coefficients
+        for shards in (2, 3, 7):
+            assert latticezeta.count(alg, 3, 2, "subrings", shard_count=shards).coefficients == base
 
 
 def test_resource_guard():
     with pytest.raises(ResourceGuardError) as err:
         list(latticezeta.enumerate_sublattices(6, 2, 9, ceiling=1000))
     assert err.value.predicted > 1000
+    # the search counts the candidate rows it tests
+    heis = algebra.catalog("heisenberg")
+    with pytest.raises(ResourceGuardError) as err:
+        latticezeta.count(heis, 2, 3, "subrings", ceiling=10)
+    assert err.value.ceiling == 10
+
+
+def test_count_searches_filtered_rings_only(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(latticezeta, "enumerate_sublattices", refuse)
+    heis = algebra.catalog("heisenberg")
+    assert latticezeta.count(heis, 2, 2, "ideals").coefficients == (1, 3, 7)
+    with pytest.raises(AssertionError):
+        latticezeta.count(heis, 2, 1, "sublattices")
+    with pytest.raises(AssertionError):
+        latticezeta.count(algebra.catalog("sl2"), 2, 1, "subrings")
 
 
 def test_componentwise_modes_match_their_formulas():
@@ -201,3 +221,50 @@ def test_componentwise_modes_match_their_formulas():
     cw3 = algebra.catalog("componentwise", 3)
     ide = latticezeta.count(cw3, 2, 3, "ideals").coefficients
     assert ide == ratfun.expand(ratfun.formula_catalog("componentwise_ideal", 3), 2, 3).coefficients
+
+
+def _random_filtered_ring(rng, n):
+    """A random ring with every e_i * e_j in the span of the e_k, k > max(i, j).
+
+    From rank 3 on, half are class-2 commutator rings declared Lie (generators
+    e_1..e_d, central e_{d+1}..e_n); the rest are sparse and carry no flags,
+    so closure is tested on both sides.  Coefficients include multiples of 2
+    and 3."""
+    values = (-2, -1, 1, 2, 3, 4, 6)
+    constants = {}
+    if n >= 3 and rng.random() < 0.5:
+        d = rng.randrange(2, n)
+        for i in range(1, d + 1):
+            for j in range(i + 1, d + 1):
+                for k in range(d + 1, n + 1):
+                    if rng.random() < 0.6:
+                        c = rng.choice(values)
+                        constants[(i, j, k)] = c
+                        constants[(j, i, k)] = -c
+        return algebra.StructureConstantAlgebra("class2", n, constants, ("antisymmetric", "lie"))
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            for k in range(max(i, j) + 1, n + 1):
+                if rng.random() < 0.4:
+                    constants[(i, j, k)] = rng.choice(values)
+    return algebra.StructureConstantAlgebra("filtered", n, constants)
+
+
+def test_search_matches_brute_enumeration_on_random_filtered_rings():
+    rng = random.Random(8128)
+    for trial in range(60):
+        n, p = rng.randrange(2, 6), rng.choice((2, 3))
+        # the deepest K <= 3 that keeps the brute oracle under 1500 lattices
+        K = 0
+        while K < 3 and sum(
+            latticezeta.sublattice_count_prediction(n, p, k) for k in range(K + 2)
+        ) <= 1500:
+            K += 1
+        alg = _random_filtered_ring(rng, n)
+        assert latticezeta._is_filtered(alg)
+        for mode in ("subrings", "ideals"):
+            brute = latticezeta._brute_counts(alg, p, K, mode, latticezeta.DEFAULT_CEILING, 1)
+            search = latticezeta._search_counts(
+                alg, p, K, mode, latticezeta.DEFAULT_CEILING, rng.randrange(1, 4)
+            )
+            assert search == brute, (trial, n, p, K, mode, alg.flags, alg.constants)
