@@ -17,7 +17,7 @@ from ringzeta import algebra, igusa, ratfun, repzeta
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-prime", type=int, default=23)
-    parser.add_argument("--orbit-primes", type=int, nargs="*", default=[3, 5, 7])
+    parser.add_argument("--orbit-primes", type=int, nargs="*", default=[3, 5, 7, 11, 13])
     args = parser.parse_args()
 
     affine = igusa.parse_polynomial("y^2 - x^3 + x")

@@ -242,7 +242,7 @@ def cmd_cone(args):
 
 def cmd_igusa_poincare(args):
     poly = igusa.parse_polynomial(args.poly)
-    pc = igusa.poincare_counts(poly, args.prime, args.depth)
+    pc = igusa.poincare_counts(poly, args.prime, args.depth, guard=args.ceiling)
     series = igusa.zf_series_from_poincare(pc, poly.nvars) if args.depth >= 1 else []
     return {
         "polynomial": repr(poly),
@@ -261,7 +261,9 @@ def cmd_igusa_poincare(args):
 def cmd_igusa_zeta3d(args):
     alg = algebra.resolve_ring_spec(args.ring)
     form = igusa.theorem3d_form(alg)
-    trunc = igusa.theorem3d_zeta(alg, args.prime, args.scale_exp, args.max_index)
+    trunc = igusa.theorem3d_zeta(
+        alg, args.prime, args.scale_exp, args.max_index, guard=args.ceiling
+    )
     return {
         "ring": alg.name,
         "quadratic_form": repr(form.to_polynomial()),
@@ -273,7 +275,9 @@ def cmd_igusa_zeta3d(args):
 
 def cmd_rep_zeta(args):
     pres = algebra.resolve_presentation_spec(args.presentation)
-    trunc = repzeta.rep_zeta_class2(pres, args.prime, args.max_exp, shard_count=args.threads)
+    trunc = repzeta.rep_zeta_class2(
+        pres, args.prime, args.max_exp, guard=args.ceiling, shard_count=args.threads
+    )
     return {
         "presentation": pres.name,
         "prime": args.prime,
@@ -283,7 +287,9 @@ def cmd_rep_zeta(args):
 
 def cmd_rep_compare(args):
     pres = algebra.resolve_presentation_spec(args.presentation)
-    brute = repzeta.rep_zeta_class2(pres, args.prime, args.max_exp, shard_count=args.threads)
+    brute = repzeta.rep_zeta_class2(
+        pres, args.prime, args.max_exp, guard=args.ceiling, shard_count=args.threads
+    )
     formula = _expand_formula(args.formula, args.prime, args.max_exp)
     return _comparison_report(
         f"orbit-count[{pres.name}]",
@@ -396,6 +402,14 @@ def _positive_int(text):
     return n
 
 
+def _nonnegative_int(text):
+    """Truncation bounds (--max-index, --max-exp, --depth)."""
+    n = _int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def _add_common(parser, suppress):
     kw = {"default": argparse.SUPPRESS} if suppress else {}
     parser.add_argument(
@@ -413,7 +427,7 @@ def _add_common(parser, suppress):
         parser.add_argument("--yes", action="store_true",
                             help="skip interactive guard confirmation")
     parser.add_argument(
-        "--ceiling", type=int, help="resource-guard ceiling for enumerations",
+        "--ceiling", type=_positive_int, help="resource-guard ceiling for enumerations",
         **(kw if suppress else {"default": latticezeta.DEFAULT_CEILING}),
     )
 
@@ -448,19 +462,20 @@ def build_parser():
     c = zeta.add_parser("count", help="enumerate and count", parents=[common])
     c.add_argument("--ring", required=True)
     c.add_argument("--prime", type=_prime, required=True)
-    c.add_argument("--max-index", type=int, required=True, help="count up to index p^K")
+    c.add_argument("--max-index", type=_nonnegative_int, required=True,
+                   help="count up to index p^K")
     c.add_argument("--mode", choices=latticezeta.MODES, default="subrings")
     c.set_defaults(handler=cmd_zeta_count)
     f = zeta.add_parser("formula", help="expand a catalog formula", parents=[common])
     f.add_argument("--name", required=True)
     f.add_argument("--prime", type=_prime, required=True)
-    f.add_argument("--max-index", type=int, required=True)
+    f.add_argument("--max-index", type=_nonnegative_int, required=True)
     f.set_defaults(handler=cmd_zeta_formula)
     cp = zeta.add_parser("compare", help="enumeration vs. formula", parents=[common])
     cp.add_argument("--ring", required=True)
     cp.add_argument("--formula", required=True)
     cp.add_argument("--prime", type=_prime, required=True)
-    cp.add_argument("--max-index", type=int, required=True)
+    cp.add_argument("--max-index", type=_nonnegative_int, required=True)
     cp.add_argument("--mode", choices=latticezeta.MODES, default="subrings")
     cp.set_defaults(handler=cmd_zeta_compare)
     fe = zeta.add_parser("funeq", help="functional-equation verdict", parents=[common])
@@ -488,13 +503,14 @@ def build_parser():
     pc.add_argument("--poly", required=True,
                     help="polynomial over named variables; grammar: integer literals, variables, +, -, *, ^ (or **), parentheses")
     pc.add_argument("--prime", type=_prime, required=True)
-    pc.add_argument("--depth", type=int, required=True)
+    pc.add_argument("--depth", type=_nonnegative_int, required=True)
     pc.set_defaults(handler=cmd_igusa_poincare)
     z3 = ig.add_parser("zeta3d", parents=[common])
     z3.add_argument("--ring", required=True)
     z3.add_argument("--prime", type=_prime, required=True)
     z3.add_argument("--scale-exp", type=int, default=0)
-    z3.add_argument("--max-index", "--depth", dest="max_index", type=int, required=True)
+    z3.add_argument("--max-index", "--depth", dest="max_index", type=_nonnegative_int,
+                    required=True)
     z3.set_defaults(handler=cmd_igusa_zeta3d)
 
     rep = sub.add_parser("rep", help="representation zeta truncations").add_subparsers(
@@ -503,13 +519,13 @@ def build_parser():
     rz = rep.add_parser("zeta", parents=[common])
     rz.add_argument("--presentation", required=True)
     rz.add_argument("--prime", type=_prime, required=True)
-    rz.add_argument("--max-exp", type=int, required=True)
+    rz.add_argument("--max-exp", type=_nonnegative_int, required=True)
     rz.set_defaults(handler=cmd_rep_zeta)
     rc = rep.add_parser("compare", parents=[common])
     rc.add_argument("--presentation", required=True)
     rc.add_argument("--formula", required=True)
     rc.add_argument("--prime", type=_prime, required=True)
-    rc.add_argument("--max-exp", type=int, required=True)
+    rc.add_argument("--max-exp", type=_nonnegative_int, required=True)
     rc.set_defaults(handler=cmd_rep_compare)
 
     eu = sub.add_parser("euler", help="global Dirichlet coefficients from local factors", parents=[common])

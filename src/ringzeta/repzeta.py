@@ -4,7 +4,10 @@ Characters of level p^N on the centre correspond to primitive vectors ell in
 (Z/p^N)^{d'}; the elementary divisor type m of the evaluated commutator matrix
 R(ell) mod p^N yields one twist-isoclass of dimension p^{sum_i (N - m_i)/2}.
 Divisors are capped at N, which is exactly what makes the exponent the right
-one.  Also: brute-force point counts on affine and projective plane curves.
+one.  Unit multiples u*ell share that type, so each level walks one ell per unit
+class (the points of P^{d'-1}(Z/p^N)) with weight phi(p^N); the walk over every
+primitive ell stays as the oracle.  Also: brute-force point counts on affine and
+projective plane curves.
 """
 
 from __future__ import annotations
@@ -111,6 +114,26 @@ def _primitive_vectors(p, N, d):
             yield ell
 
 
+def _unit_classes(p, N, d):
+    """(size, walk, weight) of the quotient: one primitive vector per unit class,
+    i.e. the points of P^{d-1}(Z/p^N) (first unit coordinate 1, earlier ones in
+    pZ/p^N), each standing for the phi(p^N) characters of its class."""
+    q = p**N
+
+    def walk():
+        for i in range(d):
+            for head in product(range(0, q, p), repeat=i):
+                for tail in product(range(q), repeat=d - 1 - i):
+                    yield head + (1,) + tail
+
+    return p ** ((N - 1) * (d - 1)) * (p**d - 1) // (p - 1), walk, q - q // p
+
+
+def _all_characters(p, N, d):
+    """(size, walk, weight) of the oracle: every primitive vector, once."""
+    return p ** (N * d), lambda: _primitive_vectors(p, N, d), 1
+
+
 def rep_zeta_class2(
     pres: Class2Presentation,
     p: int,
@@ -121,6 +144,12 @@ def rep_zeta_class2(
 ) -> LocalDirichletTruncation:
     """Twist-isoclass counts c[p^0..p^J] from the coadjoint-orbit recipe.
 
+    R(u ell) = u R(ell) for a unit u, so a unit class of characters shares one
+    type: each level walks one representative per class (`_unit_classes`)
+    with weight phi(p^N), and `guard` bounds the representatives per level.
+    `_orbit_counts` with `_all_characters` walks every primitive ell instead;
+    it is the oracle the tests hold this to.
+
     Level iteration continues while a level can still contribute dimensions
     <= J.  When every primitive ell has R(ell) nonzero mod p, the evaluated
     matrix keeps two unit divisors at every level, so the dimension exponent is
@@ -128,6 +157,11 @@ def rep_zeta_class2(
     levels up to J + margin are enumerated, and contributions at the margin
     raise a StabilizationError instead of silently truncating.
     """
+    return _orbit_counts(pres, p, J, guard, margin, shard_count, _unit_classes)
+
+
+def _orbit_counts(pres, p, J, guard, margin, shard_count, chart):
+    """The level loop of `rep_zeta_class2`; `chart(p, N, d')` gives the walk."""
     if p == 2:
         raise UnsupportedError("p = 2 is excluded (orbit parametrization needs odd period)")
     R = commutator_matrix(pres)
@@ -138,16 +172,16 @@ def rep_zeta_class2(
     dprime = pres.dprime
     counts = [0] * (J + 1)
     counts[0] = 1  # the trivial level
-    if p**dprime > guard:
+    size, walk, _ = chart(p, 1, dprime)
+    if size > guard:
         raise ResourceGuardError(
-            f"certificate pass needs {p}^{dprime} characters, over guard {guard}",
-            predicted=p**dprime,
+            f"certificate pass needs {size} characters, over guard {guard}",
+            predicted=size,
             ceiling=guard,
         )
     # certify: does every primitive ell keep a unit entry mod p?
     unit_floor = all(
-        any(x % p for row in R.evaluate(ell) for x in row)
-        for ell in _primitive_vectors(p, 1, dprime)
+        any(x % p for row in R.evaluate(ell) for x in row) for ell in walk()
     )
     N = 0
     while True:
@@ -158,16 +192,17 @@ def rep_zeta_class2(
             raise StabilizationError(
                 f"level {N - 1} still produced dimensions <= {J}; cannot truncate safely"
             )
-        if p ** (N * dprime) > guard:
+        size, walk, weight = chart(p, N, dprime)
+        if size > guard:
             raise ResourceGuardError(
-                f"level {N} needs {p}^{N * dprime} characters, over guard {guard}",
-                predicted=p ** (N * dprime),
+                f"level {N} needs {size} characters, over guard {guard}",
+                predicted=size,
                 ceiling=guard,
             )
         level_counts = [0] * (J + 1)
         min_exponent = None
         for shard in range(shard_count):
-            for idx, ell in enumerate(_primitive_vectors(p, N, dprime)):
+            for idx, ell in enumerate(walk()):
                 if idx % shard_count != shard:
                     continue
                 t = smith_type(R.evaluate(ell), p, N)
@@ -188,7 +223,7 @@ def rep_zeta_class2(
                 if min_exponent is None or e < min_exponent:
                     min_exponent = e
                 if e <= J:
-                    level_counts[e] += 1
+                    level_counts[e] += weight
         for k in range(J + 1):
             counts[k] += level_counts[k]
         if N >= J and (min_exponent is None or min_exponent > J):

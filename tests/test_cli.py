@@ -92,6 +92,43 @@ def test_guard_exit_three():
     assert code == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["rep", "zeta", "--presentation", "catalog:dusautoy_ec", "--prime", "5", "--max-exp", "2"],
+    ["rep", "compare", "--presentation", "catalog:dusautoy_ec", "--formula", "dusautoy_rep",
+     "--prime", "5", "--max-exp", "2"],
+    ["igusa", "poincare", "--poly", "x^2", "--prime", "3", "--depth", "2"],
+    ["igusa", "zeta3d", "--ring", "catalog:heisenberg", "--prime", "3", "--max-index", "2"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_ceiling_reaches_every_guard(argv):
+    assert run([*argv, "--ceiling", "5"])[0] == 3
+    for bad in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--ceiling", bad])
+        assert exc.value.code == 2, bad
+
+
+TRUNCATION_COMMANDS = [
+    ["zeta", "count", "--ring", "catalog:heisenberg", "--prime", "3", "--max-index"],
+    ["zeta", "formula", "--name", "heisenberg_subring", "--prime", "3", "--max-index"],
+    ["zeta", "compare", "--ring", "catalog:heisenberg", "--formula", "heisenberg_subring",
+     "--prime", "3", "--max-index"],
+    ["igusa", "poincare", "--poly", "x^2", "--prime", "3", "--depth"],
+    ["igusa", "zeta3d", "--ring", "catalog:heisenberg", "--prime", "3", "--depth"],
+    ["rep", "zeta", "--presentation", "catalog:heisenberg", "--prime", "5", "--max-exp"],
+    ["rep", "compare", "--presentation", "catalog:heisenberg", "--formula", "heisenberg_rep",
+     "--prime", "5", "--max-exp"],
+]
+
+
+@pytest.mark.parametrize("argv", TRUNCATION_COMMANDS, ids=lambda argv: " ".join(argv[:2]))
+def test_truncation_bound_must_be_nonnegative(argv):
+    assert run(["--yes", *argv, "0"])[0] == 0
+    for bad in ("-1", "-5"):
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, bad])
+        assert exc.value.code == 2, bad
+
+
 def test_internal_consistency_exit_four(tmp_path):
     pres = tmp_path / "bad.json"
     pres.write_text(

@@ -7,6 +7,7 @@ from ringzeta.errors import (
     InternalConsistencyError,
     MalformedInputError,
     ResourceGuardError,
+    StabilizationError,
     UnsupportedError,
 )
 from ringzeta.repzeta import (
@@ -91,12 +92,57 @@ def test_rep_zeta_dimension_parity():
 def test_rep_zeta_dusautoy_matches_hybrid():
     pres = algebra.catalog_presentation("dusautoy_ec")
     hybrid = ratfun.formula_catalog("dusautoy_rep")
-    for p in (3, 5):
+    for p in (3, 5, 11):
         weights = repzeta.weight_values(hybrid, p)
         assert weights["b"] == point_count_projective(EC_PROJECTIVE, p)
         got = rep_zeta_class2(pres, p, 2)
         want = hybrid.expand(p, 2, weights)
         assert got.coefficients == want.coefficients
+
+
+def test_unit_class_chart_predicts_its_walk():
+    # the guard's size is the walk's length, and the classes cover every
+    # primitive character exactly weight times
+    for p, N, d in ((3, 1, 3), (3, 2, 2), (5, 2, 1), (3, 3, 2), (5, 1, 3)):
+        size, walk, weight = repzeta._unit_classes(p, N, d)
+        points = list(walk())
+        assert len(points) == len(set(points)) == size
+        assert size * weight == sum(1 for _ in repzeta._primitive_vectors(p, N, d))
+
+
+def _outcome(run):
+    try:
+        return run().coefficients
+    except (InternalConsistencyError, StabilizationError, UnsupportedError) as exc:
+        return type(exc)
+
+
+def test_rep_quotient_matches_full_walk_on_random_presentations():
+    # one representative per unit class, weighted by phi(p^N), against every
+    # primitive character counted once; the full walk's cost caps each case
+    rng = random.Random(90313)
+    margin = repzeta.STABILIZATION_MARGIN
+    outcomes = []
+    while len(outcomes) < 100:
+        d, dprime = rng.randint(2, 5), rng.choice((1, 2, 2, 3, 3))
+        p, J = rng.choice((3, 5)), rng.randint(1, 3)
+        if sum(p ** (N * dprime) for N in range(1, J + margin + 1)) > 30000:
+            continue
+        constants = {}
+        for i in range(1, d + 1):
+            for j in range(i + 1, d + 1):
+                for k in range(1, dprime + 1):
+                    c = rng.choice((0, 0, 0, 1, -1, 2, p))
+                    if c:
+                        constants[(i, j, k)], constants[(j, i, k)] = c, -c
+        pres = algebra.Class2Presentation("random", d, dprime, constants)
+        fast = _outcome(lambda: rep_zeta_class2(pres, p, J, shard_count=rng.randint(1, 3)))
+        full = _outcome(lambda: repzeta._orbit_counts(
+            pres, p, J, repzeta.DEFAULT_GUARD, margin, 1, repzeta._all_characters))
+        assert fast == full, (constants, d, dprime, p, J)
+        outcomes.append(full)
+    assert sum(isinstance(o, tuple) for o in outcomes) >= 40
+    assert InternalConsistencyError in outcomes
 
 
 def test_point_count_examples():
