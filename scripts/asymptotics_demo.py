@@ -15,7 +15,7 @@ from ringzeta import ratfun
 
 
 def show(label, name, alpha, b, c, bound):
-    g = ratfun.euler_product(lambda p: ratfun.formula_catalog(name), bound, bound)
+    g = ratfun.euler_product(ratfun.formula_catalog(name), bound, bound)
     print(f"{label}: s_m / ({c:.6g} * m^{alpha}" + (f" * (log m)^{b}" if b else "") + ")")
     for m, ratio in ratfun.asymptotic_ratio(g, alpha, b, c):
         print(f"  m = {m:>8}: {ratio:.4f}")

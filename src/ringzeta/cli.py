@@ -301,16 +301,11 @@ def cmd_rep_compare(args):
 
 
 def cmd_euler(args):
-    formula_name = args.name
-
-    def provider(p):
-        formula = ratfun.formula_catalog(formula_name)
-        if isinstance(formula, ratfun.PointCountHybrid):
-            raise MalformedInputError("euler products of hybrids are not exposed on the CLI")
-        return formula
-
-    global_trunc = ratfun.euler_product(provider, args.primes_up_to, args.max_m)
-    out = {"formula": formula_name, "primes_up_to": args.primes_up_to, "max_m": args.max_m}
+    formula = ratfun.formula_catalog(args.name)
+    if isinstance(formula, ratfun.PointCountHybrid):
+        raise MalformedInputError("euler products of hybrids are not exposed on the CLI")
+    global_trunc = ratfun.euler_product(formula, args.primes_up_to, args.max_m)
+    out = {"formula": args.name, "primes_up_to": args.primes_up_to, "max_m": args.max_m}
     if args.asymptotics:
         try:
             alpha_s, b_s, c_s = args.asymptotics.split(",")
@@ -403,7 +398,8 @@ def _positive_int(text):
 
 
 def _nonnegative_int(text):
-    """Truncation bounds (--max-index, --max-exp, --depth)."""
+    """Truncation bounds (--max-index, --max-exp, --depth, --scale-exp, --max-m,
+    --primes-up-to)."""
     n = _int(text)
     if n < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
@@ -508,7 +504,7 @@ def build_parser():
     z3 = ig.add_parser("zeta3d", parents=[common])
     z3.add_argument("--ring", required=True)
     z3.add_argument("--prime", type=_prime, required=True)
-    z3.add_argument("--scale-exp", type=int, default=0)
+    z3.add_argument("--scale-exp", type=_nonnegative_int, default=0)
     z3.add_argument("--max-index", "--depth", dest="max_index", type=_nonnegative_int,
                     required=True)
     z3.set_defaults(handler=cmd_igusa_zeta3d)
@@ -530,8 +526,8 @@ def build_parser():
 
     eu = sub.add_parser("euler", help="global Dirichlet coefficients from local factors", parents=[common])
     eu.add_argument("--name", required=True)
-    eu.add_argument("--primes-up-to", type=int, required=True)
-    eu.add_argument("--max-m", type=int, required=True)
+    eu.add_argument("--primes-up-to", type=_nonnegative_int, required=True)
+    eu.add_argument("--max-m", type=_nonnegative_int, required=True)
     eu.add_argument("--asymptotics", help="alpha,b,c: print partial-sum ratios")
     eu.set_defaults(handler=cmd_euler)
 

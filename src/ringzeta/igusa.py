@@ -114,7 +114,6 @@ def parse_polynomial(text: str, variables=None) -> IntegerPolynomial:
         names = sorted(variables)
     index = {v: i for i, v in enumerate(names)}
     n = len(names)
-    it = iter(range(len(tokens)))
     state = {"i": 0}
 
     def peek():

@@ -176,14 +176,6 @@ class BivariateRationalFunction:
     def is_zero(self):
         return self.num.is_zero()
 
-    def den_polynomial(self):
-        poly = self.extra_den
-        for (a, b), mult in self.den_factors.items():
-            f = _poly_from_factor(a, b)
-            for _ in range(mult):
-                poly = poly * f
-        return poly
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return BivariateRationalFunction(
@@ -310,15 +302,16 @@ def expand_series(f: BivariateRationalFunction, p: int, K: int) -> list[Fraction
     num = f.num.eval_x(p)
     if not num:
         return [Fraction(0)] * (K + 1)
-    den = {0: Fraction(1)}
-    for (a, b), mult in f.den_factors.items():
-        for _ in range(mult):
-            den = _poly_mul_y(den, {0: Fraction(1), b: Fraction(-(p**a))}, None)
-    den = _poly_mul_y(den, f.extra_den.eval_x(p), None)
-    if den.get(0, Fraction(0)) == 0:
-        raise NonExpandableError("denominator vanishes at Y = 0")
     shift = min(0, min(num))
     order = K - shift
+    # extra_den first: the factors only raise Y-powers, so capping them at
+    # the order drops nothing that could reach Y^0..Y^order
+    den = f.extra_den.eval_x(p)
+    for (a, b), mult in f.den_factors.items():
+        for _ in range(mult):
+            den = _poly_mul_y(den, {0: Fraction(1), b: Fraction(-(p**a))}, order)
+    if den.get(0, Fraction(0)) == 0:
+        raise NonExpandableError("denominator vanishes at Y = 0")
     inv = _series_inverse(den, order)
     coeffs = [Fraction(0)] * (order + 1)
     for ey, c in num.items():
@@ -339,7 +332,7 @@ def _poly_mul_y(a, b, cap):
     for ea, ca in a.items():
         for eb, cb in b.items():
             e = ea + eb
-            if cap is not None and e > cap:
+            if e > cap:
                 continue
             s = out.get(e, Fraction(0)) + ca * cb
             if s:
@@ -364,13 +357,14 @@ def _series_inverse(den, order):
 
 def expand(f: BivariateRationalFunction, p: int, K: int) -> LocalDirichletTruncation:
     """Integer Dirichlet truncation of a catalog-style Euler factor."""
-    coeffs = expand_series(f, p, K)
-    out = []
+    return _integral_truncation(p, expand_series(f, p, K))
+
+
+def _integral_truncation(p, coeffs):
     for k, c in enumerate(coeffs):
         if c.denominator != 1:
             raise NonExpandableError(f"coefficient of Y^{k} is not an integer: {c}")
-        out.append(int(c))
-    return LocalDirichletTruncation(p, tuple(out))
+    return LocalDirichletTruncation(p, tuple(map(int, coeffs)))
 
 
 # ---------------------------------------------------------------------------
@@ -441,12 +435,7 @@ class PointCountHybrid:
             w = 1 if symbol == "1" else weights[symbol]
             for k, c in enumerate(expand_series(value, p, K)):
                 total[k] += w * c
-        out = []
-        for k, c in enumerate(total):
-            if c.denominator != 1:
-                raise NonExpandableError(f"coefficient of Y^{k} is not an integer: {c}")
-            out.append(int(c))
-        return LocalDirichletTruncation(p, tuple(out))
+        return _integral_truncation(p, total)
 
 
 def hybrid_funeq_verdict(h: PointCountHybrid, expected) -> FuneqVerdict:
@@ -495,25 +484,91 @@ def _primes_up_to(n):
     return [i for i in range(n + 1) if sieve[i]]
 
 
-def euler_product(factor_provider, primes_up_to: int, bound: int) -> GlobalDirichletTruncation:
+def _y_slices(poly):
+    """Y-exponent -> the coefficient of that Y-power, a polynomial in X alone."""
+    out = {}
+    for (ex, ey), c in poly.terms.items():
+        out.setdefault(ey, BivariatePolynomial()).terms[(ex, 0)] = c
+    return out
+
+
+def _evaluator(poly):
+    """p -> poly(p) for a polynomial in X alone, in int arithmetic unless a
+    coefficient or a negative exponent needs Fraction."""
+    terms = [(ex, int(c) if c.denominator == 1 else c) for (ex, _), c in poly.terms.items()]
+    exact = all(ex >= 0 for ex, _ in terms)
+    return lambda p: sum(c * (p if exact else Fraction(p)) ** ex for ex, c in terms)
+
+
+def _expand_once(f: BivariateRationalFunction, D: int):
+    """(p, depth) -> expand(f, p, depth) for depth <= D, from one expansion of f.
+
+    With the denominator sum_j d_j(X) Y^j and the numerator sum_k n_k(X) Y^k,
+    the Y^k coefficient of f is N_k(X) / c0(X)^(k - ymin + 1) for
+    k = ymin..D, where c0 = d_0, ymin <= 0 is the numerator's lowest Y-power
+    and N_k = n_k c0^(k - ymin) - sum_{j>=1} d_j N_{k-j} c0^(j-1) (series
+    division kept free of denominators).  Only N_k and c0 meet the prime.
+    """
+    num = _y_slices(f.num)
+    ymin = min(0, min(num, default=0))
+    order = D - ymin
+    den = f.extra_den  # first, so capping the factors' product drops nothing needed
+    for (a, b), mult in f.den_factors.items():
+        for _ in range(mult):
+            den = den * _poly_from_factor(a, b)
+            den.terms = {e: c for e, c in den.terms.items() if e[1] <= order}
+    d = _y_slices(den)
+    zero = BivariatePolynomial()
+    c0 = d.get(0, zero)
+    c0_pow = [BivariatePolynomial.one()]
+    for _ in range(order):
+        c0_pow.append(c0_pow[-1] * c0)
+    N = []
+    for i in range(order + 1):  # i = k - ymin
+        s = num.get(i + ymin, zero) * c0_pow[i]
+        for j in range(1, i + 1):
+            if j in d:
+                s = s - d[j] * N[i - j] * c0_pow[j - 1]
+        N.append(s)
+    N = [_evaluator(s) for s in N]
+    c0_at = _evaluator(c0)
+
+    def at(p, depth):
+        c = c0_at(p)
+        if c == 0:  # not expandable at p: the per-prime expansion names the error
+            return expand(f, p, depth)
+        vals = [N[i](p) if c == 1 else Fraction(N[i](p)) / c ** (i + 1)
+                for i in range(depth - ymin + 1)]
+        if any(vals[:-ymin]):
+            raise NonExpandableError("negative Y-powers survive expansion")
+        return _integral_truncation(p, vals[-ymin:])
+
+    return at
+
+
+def euler_product(factor, primes_up_to: int, bound: int) -> GlobalDirichletTruncation:
     """Assemble a_m for m <= bound from local factors at all primes <= primes_up_to.
 
-    factor_provider(p) may return a BivariateRationalFunction or a
-    LocalDirichletTruncation of sufficient depth.  Raises CoverageError when
-    some m <= bound is not primes_up_to-smooth.
+    factor is either a BivariateRationalFunction W, the same at every prime
+    (zeta_p(s) = W(p, p^{-s})), which is expanded once as a Y-series with
+    coefficients in X and evaluated at each p, raising what expand(W, p, depth)
+    would; or a callable p -> LocalDirichletTruncation of sufficient depth.
+    Raises CoverageError when some m <= bound is not primes_up_to-smooth.
     """
     primes = _primes_up_to(primes_up_to)
+    if isinstance(factor, BivariateRationalFunction):
+        local_factor = _expand_once(factor, max(bound, 1).bit_length() - 1)
+    else:
+        local_factor = lambda p, depth: factor(p)  # noqa: E731
     local = {}
     for p in primes:
         depth = 0
         while p ** (depth + 1) <= bound:
             depth += 1
-        factor = factor_provider(p)
-        if isinstance(factor, BivariateRationalFunction):
-            factor = expand(factor, p, depth)
-        if factor.depth < depth:
-            raise CoverageError(f"local factor at p={p} too shallow ({factor.depth} < {depth})")
-        local[p] = factor.coefficients
+        trunc = local_factor(p, depth)
+        if trunc.depth < depth:
+            raise CoverageError(f"local factor at p={p} too shallow ({trunc.depth} < {depth})")
+        local[p] = trunc.coefficients
     # smallest-prime-factor sieve for multiplicative assembly
     spf = list(range(bound + 1))
     for p in primes:

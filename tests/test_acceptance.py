@@ -188,7 +188,7 @@ def test_criterion_10_rank9_ideal_truncation():
 def test_criterion_11_global_asymptotics():
     with criterion(11, "rank-2 partial sums approach (pi^2/12) m^2 within 2%"):
         M = 10**5
-        g = ratfun.euler_product(lambda p: ratfun.zeta_zn(2), M, M)
+        g = ratfun.euler_product(ratfun.zeta_zn(2), M, M)
         c = math.pi**2 / 12
         ratios = ratfun.asymptotic_ratio(g, 2, 0, c, samples=[M])
         assert abs(ratios[0][1] - 1) <= 0.02
@@ -208,7 +208,7 @@ def test_criterion_12_property_suites():
             f = ratfun.BivariateRationalFunction(num, den)
             assert ratfun.invert_prime(ratfun.invert_prime(f)) == f
         # multiplicativity of Euler coefficients
-        g = ratfun.euler_product(lambda p: ratfun.formula_catalog("heisenberg_subring"), 60, 60)
+        g = ratfun.euler_product(ratfun.formula_catalog("heisenberg_subring"), 60, 60)
         for m in (4, 5, 9):
             for n in (7, 11):
                 if m * n <= 60:

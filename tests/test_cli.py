@@ -117,6 +117,12 @@ TRUNCATION_COMMANDS = [
     ["rep", "zeta", "--presentation", "catalog:heisenberg", "--prime", "5", "--max-exp"],
     ["rep", "compare", "--presentation", "catalog:heisenberg", "--formula", "heisenberg_rep",
      "--prime", "5", "--max-exp"],
+    pytest.param(["igusa", "zeta3d", "--ring", "catalog:heisenberg", "--prime", "3",
+                  "--max-index", "2", "--scale-exp"], id="igusa zeta3d --scale-exp"),
+    pytest.param(["euler", "--name", "zeta_Zn(2)", "--primes-up-to", "10", "--max-m"],
+                 id="euler --max-m"),
+    pytest.param(["euler", "--name", "zeta_Zn(2)", "--max-m", "1", "--primes-up-to"],
+                 id="euler --primes-up-to"),
 ]
 
 
@@ -230,6 +236,14 @@ def test_euler_command_with_asymptotics():
     )
     assert code == 0
     assert "1.000000" in out
+
+
+def test_euler_resolves_the_formula_before_the_product():
+    # no prime <= 1, so no local factor is ever needed: the formula is checked anyway
+    for name in ("dusautoy_rep", "no_such_formula"):
+        assert run(["euler", "--name", name, "--primes-up-to", "1", "--max-m", "1"])[0] == 2
+    code, out = run(["euler", "--name", "zeta_Zn(2)", "--primes-up-to", "1", "--max-m", "1"])
+    assert code == 0 and "partial_sum: 1" in out
 
 
 def test_coxeter_check_command():

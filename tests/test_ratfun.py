@@ -4,7 +4,12 @@ from fractions import Fraction
 import pytest
 
 from ringzeta import ratfun
-from ringzeta.errors import CoverageError, LookupError_, NonExpandableError
+from ringzeta.errors import (
+    CoverageError,
+    LookupError_,
+    MalformedInputError,
+    NonExpandableError,
+)
 from ringzeta.ratfun import (
     BivariatePolynomial,
     BivariateRationalFunction,
@@ -106,21 +111,21 @@ def _sigma(m):
 
 
 def test_euler_product_sigma():
-    g = ratfun.euler_product(lambda p: ratfun.zeta_zn(2), 97, 100)
+    g = ratfun.euler_product(ratfun.zeta_zn(2), 97, 100)
     assert g.coefficients[6] == 12
     for m in range(1, 101):
         assert g.coefficients[m] == _sigma(m)
 
 
 def test_euler_product_rank_one_and_ideals():
-    g = ratfun.euler_product(lambda p: ratfun.zeta_zn(1), 50, 50)
+    g = ratfun.euler_product(ratfun.zeta_zn(1), 50, 50)
     assert all(c == 1 for c in g.coefficients[1:])
-    h = ratfun.euler_product(lambda p: ratfun.formula_catalog("heisenberg_ideal"), 50, 50)
+    h = ratfun.euler_product(ratfun.formula_catalog("heisenberg_ideal"), 50, 50)
     assert h.coefficients[4] == 7
 
 
 def test_euler_product_multiplicative():
-    g = ratfun.euler_product(lambda p: ratfun.formula_catalog("heisenberg_subring"), 120, 120)
+    g = ratfun.euler_product(ratfun.formula_catalog("heisenberg_subring"), 120, 120)
     from math import gcd
 
     for m in range(2, 121):
@@ -131,11 +136,11 @@ def test_euler_product_multiplicative():
 
 def test_euler_product_coverage_error():
     with pytest.raises(CoverageError):
-        ratfun.euler_product(lambda p: ratfun.zeta_zn(1), 10, 30)  # 11, 13, ... uncovered
+        ratfun.euler_product(ratfun.zeta_zn(1), 10, 30)  # 11, 13, ... uncovered
 
 
 def test_asymptotic_ratio_rank_one():
-    g = ratfun.euler_product(lambda p: ratfun.zeta_zn(1), 200, 200)
+    g = ratfun.euler_product(ratfun.zeta_zn(1), 200, 200)
     ratios = ratfun.asymptotic_ratio(g, 1, 0, 1.0, samples=[50, 200])
     assert ratios == [(50, 1.0), (200, 1.0)]
 
@@ -266,3 +271,60 @@ def test_euler_product_accepts_enumerated_local_factors():
 
     g = ratfun.euler_product(provider, 10, 10)
     assert [g.coefficients[m] for m in range(1, 11)] == [_sigma(m) for m in range(1, 11)]
+
+
+def _random_euler_factor(rng):
+    """A random W(X, Y) = c0 * g / (extra_den * prod (1 - X^a Y^b)^mult).
+
+    g = 1 + (terms in Y^1, Y^2) keeps a[p^0] = 1 when extra_den = c0 has no
+    Y-terms.  The rest probes what expand rejects: Y-terms in extra_den (so
+    coefficients like N_k / c0^(k+1) need not be integers), X^-1 terms whose
+    coefficient is a primorial (integral only at the primes it covers), and
+    Y^-1 terms, (X - 2) Y^-1 vanishing at p = 2 only; c0 = X - 2 vanishes at
+    p = 2, and a Y^-1 term in extra_den feeds c0 through the factors.
+    """
+    c0 = rng.choice(({(0, 0): 1}, {(0, 0): 1}, {(0, 0): 2}, {(0, 0): -1},
+                     {(0, 0): 1, (1, 0): 1}, {(1, 0): 1}, {(0, 0): 1, (2, 0): -3},
+                     {(0, 0): -2, (1, 0): 1}))
+    g = {(0, 0): 1}
+    for _ in range(rng.randrange(0, 3)):
+        g[(rng.randrange(0, 3), rng.randrange(1, 3))] = rng.choice((-2, -1, 1, 2))
+    if rng.random() < 0.2:
+        g[(-1, rng.randrange(1, 3))] = rng.choice((1, 2, 6, 30))
+    if rng.random() < 0.2:
+        g.update(rng.choice(({(0, -1): 1}, {(1, -1): 1, (0, -1): -2})))
+    extra = dict(c0)
+    if rng.random() < 0.2:
+        extra[(rng.randrange(0, 2), rng.randrange(-1, 3) or 1)] = rng.choice((-1, 1))
+    den = {}
+    for _ in range(rng.randrange(1, 4)):
+        den[(rng.randrange(0, 3), rng.randrange(1, 4))] = rng.randrange(1, 3)
+    num = BivariatePolynomial(c0) * BivariatePolynomial(g)
+    return BivariateRationalFunction(num, den, BivariatePolynomial(extra))
+
+
+def test_euler_product_expands_once_matches_per_prime_expand():
+    rng = random.Random(20261018)
+
+    def depth(p, bound):
+        k = 0
+        while p ** (k + 1) <= bound:
+            k += 1
+        return k
+
+    def outcome(factor, N):
+        try:
+            return ratfun.euler_product(factor, N, N).coefficients
+        except (NonExpandableError, MalformedInputError, CoverageError) as exc:
+            return type(exc)  # the class is the outcome
+
+    values = errors = 0
+    for _ in range(150):
+        f = _random_euler_factor(rng)
+        N = rng.choice((1, 2, 3, 6, 7, 30, rng.randrange(8, 300), rng.randrange(8, 300)))
+        once = outcome(f, N)
+        per_prime = outcome(lambda p: ratfun.expand(f, p, depth(p, N)), N)
+        assert once == per_prime, (f, N)
+        values += isinstance(once, tuple)
+        errors += once is NonExpandableError
+    assert values >= 40 and errors >= 1, (values, errors)
