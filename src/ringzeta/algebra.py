@@ -432,10 +432,13 @@ def resolve_presentation_spec(spec: str) -> Class2Presentation:
 
 
 def _constants_from_json(entries):
+    if not isinstance(entries, list):
+        raise MalformedInputError("constants must be a list of [i, j, k, value] entries")
     constants = {}
     for entry in entries:
-        if len(entry) != 4:
-            raise MalformedInputError(f"constant entry {entry!r} must be [i, j, k, value]")
+        if not (isinstance(entry, list) and len(entry) == 4
+                and all(type(x) is int for x in entry)):
+            raise MalformedInputError(f"constant entry {entry!r} must be [i, j, k, value] integers")
         i, j, k, v = entry
         if (i, j, k) in constants:
             raise MalformedInputError(f"duplicate structure-constant triple {(i, j, k)}")
@@ -443,29 +446,35 @@ def _constants_from_json(entries):
     return constants
 
 
-def load_algebra(path) -> StructureConstantAlgebra:
+def _load_object(path, kind, int_fields):
+    """The JSON object in `path`, with each of `int_fields` present and an integer."""
     with open(path) as fh:
         data = json.load(fh)
-    try:
-        return StructureConstantAlgebra(
-            data.get("name", str(path)),
-            data["rank"],
-            _constants_from_json(data.get("constants", [])),
-            data.get("flags", []),
-        )
-    except KeyError as exc:
-        raise MalformedInputError(f"ring file {path} missing field {exc}") from exc
+    if not isinstance(data, dict):
+        raise MalformedInputError(f"{kind} file {path} must hold a JSON object")
+    for field in int_fields:
+        if field not in data:
+            raise MalformedInputError(f"{kind} file {path} missing field {field!r}")
+        if type(data[field]) is not int:
+            raise MalformedInputError(f"{kind} file {path}: {field} must be an integer")
+    return data
+
+
+def load_algebra(path) -> StructureConstantAlgebra:
+    data = _load_object(path, "ring", ("rank",))
+    return StructureConstantAlgebra(
+        data.get("name", str(path)),
+        data["rank"],
+        _constants_from_json(data.get("constants", [])),
+        data.get("flags", []),
+    )
 
 
 def load_presentation(path) -> Class2Presentation:
-    with open(path) as fh:
-        data = json.load(fh)
-    try:
-        return Class2Presentation(
-            data.get("name", str(path)),
-            data["d"],
-            data["dprime"],
-            _constants_from_json(data.get("constants", [])),
-        )
-    except KeyError as exc:
-        raise MalformedInputError(f"presentation file {path} missing field {exc}") from exc
+    data = _load_object(path, "presentation", ("d", "dprime"))
+    return Class2Presentation(
+        data.get("name", str(path)),
+        data["d"],
+        data["dprime"],
+        _constants_from_json(data.get("constants", [])),
+    )

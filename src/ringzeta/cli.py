@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success / comparison pass, 1 comparison fail, 2 usage error,
-3 resource guard tripped, 4 internal-consistency failure.
+3 resource guard tripped, 4 internal-consistency failure (also any unexpected
+exception, with its traceback on stderr).
 """
 
 from __future__ import annotations
@@ -568,6 +569,11 @@ def main(argv=None):
     ) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        import traceback  # here, not at the top: only this path needs it
+
+        traceback.print_exc()
+        return EXIT_INTERNAL
     _emit(report, args.output)
     return code
 

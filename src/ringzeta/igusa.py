@@ -1,9 +1,11 @@
-"""Igusa-style local zeta data from brute-force congruence counting.
+"""Igusa-style local zeta data from congruence counting.
 
-N_m counts solutions of f = 0 mod p^m; the associated measure-difference
-series recovers the integral's truncation, and for rank-3 antisymmetric
-algebras a single ternary quadratic form assembles the full subring zeta
-truncation.
+N_m counts solutions of f = 0 mod p^m: every point mod p is enumerated once,
+and deeper levels come from Hensel lifting over the tree of residue classes
+(the product walk over all p^(n*m) points stays as the oracle).  The
+associated measure-difference series recovers the integral's truncation, and
+for rank-3 antisymmetric algebras a single ternary quadratic form assembles the
+full subring zeta truncation.
 """
 
 from __future__ import annotations
@@ -214,17 +216,68 @@ class PoincareTruncation:
 
 
 def poincare_counts(f: IntegerPolynomial, p: int, M: int, guard=DEFAULT_GUARD) -> PoincareTruncation:
+    """N_0..N_M by Hensel lifting; `guard` bounds the p^(n*M) points of level M.
+
+    For x with f(x) = 0 mod p^j, j >= 1, and t in (Z/p)^n,
+    f(x + p^j t) = f(x) + p^j grad f(x).t mod p^(j+1): the higher Taylor terms
+    have integer coefficients and carry p^(2j).  So a zero mod p whose gradient
+    is nonzero mod p (smooth) has p^((n-1)(m-1)) zeros mod p^m above it, and a
+    singular zero x mod p^j has all p^n lifts as zeros mod p^(j+1), all
+    singular, when f(x) = 0 mod p^(j+1), and none otherwise.  Only the singular
+    tree is walked, depth-first, down to level M - 1.
+    """
     n = f.nvars
     if p ** (n * M) > guard:
         raise ResourceGuardError(
             f"p^(n*M) = {p}^{n * M} exceeds guard {guard}", predicted=p ** (n * M), ceiling=guard
         )
+    counts = [1] + [0] * M
+    if M == 0:
+        return PoincareTruncation(p, M, tuple(counts))
+    gradient = [_derivative(f, v) for v in range(n)]
+    lifts = list(product(range(p), repeat=n))
+    smooth = 0
+    stack = []  # (x, j): a singular zero of f mod p^j, 1 <= j < M
+    for x in lifts:
+        if f.evaluate(x) % p:
+            continue
+        counts[1] += 1
+        if any(g.evaluate(x) % p for g in gradient):
+            smooth += 1
+        elif M > 1:
+            stack.append((x, 1))
+    if smooth:  # never for n = 0, where the exponent below turns negative
+        for m in range(2, M + 1):
+            counts[m] += smooth * p ** ((n - 1) * (m - 1))
+    while stack:  # depth-first: at most p^n pending nodes per level
+        x, j = stack.pop()
+        if f.evaluate(x) % p ** (j + 1):
+            continue
+        counts[j + 1] += p**n
+        if j + 1 < M:
+            step = p**j
+            stack.extend((tuple(a + step * b for a, b in zip(x, t)), j + 1) for t in lifts)
+    return PoincareTruncation(p, M, tuple(counts))
+
+
+def _brute_poincare_counts(f: IntegerPolynomial, p: int, M: int) -> PoincareTruncation:
+    """The oracle: N_m by evaluating f at all p^(n*m) points mod p^m."""
     counts = [1]
     for m in range(1, M + 1):
         q = p**m
-        c = sum(1 for point in product(range(q), repeat=n) if f.evaluate(point) % q == 0)
+        c = sum(1 for point in product(range(q), repeat=f.nvars) if f.evaluate(point) % q == 0)
         counts.append(c)
     return PoincareTruncation(p, M, tuple(counts))
+
+
+def _derivative(f: IntegerPolynomial, v: int) -> IntegerPolynomial:
+    """The partial derivative of f in its v-th variable."""
+    terms = {}
+    for exp, c in f.terms.items():
+        if exp[v]:
+            lowered = exp[:v] + (exp[v] - 1,) + exp[v + 1 :]
+            terms[lowered] = c * exp[v]
+    return IntegerPolynomial(f.variables, terms)
 
 
 def zf_series_from_poincare(pc: PoincareTruncation, nvars: int) -> list[Fraction]:

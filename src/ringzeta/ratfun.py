@@ -157,7 +157,6 @@ class BivariateRationalFunction:
     def __init__(self, num, den_factors=None, extra_den=None):
         if isinstance(num, (int, Fraction)):
             num = BivariatePolynomial({(0, 0): num})
-        self.num = num
         self.den_factors = Counter()
         for key, mult in (den_factors or {}).items():
             a, b = int(key[0]), int(key[1])
@@ -165,9 +164,16 @@ class BivariateRationalFunction:
                 raise MalformedInputError(f"denominator factor (1 - X^{a} Y^{b}) out of contract")
             if mult:
                 self.den_factors[(a, b)] += mult
-        self.extra_den = extra_den if extra_den is not None else BivariatePolynomial.one()
-        if self.extra_den.is_zero():
+        if extra_den is None:
+            extra_den = BivariatePolynomial.one()
+        elif extra_den.is_zero():
             raise MalformedInputError("zero denominator")
+        else:
+            my = min(ey for _, ey in extra_den.terms)
+            if my:  # move Y^my to the numerator: expansion reads the Y^0 part of extra_den
+                num, extra_den = num.shift(0, -my), extra_den.shift(0, -my)
+        self.num = num
+        self.extra_den = extra_den
 
     @classmethod
     def constant(cls, c):
@@ -266,12 +272,8 @@ def invert_prime(f: BivariateRationalFunction) -> BivariateRationalFunction:
     for (a, b), mult in f.den_factors.items():
         num = num * BivariatePolynomial.monomial(a * mult, b * mult, (-1) ** mult)
     extra = f.extra_den.invert_variables()
-    if extra != BivariatePolynomial.one():
-        mx, my = extra.min_exponents()
-        cleared = extra.shift(-mx, -my)  # genuine polynomial again
-        num = num.shift(-mx, -my)
-        return BivariateRationalFunction(num, f.den_factors, cleared)
-    return BivariateRationalFunction(num, f.den_factors)
+    mx = extra.min_exponents()[0]  # the constructor clears the Y-powers
+    return BivariateRationalFunction(num.shift(-mx, 0), f.den_factors, extra.shift(-mx, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,11 @@ def _all_characters(p, N, d):
     return p ** (N * d), lambda: _primitive_vectors(p, N, d), 1
 
 
+def _unit_floor(R, p, ells):
+    """The certificate: does R(ell) keep a unit entry mod p for every ell given?"""
+    return all(any(x % p for row in R.evaluate(ell) for x in row) for ell in ells)
+
+
 def rep_zeta_class2(
     pres: Class2Presentation,
     p: int,
@@ -179,10 +184,7 @@ def _orbit_counts(pres, p, J, guard, margin, shard_count, chart):
             predicted=size,
             ceiling=guard,
         )
-    # certify: does every primitive ell keep a unit entry mod p?
-    unit_floor = all(
-        any(x % p for row in R.evaluate(ell) for x in row) for ell in walk()
-    )
+    unit_floor = _unit_floor(R, p, walk())
     N = 0
     while True:
         N += 1

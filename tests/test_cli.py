@@ -210,6 +210,38 @@ def test_ring_validate_file_and_catalog(tmp_path):
     assert code == 0 and "not nilpotent" in out
 
 
+@pytest.mark.parametrize("doc", [
+    [3, [[1, 2, 3, 1]]],  # a list, not an object
+    {"rank": "3", "constants": []},
+    {"rank": True},
+    {"constants": []},
+    {"rank": 3, "constants": 5},
+    {"rank": 3, "constants": [[1, 2, 3, "1"]]},
+])
+def test_ring_validate_malformed_file_is_a_usage_error(tmp_path, doc):
+    ring = tmp_path / "ring.json"
+    ring.write_text(json.dumps(doc))
+    assert run(["ring", "validate", "--ring", str(ring)])[0] == 2
+
+
+@pytest.mark.parametrize("doc", [[2, 1], {"d": 2, "dprime": "1"}, {"d": 2.0, "dprime": 1}])
+def test_rep_zeta_malformed_presentation_is_a_usage_error(tmp_path, doc):
+    pres = tmp_path / "pres.json"
+    pres.write_text(json.dumps(doc))
+    argv = ["rep", "zeta", "--presentation", str(pres), "--prime", "3", "--max-exp", "1"]
+    assert run(argv)[0] == 2
+
+
+def test_unexpected_exception_exits_four_with_traceback(monkeypatch, capsys):
+    def broken(path):
+        raise RuntimeError("unforeseen")
+
+    monkeypatch.setattr(cli.algebra, "load_algebra", broken)
+    assert cli.main(["ring", "validate", "--ring", "ring.json"]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: unforeseen" in err
+
+
 def test_igusa_commands():
     code, out = run(["igusa", "poincare", "--poly", "x^2", "--prime", "3", "--depth", "2"])
     assert code == 0

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -48,6 +49,52 @@ def test_poincare_monotonicity():
 def test_poincare_guard():
     with pytest.raises(ResourceGuardError):
         poincare_counts(parse_polynomial("x + y + z"), 101, 4)
+
+
+def _random_polynomial(rng, p, n):
+    """Up to four terms of total degree <= 3; coefficients often divisible by p,
+    and sometimes a whole multiple of p, so singular zeros are common."""
+    terms = {}
+    for _ in range(rng.randrange(0, 5)):
+        exp = [0] * n
+        for _ in range(rng.randrange(0, 4)):
+            exp[rng.randrange(n)] += 1
+        terms[tuple(exp)] = rng.choice((1, -1, 2, 3, p, -p, 2 * p, p * p))
+    scale = rng.choice((1, 1, 1, p))
+    return igusa.IntegerPolynomial(("x", "y", "z")[:n], {e: scale * c for e, c in terms.items()})
+
+
+def test_lifted_counts_match_brute_force():
+    # Hensel lifting over the singular tree against the walk over all points
+    xyz = ("x1", "x2", "x3")
+    cases = [
+        (parse_polynomial("0", variables=xyz[:n]), p, M)
+        for n in (1, 2, 3) for p, M in ((2, 4), (3, 3), (5, 2))
+    ]
+    cases += [
+        (parse_polynomial("7", variables=xyz[:n]), 7 if n == 1 else 2, 2) for n in (1, 2)
+    ]
+    cases += [
+        (parse_polynomial(expr, variables=names), p, M)
+        for expr, names, p, M in (
+            ("x^2", ("x",), 2, 4), ("x^2", ("x",), 3, 4), ("4*x^2", ("x",), 2, 4),
+            ("x*y", ("x", "y"), 2, 4), ("x*y", ("x", "y"), 5, 3),
+            ("x3^2", xyz, 2, 4), ("x3^2", xyz, 5, 2),
+            ("x3^2 + 4*x1*x2", xyz, 2, 4), ("x3^2 + 4*x1*x2", xyz, 3, 3),
+            ("y^2 - x^3 + x", ("x", "y"), 3, 4),
+        )
+    ]
+    rng = random.Random(51017)
+    while len(cases) < 240:
+        p, n, M = rng.choice((2, 3, 5)), rng.randint(1, 3), rng.randint(1, 4)
+        if p ** (n * M) <= 20000:
+            cases.append((_random_polynomial(rng, p, n), p, M))
+    deep = 0
+    for f, p, M in cases:
+        fast = poincare_counts(f, p, M).counts
+        assert fast == igusa._brute_poincare_counts(f, p, M).counts, (f, p, M)
+        deep += fast[-1] > 0 and M >= 2
+    assert deep >= 60
 
 
 def test_zf_series_examples():

@@ -244,6 +244,41 @@ def test_expand_series_laurent_numerators():
     assert expand_series(g, 2, 3) == [Fraction(1)] * 4
 
 
+def test_y_powers_in_extra_den_are_cleared():
+    # each W has a lowest Y-power other than Y^0 in its extra denominator; the
+    # second of each pair is the same function written with Y^0 there from
+    # the start
+    pairs = [
+        (brf({(0, 0): 1}, None, {(0, -1): 1, (0, 0): 1}),  # 1/(Y^-1 + 1)
+         brf({(0, 1): 1}, None, {(0, 0): 1, (0, 1): 1})),
+        (brf({(0, -1): 1}, None, {(0, -1): 1, (1, 0): -1}),  # zeta_p(s - 1)
+         zp_factor(1, 1)),
+        (brf({(0, 0): 1}, {(0, 1): 1}, {(0, -1): 1}),
+         brf({(0, 1): 1}, {(0, 1): 1})),
+        (brf({(0, -2): 1, (0, 0): 1}, {(1, 2): 1}, {(1, -2): 1, (0, -1): 1}),
+         brf({(0, 0): 1, (0, 2): 1}, {(1, 2): 1}, {(1, 0): 1, (0, 1): 1})),
+        (brf({(0, 1): 1}, None, {(0, 1): 1, (0, 2): 1}),  # Y/(Y + Y^2)
+         brf({(0, 0): 1}, None, {(0, 0): 1, (0, 1): 1})),
+    ]
+
+    def outcome(run):
+        try:
+            result = run()
+        except (NonExpandableError, MalformedInputError, CoverageError) as exc:
+            return type(exc)
+        return getattr(result, "coefficients", result)
+
+    for w, cleared in pairs:
+        assert w == cleared
+        for p in (2, 3, 5):
+            assert outcome(lambda: expand_series(w, p, 4)) == expand_series(cleared, p, 4)
+            assert outcome(lambda: expand(w, p, 4)) == outcome(lambda: expand(cleared, p, 4))
+        assert (outcome(lambda: ratfun.euler_product(w, 30, 30))
+                == outcome(lambda: ratfun.euler_product(cleared, 30, 30)))
+    assert expand_series(pairs[0][0], 2, 4) == [0, 1, -1, 1, -1]
+    assert expand(pairs[1][0], 3, 3).coefficients == (1, 3, 9, 27)
+
+
 def test_global_truncation_requires_unit_leading_coefficient():
     from ringzeta.errors import MalformedInputError
 

@@ -1,8 +1,10 @@
 import random
+from itertools import product
 
 import pytest
 
 from ringzeta import algebra, igusa, ratfun, repzeta
+from ringzeta.algebra import commutator_matrix
 from ringzeta.errors import (
     InternalConsistencyError,
     MalformedInputError,
@@ -117,6 +119,18 @@ def _outcome(run):
         return type(exc)
 
 
+def _random_constants(rng, d, dprime, p):
+    """Antisymmetric class-2 constants with entries in {0, 1, -1, 2, p}."""
+    constants = {}
+    for i in range(1, d + 1):
+        for j in range(i + 1, d + 1):
+            for k in range(1, dprime + 1):
+                c = rng.choice((0, 0, 0, 1, -1, 2, p))
+                if c:
+                    constants[(i, j, k)], constants[(j, i, k)] = c, -c
+    return constants
+
+
 def test_rep_quotient_matches_full_walk_on_random_presentations():
     # one representative per unit class, weighted by phi(p^N), against every
     # primitive character counted once; the full walk's cost caps each case
@@ -128,13 +142,7 @@ def test_rep_quotient_matches_full_walk_on_random_presentations():
         p, J = rng.choice((3, 5)), rng.randint(1, 3)
         if sum(p ** (N * dprime) for N in range(1, J + margin + 1)) > 30000:
             continue
-        constants = {}
-        for i in range(1, d + 1):
-            for j in range(i + 1, d + 1):
-                for k in range(1, dprime + 1):
-                    c = rng.choice((0, 0, 0, 1, -1, 2, p))
-                    if c:
-                        constants[(i, j, k)], constants[(j, i, k)] = c, -c
+        constants = _random_constants(rng, d, dprime, p)
         pres = algebra.Class2Presentation("random", d, dprime, constants)
         fast = _outcome(lambda: rep_zeta_class2(pres, p, J, shard_count=rng.randint(1, 3)))
         full = _outcome(lambda: repzeta._orbit_counts(
@@ -143,6 +151,28 @@ def test_rep_quotient_matches_full_walk_on_random_presentations():
         outcomes.append(full)
     assert sum(isinstance(o, tuple) for o in outcomes) >= 40
     assert InternalConsistencyError in outcomes
+
+
+def test_unit_floor_certificate_matches_every_nonzero_vector():
+    # the certificate walks P^{d'-1}(F_p); a direct check looks at every
+    # nonzero vector of F_p^{d'}
+    rng = random.Random(40127)
+    verdicts = []
+    while len(verdicts) < 150:
+        d, dprime, p = rng.randint(2, 5), rng.randint(1, 3), rng.choice((3, 5, 7))
+        constants = _random_constants(rng, d, dprime, p)
+        if not constants:
+            continue
+        R = commutator_matrix(algebra.Class2Presentation("random", d, dprime, constants))
+        direct = all(
+            any(x % p for row in R.evaluate(ell) for x in row)
+            for ell in product(range(p), repeat=dprime)
+            if any(ell)
+        )
+        _, walk, _ = repzeta._unit_classes(p, 1, dprime)
+        assert repzeta._unit_floor(R, p, walk()) == direct, (constants, d, dprime, p)
+        verdicts.append(direct)
+    assert 30 <= sum(verdicts) <= 120, sum(verdicts)
 
 
 def test_point_count_examples():
