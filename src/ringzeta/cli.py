@@ -87,7 +87,18 @@ def _expand_formula(name, p, K):
     return ratfun.expand(formula, p, K)
 
 
-def _guard_preview(args, predicted):
+def _guard_preview(args, alg):
+    """Say on stderr what --ceiling bounds on the path `latticezeta.count`
+    takes.  Only the enumerate path has a prediction: the sublattices of index
+    up to p^K, confirmed at a terminal above 10^6."""
+    if latticezeta._search_order(alg, args.mode) is not None:
+        print(f"resource guard: row search, --ceiling {args.ceiling} bounds the search nodes",
+              file=sys.stderr)
+        return
+    predicted = sum(
+        latticezeta.sublattice_count_prediction(alg.rank, args.prime, k)
+        for k in range(args.max_index + 1)
+    )
     print(f"resource-guard prediction: {predicted} objects", file=sys.stderr)
     if predicted > 10**6 and not args.yes and sys.stdin.isatty():
         answer = input("proceed? [y/N] ")
@@ -120,11 +131,7 @@ def cmd_ring_validate(args):
 
 def cmd_zeta_count(args):
     alg = algebra.resolve_ring_spec(args.ring)
-    predicted = sum(
-        latticezeta.sublattice_count_prediction(alg.rank, args.prime, k)
-        for k in range(args.max_index + 1)
-    )
-    _guard_preview(args, predicted)
+    _guard_preview(args, alg)
     trunc = latticezeta.count(
         alg,
         args.prime,
@@ -152,11 +159,7 @@ def cmd_zeta_formula(args):
 
 def cmd_zeta_compare(args):
     alg = algebra.resolve_ring_spec(args.ring)
-    predicted = sum(
-        latticezeta.sublattice_count_prediction(alg.rank, args.prime, k)
-        for k in range(args.max_index + 1)
-    )
-    _guard_preview(args, predicted)
+    _guard_preview(args, alg)
     brute = latticezeta.count(
         alg, args.prime, args.max_index, mode=args.mode,
         ceiling=args.ceiling, shard_count=args.threads,
@@ -400,7 +403,7 @@ def _positive_int(text):
 
 def _nonnegative_int(text):
     """Truncation bounds (--max-index, --max-exp, --depth, --scale-exp, --max-m,
-    --primes-up-to)."""
+    --primes-up-to) and the symmetric-group degree (coxeter check --n)."""
     n = _int(text)
     if n < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
@@ -536,7 +539,7 @@ def build_parser():
         dest="coxeter_command", required=True
     )
     ck = cox.add_parser("check", parents=[common])
-    ck.add_argument("--n", type=int, required=True)
+    ck.add_argument("--n", type=_nonnegative_int, required=True)
     ck.set_defaults(handler=cmd_coxeter_check)
 
     return parser

@@ -216,7 +216,8 @@ class PoincareTruncation:
 
 
 def poincare_counts(f: IntegerPolynomial, p: int, M: int, guard=DEFAULT_GUARD) -> PoincareTruncation:
-    """N_0..N_M by Hensel lifting; `guard` bounds the p^(n*M) points of level M.
+    """N_0..N_M by Hensel lifting; `guard` bounds the points walked, the p^n
+    points mod p plus the singular nodes lifted.
 
     For x with f(x) = 0 mod p^j, j >= 1, and t in (Z/p)^n,
     f(x + p^j t) = f(x) + p^j grad f(x).t mod p^(j+1): the higher Taylor terms
@@ -227,13 +228,14 @@ def poincare_counts(f: IntegerPolynomial, p: int, M: int, guard=DEFAULT_GUARD) -
     tree is walked, depth-first, down to level M - 1.
     """
     n = f.nvars
-    if p ** (n * M) > guard:
-        raise ResourceGuardError(
-            f"p^(n*M) = {p}^{n * M} exceeds guard {guard}", predicted=p ** (n * M), ceiling=guard
-        )
     counts = [1] + [0] * M
     if M == 0:
         return PoincareTruncation(p, M, tuple(counts))
+    walked = p**n
+    if walked > guard:
+        raise ResourceGuardError(
+            f"p^n = {p}^{n} points mod p exceed guard {guard}", predicted=walked, ceiling=guard
+        )
     gradient = [_derivative(f, v) for v in range(n)]
     lifts = list(product(range(p), repeat=n))
     smooth = 0
@@ -251,6 +253,11 @@ def poincare_counts(f: IntegerPolynomial, p: int, M: int, guard=DEFAULT_GUARD) -
             counts[m] += smooth * p ** ((n - 1) * (m - 1))
     while stack:  # depth-first: at most p^n pending nodes per level
         x, j = stack.pop()
+        walked += 1
+        if walked > guard:
+            raise ResourceGuardError(
+                f"the lifting walk visited more than {guard} points", ceiling=guard
+            )
         if f.evaluate(x) % p ** (j + 1):
             continue
         counts[j + 1] += p**n
@@ -379,7 +386,7 @@ def theorem3d_zeta(
     realized on truncations: Z_f(s-2) reweights the integral series by p^{2m},
     and the prefactor is the monomial X^{2(i+1)} Y^{i+1}.  The correction's
     Y^k coefficient needs the integral series to order k-(i+1), so Poincare
-    depth K-i suffices and is what gets computed (and guarded)."""
+    depth K-i suffices and is what gets computed; `guard` bounds its walk."""
     form = theorem3d_form(alg)
     correction = [Fraction(0)] * (K + 1)
     if K >= i + 1 and not form.is_zero():

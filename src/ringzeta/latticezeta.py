@@ -6,16 +6,14 @@ i is p^{m_i}, and entries above a diagonal entry are reduced modulo it.  Every
 sublattice appears exactly once.  This module is the independent oracle the
 closed-form Euler factors are checked against.
 
-`count` takes one of two paths, chosen from the ring:
-
-* filtered rings, where every structure constant (i, j, k) has k > max(i, j)
-  (nilpotent rings in a basis adapted to a central series), are counted in
-  modes "subrings" and "ideals" by a depth-first search that fixes rows from
-  the last one up and cuts a subtree as soon as a row fails closure;
-* every other ring, and every ring in mode "sublattices", goes through
-  `enumerate_sublattices` and tests each lattice with `is_subring`/`is_ideal`.
-
-The second path is the brute oracle the search is tested against.
+`count` has one rule.  If some basis order makes the ring triangular for the
+mode (see `_search_order`; nilpotent rings in a basis adapted to a central
+series are the strict case), the objects come from a depth-first search that
+fixes Hermite rows from the last one up and cuts a subtree as soon as a row
+fails closure.  A ring with no such order (the cross product on Z^3, for one)
+goes through `enumerate_sublattices` and tests each lattice with
+`is_subring`/`is_ideal`; that path is also the brute oracle the search is
+tested against.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, product
 
-from .algebra import StructureConstantAlgebra, multiply
+from .algebra import StructureConstantAlgebra, catalog, multiply
 from .errors import MalformedInputError, ResourceGuardError
 from .ratfun import LocalDirichletTruncation
 
@@ -211,9 +209,46 @@ def _unit_vectors(n):
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def _is_filtered(alg: StructureConstantAlgebra) -> bool:
-    """Every product e_i * e_j lies in the span of e_k, k > max(i, j)."""
-    return all(k > max(i, j) for i, j, k in alg.constants)
+def _search_order(alg: StructureConstantAlgebra, mode: str):
+    """A basis order (list of 0-based coordinates) in which alg is triangular
+    for mode, or None if there is none.
+
+    Triangular: every constant (a, b, k) has pos(k) >= min(pos(a), pos(b))
+    (subrings) or pos(k) >= max(pos(a), pos(b)) (ideals), so each
+    span(e_i..e_n) in that order is a subring, or an ideal; any order serves
+    sublattices.  Coordinates are placed greedily, the lowest-indexed one that
+    may come next first: for ideals, k once every factor a, b != k of a
+    product landing in k is placed (a topological sort); for subrings, k once
+    each such product with k not in {a, b} has a factor placed.  Placing a
+    coordinate never makes another one unplaceable, so the walk gets stuck
+    only when no order exists, and it returns the identity whenever the given
+    basis works.
+    """
+    n = alg.rank
+    if mode == "sublattices":
+        return list(range(n))
+    inputs = [[] for _ in range(n)]
+    for a, b, k in alg.constants:
+        inputs[k - 1].append((a - 1, b - 1))
+    placed = [False] * n
+
+    def free(k, a, b):
+        if mode == "ideals":
+            return (a == k or placed[a]) and (b == k or placed[b])
+        return k in (a, b) or placed[a] or placed[b]
+
+    order = []
+    while len(order) < n:
+        k = next(
+            (k for k in range(n)
+             if not placed[k] and all(free(k, a, b) for a, b in inputs[k])),
+            None,
+        )
+        if k is None:
+            return None
+        placed[k] = True
+        order.append(k)
+    return order
 
 
 MODES = ("subrings", "ideals", "sublattices")
@@ -229,12 +264,14 @@ def count(
 ) -> LocalDirichletTruncation:
     """a[k] = number of index-p^k objects of the requested kind, k = 0..K.
 
-    Subrings and ideals of a filtered ring (see the module docstring) are
-    counted by the pruned search; there `ceiling` bounds the number of search
+    When the ring has a triangular order for the mode (see `_search_order`),
+    the constants are relabelled into it and the objects are counted by the
+    pruned search (sublattices as the ideals of the zero ring); the counts do
+    not depend on the basis.  There `ceiling` bounds the number of search
     nodes, one per candidate row tested, and ResourceGuardError is raised as
-    soon as the search visits more.  Everything else is enumerated and tested
-    lattice by lattice; there `ceiling` bounds the predicted number of
-    index-p^k sublattices, checked for each k before it is enumerated.
+    soon as the search visits more.  A ring with no such order is enumerated
+    and tested lattice by lattice; there `ceiling` bounds the predicted number
+    of index-p^k sublattices, checked for each k before it is enumerated.
 
     Shards are disjoint parts of the work combined by exact addition, so the
     result is identical for every shard_count.
@@ -243,10 +280,19 @@ def count(
         raise MalformedInputError(f"mode must be one of {MODES}")
     if shard_count < 1:
         raise MalformedInputError("shard_count must be >= 1")
-    if mode != "sublattices" and _is_filtered(alg):
-        coeffs = _search_counts(alg, p, K, mode, ceiling, shard_count)
-    else:
+    order = _search_order(alg, mode)
+    if order is None:
         coeffs = _brute_counts(alg, p, K, mode, ceiling, shard_count)
+    else:
+        if mode == "sublattices":
+            alg, mode = catalog("abelian", alg.rank), "ideals"
+        elif order != list(range(alg.rank)):
+            pos = {c + 1: t + 1 for t, c in enumerate(order)}
+            constants = {
+                (pos[a], pos[b], pos[k]): c for (a, b, k), c in alg.constants.items()
+            }
+            alg = StructureConstantAlgebra(alg.name, alg.rank, constants, alg.flags)
+        coeffs = _search_counts(alg, p, K, mode, ceiling, shard_count)
     return LocalDirichletTruncation(p, tuple(coeffs))
 
 
@@ -273,16 +319,18 @@ def _brute_counts(alg, p, K, mode, ceiling, shard_count):
 
 
 def _search_counts(alg, p, K, mode, ceiling, shard_count):
-    """Subrings or ideals of a filtered ring of index p^k, k = 0..K, by a
-    depth-first search over Hermite rows from the last row up.
+    """Subrings or ideals of index p^k, k = 0..K, of a ring triangular for
+    mode in its given basis (see `_search_order`), by a depth-first search over
+    Hermite rows from the last row up.
 
     Row i is chosen after rows i+1..n-1: first its diagonal exponent from the
     remaining budget, then its entries above the diagonal, reduced modulo the
-    column diagonals already fixed.  In a filtered ring every product of row i
-    with itself, a later row or a basis vector has support in coordinates > i,
-    so whether it lies in the lattice depends on rows i+1..n-1 alone and is
-    decided as soon as row i is chosen; a row that fails cuts its subtree.
-    Shard s takes the subtrees whose last-row exponent is s mod shard_count.
+    column diagonals already fixed.  Every product of row i with itself, a
+    later row or (for ideals) a basis vector has support in coordinates
+    i..n-1, and the lattice meets their span in the span of rows i..n-1.  So
+    whether it lies in the lattice is decided as soon as row i is chosen; a
+    row that fails cuts its subtree.  Shard s takes the subtrees whose
+    last-row exponent is s mod shard_count.
     """
     n = alg.rank
     antisym = "antisymmetric" in alg.flags
@@ -305,15 +353,22 @@ def _search_counts(alg, p, K, mode, ceiling, shard_count):
             pairs = chain(((row, r) for r in rows[i:]), ((r, row) for r in rows[i + 1:]))
         for u, v in pairs:
             prod = multiply(alg, u, v)
-            if any(prod) and not _in_span(rows, i + 1, prod):
+            if any(prod) and not _in_span(rows, i, prod):
                 return False
         return True
 
-    # Columns that occur in no structure constant are inert: no product reads
-    # them.  Row i's closure test does not depend on its inert entries, so it
-    # runs once for all of them; they matter only to the membership tests of
-    # rows < i, and row 0 enters none, so there they just multiply the count.
-    active = {c - 1 for key in alg.constants for c in key[:2]}
+    # Columns that are no factor of any structure constant are inert: no
+    # product reads them.  When no constant (a, b, k) has k in {a, b}, every
+    # product tested at row i has support beyond i, so the test never
+    # subtracts row i itself and does not depend on its inert entries: it runs
+    # once for all of them.  They matter only to the membership tests of rows
+    # < i, and row 0 enters none, so there they just multiply the count.
+    # Otherwise row i's test reads its own inert entries, and no column is
+    # inert.
+    if all(k not in (a, b) for a, b, k in alg.constants):
+        active = {c - 1 for key in alg.constants for c in key[:2]}
+    else:
+        active = set(range(n))
 
     def place(i, used, exponents):
         nonlocal nodes

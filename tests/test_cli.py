@@ -1,11 +1,17 @@
 import csv
 import io
 import json
-from contextlib import redirect_stdout
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringzeta import cli
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(argv):
@@ -84,6 +90,34 @@ def test_is_prime():
     assert cli._is_prime(2**61 - 1) and not cli._is_prime(3215031751)  # strong pseudoprime
 
 
+class _Terminal(io.StringIO):
+    def isatty(self):
+        return True
+
+
+def test_guard_preview_follows_the_path(monkeypatch, capsys, tmp_path):
+    so3 = tmp_path / "so3.json"
+    so3.write_text(json.dumps({"rank": 3, "flags": ["antisymmetric", "lie"], "constants": [
+        [1, 2, 3, 1], [2, 1, 3, -1], [2, 3, 1, 1], [3, 2, 1, -1], [3, 1, 2, 1], [1, 3, 2, -1]]}))
+    # the search path: no prediction and no prompt, even at a terminal
+    monkeypatch.setattr(sys, "stdin", _Terminal(""))
+    assert cli.main(["zeta", "count", "--ring", "catalog:sl2", "--prime", "3",
+                     "--max-index", "3"]) == 0
+    err = capsys.readouterr().err
+    assert "--ceiling 100000000 bounds the search nodes" in err and "prediction" not in err
+    assert cli.main(["--ceiling", "50", "zeta", "compare", "--ring", "catalog:sl2", "--prime", "7",
+                     "--max-index", "6", "--formula", "sl2_odd"]) == 3
+    captured = capsys.readouterr()
+    assert "proceed?" not in captured.out and "prediction" not in captured.err
+    # the enumerate path: the sublattice count, and the prompt above 10^6
+    assert cli.main(["zeta", "count", "--ring", str(so3), "--prime", "3", "--max-index", "3"]) == 0
+    assert "resource-guard prediction: 1354 objects" in capsys.readouterr().err
+    monkeypatch.setattr(sys, "stdin", _Terminal("n\n"))
+    assert cli.main(["zeta", "count", "--ring", str(so3), "--prime", "7", "--max-index", "6"]) == 3
+    captured = capsys.readouterr()
+    assert "proceed?" in captured.out and "declined at prompt" in captured.err
+
+
 def test_guard_exit_three():
     code, _ = run(
         ["--ceiling", "10", "zeta", "count", "--ring", "catalog:abelian(4)",
@@ -96,7 +130,8 @@ def test_guard_exit_three():
     ["rep", "zeta", "--presentation", "catalog:dusautoy_ec", "--prime", "5", "--max-exp", "2"],
     ["rep", "compare", "--presentation", "catalog:dusautoy_ec", "--formula", "dusautoy_rep",
      "--prime", "5", "--max-exp", "2"],
-    ["igusa", "poincare", "--poly", "x^2", "--prime", "3", "--depth", "2"],
+    # 3 points mod 3, then 7 singular nodes lifted
+    ["igusa", "poincare", "--poly", "x^2", "--prime", "3", "--depth", "4"],
     ["igusa", "zeta3d", "--ring", "catalog:heisenberg", "--prime", "3", "--max-index", "2"],
 ], ids=lambda argv: " ".join(argv[:2]))
 def test_ceiling_reaches_every_guard(argv):
@@ -123,6 +158,7 @@ TRUNCATION_COMMANDS = [
                  id="euler --max-m"),
     pytest.param(["euler", "--name", "zeta_Zn(2)", "--max-m", "1", "--primes-up-to"],
                  id="euler --primes-up-to"),
+    pytest.param(["coxeter", "check", "--n"], id="coxeter --n"),
 ]
 
 
@@ -245,6 +281,10 @@ def test_unexpected_exception_exits_four_with_traceback(monkeypatch, capsys):
 def test_igusa_commands():
     code, out = run(["igusa", "poincare", "--poly", "x^2", "--prime", "3", "--depth", "2"])
     assert code == 0
+    # 5^24 points at the deepest level, but the walk is 25 points mod 5 and
+    # the few singular nodes above them
+    code, out = run(["igusa", "poincare", "--poly", "y^2 - x^3 + x", "--prime", "5", "--depth", "12"])
+    assert code == 0 and "341796875" in out
     code, out = run(
         ["igusa", "zeta3d", "--ring", "catalog:heisenberg", "--prime", "3",
          "--scale-exp", "1", "--max-index", "2"]
@@ -308,3 +348,76 @@ def test_corrupted_catalog_entry_fails_compare(monkeypatch):
     )
     assert code == 1
     monkeypatch.setattr(ratfun, "_FORMULAS", good)
+
+
+_SMALL = st.integers(-1, 4).map(str)
+_PRIMES = st.sampled_from(["2", "3", "5", "7", "2", "3", "4"])
+_RINGS = st.sampled_from([
+    "catalog:heisenberg", "catalog:sl2", "catalog:abelian(3)", "catalog:componentwise(3)",
+    "catalog:free_nilpotent_2_d(2)", "catalog:scale(heisenberg,2,1)", "catalog:nope",
+    str(DATA / "heisenberg_ring.json"), str(DATA / "stanley_cone.json"),
+])
+_FORMULAS = st.sampled_from([
+    "heisenberg_subring", "heisenberg_ideal", "sl2_odd", "zeta_Zn(3)", "heisenberg_rep",
+    "dusautoy_rep", "dusautoy_normal", "nope",
+])
+_PRESENTATIONS = st.sampled_from([
+    "catalog:heisenberg", "catalog:free_nilpotent_2_d(2)", "catalog:dusautoy_ec", "catalog:nope",
+])
+_SYSTEMS = st.sampled_from([str(DATA / "stanley_cone.json"), str(DATA / "heisenberg_inequality.json")])
+_MODES = st.sampled_from(["subrings", "ideals", "sublattices"])
+
+# each subcommand with the options it takes and a strategy for their values
+_GRAMMAR = {
+    ("ring", "validate"): {"--ring": _RINGS},
+    ("zeta", "count"): {"--ring": _RINGS, "--prime": _PRIMES, "--max-index": _SMALL, "--mode": _MODES},
+    ("zeta", "formula"): {"--name": _FORMULAS, "--prime": _PRIMES, "--max-index": _SMALL},
+    ("zeta", "compare"): {"--ring": _RINGS, "--formula": _FORMULAS, "--prime": _PRIMES,
+                          "--max-index": _SMALL, "--mode": _MODES},
+    ("zeta", "funeq"): {"--name": _FORMULAS, "--solve": None, "--expect-sign": _SMALL,
+                        "--expect-a": _SMALL, "--expect-b": _SMALL},
+    ("cone", "rays"): {"--system": _SYSTEMS},
+    **{("cone", name): {"--system": _SYSTEMS, "--bound": _SMALL, "--strict": None}
+       for name in ("series", "ratform", "reciprocity")},
+    ("igusa", "poincare"): {"--poly": st.sampled_from(["x^2", "x*y", "y^2 - x^3 + x", "x + y + z",
+                                                       "0", "3", "x^", "(x"]),
+                            "--prime": _PRIMES, "--depth": _SMALL},
+    ("igusa", "zeta3d"): {"--ring": _RINGS, "--prime": _PRIMES, "--max-index": _SMALL,
+                          "--scale-exp": _SMALL},
+    ("rep", "zeta"): {"--presentation": _PRESENTATIONS, "--prime": _PRIMES, "--max-exp": _SMALL},
+    ("rep", "compare"): {"--presentation": _PRESENTATIONS, "--formula": _FORMULAS,
+                         "--prime": _PRIMES, "--max-exp": _SMALL},
+    ("euler",): {"--name": _FORMULAS, "--primes-up-to": st.integers(0, 30).map(str),
+                 "--max-m": st.integers(0, 30).map(str)},
+    ("coxeter", "check"): {"--n": st.integers(-1, 4).map(str)},
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_GRAMMAR)))
+    argv = list(command)
+    for option, values in _GRAMMAR[command].items():
+        if draw(st.integers(0, 9)):  # now and then leave an option out
+            argv += [option] if values is None else [option, draw(values)]
+    common = ["--ceiling", str(draw(st.integers(0, 10**4)))]
+    common += ["--output", draw(st.sampled_from(["table", "csv", "json"]))]
+    if draw(st.booleans()):
+        common.append("--yes")
+    return common + argv if draw(st.booleans()) else argv + common
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(argv=_argv())
+def test_cli_fuzz_exits_with_a_documented_code(argv):
+    out, err, stdin = io.StringIO(), io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO()  # not a terminal: the guard never prompts
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects the command line
+        code = exc.code
+    finally:
+        sys.stdin = stdin
+    assert code in range(5), (argv, code)
+    assert "Traceback" not in err.getvalue(), (argv, err.getvalue())

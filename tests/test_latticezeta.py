@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -174,10 +175,17 @@ def test_count_invariant_under_basis_automorphism():
         assert latticezeta.count(permuted, p, K, "subrings").coefficients == base
 
 
+# the cross product on Z^3: no basis order is triangular for either mode
+SO3 = algebra.StructureConstantAlgebra(
+    "so3", 3,
+    {(1, 2, 3): 1, (2, 1, 3): -1, (2, 3, 1): 1, (3, 2, 1): -1, (3, 1, 2): 1, (1, 3, 2): -1},
+    ("antisymmetric", "lie"),
+)
+
+
 def test_shard_count_independence():
-    # heisenberg takes the search, sl2 the enumeration
-    for name in ("heisenberg", "sl2"):
-        alg = algebra.catalog(name)
+    # heisenberg takes the search, so3 the enumeration
+    for alg in (algebra.catalog("heisenberg"), SO3):
         base = latticezeta.count(alg, 3, 2, "subrings", shard_count=1).coefficients
         for shards in (2, 3, 7):
             assert latticezeta.count(alg, 3, 2, "subrings", shard_count=shards).coefficients == base
@@ -195,16 +203,23 @@ def test_resource_guard():
 
 
 def test_count_searches_filtered_rings_only(monkeypatch):
+    # every ring with a triangular order for the mode is searched, whatever
+    # its basis; only a ring without one is enumerated
     def refuse(*args, **kwargs):
         raise AssertionError("enumerated")
 
     monkeypatch.setattr(latticezeta, "enumerate_sublattices", refuse)
     heis = algebra.catalog("heisenberg")
     assert latticezeta.count(heis, 2, 2, "ideals").coefficients == (1, 3, 7)
-    with pytest.raises(AssertionError):
-        latticezeta.count(heis, 2, 1, "sublattices")
-    with pytest.raises(AssertionError):
-        latticezeta.count(algebra.catalog("sl2"), 2, 1, "subrings")
+    assert latticezeta.count(heis, 2, 1, "sublattices").coefficients == (1, 7)
+    latticezeta.count(algebra.catalog("sl2"), 2, 2, "subrings")
+    for mode in latticezeta.MODES:
+        latticezeta.count(algebra.catalog("componentwise", 4), 2, 2, mode)
+    latticezeta.count(SO3, 2, 2, "sublattices")
+    for alg, mode in ((SO3, "subrings"), (SO3, "ideals"), (algebra.catalog("sl2"), "ideals")):
+        assert latticezeta._search_order(alg, mode) is None
+        with pytest.raises(AssertionError):
+            latticezeta.count(alg, 2, 1, mode)
 
 
 def test_componentwise_modes_match_their_formulas():
@@ -250,21 +265,93 @@ def _random_filtered_ring(rng, n):
     return algebra.StructureConstantAlgebra("filtered", n, constants)
 
 
+def _brute_depth(n, p):
+    """The deepest K <= 3 that keeps the brute oracle under 1500 lattices."""
+    K = 0
+    while K < 3 and sum(
+        latticezeta.sublattice_count_prediction(n, p, k) for k in range(K + 2)
+    ) <= 1500:
+        K += 1
+    return K
+
+
 def test_search_matches_brute_enumeration_on_random_filtered_rings():
     rng = random.Random(8128)
     for trial in range(60):
         n, p = rng.randrange(2, 6), rng.choice((2, 3))
-        # the deepest K <= 3 that keeps the brute oracle under 1500 lattices
-        K = 0
-        while K < 3 and sum(
-            latticezeta.sublattice_count_prediction(n, p, k) for k in range(K + 2)
-        ) <= 1500:
-            K += 1
+        K = _brute_depth(n, p)
         alg = _random_filtered_ring(rng, n)
-        assert latticezeta._is_filtered(alg)
         for mode in ("subrings", "ideals"):
+            assert latticezeta._search_order(alg, mode) == list(range(n))
             brute = latticezeta._brute_counts(alg, p, K, mode, latticezeta.DEFAULT_CEILING, 1)
             search = latticezeta._search_counts(
                 alg, p, K, mode, latticezeta.DEFAULT_CEILING, rng.randrange(1, 4)
             )
             assert search == brute, (trial, n, p, K, mode, alg.flags, alg.constants)
+
+
+def _random_triangular_ring(rng, n, mode):
+    """A random ring with a basis order in which every constant (a, b, k) has
+    k >= min(a, b) (mode "subrings") or k >= max(a, b) (mode "ideals"),
+    written in a randomly permuted basis.
+
+    Products often land on one of their factors (k = a or k = b), some
+    columns are inert (never a factor), a third of the rings are
+    antisymmetric and the rest carry no flags.  One ring in four gets one
+    more constant with k anywhere, which may leave it with no such order."""
+    values = (-2, -1, 1, 2, 3, 4, 6)
+    factors = [c for c in range(1, n + 1) if rng.random() < 0.75]
+    antisym = rng.random() < 1 / 3
+    low = min if mode == "subrings" else max
+    density = rng.choice((0.1, 0.25, 0.5))
+    constants = {}
+    for a in factors:
+        for b in factors:
+            if antisym and a >= b:
+                continue
+            for k in range(low(a, b), n + 1):
+                if rng.random() < (2 * density if k in (a, b) else density):
+                    c = rng.choice(values)
+                    constants[(a, b, k)] = c
+                    if antisym:
+                        constants[(b, a, k)] = -c
+    if factors and rng.random() < 0.25:
+        a, b, k = rng.choice(factors), rng.choice(factors), rng.randrange(1, n + 1)
+        if not (antisym and a == b):
+            c = rng.choice(values)
+            constants[(a, b, k)] = c
+            if antisym:
+                constants[(b, a, k)] = -c
+    perm = rng.sample(range(1, n + 1), n)
+    permuted = {(perm[a - 1], perm[b - 1], perm[k - 1]): c for (a, b, k), c in constants.items()}
+    flags = ("antisymmetric",) if antisym else ()
+    return algebra.StructureConstantAlgebra("triangular", n, permuted, flags)
+
+
+def _is_triangular(alg, mode, order):
+    pos = {c + 1: t for t, c in enumerate(order)}
+    low = {"subrings": min, "ideals": max}.get(mode)
+    return sorted(order) == list(range(alg.rank)) and (
+        low is None or all(pos[k] >= low(pos[a], pos[b]) for a, b, k in alg.constants)
+    )
+
+
+def test_count_matches_brute_enumeration_on_random_triangular_rings():
+    rng = random.Random(496)
+    searched = {mode: 0 for mode in latticezeta.MODES}
+    for trial in range(90):
+        n, p = rng.randrange(2, 6), rng.choice((2, 3))
+        K = _brute_depth(n, p)
+        alg = _random_triangular_ring(rng, n, rng.choice(("subrings", "ideals")))
+        for mode in latticezeta.MODES:
+            order = latticezeta._search_order(alg, mode)
+            if order is None:
+                # no basis order at all is triangular: count enumerates
+                assert not any(_is_triangular(alg, mode, o) for o in permutations(range(n)))
+                continue
+            assert _is_triangular(alg, mode, order), (order, alg.constants)
+            searched[mode] += 1
+            brute = latticezeta._brute_counts(alg, p, K, mode, latticezeta.DEFAULT_CEILING, 1)
+            got = latticezeta.count(alg, p, K, mode, shard_count=rng.randrange(1, 4))
+            assert got.coefficients == tuple(brute), (trial, n, p, K, mode, alg.flags, alg.constants)
+    assert min(searched.values()) >= 40, searched
