@@ -143,3 +143,50 @@ def diagonalize_rowlattice(A):
         t += 1
     divisors = [abs(A[i][i]) for i in range(d)]
     return divisors, V
+
+
+def count_solutions_mod(rows, rhs, ncols, p, E):
+    """Number of x in (Z/p^E)^ncols with rows . x = rhs (mod p^E), 0 when the
+    system is inconsistent.
+
+    Smith-type elimination over the local ring Z/p^E: the pivot is an entry of
+    least valuation v among the rows and columns left, so every other entry of
+    its row is divisible by p^v and a unimodular change of variables clears
+    them without touching the other rows.  The pivot equation then has p^v
+    solutions if p^v divides its right side and none otherwise; a column that
+    never gets a pivot is free and contributes p^E.
+    """
+    q = p**E
+
+    def val(x):
+        if not x:
+            return E
+        v = 0
+        while x % p == 0:
+            x //= p
+            v += 1
+        return v
+
+    mat = [[x % q for x in row] for row in rows]
+    rhs = [x % q for x in rhs]
+    live, cols = list(range(len(mat))), list(range(ncols))
+    log = 0
+    while live and cols:
+        v, r, c = min((val(mat[i][j]), i, j) for i in live for j in cols)
+        if v == E:
+            break
+        if val(rhs[r]) < v:
+            return 0
+        live.remove(r)
+        cols.remove(c)
+        log += v
+        pivot = p**v
+        inverse = pow(mat[r][c] // pivot, -1, q)
+        for i in live:
+            if mat[i][c]:
+                f = mat[i][c] // pivot * inverse % q
+                mat[i] = [(a - f * b) % q for a, b in zip(mat[i], mat[r])]
+                rhs[i] = (rhs[i] - f * rhs[r]) % q
+    if any(rhs[i] for i in live):
+        return 0
+    return p ** (log + E * len(cols))

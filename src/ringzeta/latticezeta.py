@@ -10,10 +10,13 @@ closed-form Euler factors are checked against.
 mode (see `_search_order`; nilpotent rings in a basis adapted to a central
 series are the strict case), the objects come from a depth-first search that
 fixes Hermite rows from the last one up and cuts a subtree as soon as a row
-fails closure.  A ring with no such order (the cross product on Z^3, for one)
-goes through `enumerate_sublattices` and tests each lattice with
-`is_subring`/`is_ideal`; that path is also the brute oracle the search is
-tested against.
+fails closure.  Where closure is linear in the row (ideals, antisymmetric
+subrings, sublattices), the first row's entries above the diagonal are not
+tried one by one: the ones that pass form a coset in Z_p^{n-1} modulo the
+span of the later rows, counted by one linear solve over Z/p^E.  A ring with
+no such order (the cross product on Z^3, for one) goes through
+`enumerate_sublattices` and tests each lattice with `is_subring`/`is_ideal`;
+that path is also the brute oracle the search is tested against.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from itertools import chain, product
 
 from .algebra import StructureConstantAlgebra, catalog, multiply
 from .errors import MalformedInputError, ResourceGuardError
+from .exactlinalg import count_solutions_mod
 from .ratfun import LocalDirichletTruncation
 
 DEFAULT_CEILING = 10**8
@@ -144,29 +148,12 @@ def enumerate_sublattices(n, p, k, ceiling=DEFAULT_CEILING, shard=None):
 
 def _lattices_for_composition(n, p, m):
     diag = [p**e for e in m]
-    cells = [(i, j) for j in range(n) for i in range(j) if diag[j] > 1]
-    base = [[0] * n for _ in range(n)]
-    for i in range(n):
-        base[i][i] = diag[i]
-    if not cells:
-        yield HermiteSublattice._trusted(p, n, tuple(tuple(r) for r in base))
-        return
-    radices = [diag[j] for (_, j) in cells]
-    counter = [0] * len(cells)
-    while True:
-        rows = [row[:] for row in base]
-        for (i, j), v in zip(cells, counter):
-            rows[i][j] = v
-        yield HermiteSublattice._trusted(p, n, tuple(tuple(r) for r in rows))
-        pos = 0
-        while pos < len(cells):
-            counter[pos] += 1
-            if counter[pos] < radices[pos]:
-                break
-            counter[pos] = 0
-            pos += 1
-        if pos == len(cells):
-            return
+    choices = [
+        [(0,) * i + (diag[i],) + tail for tail in product(*map(range, diag[i + 1:]))]
+        for i in range(n)
+    ]
+    for rows in product(*choices):
+        yield HermiteSublattice._trusted(p, n, rows)
 
 
 def is_subring(alg: StructureConstantAlgebra, lat: HermiteSublattice) -> bool:
@@ -268,10 +255,11 @@ def count(
     the constants are relabelled into it and the objects are counted by the
     pruned search (sublattices as the ideals of the zero ring); the counts do
     not depend on the basis.  There `ceiling` bounds the number of search
-    nodes, one per candidate row tested, and ResourceGuardError is raised as
-    soon as the search visits more.  A ring with no such order is enumerated
-    and tested lattice by lattice; there `ceiling` bounds the predicted number
-    of index-p^k sublattices, checked for each k before it is enumerated.
+    nodes (one per candidate row tested or row-0 solve), and
+    ResourceGuardError is raised as soon as the search visits more.  A ring
+    with no such order is enumerated and tested lattice by lattice; there
+    `ceiling` bounds the predicted number of sublattices of index up to p^K,
+    checked before any is enumerated.
 
     Shards are disjoint parts of the work combined by exact addition, so the
     result is identical for every shard_count.
@@ -297,7 +285,15 @@ def count(
 
 
 def _brute_counts(alg, p, K, mode, ceiling, shard_count):
-    """Enumerate every index-p^k sublattice and test it, k = 0..K."""
+    """Enumerate every index-p^k sublattice and test it, k = 0..K.  Refused up
+    front when the sublattices of index up to p^K outnumber `ceiling`."""
+    predicted = sum(sublattice_count_prediction(alg.rank, p, k) for k in range(K + 1))
+    if predicted > ceiling:
+        raise ResourceGuardError(
+            f"predicted {predicted} lattices exceeds ceiling {ceiling}",
+            predicted=predicted,
+            ceiling=ceiling,
+        )
     test = {
         "subrings": lambda lat: is_subring(alg, lat),
         "ideals": lambda lat: is_ideal(alg, lat),
@@ -331,9 +327,16 @@ def _search_counts(alg, p, K, mode, ceiling, shard_count):
     whether it lies in the lattice is decided as soon as row i is chosen; a
     row that fails cuts its subtree.  Shard s takes the subtrees whose
     last-row exponent is s mod shard_count.
+
+    When closure is linear in the row (ideals, antisymmetric subrings), row
+    0's tails are counted by `_row0_counts`, one linear solve per exponent,
+    whenever the tails to test outnumber the entries of that system
+    (`_solve_pays`).  A search node is one candidate row tested or one such
+    solve; `ceiling` bounds their number.
     """
     n = alg.rank
     antisym = "antisymmetric" in alg.flags
+    linear = mode == "ideals" or antisym
     rows = [None] * n
     coeffs = [0] * (K + 1)
     nodes = 0
@@ -357,6 +360,14 @@ def _search_counts(alg, p, K, mode, ceiling, shard_count):
                 return False
         return True
 
+    def visit(k=1):
+        nonlocal nodes
+        nodes += k
+        if nodes > ceiling:
+            raise ResourceGuardError(
+                f"search visited more than {ceiling} nodes", ceiling=ceiling
+            )
+
     # Columns that are no factor of any structure constant are inert: no
     # product reads them.  When no constant (a, b, k) has k in {a, b}, every
     # product tested at row i has support beyond i, so the test never
@@ -371,19 +382,22 @@ def _search_counts(alg, p, K, mode, ceiling, shard_count):
         active = set(range(n))
 
     def place(i, used, exponents):
-        nonlocal nodes
         cols = range(i + 1, n)
         choices = [range(rows[j][j]) if j in active else (0,) for j in cols]
+        if not i and linear:
+            rights, lefts = (right, left) if mode == "ideals" else (rows[1:], ())
+            if _solve_pays(math.prod(map(len, choices)), n, len(rights) + len(lefts)):
+                visit(len(exponents))
+                counts = _row0_counts(alg, rows, p, used, exponents, rights, lefts)
+                for m, c in zip(exponents, counts):
+                    coeffs[m + used] += c
+                return
         fills = [(0,) if j in active else range(rows[j][j]) for j in cols]
         weight = math.prod(len(f) for f in fills)
         for m in exponents:
             head = (0,) * i + (p**m,)
             for tail in product(*choices):
-                nodes += 1
-                if nodes > ceiling:
-                    raise ResourceGuardError(
-                        f"search visited more than {ceiling} nodes", ceiling=ceiling
-                    )
+                visit()
                 rows[i] = head + tail
                 if not closed(i):
                     continue
@@ -397,3 +411,57 @@ def _search_counts(alg, p, K, mode, ceiling, shard_count):
     for s in range(shard_count):
         place(n - 1, 0, range(s, K + 1, shard_count))
     return coeffs
+
+
+def _solve_pays(tails, n, products):
+    """Solve for row 0 instead of testing its tails one by one when they
+    outnumber the entries of the system, (n-1)^2 per tested product."""
+    return tails > (n - 1) ** 2 * products
+
+
+def _row0_counts(alg, rows, p, E, exponents, rights, lefts):
+    """For each m in exponents, the number of tails t (coordinates 1..n-1,
+    each reduced modulo its column diagonal) for which row 0 = (p^m, t) passes
+    closure: every product row*x, x in rights, and x*row, x in lefts, lies in
+    the lattice.  Rows 1..n-1 are fixed, their span L_1 has passed closure, and
+    their diagonal exponents sum to E, so the tails are the points of
+    Q = Z_p^{n-1} / L_1 and p^E = |Q| kills Q.
+
+    In a triangular order coordinate 0 of a tested product is p^m * c, with c
+    coordinate 0 of the product taken with e_0 in place of the row, so c is an
+    integer that does not depend on t.  The product lies in the lattice iff
+    prod - c * row_0, which is (F - c) t + p^m b on coordinates 1..n-1, lies in
+    L_1; F maps L_1 into itself because L_1 is closed.  With Y = p^E H^-1 for
+    the Hermite matrix H of L_1, w lies in L_1 iff w Y = 0 mod p^E, so the
+    passing tails are the solutions mod p^E of one linear system, counted by
+    `count_solutions_mod`; each point of Q has p^(E(n-2)) lifts mod p^E.
+    E = max m_j would not do: rows (2, 1), (0, 2) give Q = Z/4.
+    """
+    s = len(rows) - 1
+    D = p**E
+    if not rights and not lefts:
+        return [D for _ in exponents]
+    H = [row[1:] for row in rows[1:]]
+    Y = [[0] * s for _ in range(s)]
+    for i in reversed(range(s)):
+        Y[i][i] = D // H[i][i]
+        for j in range(i + 1, s):
+            Y[i][j] = -sum(H[i][k] * Y[k][j] for k in range(i + 1, j + 1)) // H[i][i]
+    system, rhs = [], []
+    units = _unit_vectors(len(rows))
+    images_of = chain(
+        ([multiply(alg, e, x) for e in units] for x in rights),
+        ([multiply(alg, x, e) for e in units] for x in lefts),
+    )
+    for images in images_of:
+        c = images[0][0]
+        F = [[images[j + 1][k + 1] - c * (j == k) for j in range(s)] for k in range(s)]
+        b = images[0][1:]
+        for col in range(s):
+            system.append([sum(Y[k][col] * F[k][j] for k in range(s)) for j in range(s)])
+            rhs.append(-sum(Y[k][col] * b[k] for k in range(s)))
+    # divide by the p^(E(n-2)) lifts; written so that rank 1 (s = 0) stays exact
+    return [
+        count_solutions_mod(system, [p**m * v for v in rhs], s, p, E) * D // D**s
+        for m in exponents
+    ]

@@ -95,10 +95,16 @@ class _Terminal(io.StringIO):
         return True
 
 
-def test_guard_preview_follows_the_path(monkeypatch, capsys, tmp_path):
+def _so3_file(tmp_path):
+    """The cross product on Z^3, which has no triangular order in any mode."""
     so3 = tmp_path / "so3.json"
     so3.write_text(json.dumps({"rank": 3, "flags": ["antisymmetric", "lie"], "constants": [
         [1, 2, 3, 1], [2, 1, 3, -1], [2, 3, 1, 1], [3, 2, 1, -1], [3, 1, 2, 1], [1, 3, 2, -1]]}))
+    return so3
+
+
+def test_guard_preview_follows_the_path(monkeypatch, capsys, tmp_path):
+    so3 = _so3_file(tmp_path)
     # the search path: no prediction and no prompt, even at a terminal
     monkeypatch.setattr(sys, "stdin", _Terminal(""))
     assert cli.main(["zeta", "count", "--ring", "catalog:sl2", "--prime", "3",
@@ -116,6 +122,16 @@ def test_guard_preview_follows_the_path(monkeypatch, capsys, tmp_path):
     assert cli.main(["zeta", "count", "--ring", str(so3), "--prime", "7", "--max-index", "6"]) == 3
     captured = capsys.readouterr()
     assert "proceed?" in captured.out and "declined at prompt" in captured.err
+
+
+def test_enumerate_guard_checks_the_sum_it_prints(tmp_path, capsys):
+    # so3 is enumerated: 1354 sublattices of index up to 27, at most 1210 of
+    # any one index
+    so3 = _so3_file(tmp_path)
+    argv = ["zeta", "count", "--ring", str(so3), "--prime", "3", "--max-index", "3"]
+    assert cli.main(["--ceiling", "1300", *argv]) == 3
+    assert "prediction: 1354 objects" in capsys.readouterr().err
+    assert cli.main(["--ceiling", "1354", *argv]) == 0
 
 
 def test_guard_exit_three():

@@ -1,5 +1,5 @@
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -200,6 +200,12 @@ def test_resource_guard():
     with pytest.raises(ResourceGuardError) as err:
         latticezeta.count(heis, 2, 3, "subrings", ceiling=10)
     assert err.value.ceiling == 10
+    # sl2 at p=3, K=5 takes 1,393 nodes, row-0 solves included (the tail loop
+    # visited 112,377)
+    sl2 = algebra.catalog("sl2")
+    latticezeta.count(sl2, 3, 5, "subrings", ceiling=1393)
+    with pytest.raises(ResourceGuardError):
+        latticezeta.count(sl2, 3, 5, "subrings", ceiling=1392)
 
 
 def test_count_searches_filtered_rings_only(monkeypatch):
@@ -355,3 +361,118 @@ def test_count_matches_brute_enumeration_on_random_triangular_rings():
             got = latticezeta.count(alg, p, K, mode, shard_count=rng.randrange(1, 4))
             assert got.coefficients == tuple(brute), (trial, n, p, K, mode, alg.flags, alg.constants)
     assert min(searched.values()) >= 40, searched
+
+
+def test_count_solutions_mod_matches_brute_force():
+    from ringzeta.exactlinalg import count_solutions_mod
+
+    rng = random.Random(3511)
+    kinds = set()
+    for _ in range(400):
+        p, E = rng.choice(((2, 0), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)))
+        q = p**E
+        ncols = rng.randrange(0, 4)
+        while q**ncols > 4096:
+            ncols -= 1
+        # entries often divisible by p, so pivots of every valuation occur
+        draw = lambda: rng.choice((0, 1, p, p * p, rng.randrange(-q - 3, q + 4)))
+        rows = [[draw() for _ in range(ncols)] for _ in range(rng.randrange(0, 5))]
+        rhs = [draw() for _ in rows]
+        got = count_solutions_mod(rows, rhs, ncols, p, E)
+        expected = sum(
+            all((sum(a * v for a, v in zip(row, x)) - b) % q == 0 for row, b in zip(rows, rhs))
+            for x in product(range(q), repeat=ncols)
+        )
+        assert got == expected, (rows, rhs, ncols, p, E)
+        kinds.add((expected == 0, 1 < expected < q**ncols))
+    assert kinds == {(True, False), (False, True), (False, False)}
+
+
+def _exponent_of_quotient(rows, p):
+    """Least e with p^e Z_p^{n-1} inside the span of rows 1..n-1."""
+    n = len(rows)
+    e = 0
+    while not all(
+        latticezeta._in_span(rows, 1, (0,) * j + (p**e,) + (0,) * (n - 1 - j))
+        for j in range(1, n)
+    ):
+        e += 1
+    return e
+
+
+def test_row0_solve_matches_the_tail_loop_at_every_leaf(monkeypatch):
+    """Force the row-0 solve at every leaf of the search and hold each count
+    to a loop over all of that leaf's tails, each lattice tested in full by
+    is_ideal or is_subring."""
+    rng = random.Random(1729)
+    solve = latticezeta._row0_counts
+    seen = {"leaves": 0, "Q above max m_j": 0, "c != 0": 0, "left products": 0,
+            "no products": 0, "none pass": 0, "some pass": 0}
+
+    def checked(alg, rows, p, E, exponents, rights, lefts):
+        counts = solve(alg, rows, p, E, exponents, rights, lefts)
+        n = len(rows)
+        test = latticezeta.is_subring if mode == "subrings" else latticezeta.is_ideal
+        tails = list(product(*(range(rows[j][j]) for j in range(1, n))))
+        units = latticezeta._unit_vectors(n)
+        images = [
+            [algebra.multiply(alg, e, x) for x in rights]
+            + [algebra.multiply(alg, x, e) for x in lefts]
+            for e in units
+        ]
+        # coordinate 0 of a tested product never reads the tail, so c is
+        # coordinate 0 of the product with e_0 and always an integer
+        assert not any(prod[0] for image in images[1:] for prod in image)
+        top = max((rows[j][j] for j in range(1, n)), default=1)
+        for m, got in zip(exponents, counts):
+            expected = sum(
+                test(alg, HermiteSublattice._trusted(p, n, ((p**m,) + t,) + tuple(rows[1:])))
+                for t in tails
+            )
+            assert got == expected, (alg.constants, mode, rows, m)
+            seen["leaves"] += 1
+            seen["Q above max m_j"] += p == 2 and top < p ** _exponent_of_quotient(rows, p)
+            seen["c != 0"] += any(prod[0] for prod in images[0])
+            seen["left products"] += bool(lefts)
+            seen["no products"] += not rights and not lefts
+            seen["none pass"] += expected == 0
+            seen["some pass"] += 0 < expected < len(tails)
+        return counts
+
+    monkeypatch.setattr(latticezeta, "_solve_pays", lambda *args: True)
+    monkeypatch.setattr(latticezeta, "_row0_counts", checked)
+    cases = [(algebra.catalog("abelian", n), "ideals", 2) for n in (1, 3)]
+    cases.append((algebra.catalog("sl2"), "subrings", 2))
+    for trial in range(70):
+        mode = rng.choice(("subrings", "ideals"))
+        n = rng.randrange(2, 5)
+        alg = _random_triangular_ring(rng, n, mode)
+        if mode == "subrings" and "antisymmetric" not in alg.flags:
+            continue
+        cases.append((alg, mode, rng.choice((2, 2, 3))))
+    for alg, mode, p in cases:
+        if latticezeta._search_order(alg, mode) is None:
+            continue
+        K = _brute_depth(alg.rank, p)
+        got = latticezeta.count(alg, p, K, mode).coefficients
+        brute = latticezeta._brute_counts(alg, p, K, mode, latticezeta.DEFAULT_CEILING, 1)
+        assert got == tuple(brute), (alg.constants, mode, p, K)
+    assert all(seen.values()) and seen["leaves"] >= 500, seen
+
+
+def test_a_row0_solve_is_one_search_node(monkeypatch):
+    # componentwise(2) ideals at p=5, K=3: the last row tries 4 exponents m_1
+    # and passes each.  Row 0 then has 5^m_1 tails against 4 tested products,
+    # so it loops at m_1 = 0 (4 exponents, one tail each) and solves at
+    # m_1 = 1, 2, 3 (one node per exponent, 3 + 2 + 1): 4 + 4 + 6 = 14 nodes.
+    cw2 = algebra.catalog("componentwise", 2)
+    expected = latticezeta.count(cw2, 5, 3, "ideals").coefficients
+    assert latticezeta.count(cw2, 5, 3, "ideals", ceiling=14).coefficients == expected
+    with pytest.raises(ResourceGuardError):
+        latticezeta.count(cw2, 5, 3, "ideals", ceiling=13)
+    # looping over every tail instead: 4 + 4 + 3*5 + 2*25 + 1*125 = 198 nodes
+    monkeypatch.setattr(latticezeta, "_solve_pays", lambda *args: False)
+    assert latticezeta.count(cw2, 5, 3, "ideals", ceiling=198).coefficients == expected
+    with pytest.raises(ResourceGuardError):
+        latticezeta.count(cw2, 5, 3, "ideals", ceiling=197)
+
