@@ -1,5 +1,6 @@
 """Small exact linear algebra helpers over Q and Z (Fraction / int, no floats)."""
 
+import math
 from fractions import Fraction
 
 
@@ -145,38 +146,37 @@ def diagonalize_rowlattice(A):
     return divisors, V
 
 
-def count_solutions_mod(rows, rhs, ncols, p, E):
-    """Number of x in (Z/p^E)^ncols with rows . x = rhs (mod p^E), 0 when the
-    system is inconsistent.
+def scaled_solutions_mod(rows, rhs, ncols, p, E):
+    """(N, least): for every s >= least the system rows . x = p^s rhs
+    (mod p^E) has N solutions x in (Z/p^E)^ncols, and for 0 <= s < least none.
 
     Smith-type elimination over the local ring Z/p^E: the pivot is an entry of
     least valuation v among the rows and columns left, so every other entry of
     its row is divisible by p^v and a unimodular change of variables clears
     them without touching the other rows.  The pivot equation then has p^v
     solutions if p^v divides its right side and none otherwise; a column that
-    never gets a pivot is free and contributes p^E.
+    never gets a pivot is free and contributes p^E, and a row that never gets
+    one needs a zero right side.  Row operations act linearly on the right
+    side, so one elimination of rhs serves every scale p^s: a pivot row whose
+    reduced right side has valuation w needs s >= v - w, a row without a pivot
+    needs s >= E - w.
     """
     q = p**E
+    valuation = {p**v: v for v in range(E + 1)}
 
     def val(x):
-        if not x:
-            return E
-        v = 0
-        while x % p == 0:
-            x //= p
-            v += 1
-        return v
+        return valuation[math.gcd(x, q)]
 
     mat = [[x % q for x in row] for row in rows]
     rhs = [x % q for x in rhs]
     live, cols = list(range(len(mat))), list(range(ncols))
-    log = 0
+    log = least = 0
     while live and cols:
-        v, r, c = min((val(mat[i][j]), i, j) for i in live for j in cols)
-        if v == E:
+        entries = [(val(mat[i][j]), i, j) for i in live for j in cols if mat[i][j]]
+        if not entries:
             break
-        if val(rhs[r]) < v:
-            return 0
+        v, r, c = min(entries)
+        least = max(least, v - val(rhs[r]))
         live.remove(r)
         cols.remove(c)
         log += v
@@ -187,6 +187,5 @@ def count_solutions_mod(rows, rhs, ncols, p, E):
                 f = mat[i][c] // pivot * inverse % q
                 mat[i] = [(a - f * b) % q for a, b in zip(mat[i], mat[r])]
                 rhs[i] = (rhs[i] - f * rhs[r]) % q
-    if any(rhs[i] for i in live):
-        return 0
-    return p ** (log + E * len(cols))
+    least = max([least] + [E - val(rhs[i]) for i in live])
+    return p ** (log + E * len(cols)), least

@@ -11,12 +11,14 @@ mode (see `_search_order`; nilpotent rings in a basis adapted to a central
 series are the strict case), the objects come from a depth-first search that
 fixes Hermite rows from the last one up and cuts a subtree as soon as a row
 fails closure.  Where closure is linear in the row (ideals, antisymmetric
-subrings, sublattices), the first row's entries above the diagonal are not
-tried one by one: the ones that pass form a coset in Z_p^{n-1} modulo the
-span of the later rows, counted by one linear solve over Z/p^E.  A ring with
-no such order (the cross product on Z^3, for one) goes through
-`enumerate_sublattices` and tests each lattice with `is_subring`/`is_ideal`;
-that path is also the brute oracle the search is tested against.
+subrings, sublattices), the first row's entries above the diagonal need not
+be tried one by one: the ones that pass form a coset in Z_p^{n-1} modulo the
+span of the later rows, counted for every diagonal exponent at once by one
+linear solve over Z/p^E, used wherever the later rows leave more candidates
+than a solve costs.  A ring with no such order (the cross product on Z^3,
+for one) goes through `enumerate_sublattices` and tests each lattice with
+`is_subring`/`is_ideal`; that path is also the brute oracle the search is
+tested against.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from itertools import chain, product
 
 from .algebra import StructureConstantAlgebra, catalog, multiply
 from .errors import MalformedInputError, ResourceGuardError
-from .exactlinalg import count_solutions_mod
+from .exactlinalg import scaled_solutions_mod
 from .ratfun import LocalDirichletTruncation
 
 DEFAULT_CEILING = 10**8
@@ -328,11 +330,11 @@ def _search_counts(alg, p, K, mode, ceiling, shard_count):
     row that fails cuts its subtree.  Shard s takes the subtrees whose
     last-row exponent is s mod shard_count.
 
-    When closure is linear in the row (ideals, antisymmetric subrings), row
-    0's tails are counted by `_row0_counts`, one linear solve per exponent,
-    whenever the tails to test outnumber the entries of that system
-    (`_solve_pays`).  A search node is one candidate row tested or one such
-    solve; `ceiling` bounds their number.
+    When closure is linear in the row (ideals, antisymmetric subrings), and
+    rows 1..n-1 leave row 0 more than 8 candidates (`_solve_pays`), they are
+    not tried: `_row0_counts` counts the passing tails for every exponent
+    left with one linear solve.  A search node is one candidate row tested or
+    one such solve; `ceiling` bounds their number.
     """
     n = alg.rank
     antisym = "antisymmetric" in alg.flags
@@ -360,9 +362,9 @@ def _search_counts(alg, p, K, mode, ceiling, shard_count):
                 return False
         return True
 
-    def visit(k=1):
+    def visit():
         nonlocal nodes
-        nodes += k
+        nodes += 1
         if nodes > ceiling:
             raise ResourceGuardError(
                 f"search visited more than {ceiling} nodes", ceiling=ceiling
@@ -386,11 +388,13 @@ def _search_counts(alg, p, K, mode, ceiling, shard_count):
         choices = [range(rows[j][j]) if j in active else (0,) for j in cols]
         if not i and linear:
             rights, lefts = (right, left) if mode == "ideals" else (rows[1:], ())
-            if _solve_pays(math.prod(map(len, choices)), n, len(rights) + len(lefts)):
-                visit(len(exponents))
-                counts = _row0_counts(alg, rows, p, used, exponents, rights, lefts)
-                for m, c in zip(exponents, counts):
-                    coeffs[m + used] += c
+            tests = math.prod(map(len, choices)) * len(exponents)
+            if _solve_pays(tests, len(rights) + len(lefts)):
+                visit()
+                passing, least = _row0_counts(alg, rows, p, used, rights, lefts)
+                for m in exponents:
+                    if m >= least:
+                        coeffs[m + used] += passing
                 return
         fills = [(0,) if j in active else range(rows[j][j]) for j in cols]
         weight = math.prod(len(f) for f in fills)
@@ -413,19 +417,23 @@ def _search_counts(alg, p, K, mode, ceiling, shard_count):
     return coeffs
 
 
-def _solve_pays(tails, n, products):
-    """Solve for row 0 instead of testing its tails one by one when they
-    outnumber the entries of the system, (n-1)^2 per tested product."""
-    return tails > (n - 1) ** 2 * products
+def _solve_pays(tests, products):
+    """Count row 0 by `_row0_counts` rather than test its candidate rows one
+    by one: when there is no product to test (the count is then p^E), or more
+    than 8 candidates.  Timed at every leaf of the lattice benchmark's rings
+    (CPython 3.11), one solve cost as much as 7.5 to 19 row tests at ranks 3
+    to 9, and any cut from 4 to 16 gave the same total time within 5%."""
+    return not products or tests > 8
 
 
-def _row0_counts(alg, rows, p, E, exponents, rights, lefts):
-    """For each m in exponents, the number of tails t (coordinates 1..n-1,
-    each reduced modulo its column diagonal) for which row 0 = (p^m, t) passes
-    closure: every product row*x, x in rights, and x*row, x in lefts, lies in
-    the lattice.  Rows 1..n-1 are fixed, their span L_1 has passed closure, and
-    their diagonal exponents sum to E, so the tails are the points of
-    Q = Z_p^{n-1} / L_1 and p^E = |Q| kills Q.
+def _row0_counts(alg, rows, p, E, rights, lefts):
+    """(passing, least): for every m >= least, `passing` tails t (coordinates
+    1..n-1, each reduced modulo its column diagonal) make row 0 = (p^m, t)
+    pass closure, and for m < least none do.  Closure: every product row*x,
+    x in rights, and x*row, x in lefts, lies in the lattice.  Rows 1..n-1 are
+    fixed, their span L_1 has passed closure, and their diagonal exponents sum
+    to E, so the tails are the points of Q = Z_p^{n-1} / L_1 and p^E = |Q|
+    kills Q.
 
     In a triangular order coordinate 0 of a tested product is p^m * c, with c
     coordinate 0 of the product taken with e_0 in place of the row, so c is an
@@ -433,35 +441,55 @@ def _row0_counts(alg, rows, p, E, exponents, rights, lefts):
     prod - c * row_0, which is (F - c) t + p^m b on coordinates 1..n-1, lies in
     L_1; F maps L_1 into itself because L_1 is closed.  With Y = p^E H^-1 for
     the Hermite matrix H of L_1, w lies in L_1 iff w Y = 0 mod p^E, so the
-    passing tails are the solutions mod p^E of one linear system, counted by
-    `count_solutions_mod`; each point of Q has p^(E(n-2)) lifts mod p^E.
-    E = max m_j would not do: rows (2, 1), (0, 2) give Q = Z/4.
+    passing tails are the solutions mod p^E of one linear system.  Its right
+    side is p^m times a fixed vector, so one elimination in
+    `scaled_solutions_mod` serves every m.  Each point of Q has p^(E(n-2))
+    lifts mod p^E.  E = max m_j would not do: rows (2, 1), (0, 2) give Q = Z/4.
     """
     s = len(rows) - 1
     D = p**E
     if not rights and not lefts:
-        return [D for _ in exponents]
+        return D, 0
     H = [row[1:] for row in rows[1:]]
-    Y = [[0] * s for _ in range(s)]
+    Y = [None] * s
     for i in reversed(range(s)):
-        Y[i][i] = D // H[i][i]
-        for j in range(i + 1, s):
-            Y[i][j] = -sum(H[i][k] * Y[k][j] for k in range(i + 1, j + 1)) // H[i][i]
+        # row i of Y = p^E H^-1 from the rows below it; the division is exact
+        acc = [D * (j == i) for j in range(s)]
+        for k in range(i + 1, s):
+            if H[i][k]:
+                acc = [a - H[i][k] * y for a, y in zip(acc, Y[k])]
+        Y[i] = [a // H[i][i] for a in acc]
     system, rhs = [], []
-    units = _unit_vectors(len(rows))
-    images_of = chain(
-        ([multiply(alg, e, x) for e in units] for x in rights),
-        ([multiply(alg, x, e) for e in units] for x in lefts),
-    )
-    for images in images_of:
-        c = images[0][0]
-        F = [[images[j + 1][k + 1] - c * (j == k) for j in range(s)] for k in range(s)]
-        b = images[0][1:]
-        for col in range(s):
-            system.append([sum(Y[k][col] * F[k][j] for k in range(s)) for j in range(s)])
-            rhs.append(-sum(Y[k][col] * b[k] for k in range(s)))
+    # (x, r, o): the row is factor r of each constant (a, b, k), x factor o
+    for x, r, o in chain(((x, 0, 1) for x in rights), ((x, 1, 0) for x in lefts)):
+        # coordinates 1..n-1 of the product: F[k, j] the coefficient of t_j
+        # in coordinate k, b[k] that of p^m; c that of p^m in coordinate 0
+        F, b, c = {}, [0] * s, 0
+        for key, v in alg.constants.items():
+            f = v * x[key[o] - 1]
+            if f:
+                j, k = key[r] - 2, key[2] - 2
+                if j >= 0:
+                    F[k, j] = F.get((k, j), 0) + f
+                elif k >= 0:
+                    b[k] += f
+                else:
+                    c += f
+        for j in range(s):  # prod - c * row_0
+            F[j, j] = F.get((j, j), 0) - c
+        # rows Y^T F and right side -Y^T b; Y is upper triangular
+        block = [[0] * s for _ in range(s)]
+        for (k, j), f in F.items():
+            if f:
+                for col in range(k, s):
+                    block[col][j] += Y[k][col] * f
+        side = [0] * s
+        for k, f in enumerate(b):
+            if f:
+                for col in range(k, s):
+                    side[col] -= Y[k][col] * f
+        system += block
+        rhs += side
+    solutions, least = scaled_solutions_mod(system, rhs, s, p, E)
     # divide by the p^(E(n-2)) lifts; written so that rank 1 (s = 0) stays exact
-    return [
-        count_solutions_mod(system, [p**m * v for v in rhs], s, p, E) * D // D**s
-        for m in exponents
-    ]
+    return solutions * D // D**s, least

@@ -200,12 +200,12 @@ def test_resource_guard():
     with pytest.raises(ResourceGuardError) as err:
         latticezeta.count(heis, 2, 3, "subrings", ceiling=10)
     assert err.value.ceiling == 10
-    # sl2 at p=3, K=5 takes 1,393 nodes, row-0 solves included (the tail loop
-    # visited 112,377)
+    # sl2 at p=3, K=5 takes 1,097 nodes, row-0 solves included (a loop over
+    # row 0's tails visited 112,377)
     sl2 = algebra.catalog("sl2")
-    latticezeta.count(sl2, 3, 5, "subrings", ceiling=1393)
+    latticezeta.count(sl2, 3, 5, "subrings", ceiling=1097)
     with pytest.raises(ResourceGuardError):
-        latticezeta.count(sl2, 3, 5, "subrings", ceiling=1392)
+        latticezeta.count(sl2, 3, 5, "subrings", ceiling=1096)
 
 
 def test_count_searches_filtered_rings_only(monkeypatch):
@@ -363,8 +363,8 @@ def test_count_matches_brute_enumeration_on_random_triangular_rings():
     assert min(searched.values()) >= 40, searched
 
 
-def test_count_solutions_mod_matches_brute_force():
-    from ringzeta.exactlinalg import count_solutions_mod
+def test_scaled_solutions_mod_matches_brute_force():
+    from ringzeta.exactlinalg import scaled_solutions_mod
 
     rng = random.Random(3511)
     kinds = set()
@@ -378,14 +378,18 @@ def test_count_solutions_mod_matches_brute_force():
         draw = lambda: rng.choice((0, 1, p, p * p, rng.randrange(-q - 3, q + 4)))
         rows = [[draw() for _ in range(ncols)] for _ in range(rng.randrange(0, 5))]
         rhs = [draw() for _ in rows]
-        got = count_solutions_mod(rows, rhs, ncols, p, E)
-        expected = sum(
-            all((sum(a * v for a, v in zip(row, x)) - b) % q == 0 for row, b in zip(rows, rhs))
-            for x in product(range(q), repeat=ncols)
-        )
-        assert got == expected, (rows, rhs, ncols, p, E)
-        kinds.add((expected == 0, 1 < expected < q**ncols))
-    assert kinds == {(True, False), (False, True), (False, False)}
+        solutions, least = scaled_solutions_mod(rows, rhs, ncols, p, E)
+        for s in range(E + 2):
+            expected = sum(
+                all((sum(a * v for a, v in zip(row, x)) - p**s * b) % q == 0
+                    for row, b in zip(rows, rhs))
+                for x in product(range(q), repeat=ncols)
+            )
+            assert (solutions if s >= least else 0) == expected, (rows, rhs, ncols, p, E, s)
+            kinds.add((expected == 0, 1 < expected < q**ncols))
+        kinds.add(("unsolvable unscaled", least > 0))
+    assert kinds == {(True, False), (False, True), (False, False),
+                     ("unsolvable unscaled", True), ("unsolvable unscaled", False)}
 
 
 def _exponent_of_quotient(rows, p):
@@ -401,16 +405,16 @@ def _exponent_of_quotient(rows, p):
 
 
 def test_row0_solve_matches_the_tail_loop_at_every_leaf(monkeypatch):
-    """Force the row-0 solve at every leaf of the search and hold each count
-    to a loop over all of that leaf's tails, each lattice tested in full by
-    is_ideal or is_subring."""
+    """Force the row-0 solve at every leaf of the search and hold its count
+    for each exponent left to a loop over all of that leaf's tails, each
+    lattice tested in full by is_ideal or is_subring."""
     rng = random.Random(1729)
     solve = latticezeta._row0_counts
     seen = {"leaves": 0, "Q above max m_j": 0, "c != 0": 0, "left products": 0,
             "no products": 0, "none pass": 0, "some pass": 0}
 
-    def checked(alg, rows, p, E, exponents, rights, lefts):
-        counts = solve(alg, rows, p, E, exponents, rights, lefts)
+    def checked(alg, rows, p, E, rights, lefts):
+        passing, least = solve(alg, rows, p, E, rights, lefts)
         n = len(rows)
         test = latticezeta.is_subring if mode == "subrings" else latticezeta.is_ideal
         tails = list(product(*(range(rows[j][j]) for j in range(1, n))))
@@ -424,12 +428,12 @@ def test_row0_solve_matches_the_tail_loop_at_every_leaf(monkeypatch):
         # coordinate 0 of the product with e_0 and always an integer
         assert not any(prod[0] for image in images[1:] for prod in image)
         top = max((rows[j][j] for j in range(1, n)), default=1)
-        for m, got in zip(exponents, counts):
+        for m in range(K - E + 1):
             expected = sum(
                 test(alg, HermiteSublattice._trusted(p, n, ((p**m,) + t,) + tuple(rows[1:])))
                 for t in tails
             )
-            assert got == expected, (alg.constants, mode, rows, m)
+            assert (passing if m >= least else 0) == expected, (alg.constants, mode, rows, m)
             seen["leaves"] += 1
             seen["Q above max m_j"] += p == 2 and top < p ** _exponent_of_quotient(rows, p)
             seen["c != 0"] += any(prod[0] for prod in images[0])
@@ -437,7 +441,7 @@ def test_row0_solve_matches_the_tail_loop_at_every_leaf(monkeypatch):
             seen["no products"] += not rights and not lefts
             seen["none pass"] += expected == 0
             seen["some pass"] += 0 < expected < len(tails)
-        return counts
+        return passing, least
 
     monkeypatch.setattr(latticezeta, "_solve_pays", lambda *args: True)
     monkeypatch.setattr(latticezeta, "_row0_counts", checked)
@@ -462,17 +466,16 @@ def test_row0_solve_matches_the_tail_loop_at_every_leaf(monkeypatch):
 
 def test_a_row0_solve_is_one_search_node(monkeypatch):
     # componentwise(2) ideals at p=5, K=3: the last row tries 4 exponents m_1
-    # and passes each.  Row 0 then has 5^m_1 tails against 4 tested products,
-    # so it loops at m_1 = 0 (4 exponents, one tail each) and solves at
-    # m_1 = 1, 2, 3 (one node per exponent, 3 + 2 + 1): 4 + 4 + 6 = 14 nodes.
+    # and passes each.  Row 0 then has 5^m_1 tails for each of its 4 - m_1
+    # exponents, so it tests its 4 rows at m_1 = 0 and is solved, one node for
+    # all exponents, at m_1 = 1, 2, 3 (15, 50 and 125 rows): 4 + 4 + 3 = 11.
     cw2 = algebra.catalog("componentwise", 2)
     expected = latticezeta.count(cw2, 5, 3, "ideals").coefficients
-    assert latticezeta.count(cw2, 5, 3, "ideals", ceiling=14).coefficients == expected
+    assert latticezeta.count(cw2, 5, 3, "ideals", ceiling=11).coefficients == expected
     with pytest.raises(ResourceGuardError):
-        latticezeta.count(cw2, 5, 3, "ideals", ceiling=13)
-    # looping over every tail instead: 4 + 4 + 3*5 + 2*25 + 1*125 = 198 nodes
+        latticezeta.count(cw2, 5, 3, "ideals", ceiling=10)
+    # testing every row instead: 4 + 4*1 + 3*5 + 2*25 + 1*125 = 198 nodes
     monkeypatch.setattr(latticezeta, "_solve_pays", lambda *args: False)
     assert latticezeta.count(cw2, 5, 3, "ideals", ceiling=198).coefficients == expected
     with pytest.raises(ResourceGuardError):
         latticezeta.count(cw2, 5, 3, "ideals", ceiling=197)
-
