@@ -138,7 +138,6 @@ def cmd_zeta_count(args):
         args.max_index,
         mode=args.mode,
         ceiling=args.ceiling,
-        shard_count=args.threads,
     )
     return {
         "ring": alg.name,
@@ -162,7 +161,7 @@ def cmd_zeta_compare(args):
     _guard_preview(args, alg)
     brute = latticezeta.count(
         alg, args.prime, args.max_index, mode=args.mode,
-        ceiling=args.ceiling, shard_count=args.threads,
+        ceiling=args.ceiling,
     )
     formula = _expand_formula(args.formula, args.prime, args.max_index)
     return _comparison_report(
@@ -247,7 +246,7 @@ def cmd_cone(args):
 def cmd_igusa_poincare(args):
     poly = igusa.parse_polynomial(args.poly)
     pc = igusa.poincare_counts(poly, args.prime, args.depth, guard=args.ceiling)
-    series = igusa.zf_series_from_poincare(pc, poly.nvars) if args.depth >= 1 else []
+    series = igusa.zf_series_from_poincare(pc, len(poly.variables)) if args.depth >= 1 else []
     return {
         "polynomial": repr(poly),
         "prime": args.prime,
@@ -280,7 +279,7 @@ def cmd_igusa_zeta3d(args):
 def cmd_rep_zeta(args):
     pres = algebra.resolve_presentation_spec(args.presentation)
     trunc = repzeta.rep_zeta_class2(
-        pres, args.prime, args.max_exp, guard=args.ceiling, shard_count=args.threads
+        pres, args.prime, args.max_exp, guard=args.ceiling
     )
     return {
         "presentation": pres.name,
@@ -292,7 +291,7 @@ def cmd_rep_zeta(args):
 def cmd_rep_compare(args):
     pres = algebra.resolve_presentation_spec(args.presentation)
     brute = repzeta.rep_zeta_class2(
-        pres, args.prime, args.max_exp, guard=args.ceiling, shard_count=args.threads
+        pres, args.prime, args.max_exp, guard=args.ceiling
     )
     formula = _expand_formula(args.formula, args.prime, args.max_exp)
     return _comparison_report(
@@ -415,10 +414,6 @@ def _add_common(parser, suppress):
     parser.add_argument(
         "--output", choices=("table", "csv", "json"),
         **(kw if suppress else {"default": "table"}),
-    )
-    parser.add_argument(
-        "--threads", type=_positive_int, help="shard count >= 1 (results identical)",
-        **(kw if suppress else {"default": 1}),
     )
     if suppress:
         parser.add_argument("--yes", action="store_true", default=argparse.SUPPRESS,

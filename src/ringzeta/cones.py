@@ -25,7 +25,8 @@ from math import gcd
 
 from .errors import MalformedInputError, PoleError, ResourceGuardError, UnsupportedError
 from .exactlinalg import diagonalize_rowlattice, nullspace, rank, rref, solve_exact
-from .ratfun import BivariatePolynomial, BivariateRationalFunction
+from .poly import Polynomial
+from .ratfun import XY, BivariateRationalFunction
 
 MAX_VARIABLES = 12
 MAX_BOUND = 60
@@ -336,17 +337,9 @@ def _parallelepiped_points(rays, closed):
     return points
 
 
-def _poly_mul(a, b):
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            s = out.get(e, 0) + ca * cb
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-    return out
+def _variables(m):
+    """Names for the m coordinates of a cone's generating function."""
+    return tuple(f"x{i}" for i in range(1, m + 1))
 
 
 def rational_form(sys: DiophantineConeSystem, _seed: int = 0) -> MultivariateRationalForm:
@@ -397,21 +390,16 @@ def rational_form(sys: DiophantineConeSystem, _seed: int = 0) -> MultivariateRat
         closed = [ti > 0 for ti in t]
         pieces.append((sigma_rays, _parallelepiped_points(sigma_rays, closed)))
     all_rays = sorted({tuple(r) for sigma_rays, _ in pieces for r in sigma_rays})
-    zero = tuple([0] * m)
-    numerator = {}
+    names, zero = _variables(m), tuple([0] * m)
+    numerator = Polynomial(names)
     for sigma_rays, pts in pieces:
         sigma_set = {tuple(r) for r in sigma_rays}
-        piece_num = dict(pts)
+        piece = Polynomial(names, pts)
         for r in all_rays:
             if r not in sigma_set:
-                piece_num = _poly_mul(piece_num, {zero: 1, r: -1})
-        for e, c in piece_num.items():
-            s = numerator.get(e, 0) + c
-            if s:
-                numerator[e] = s
-            else:
-                numerator.pop(e, None)
-    return MultivariateRationalForm(m, numerator, tuple(all_rays))
+                piece = piece * Polynomial(names, {zero: 1, r: -1})
+        numerator = numerator + piece
+    return MultivariateRationalForm(m, numerator.terms, tuple(all_rays))
 
 
 def expand_form(form: MultivariateRationalForm, B: int) -> MultivariateSeriesTruncation:
@@ -487,11 +475,8 @@ def reciprocity_check(sys: DiophantineConeSystem, B: int) -> ReciprocityVerdict:
     q = len(form.denominator_rays)
     sign = (-1) ** (ex_dim + q)
     shift_total = [sum(r[j] for r in form.denominator_rays) for j in range(sys.m)]
-    num = {}
-    for e, c in form.numerator.items():
-        e2 = tuple(s - x for x, s in zip(e, shift_total))
-        num[e2] = num.get(e2, 0) + sign * c
-    series, negatives = _expand_with_laurent(num, form.denominator_rays, sys.m, B)
+    num = Polynomial(_variables(sys.m), form.numerator).invert().shift(*shift_total).scale(sign)
+    series, negatives = _expand_with_laurent(num.terms, form.denominator_rays, sys.m, B)
     if negatives:
         return ReciprocityVerdict("fail", "inverted series has negative exponents")
     candidate = MultivariateSeriesTruncation(sys.m, B, series)
@@ -532,8 +517,7 @@ def substitute(obj, assignment) -> BivariateRationalFunction:
         for e, c in obj.terms.items():
             key = image(e)
             acc[key] = acc.get(key, 0) + c
-        poly = BivariatePolynomial(acc)
-        return BivariateRationalFunction(poly)
+        return BivariateRationalFunction(Polynomial(XY, acc))
 
     form = obj
     if len(images) != form.m:
@@ -542,9 +526,9 @@ def substitute(obj, assignment) -> BivariateRationalFunction:
     for e, c in form.numerator.items():
         key = image(e)
         acc[key] = acc.get(key, 0) + c
-    num = BivariatePolynomial(acc)
+    num = Polynomial(XY, acc)
     den = {}
-    extra = BivariatePolynomial.one()
+    extra = Polynomial(XY, {(0, 0): 1})
     for ray in form.denominator_rays:
         a, b = image(ray)
         if (a, b) == (0, 0):
@@ -552,7 +536,7 @@ def substitute(obj, assignment) -> BivariateRationalFunction:
         if b >= 1:
             den[(a, b)] = den.get((a, b), 0) + 1
         else:
-            extra = extra * BivariatePolynomial({(0, 0): 1, (a, b): -1})
+            extra = extra * Polynomial(XY, {(0, 0): 1, (a, b): -1})
     return BivariateRationalFunction(num, den, extra)
 
 

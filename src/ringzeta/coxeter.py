@@ -2,23 +2,20 @@
 
 Lengths are inversion counts, descents are one-line descents; the word-based
 definitions are validated once, exhaustively, in the test suite.  Gaussian
-binomials come from the product formula and double as flag counts over prime
-fields, which the exhaustive flag enumerator cross-checks.
+binomials come from the q-Pascal rule and double as flag counts over prime
+fields, which the exhaustive flag enumerator cross-checks.  They and the
+descent sums are polynomials in X with no Y, in the ring of the Euler factors
+W(X, Y) they are assembled into.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from .errors import MalformedInputError, ResourceGuardError, UnsupportedError
-from .ratfun import (
-    BivariatePolynomial,
-    BivariateRationalFunction,
-    funeq_verdict,
-    invert_prime,
-)
+from .poly import Polynomial
+from .ratfun import XY, BivariateRationalFunction, funeq_verdict, invert_prime
 
 MAX_SYMMETRIC = 8
 
@@ -79,118 +76,26 @@ def longest_element_identities(n: int) -> LongestElementVerdict:
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials and Gaussian binomials
+# Gaussian binomials and descent sums, polynomials in X
 
 
-class UnivariatePolynomial:
-    """Sparse Laurent polynomial in one variable, exact coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        self.coeffs = {}
-        if coeffs:
-            for d, c in coeffs.items():
-                c = Fraction(c)
-                if c:
-                    self.coeffs[int(d)] = c
-
-    @classmethod
-    def one(cls):
-        return cls({0: 1})
-
-    def __eq__(self, other):
-        return isinstance(other, UnivariatePolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for d, c in other.coeffs.items():
-            s = out.get(d, Fraction(0)) + c
-            if s:
-                out[d] = s
-            else:
-                out.pop(d, None)
-        res = UnivariatePolynomial()
-        res.coeffs = out
-        return res
-
-    def __mul__(self, other):
-        out = {}
-        for da, ca in self.coeffs.items():
-            for db, cb in other.coeffs.items():
-                d = da + db
-                s = out.get(d, Fraction(0)) + ca * cb
-                if s:
-                    out[d] = s
-                else:
-                    out.pop(d, None)
-        res = UnivariatePolynomial()
-        res.coeffs = out
-        return res
-
-    def divide_exact(self, other):
-        """Exact division; raises when a remainder is left."""
-        if not other.coeffs:
-            raise ZeroDivisionError
-        rem = dict(self.coeffs)
-        dd = max(other.coeffs)
-        dc = other.coeffs[dd]
-        out = {}
-        while rem:
-            dn = max(rem)
-            if dn < dd and any(rem.values()):
-                raise MalformedInputError("division is not exact")
-            q = rem[dn] / dc
-            out[dn - dd] = q
-            for d, c in other.coeffs.items():
-                nd = dn - dd + d
-                s = rem.get(nd, Fraction(0)) - q * c
-                if s:
-                    rem[nd] = s
-                else:
-                    rem.pop(nd, None)
-        res = UnivariatePolynomial()
-        res.coeffs = out
-        return res
-
-    def evaluate(self, x):
-        return sum(c * Fraction(x) ** d for d, c in self.coeffs.items())
-
-    def to_bivariate_in_x(self, invert=False) -> BivariatePolynomial:
-        sign = -1 if invert else 1
-        return BivariatePolynomial({(sign * d, 0): c for d, c in self.coeffs.items()})
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        return " + ".join(f"{c}*X^{d}" for d, c in sorted(self.coeffs.items()))
-
-
-def _x_power_minus_one(k):
-    return UnivariatePolynomial({k: 1, 0: -1})
-
-
-def gaussian_binomial_single(n: int, i: int) -> UnivariatePolynomial:
-    """prod_{j<i} (X^{n-j} - 1)/(X^{i-j} - 1)."""
+def gaussian_binomial_single(n: int, i: int) -> Polynomial:
+    """[n, i] by the q-Pascal rule [m, j] = [m-1, j-1] + X^j [m-1, j]."""
     if not 0 <= i <= n:
         raise MalformedInputError("need 0 <= i <= n")
-    num = UnivariatePolynomial.one()
-    den = UnivariatePolynomial.one()
-    for j in range(i):
-        num = num * _x_power_minus_one(n - j)
-        den = den * _x_power_minus_one(i - j)
-    return num.divide_exact(den)
+    one = Polynomial(XY, {(0, 0): 1})
+    row = [one]  # [m, 0..m] for m = 0, 1, ..., n
+    for m in range(1, n + 1):
+        row = [one] + [row[j - 1] + row[j].shift(j, 0) for j in range(1, m)] + [one]
+    return row[i]
 
 
-def gaussian_binomial(n: int, I) -> UnivariatePolynomial:
+def gaussian_binomial(n: int, I) -> Polynomial:
     """Flag polynomial binom(n, i_l) binom(i_l, i_{l-1}) ... binom(i_2, i_1)."""
     chain = sorted(I)
     if any(not 1 <= i <= n - 1 for i in chain) or len(set(chain)) != len(chain):
         raise MalformedInputError("I must be a subset of [n-1]")
-    out = UnivariatePolynomial.one()
+    out = Polynomial(XY, {(0, 0): 1})
     upper = n
     for i in reversed(chain):
         out = out * gaussian_binomial_single(upper, i)
@@ -198,7 +103,7 @@ def gaussian_binomial(n: int, I) -> UnivariatePolynomial:
     return out
 
 
-def descent_sum(n: int, I) -> UnivariatePolynomial:
+def descent_sum(n: int, I) -> Polynomial:
     """Sum of X^{l(w)} over w in S_n with descent set contained in I."""
     if n > MAX_SYMMETRIC:
         raise ResourceGuardError(f"guard: n <= {MAX_SYMMETRIC}")
@@ -208,8 +113,8 @@ def descent_sum(n: int, I) -> UnivariatePolynomial:
         w = PermutationData(img)
         if descent_set(w) <= I:
             l = length(w)
-            total[l] = total.get(l, 0) + 1
-    return UnivariatePolynomial(total)
+            total[(l, 0)] = total.get((l, 0), 0) + 1
+    return Polynomial(XY, total)
 
 
 # ---------------------------------------------------------------------------
@@ -284,13 +189,13 @@ def flag_count(n: int, I, q: int) -> int:
 
 def ip_assemble(family, n: int) -> BivariateRationalFunction:
     """W = sum over I of binom(n, I) at X^{-1} times W_I."""
-    total = BivariateRationalFunction(BivariatePolynomial())
+    total = BivariateRationalFunction(0)
     for size in range(0, n):
         for I in combinations(range(1, n), size):
             key = frozenset(I)
             if key not in family:
                 raise MalformedInputError(f"family is missing I = {sorted(key)}")
-            binom = gaussian_binomial(n, key).to_bivariate_in_x(invert=True)
+            binom = gaussian_binomial(n, key).invert()
             total = total + BivariateRationalFunction(binom) * family[key]
     return total
 
@@ -308,7 +213,7 @@ def ip_hypothesis_check(family, n: int) -> IpVerdict:
     subsets = [frozenset(c) for size in range(0, n) for c in combinations(range(1, n), size)]
     for I in subsets:
         lhs = invert_prime(family[I])
-        rhs = BivariateRationalFunction(BivariatePolynomial())
+        rhs = BivariateRationalFunction(0)
         for J in subsets:
             if J <= I:
                 rhs = rhs + family[J]
@@ -325,10 +230,10 @@ def abelian_w_family(n: int):
     family = {}
     for size in range(0, n):
         for I in combinations(range(1, n), size):
-            num = BivariatePolynomial.one()
+            num = Polynomial(XY, {(0, 0): 1})
             den = {}
             for i in I:
-                num = num * BivariatePolynomial.monomial(i * (n - i), i)
+                num = num.shift(i * (n - i), i)
                 key = (i * (n - i), i)
                 den[key] = den.get(key, 0) + 1
             family[frozenset(I)] = BivariateRationalFunction(num, den)

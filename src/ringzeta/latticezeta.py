@@ -127,12 +127,8 @@ def _compositions(k, n):
             yield (first,) + rest
 
 
-def enumerate_sublattices(n, p, k, ceiling=DEFAULT_CEILING, shard=None):
-    """Yield each index-p^k sublattice of Z_p^n exactly once, in canonical form.
-
-    shard=(index, count) keeps only the diagonal compositions with
-    position % count == index; the shards partition the enumeration.
-    """
+def enumerate_sublattices(n, p, k, ceiling=DEFAULT_CEILING):
+    """Yield each index-p^k sublattice of Z_p^n exactly once, in canonical form."""
     if n < 1 or k < 0:
         raise MalformedInputError("need n >= 1 and k >= 0")
     predicted = sublattice_count_prediction(n, p, k)
@@ -142,9 +138,7 @@ def enumerate_sublattices(n, p, k, ceiling=DEFAULT_CEILING, shard=None):
             predicted=predicted,
             ceiling=ceiling,
         )
-    for pos, m in enumerate(_compositions(k, n)):
-        if shard is not None and pos % shard[1] != shard[0]:
-            continue
+    for m in _compositions(k, n):
         yield from _lattices_for_composition(n, p, m)
 
 
@@ -249,7 +243,6 @@ def count(
     K: int,
     mode: str = "subrings",
     ceiling: int = DEFAULT_CEILING,
-    shard_count: int = 1,
 ) -> LocalDirichletTruncation:
     """a[k] = number of index-p^k objects of the requested kind, k = 0..K.
 
@@ -262,17 +255,12 @@ def count(
     with no such order is enumerated and tested lattice by lattice; there
     `ceiling` bounds the predicted number of sublattices of index up to p^K,
     checked before any is enumerated.
-
-    Shards are disjoint parts of the work combined by exact addition, so the
-    result is identical for every shard_count.
     """
     if mode not in MODES:
         raise MalformedInputError(f"mode must be one of {MODES}")
-    if shard_count < 1:
-        raise MalformedInputError("shard_count must be >= 1")
     order = _search_order(alg, mode)
     if order is None:
-        coeffs = _brute_counts(alg, p, K, mode, ceiling, shard_count)
+        coeffs = _brute_counts(alg, p, K, mode, ceiling)
     else:
         if mode == "sublattices":
             alg, mode = catalog("abelian", alg.rank), "ideals"
@@ -282,11 +270,11 @@ def count(
                 (pos[a], pos[b], pos[k]): c for (a, b, k), c in alg.constants.items()
             }
             alg = StructureConstantAlgebra(alg.name, alg.rank, constants, alg.flags)
-        coeffs = _search_counts(alg, p, K, mode, ceiling, shard_count)
+        coeffs = _search_counts(alg, p, K, mode, ceiling)
     return LocalDirichletTruncation(p, tuple(coeffs))
 
 
-def _brute_counts(alg, p, K, mode, ceiling, shard_count):
+def _brute_counts(alg, p, K, mode, ceiling):
     """Enumerate every index-p^k sublattice and test it, k = 0..K.  Refused up
     front when the sublattices of index up to p^K outnumber `ceiling`."""
     predicted = sum(sublattice_count_prediction(alg.rank, p, k) for k in range(K + 1))
@@ -301,22 +289,13 @@ def _brute_counts(alg, p, K, mode, ceiling, shard_count):
         "ideals": lambda lat: is_ideal(alg, lat),
         "sublattices": lambda lat: True,
     }[mode]
-    coeffs = []
-    for k in range(K + 1):
-        total = 0
-        for s in range(shard_count):
-            total += sum(
-                1
-                for lat in enumerate_sublattices(
-                    alg.rank, p, k, ceiling=ceiling, shard=(s, shard_count)
-                )
-                if test(lat)
-            )
-        coeffs.append(total)
-    return coeffs
+    return [
+        sum(1 for lat in enumerate_sublattices(alg.rank, p, k, ceiling=ceiling) if test(lat))
+        for k in range(K + 1)
+    ]
 
 
-def _search_counts(alg, p, K, mode, ceiling, shard_count):
+def _search_counts(alg, p, K, mode, ceiling):
     """Subrings or ideals of index p^k, k = 0..K, of a ring triangular for
     mode in its given basis (see `_search_order`), by a depth-first search over
     Hermite rows from the last row up.
@@ -327,8 +306,7 @@ def _search_counts(alg, p, K, mode, ceiling, shard_count):
     later row or (for ideals) a basis vector has support in coordinates
     i..n-1, and the lattice meets their span in the span of rows i..n-1.  So
     whether it lies in the lattice is decided as soon as row i is chosen; a
-    row that fails cuts its subtree.  Shard s takes the subtrees whose
-    last-row exponent is s mod shard_count.
+    row that fails cuts its subtree.
 
     When closure is linear in the row (ideals, antisymmetric subrings), and
     rows 1..n-1 leave row 0 more than 8 candidates (`_solve_pays`), they are
@@ -412,8 +390,7 @@ def _search_counts(alg, p, K, mode, ceiling, shard_count):
                     rows[i] = head + tuple(a + b for a, b in zip(tail, fill))
                     place(i - 1, used + m, range(K - used - m + 1))
 
-    for s in range(shard_count):
-        place(n - 1, 0, range(s, K + 1, shard_count))
+    place(n - 1, 0, range(K + 1))
     return coeffs
 
 

@@ -4,7 +4,8 @@ X stands in for the prime p and Y for p^{-s}.  A function is stored as
 
     numerator * prod_{(a,b)} (1 - X^a Y^b)^{-mult} / extra_denominator
 
-with an exact-rational Laurent numerator.  Equality is decided by
+where the numerator and the extra denominator are exact Laurent polynomials
+over XY = ("X", "Y") (`poly.Polynomial`).  Equality is decided by
 cross-multiplication, never by floating evaluation.  Laurent exponents exist so
 that inversion of the prime (X -> 1/X, Y -> 1/Y) is closed; catalog formulas
 themselves have non-negative exponents.
@@ -25,130 +26,16 @@ from .errors import (
     MalformedInputError,
     NonExpandableError,
 )
+from .poly import Polynomial
+
+XY = ("X", "Y")
 
 # ---------------------------------------------------------------------------
-# polynomials
-
-
-class BivariatePolynomial:
-    """Sparse Laurent polynomial in X, Y with Fraction coefficients."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for exp, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    self.terms[(int(exp[0]), int(exp[1]))] = c
-
-    @classmethod
-    def one(cls):
-        return cls({(0, 0): 1})
-
-    @classmethod
-    def monomial(cls, ex, ey, c=1):
-        return cls({(ex, ey): c})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, BivariatePolynomial) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        res = BivariatePolynomial()
-        res.terms = out
-        return res
-
-    def __neg__(self):
-        res = BivariatePolynomial()
-        res.terms = {e: -c for e, c in self.terms.items()}
-        return res
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        out = {}
-        for (ax, ay), ac in self.terms.items():
-            for (bx, by), bc in other.terms.items():
-                e = (ax + bx, ay + by)
-                s = out.get(e, Fraction(0)) + ac * bc
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        res = BivariatePolynomial()
-        res.terms = out
-        return res
-
-    def scale(self, c):
-        c = Fraction(c)
-        res = BivariatePolynomial()
-        if c:
-            res.terms = {e: coeff * c for e, coeff in self.terms.items()}
-        return res
-
-    def shift(self, dx, dy):
-        res = BivariatePolynomial()
-        res.terms = {(ex + dx, ey + dy): c for (ex, ey), c in self.terms.items()}
-        return res
-
-    def invert_variables(self):
-        """Substitute X -> 1/X, Y -> 1/Y."""
-        res = BivariatePolynomial()
-        res.terms = {(-ex, -ey): c for (ex, ey), c in self.terms.items()}
-        return res
-
-    def leading(self):
-        """(exponent, coefficient) of the lexicographically largest term."""
-        e = max(self.terms)
-        return e, self.terms[e]
-
-    def min_exponents(self):
-        mx = min(e[0] for e in self.terms)
-        my = min(e[1] for e in self.terms)
-        return mx, my
-
-    def eval_x(self, p):
-        """dict: Y-exponent -> Fraction, after substituting X = p."""
-        out = {}
-        for (ex, ey), c in self.terms.items():
-            val = c * (Fraction(p) ** ex)
-            s = out.get(ey, Fraction(0)) + val
-            if s:
-                out[ey] = s
-            else:
-                out.pop(ey, None)
-        return out
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for (ex, ey), c in sorted(self.terms.items(), key=lambda t: (t[0][1], t[0][0])):
-            mono = "".join(
-                f"{v}^{e}" if e not in (0, 1) else (v if e == 1 else "")
-                for v, e in (("X", ex), ("Y", ey))
-            )
-            bits.append(f"{c}{'*' if mono else ''}{mono}")
-        return " + ".join(bits)
+# rational functions
 
 
 def _poly_from_factor(a, b):
-    return BivariatePolynomial({(0, 0): 1, (a, b): -1})
+    return Polynomial(XY, {(0, 0): 1, (a, b): -1})
 
 
 class BivariateRationalFunction:
@@ -156,7 +43,7 @@ class BivariateRationalFunction:
 
     def __init__(self, num, den_factors=None, extra_den=None):
         if isinstance(num, (int, Fraction)):
-            num = BivariatePolynomial({(0, 0): num})
+            num = Polynomial(XY, {(0, 0): num})
         self.den_factors = Counter()
         for key, mult in (den_factors or {}).items():
             a, b = int(key[0]), int(key[1])
@@ -165,11 +52,11 @@ class BivariateRationalFunction:
             if mult:
                 self.den_factors[(a, b)] += mult
         if extra_den is None:
-            extra_den = BivariatePolynomial.one()
-        elif extra_den.is_zero():
+            extra_den = Polynomial(XY, {(0, 0): 1})
+        elif not extra_den.terms:
             raise MalformedInputError("zero denominator")
         else:
-            my = min(ey for _, ey in extra_den.terms)
+            my = extra_den.min_exponents()[1]
             if my:  # move Y^my to the numerator: expansion reads the Y^0 part of extra_den
                 num, extra_den = num.shift(0, -my), extra_den.shift(0, -my)
         self.num = num
@@ -177,10 +64,10 @@ class BivariateRationalFunction:
 
     @classmethod
     def constant(cls, c):
-        return cls(BivariatePolynomial({(0, 0): c}))
+        return cls(Polynomial(XY, {(0, 0): c}))
 
     def is_zero(self):
-        return self.num.is_zero()
+        return not self.num.terms
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -198,17 +85,9 @@ class BivariateRationalFunction:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = BivariateRationalFunction.constant(other)
-        common = self.den_factors | other.den_factors  # multiset max
-        left = self.num * other.extra_den
-        for f, m in (common - self.den_factors).items():
-            for _ in range(m):
-                left = left * _poly_from_factor(*f)
-        right = other.num * self.extra_den
-        for f, m in (common - other.den_factors).items():
-            for _ in range(m):
-                right = right * _poly_from_factor(*f)
+        left, right = _cross_multiplied(self, other)
         return BivariateRationalFunction(
-            left + right, common, self.extra_den * other.extra_den
+            left + right, self.den_factors | other.den_factors, self.extra_den * other.extra_den
         )
 
     __radd__ = __add__
@@ -237,7 +116,7 @@ class BivariateRationalFunction:
             f"(1-X^{a}Y^{b})" + (f"^{m}" if m > 1 else "")
             for (a, b), m in sorted(self.den_factors.items())
         )
-        extra = "" if self.extra_den == BivariatePolynomial.one() else f"({self.extra_den!r})"
+        extra = "" if self.extra_den == Polynomial(XY, {(0, 0): 1}) else f"({self.extra_den!r})"
         return f"({self.num!r})" + (f" / {den}{extra}" if den or extra else "")
 
 
@@ -259,7 +138,7 @@ def zp_factor(a: int, b: int) -> BivariateRationalFunction:
     """1 / (1 - X^a Y^b); at X = p this is the local factor zeta_p(b*s - a)."""
     if b < 1:
         raise MalformedInputError("zp_factor needs b >= 1")
-    return BivariateRationalFunction(BivariatePolynomial.one(), {(a, b): 1})
+    return BivariateRationalFunction(1, {(a, b): 1})
 
 
 def invert_prime(f: BivariateRationalFunction) -> BivariateRationalFunction:
@@ -268,10 +147,10 @@ def invert_prime(f: BivariateRationalFunction) -> BivariateRationalFunction:
     Each factor 1/(1 - X^{-a}Y^{-b}) equals -X^aY^b/(1 - X^aY^b), so the factor
     multiset is preserved and a signed monomial moves into the numerator.
     """
-    num = f.num.invert_variables()
+    num = f.num.invert()
     for (a, b), mult in f.den_factors.items():
-        num = num * BivariatePolynomial.monomial(a * mult, b * mult, (-1) ** mult)
-    extra = f.extra_den.invert_variables()
+        num = num.shift(a * mult, b * mult).scale((-1) ** mult)
+    extra = f.extra_den.invert()
     mx = extra.min_exponents()[0]  # the constructor clears the Y-powers
     return BivariateRationalFunction(num.shift(-mx, 0), f.den_factors, extra.shift(-mx, 0))
 
@@ -301,18 +180,13 @@ class LocalDirichletTruncation:
 
 def expand_series(f: BivariateRationalFunction, p: int, K: int) -> list[Fraction]:
     """Coefficients of Y^0..Y^K of f at X = p, as exact Fractions."""
-    num = f.num.eval_x(p)
+    num = _at_prime(f.num, p)
     if not num:
         return [Fraction(0)] * (K + 1)
     shift = min(0, min(num))
     order = K - shift
-    # extra_den first: the factors only raise Y-powers, so capping them at
-    # the order drops nothing that could reach Y^0..Y^order
-    den = f.extra_den.eval_x(p)
-    for (a, b), mult in f.den_factors.items():
-        for _ in range(mult):
-            den = _poly_mul_y(den, {0: Fraction(1), b: Fraction(-(p**a))}, order)
-    if den.get(0, Fraction(0)) == 0:
+    den = _at_prime(_denominator(f, order), p)
+    if not den.get(0):
         raise NonExpandableError("denominator vanishes at Y = 0")
     inv = _series_inverse(den, order)
     coeffs = [Fraction(0)] * (order + 1)
@@ -329,23 +203,36 @@ def expand_series(f: BivariateRationalFunction, p: int, K: int) -> list[Fraction
     return coeffs[: K + 1]
 
 
-def _poly_mul_y(a, b, cap):
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = ea + eb
-            if e > cap:
-                continue
-            s = out.get(e, Fraction(0)) + ca * cb
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-    return out
+def _denominator(f, order):
+    """The full denominator of f with every Y-power above `order` dropped.
+
+    extra_den comes first: the factors only raise Y-powers, so capping the
+    product at each step drops nothing that could reach Y^0..Y^order."""
+    den = f.extra_den
+    for (a, b), mult in f.den_factors.items():
+        for _ in range(mult):
+            den = den * _poly_from_factor(a, b)
+            den = Polynomial(XY, {e: c for e, c in den.terms.items() if e[1] <= order})
+    return den
+
+
+def _evaluator(poly):
+    """p -> poly at X = p, for a polynomial free of Y, in int arithmetic unless
+    a coefficient or a negative exponent needs Fraction.  It does not go
+    through Polynomial.evaluate, whose calls count the Igusa points."""
+    terms = [(ex, c) for (ex, _), c in poly.terms.items()]
+    exact = all(ex >= 0 for ex, _ in terms)
+    return lambda p: sum(c * (p if exact else Fraction(p)) ** ex for ex, c in terms)
+
+
+def _at_prime(poly, p):
+    """Y-exponent -> the nonzero value at X = p of that Y-power's coefficient."""
+    values = {ey: _evaluator(s)(p) for ey, s in poly.slices(1).items()}
+    return {ey: v for ey, v in values.items() if v}
 
 
 def _series_inverse(den, order):
-    c0 = den[0]
+    c0 = Fraction(den[0])
     inv = [Fraction(0)] * (order + 1)
     inv[0] = 1 / c0
     for k in range(1, order + 1):
@@ -393,7 +280,7 @@ def funeq_verdict(f: BivariateRationalFunction, expected=None) -> FuneqVerdict:
     lhs, rhs = _cross_multiplied(g, f)
     (el, cl) = lhs.leading()
     (er, cr) = rhs.leading()
-    ratio = cl / cr
+    ratio = Fraction(cl) / cr
     a, b = el[0] - er[0], el[1] - er[1]
     if ratio in (1, -1) and lhs == rhs.shift(a, b).scale(ratio):
         sign = int(ratio)
@@ -486,22 +373,6 @@ def _primes_up_to(n):
     return [i for i in range(n + 1) if sieve[i]]
 
 
-def _y_slices(poly):
-    """Y-exponent -> the coefficient of that Y-power, a polynomial in X alone."""
-    out = {}
-    for (ex, ey), c in poly.terms.items():
-        out.setdefault(ey, BivariatePolynomial()).terms[(ex, 0)] = c
-    return out
-
-
-def _evaluator(poly):
-    """p -> poly(p) for a polynomial in X alone, in int arithmetic unless a
-    coefficient or a negative exponent needs Fraction."""
-    terms = [(ex, int(c) if c.denominator == 1 else c) for (ex, _), c in poly.terms.items()]
-    exact = all(ex >= 0 for ex, _ in terms)
-    return lambda p: sum(c * (p if exact else Fraction(p)) ** ex for ex, c in terms)
-
-
 def _expand_once(f: BivariateRationalFunction, D: int):
     """(p, depth) -> expand(f, p, depth) for depth <= D, from one expansion of f.
 
@@ -511,18 +382,13 @@ def _expand_once(f: BivariateRationalFunction, D: int):
     and N_k = n_k c0^(k - ymin) - sum_{j>=1} d_j N_{k-j} c0^(j-1) (series
     division kept free of denominators).  Only N_k and c0 meet the prime.
     """
-    num = _y_slices(f.num)
+    num = f.num.slices(1)
     ymin = min(0, min(num, default=0))
     order = D - ymin
-    den = f.extra_den  # first, so capping the factors' product drops nothing needed
-    for (a, b), mult in f.den_factors.items():
-        for _ in range(mult):
-            den = den * _poly_from_factor(a, b)
-            den.terms = {e: c for e, c in den.terms.items() if e[1] <= order}
-    d = _y_slices(den)
-    zero = BivariatePolynomial()
+    d = _denominator(f, order).slices(1)
+    zero = Polynomial(XY)
     c0 = d.get(0, zero)
-    c0_pow = [BivariatePolynomial.one()]
+    c0_pow = [Polynomial(XY, {(0, 0): 1})]
     for _ in range(order):
         c0_pow.append(c0_pow[-1] * c0)
     N = []
@@ -628,11 +494,11 @@ def asymptotic_ratio(g: GlobalDirichletTruncation, alpha, b, c, samples=None):
 
 
 def _poly_from_json(termlist):
-    return BivariatePolynomial({(ex, ey): c for ex, ey, c in termlist})
+    return Polynomial(XY, {(ex, ey): c for ex, ey, c in termlist})
 
 
 def _rational_from_json(data) -> BivariateRationalFunction:
-    num = BivariatePolynomial.one()
+    num = Polynomial(XY, {(0, 0): 1})
     for factor in data.get("numerator_factors", []):
         num = num * _poly_from_json(factor)
     den = Counter()
@@ -667,7 +533,7 @@ def zeta_zn(n: int) -> BivariateRationalFunction:
     """Local factor of the subgroup zeta function of Z^n."""
     if n < 1:
         raise MalformedInputError("need n >= 1")
-    f = BivariateRationalFunction(BivariatePolynomial.one())
+    f = BivariateRationalFunction(1)
     for i in range(n):
         f = f * zp_factor(i, 1)
     return f
@@ -677,7 +543,7 @@ def abelian_pgroups(d: int) -> BivariateRationalFunction:
     """Generating function counting abelian p-groups on at most d generators."""
     if d < 1:
         raise MalformedInputError("need d >= 1")
-    f = BivariateRationalFunction(BivariatePolynomial.one())
+    f = BivariateRationalFunction(1)
     for j in range(1, d + 1):
         f = f * zp_factor(0, j)
     return f
@@ -687,7 +553,7 @@ def componentwise_ideal(n: int) -> BivariateRationalFunction:
     """Local ideal zeta factor of Z^n with componentwise product: zeta_p(s)^n."""
     if n < 1:
         raise MalformedInputError("need n >= 1")
-    f = BivariateRationalFunction(BivariatePolynomial.one())
+    f = BivariateRationalFunction(1)
     for _ in range(n):
         f = f * zp_factor(0, 1)
     return f

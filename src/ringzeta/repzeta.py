@@ -23,7 +23,7 @@ from .errors import (
     StabilizationError,
     UnsupportedError,
 )
-from .igusa import IntegerPolynomial
+from .poly import Polynomial
 from .ratfun import LocalDirichletTruncation, funeq_verdict, hybrid_funeq_verdict
 
 DEFAULT_GUARD = 10**8
@@ -145,7 +145,6 @@ def rep_zeta_class2(
     J: int,
     guard: int = DEFAULT_GUARD,
     margin: int = STABILIZATION_MARGIN,
-    shard_count: int = 1,
 ) -> LocalDirichletTruncation:
     """Twist-isoclass counts c[p^0..p^J] from the coadjoint-orbit recipe.
 
@@ -162,10 +161,10 @@ def rep_zeta_class2(
     levels up to J + margin are enumerated, and contributions at the margin
     raise a StabilizationError instead of silently truncating.
     """
-    return _orbit_counts(pres, p, J, guard, margin, shard_count, _unit_classes)
+    return _orbit_counts(pres, p, J, guard, margin, _unit_classes)
 
 
-def _orbit_counts(pres, p, J, guard, margin, shard_count, chart):
+def _orbit_counts(pres, p, J, guard, margin, chart):
     """The level loop of `rep_zeta_class2`; `chart(p, N, d')` gives the walk."""
     if p == 2:
         raise UnsupportedError("p = 2 is excluded (orbit parametrization needs odd period)")
@@ -201,33 +200,27 @@ def _orbit_counts(pres, p, J, guard, margin, shard_count, chart):
                 predicted=size,
                 ceiling=guard,
             )
-        level_counts = [0] * (J + 1)
         min_exponent = None
-        for shard in range(shard_count):
-            for idx, ell in enumerate(walk()):
-                if idx % shard_count != shard:
-                    continue
-                t = smith_type(R.evaluate(ell), p, N)
-                defect = sum(N - m for m in t.type)
-                if defect % 2:
-                    raise InternalConsistencyError(
-                        f"odd rank defect {defect} for antisymmetric R({ell}) at level {N}"
-                    )
-                e = defect // 2
-                if e == 0:
-                    # a level-N character collapsing to dimension 1 re-counts
-                    # the trivial twist-isoclass: p is outside the recipe's
-                    # validity for this presentation
-                    raise InternalConsistencyError(
-                        f"level-{N} character {ell} gives a one-dimensional class; "
-                        f"p = {p} is a bad prime for this presentation"
-                    )
-                if min_exponent is None or e < min_exponent:
-                    min_exponent = e
-                if e <= J:
-                    level_counts[e] += weight
-        for k in range(J + 1):
-            counts[k] += level_counts[k]
+        for ell in walk():
+            t = smith_type(R.evaluate(ell), p, N)
+            defect = sum(N - m for m in t.type)
+            if defect % 2:
+                raise InternalConsistencyError(
+                    f"odd rank defect {defect} for antisymmetric R({ell}) at level {N}"
+                )
+            e = defect // 2
+            if e == 0:
+                # a level-N character collapsing to dimension 1 re-counts
+                # the trivial twist-isoclass: p is outside the recipe's
+                # validity for this presentation
+                raise InternalConsistencyError(
+                    f"level-{N} character {ell} gives a one-dimensional class; "
+                    f"p = {p} is a bad prime for this presentation"
+                )
+            if min_exponent is None or e < min_exponent:
+                min_exponent = e
+            if e <= J:
+                counts[e] += weight
         if N >= J and (min_exponent is None or min_exponent > J):
             break
     return LocalDirichletTruncation(p, tuple(counts))
@@ -237,11 +230,11 @@ def _orbit_counts(pres, p, J, guard, margin, shard_count, chart):
 # point counting
 
 
-def point_count_affine(f: IntegerPolynomial, p: int) -> int:
+def point_count_affine(f: Polynomial, p: int) -> int:
     """|{(x, y) in F_p^2 : f = 0}| by exhaustion."""
     if p > POINT_COUNT_MAX_PRIME:
         raise ResourceGuardError(f"guard: p <= {POINT_COUNT_MAX_PRIME}")
-    if f.nvars != 2:
+    if len(f.variables) != 2:
         raise MalformedInputError("affine plane counting needs a 2-variable polynomial")
     return sum(
         1 for x in range(p) for y in range(p) if f.evaluate((x, y)) % p == 0
@@ -250,10 +243,10 @@ def point_count_affine(f: IntegerPolynomial, p: int) -> int:
 
 @dataclass(frozen=True)
 class ProjectivePlaneCurve:
-    polynomial: IntegerPolynomial
+    polynomial: Polynomial
 
     def __post_init__(self):
-        if self.polynomial.nvars != 3:
+        if len(self.polynomial.variables) != 3:
             raise MalformedInputError("projective plane curve needs 3 variables")
         if not self.polynomial.is_homogeneous():
             raise MalformedInputError("curve polynomial must be homogeneous")

@@ -76,14 +76,6 @@ def test_prime_checked_at_the_boundary(argv):
         assert exc.value.code == 2, bad
 
 
-def test_threads_must_be_positive():
-    for bad in ("0", "-1"):
-        with pytest.raises(SystemExit) as exc:
-            run(["--threads", bad, "zeta", "formula", "--name", "heisenberg_subring",
-                 "--prime", "2", "--max-index", "1"])
-        assert exc.value.code == 2, bad
-
-
 def test_is_prime():
     sieve = [n for n in range(200) if n > 1 and all(n % q for q in range(2, n))]
     assert [n for n in range(200) if cli._is_prime(n)] == sieve
@@ -337,14 +329,6 @@ def test_euler_resolves_the_formula_before_the_product():
 def test_coxeter_check_command():
     code, out = run(["coxeter", "check", "--n", "4"])
     assert code == 0 and "pass" in out
-
-
-def test_threads_option_changes_nothing():
-    base = run(["--output", "json", "zeta", "count", "--ring", "catalog:heisenberg",
-                "--prime", "2", "--max-index", "2", "--yes"])
-    sharded = run(["--output", "json", "--threads", "3", "zeta", "count", "--ring",
-                   "catalog:heisenberg", "--prime", "2", "--max-index", "2", "--yes"])
-    assert base == sharded
 
 
 def test_corrupted_catalog_entry_fails_compare(monkeypatch):

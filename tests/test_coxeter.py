@@ -6,7 +6,6 @@ import pytest
 from ringzeta import cones, coxeter, ratfun
 from ringzeta.coxeter import (
     PermutationData,
-    UnivariatePolynomial,
     descent_set,
     descent_sum,
     flag_count,
@@ -14,7 +13,13 @@ from ringzeta.coxeter import (
     length,
 )
 from ringzeta.errors import MalformedInputError, ResourceGuardError, UnsupportedError
-from ringzeta.ratfun import BivariatePolynomial, BivariateRationalFunction
+from ringzeta.poly import Polynomial
+from ringzeta.ratfun import XY, BivariateRationalFunction
+
+
+def in_x(coeffs):
+    """The polynomial sum c X^d over coeffs {d: c}."""
+    return Polynomial(XY, {(d, 0): c for d, c in coeffs.items()})
 
 
 def test_length_and_descent_examples():
@@ -74,10 +79,10 @@ def test_longest_element_identities():
 
 
 def test_gaussian_binomial_examples():
-    assert gaussian_binomial(3, {1}) == UnivariatePolynomial({0: 1, 1: 1, 2: 1})
-    assert gaussian_binomial(3, {1, 2}) == UnivariatePolynomial({0: 1, 1: 2, 2: 2, 3: 1})
-    assert gaussian_binomial(4, {2}) == UnivariatePolynomial({0: 1, 1: 1, 2: 2, 3: 1, 4: 1})
-    assert gaussian_binomial(5, set()) == UnivariatePolynomial.one()
+    assert gaussian_binomial(3, {1}) == in_x({0: 1, 1: 1, 2: 1})
+    assert gaussian_binomial(3, {1, 2}) == in_x({0: 1, 1: 2, 2: 2, 3: 1})
+    assert gaussian_binomial(4, {2}) == in_x({0: 1, 1: 1, 2: 2, 3: 1, 4: 1})
+    assert gaussian_binomial(5, set()) == in_x({0: 1})
 
 
 def test_descent_sum_equals_gaussian_binomial():
@@ -88,7 +93,7 @@ def test_descent_sum_equals_gaussian_binomial():
 
 
 def test_descent_sum_empty_type():
-    assert descent_sum(5, set()) == UnivariatePolynomial.one()
+    assert descent_sum(5, set()) == in_x({0: 1})
 
 
 def test_flag_count_examples():
@@ -101,7 +106,7 @@ def test_flag_count_matches_gaussian_binomial():
     for n, q in ((3, 2), (3, 3), (4, 2)):
         for size in range(0, n):
             for I in combinations(range(1, n), size):
-                assert flag_count(n, I, q) == gaussian_binomial(n, I).evaluate(q)
+                assert flag_count(n, I, q) == gaussian_binomial(n, I).evaluate((q, 1))
 
 
 def test_flag_count_guards():
@@ -126,9 +131,9 @@ def test_ip_n2_identity_from_first_principles():
     W = coxeter.ip_assemble(family, 2)
     lhs = ratfun.zp_factor(0, 2) * W
     assert lhs == ratfun.zeta_zn(2)
-    binom = BivariateRationalFunction(BivariatePolynomial({(0, 0): 1, (-1, 0): 1}))
+    binom = BivariateRationalFunction(Polynomial(XY, {(0, 0): 1, (-1, 0): 1}))
     manual = BivariateRationalFunction.constant(1) + binom * BivariateRationalFunction(
-        BivariatePolynomial({(1, 1): 1}), {(1, 1): 1}
+        Polynomial(XY, {(1, 1): 1}), {(1, 1): 1}
     )
     assert W == manual
 
@@ -173,8 +178,3 @@ def test_ip_violating_family():
 def test_ip_assemble_missing_subset():
     with pytest.raises(MalformedInputError):
         coxeter.ip_assemble({frozenset(): BivariateRationalFunction.constant(1)}, 3)
-
-
-def test_divide_exact_rejects_remainders():
-    with pytest.raises(MalformedInputError):
-        UnivariatePolynomial({2: 1, 0: 1}).divide_exact(UnivariatePolynomial({1: 1, 0: 1}))

@@ -43,7 +43,7 @@ def test_poincare_monotonicity():
         f = parse_polynomial(expr)
         pc = poincare_counts(f, p, 3)
         for m in range(pc.depth):
-            assert pc.counts[m + 1] <= p**f.nvars * pc.counts[m]
+            assert pc.counts[m + 1] <= p ** len(f.variables) * pc.counts[m]
 
 
 def test_poincare_guard():

@@ -10,8 +10,9 @@ from ringzeta.errors import (
     MalformedInputError,
     NonExpandableError,
 )
+from ringzeta.poly import Polynomial
 from ringzeta.ratfun import (
-    BivariatePolynomial,
+    XY,
     BivariateRationalFunction,
     expand,
     expand_series,
@@ -24,7 +25,7 @@ from ringzeta.ratfun import (
 
 def brf(num_terms, den=None, extra=None):
     return BivariateRationalFunction(
-        BivariatePolynomial(num_terms), den, BivariatePolynomial(extra) if extra else None
+        Polynomial(XY, num_terms), den, Polynomial(XY, extra) if extra else None
     )
 
 
@@ -228,7 +229,7 @@ def test_rational_equality_by_cross_multiplication():
     # 1/(1-Y) * 1/(1-XY) written with different factor bookkeeping
     a = zp_factor(0, 1) * zp_factor(1, 1)
     b = BivariateRationalFunction(
-        BivariatePolynomial({(0, 0): 1}), {(0, 1): 1, (1, 1): 1}
+        Polynomial(XY, {(0, 0): 1}), {(0, 1): 1, (1, 1): 1}
     )
     assert a == b
     assert not (a == zp_factor(0, 1))
@@ -334,8 +335,8 @@ def _random_euler_factor(rng):
     den = {}
     for _ in range(rng.randrange(1, 4)):
         den[(rng.randrange(0, 3), rng.randrange(1, 4))] = rng.randrange(1, 3)
-    num = BivariatePolynomial(c0) * BivariatePolynomial(g)
-    return BivariateRationalFunction(num, den, BivariatePolynomial(extra))
+    num = Polynomial(XY, c0) * Polynomial(XY, g)
+    return BivariateRationalFunction(num, den, Polynomial(XY, extra))
 
 
 def test_euler_product_expands_once_matches_per_prime_expand():

@@ -144,9 +144,10 @@ def test_rep_quotient_matches_full_walk_on_random_presentations():
             continue
         constants = _random_constants(rng, d, dprime, p)
         pres = algebra.Class2Presentation("random", d, dprime, constants)
-        fast = _outcome(lambda: rep_zeta_class2(pres, p, J, shard_count=rng.randint(1, 3)))
+        rng.randint(1, 3)  # keeps the seeded sequence of presentations unchanged
+        fast = _outcome(lambda: rep_zeta_class2(pres, p, J))
         full = _outcome(lambda: repzeta._orbit_counts(
-            pres, p, J, repzeta.DEFAULT_GUARD, margin, 1, repzeta._all_characters))
+            pres, p, J, repzeta.DEFAULT_GUARD, margin, repzeta._all_characters))
         assert fast == full, (constants, d, dprime, p, J)
         outcomes.append(full)
     assert sum(isinstance(o, tuple) for o in outcomes) >= 40
@@ -229,13 +230,6 @@ def test_rep_zeta_guard():
     pres = algebra.catalog_presentation("dusautoy_ec")
     with pytest.raises(ResourceGuardError):
         rep_zeta_class2(pres, 101, 2, guard=10**6)
-
-
-def test_rep_zeta_shard_independence():
-    pres = algebra.catalog_presentation("heisenberg")
-    base = rep_zeta_class2(pres, 5, 3, shard_count=1).coefficients
-    for shards in (2, 5):
-        assert rep_zeta_class2(pres, 5, 3, shard_count=shards).coefficients == base
 
 
 def test_weight_values_requires_curve():
