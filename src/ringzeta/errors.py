@@ -5,7 +5,7 @@ class MalformedInputError(ValueError):
     """Bad user input: index out of range, length mismatch, duplicate triple, ..."""
 
 
-class LookupError_(KeyError):
+class LookupError_(LookupError):
     """Unknown catalog or formula name."""
 
 

@@ -5,9 +5,11 @@ Characters of level p^N on the centre correspond to primitive vectors ell in
 R(ell) mod p^N yields one twist-isoclass of dimension p^{sum_i (N - m_i)/2}.
 Divisors are capped at N, which is exactly what makes the exponent the right
 one.  Unit multiples u*ell share that type, so each level walks one ell per unit
-class (the points of P^{d'-1}(Z/p^N)) with weight phi(p^N); the walk over every
-primitive ell stays as the oracle.  Also: brute-force point counts on affine and
-projective plane curves.
+class (the points of P^{d'-1}(Z/p^N)) with weight phi(p^N).  Beyond level 1 only
+the lifts of the level-1 classes where R(ell) is singular mod p are walked: a lift
+of a nonsingular class keeps type (0, ..., 0) and is credited without a Smith
+form.  The walk over every primitive ell stays as the oracle.  Also: brute-force
+point counts on affine and projective plane curves.
 """
 
 from __future__ import annotations
@@ -129,6 +131,15 @@ def _unit_classes(p, N, d):
     return p ** ((N - 1) * (d - 1)) * (p**d - 1) // (p - 1), walk, q - q // p
 
 
+def _lifts(classes, p, N):
+    """The level-N unit classes over the given level-1 ones: the normal form
+    (0..0, 1, t) lifts to head in (pZ/p^N)^i, then 1, then t_j + pZ/p^N."""
+    q = p**N
+    for ell in classes:
+        i = ell.index(1)
+        yield from product(*[range(0, q, p)] * i, (1,), *(range(t, q, p) for t in ell[i + 1:]))
+
+
 def _all_characters(p, N, d):
     """(size, walk, weight) of the oracle: every primitive vector, once."""
     return p ** (N * d), lambda: _primitive_vectors(p, N, d), 1
@@ -151,8 +162,13 @@ def rep_zeta_class2(
     R(u ell) = u R(ell) for a unit u, so a unit class of characters shares one
     type: each level walks one representative per class (`_unit_classes`)
     with weight phi(p^N), and `guard` bounds the representatives per level.
-    `_orbit_counts` with `_all_characters` walks every primitive ell instead;
-    it is the oracle the tests hold this to.
+    From level 2 on, only the lifts (`_lifts`) of the level-1 classes with
+    R(ell) singular mod p are walked.  A lift of a nonsingular class has
+    det R(ell) a unit, so type (0, ..., 0) and exponent d N / 2; the
+    p^((N-1)(d'-1)) lifts of each are credited in one step.  The guard still
+    counts every unit class of the level.  `_orbit_counts` with
+    `_all_characters` walks every primitive ell instead; it is the oracle the
+    tests hold this to.
 
     Level iteration continues while a level can still contribute dimensions
     <= J.  When every primitive ell has R(ell) nonzero mod p, the evaluated
@@ -184,6 +200,8 @@ def _orbit_counts(pres, p, J, guard, margin, chart):
             ceiling=guard,
         )
     unit_floor = _unit_floor(R, p, walk())
+    lift = chart is _unit_classes
+    singular, nonsingular = [], 0  # level-1 classes by whether R(ell) is singular mod p
     N = 0
     while True:
         N += 1
@@ -201,7 +219,12 @@ def _orbit_counts(pres, p, J, guard, margin, chart):
                 ceiling=guard,
             )
         min_exponent = None
-        for ell in walk():
+        if nonsingular:
+            # det R(ell) is a unit mod p^N: type (0, ..., 0), exponent d N / 2
+            min_exponent = R.d * N // 2
+            if min_exponent <= J:
+                counts[min_exponent] += nonsingular * p ** ((N - 1) * (dprime - 1)) * weight
+        for ell in _lifts(singular, p, N) if lift and N > 1 else walk():
             t = smith_type(R.evaluate(ell), p, N)
             defect = sum(N - m for m in t.type)
             if defect % 2:
@@ -221,6 +244,11 @@ def _orbit_counts(pres, p, J, guard, margin, chart):
                 min_exponent = e
             if e <= J:
                 counts[e] += weight
+            if lift and N == 1:
+                if any(t.type):
+                    singular.append(ell)
+                else:
+                    nonsingular += 1
         if N >= J and (min_exponent is None or min_exponent > J):
             break
     return LocalDirichletTruncation(p, tuple(counts))

@@ -126,6 +126,25 @@ def test_enumerate_guard_checks_the_sum_it_prints(tmp_path, capsys):
     assert cli.main(["--ceiling", "1354", *argv]) == 0
 
 
+def test_rep_ceiling_bounds_every_unit_class(capsys):
+    # level 2 at p = 5, d' = 3 has 25 * 31 = 775 unit classes; only the lifts
+    # of the singular level-1 ones are walked, but the guard counts them all
+    argv = ["rep", "zeta", "--presentation", "catalog:dusautoy_ec", "--prime", "5",
+            "--max-exp", "2"]
+    assert cli.main(["--ceiling", "775", *argv]) == 0
+    assert cli.main(["--ceiling", "774", *argv]) == 3
+    assert "level 2 needs 775 characters" in capsys.readouterr().err
+
+
+def test_lookup_errors_print_the_bare_message(capsys):
+    assert cli.main(["zeta", "formula", "--name", "nosuch", "--prime", "3",
+                     "--max-index", "2"]) == 2
+    assert capsys.readouterr().err == "usage error: unknown formula 'nosuch'\n"
+    assert cli.main(["rep", "zeta", "--presentation", "catalog:nosuch", "--prime", "3",
+                     "--max-exp", "1"]) == 2
+    assert capsys.readouterr().err == "usage error: unknown catalog presentation 'nosuch'\n"
+
+
 def test_guard_exit_three():
     code, _ = run(
         ["--ceiling", "10", "zeta", "count", "--ring", "catalog:abelian(4)",

@@ -154,6 +154,68 @@ def test_rep_quotient_matches_full_walk_on_random_presentations():
     assert InternalConsistencyError in outcomes
 
 
+def test_lifts_list_each_unit_class_once():
+    # the level-N unit classes over each level-1 class, p^((N-1)(d-1)) of them,
+    # reduce to it mod p; together they are the level-N walk, each once
+    for p, N, d in ((3, 2, 2), (3, 3, 2), (5, 2, 3), (3, 2, 4), (7, 2, 1), (3, 1, 3)):
+        _, walk, _ = repzeta._unit_classes(p, 1, d)
+        size, level_walk, _ = repzeta._unit_classes(p, N, d)
+        lifts = []
+        for ell in walk():
+            over = list(repzeta._lifts([ell], p, N))
+            assert len(over) == p ** ((N - 1) * (d - 1))
+            assert all(tuple(x % p for x in lift) == ell for lift in over)
+            lifts += over
+        assert len(lifts) == size and sorted(lifts) == sorted(level_walk())
+
+
+def test_rep_lift_cut_matches_full_walk_on_random_presentations():
+    # levels N >= 2 walk only the lifts of the level-1 classes where R(ell) is
+    # singular mod p and credit the rest as type (0, ..., 0).  A level-1 class
+    # with R(ell) = 0 mod p is a bad prime, so a walk that goes on stops at
+    # level J: d^2 times the characters up to J caps the full walk's cost.
+    rng = random.Random(77)
+    outcomes, mixed, credited = [], 0, 0
+    while len(outcomes) < 60:
+        d, dprime = rng.choice((2, 4, 6)), rng.choice((2, 3))
+        p, J = rng.choice((3, 5, 7)), rng.randint(2, 4)
+        if d * d * sum(p ** (N * dprime) for N in range(1, J + 1)) > 120000:
+            continue
+        pres = algebra.Class2Presentation(
+            "random", d, dprime, _random_constants(rng, d, dprime, p))
+        fast = _outcome(lambda: rep_zeta_class2(pres, p, J))
+        full = _outcome(lambda: repzeta._orbit_counts(
+            pres, p, J, repzeta.DEFAULT_GUARD, repzeta.STABILIZATION_MARGIN,
+            repzeta._all_characters))
+        assert fast == full, (pres.constants, d, dprime, p, J)
+        R = commutator_matrix(pres)
+        _, walk, _ = repzeta._unit_classes(p, 1, dprime)
+        singular = {any(smith_type(R.evaluate(ell), p, 1).type) for ell in walk()}
+        mixed += singular == {True, False}
+        # a credited class reaches the counts: exponent d N / 2 <= J at N = 2
+        credited += singular == {True, False} and isinstance(full, tuple) and d <= J
+        outcomes.append(full)
+    assert mixed >= len(outcomes) // 3, mixed
+    assert credited >= 2, credited
+    assert InternalConsistencyError in outcomes
+
+
+def test_smith_forms_walked_by_the_quotient_and_the_oracle(monkeypatch):
+    # dusautoy_ec at p = 3: R(ell) is singular mod 3 on the b(3) = 4 points of
+    # the elliptic curve among the 13 level-1 classes, so level 2 walks only
+    # their 4 * 3^2 lifts; the oracle walks all 3^6 - 3^3 primitive characters
+    calls = []
+    real = repzeta.smith_type
+    monkeypatch.setattr(repzeta, "smith_type", lambda A, p, N: calls.append(N) or real(A, p, N))
+    pres = algebra.catalog_presentation("dusautoy_ec")
+    rep_zeta_class2(pres, 3, 2)
+    assert (calls.count(1), calls.count(2)) == (13, 4 * 9)
+    calls.clear()
+    repzeta._orbit_counts(pres, 3, 2, repzeta.DEFAULT_GUARD, repzeta.STABILIZATION_MARGIN,
+                          repzeta._all_characters)
+    assert (calls.count(1), calls.count(2)) == (26, 3**6 - 3**3)
+
+
 def test_unit_floor_certificate_matches_every_nonzero_vector():
     # the certificate walks P^{d'-1}(F_p); a direct check looks at every
     # nonzero vector of F_p^{d'}
