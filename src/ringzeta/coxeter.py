@@ -10,6 +10,7 @@ W(X, Y) they are assembled into.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
@@ -105,16 +106,24 @@ def gaussian_binomial(n: int, I) -> Polynomial:
 
 def descent_sum(n: int, I) -> Polynomial:
     """Sum of X^{l(w)} over w in S_n with descent set contained in I."""
+    return descent_sums(n)[frozenset(I) & frozenset(range(1, n))]
+
+
+def descent_sums(n: int) -> dict:
+    """I -> descent_sum(n, I) for every subset I of [n-1], from one walk of S_n
+    that counts the lengths of each descent set."""
     if n > MAX_SYMMETRIC:
         raise ResourceGuardError(f"guard: n <= {MAX_SYMMETRIC}")
-    I = frozenset(I)
-    total = {}
+    table = {}  # descent set -> Counter of lengths
     for img in permutations(range(1, n + 1)):
         w = PermutationData(img)
-        if descent_set(w) <= I:
-            l = length(w)
-            total[(l, 0)] = total.get((l, 0), 0) + 1
-    return Polynomial(XY, total)
+        table.setdefault(descent_set(w), Counter())[length(w)] += 1
+    sums = {}
+    for size in range(max(n, 1)):  # the subsets of [n-1]; only the empty one for n <= 1
+        for I in map(frozenset, combinations(range(1, n), size)):
+            total = sum((lengths for D, lengths in table.items() if D <= I), Counter())
+            sums[I] = Polynomial(XY, {(l, 0): c for l, c in total.items()})
+    return sums
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,6 @@ class InternalConsistencyError(RuntimeError):
     """A mathematical invariant that the pipeline guarantees was violated."""
 
 
-class StabilizationError(InternalConsistencyError):
-    """Level iteration did not stabilize within the allowed margin."""
-
-
 class NonExpandableError(ValueError):
     """Rational function has no power series at Y = 0 for the given prime."""
 

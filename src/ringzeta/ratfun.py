@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from itertools import compress
 
 from .errors import (
     CoverageError,
@@ -370,17 +372,25 @@ def _primes_up_to(n):
     for i in range(2, int(n**0.5) + 1):
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i in range(n + 1) if sieve[i]]
+    return list(compress(range(n + 1), sieve))
 
 
 def _expand_once(f: BivariateRationalFunction, D: int):
-    """(p, depth) -> expand(f, p, depth) for depth <= D, from one expansion of f.
+    """(primes, depth) -> [expand(f, p, depth).coefficients for p in primes]
+    for depth <= D, from one expansion of f.
 
     With the denominator sum_j d_j(X) Y^j and the numerator sum_k n_k(X) Y^k,
     the Y^k coefficient of f is N_k(X) / c0(X)^(k - ymin + 1) for
     k = ymin..D, where c0 = d_0, ymin <= 0 is the numerator's lowest Y-power
     and N_k = n_k c0^(k - ymin) - sum_{j>=1} d_j N_{k-j} c0^(j-1) (series
     division kept free of denominators).  Only N_k and c0 meet the prime.
+
+    A band of primes is evaluated term by term, in int arithmetic, when c0
+    and the N_k have int coefficients and no negative X-power.  Its rows are
+    the values of N_k themselves when c0 is 1, no negative Y-power survives
+    and a[p^0] is 1 at every prime of the band; any other band goes prime by
+    prime, in ascending order, and so raises what expand(f, p, depth) would
+    at its first failing prime.
     """
     num = f.num.slices(1)
     ymin = min(0, min(num, default=0))
@@ -398,20 +408,36 @@ def _expand_once(f: BivariateRationalFunction, D: int):
             if j in d:
                 s = s - d[j] * N[i - j] * c0_pow[j - 1]
         N.append(s)
-    N = [_evaluator(s) for s in N]
+    ints = all(type(c) is int and ex >= 0 for s in (c0, *N) for (ex, _), c in s.terms.items())
+    N_at = [_evaluator(s) for s in N]
     c0_at = _evaluator(c0)
 
     def at(p, depth):
         c = c0_at(p)
         if c == 0:  # not expandable at p: the per-prime expansion names the error
-            return expand(f, p, depth)
-        vals = [N[i](p) if c == 1 else Fraction(N[i](p)) / c ** (i + 1)
+            return expand(f, p, depth).coefficients
+        vals = [N_at[i](p) if c == 1 else Fraction(N_at[i](p)) / c ** (i + 1)
                 for i in range(depth - ymin + 1)]
         if any(vals[:-ymin]):
             raise NonExpandableError("negative Y-powers survive expansion")
-        return _integral_truncation(p, vals[-ymin:])
+        return _integral_truncation(p, vals[-ymin:]).coefficients
 
-    return at
+    def band(primes, depth):
+        if ints and all(v == 1 for v in _band_values(c0, primes)):
+            rows = [_band_values(N[i], primes) for i in range(depth - ymin + 1)]
+            if not any(map(any, rows[:-ymin])) and all(v == 1 for v in rows[-ymin]):
+                return list(zip(*rows[-ymin:]))
+        return [at(p, depth) for p in primes]
+
+    return band
+
+
+def _band_values(poly, primes):
+    """[poly at X = p for p in primes], one pass over the band per term."""
+    values = [0] * len(primes)
+    for (ex, _), c in poly.terms.items():
+        values = [v + c * p**ex for v, p in zip(values, primes)]
+    return values
 
 
 def euler_product(factor, primes_up_to: int, bound: int) -> GlobalDirichletTruncation:
@@ -419,54 +445,59 @@ def euler_product(factor, primes_up_to: int, bound: int) -> GlobalDirichletTrunc
 
     factor is either a BivariateRationalFunction W, the same at every prime
     (zeta_p(s) = W(p, p^{-s})), which is expanded once as a Y-series with
-    coefficients in X and evaluated at each p, raising what expand(W, p, depth)
-    would; or a callable p -> LocalDirichletTruncation of sufficient depth.
-    Raises CoverageError when some m <= bound is not primes_up_to-smooth.
+    coefficients in X and evaluated over each band of primes of one depth,
+    raising what expand(W, p, depth) would; or a callable
+    p -> LocalDirichletTruncation of sufficient depth.  A prime p has depth d
+    when p^d <= bound < p^(d+1).  Raises CoverageError, naming the least
+    prime in (primes_up_to, bound], when there is one.
     """
-    primes = _primes_up_to(primes_up_to)
-    if isinstance(factor, BivariateRationalFunction):
-        local_factor = _expand_once(factor, max(bound, 1).bit_length() - 1)
-    else:
-        local_factor = lambda p, depth: factor(p)  # noqa: E731
+    everything = _primes_up_to(max(primes_up_to, bound))
+    covered = bisect_right(everything, primes_up_to)
+    primes = everything[:covered]
+    D = max(bound, 1).bit_length() - 1
+    # cuts[d] counts the primes with p^d <= bound: band d is primes[cuts[d + 1]:cuts[d]]
+    cuts = [len(primes)] + [bisect_right(primes, bound, key=lambda p: p**d)
+                            for d in range(1, D + 2)]
+    band = _expand_once(factor, D) if isinstance(factor, BivariateRationalFunction) else None
     local = {}
-    for p in primes:
-        depth = 0
-        while p ** (depth + 1) <= bound:
-            depth += 1
-        trunc = local_factor(p, depth)
-        if trunc.depth < depth:
-            raise CoverageError(f"local factor at p={p} too shallow ({trunc.depth} < {depth})")
-        local[p] = trunc.coefficients
-    # smallest-prime-factor sieve for multiplicative assembly
-    spf = list(range(bound + 1))
-    for p in primes:
-        if p * p > bound:
-            break
-        for k in range(p * p, bound + 1, p):
-            if spf[k] == k:
-                spf[k] = p
-    coeffs = [0] * (bound + 1)
-    if bound >= 1:
-        coeffs[1] = 1
+    for depth in range(D, -1, -1):  # ascending primes
+        ps = primes[cuts[depth + 1] : cuts[depth]]
+        if band is not None:
+            local.update(zip(ps, band(ps, depth)))
+            continue
+        for p in ps:
+            trunc = factor(p)
+            if trunc.depth < depth:
+                raise CoverageError(f"local factor at p={p} too shallow ({trunc.depth} < {depth})")
+            local[p] = trunc.coefficients
+    if covered < len(everything):  # a prime in (primes_up_to, bound]
+        q = everything[covered]
+        raise CoverageError(f"index {q} has prime factor {q} > {primes_up_to}")
+    # prime-power sieve: qp[m] = p^v exactly dividing m for the least prime p
+    # of m, and coeffs[m] = a_p[v] (each prime's powers in increasing order,
+    # so the highest is written last); then a_m = a_{m / p^v} a_p[v]
+    qp = [1] * (bound + 1)
+    coeffs = [1] * (bound + 1)
+    coeffs[0] = 0
+    for p in reversed(primes):
+        row = local[p]
+        q, v = p, 1
+        while q <= bound:
+            count = bound // q
+            qp[q::q] = [q] * count
+            coeffs[q::q] = [row[v]] * count
+            q, v = q * p, v + 1
     for m in range(2, bound + 1):
-        p = spf[m]
-        if p == m and p not in local:
-            raise CoverageError(f"index {m} has prime factor {m} > {primes_up_to}")
-        if p not in local:
-            raise CoverageError(f"index {m} not {primes_up_to}-smooth (factor {p})")
-        v = 0
-        rest = m
-        while rest % p == 0:
-            rest //= p
-            v += 1
-        coeffs[m] = coeffs[rest] * local[p][v]
+        coeffs[m] *= coeffs[m // qp[m]]
+    del qp
     return GlobalDirichletTruncation(bound, tuple(coeffs))
 
 
 def asymptotic_ratio(g: GlobalDirichletTruncation, alpha, b, c, samples=None):
     """Partial-sum ratios s_m / (c m^alpha (log m)^b) for convergence inspection.
 
-    Display-only floats; no pass/fail."""
+    Display-only floats; no pass/fail.  Samples outside 1..bound are skipped,
+    duplicates reported once."""
     import math
 
     if samples is None:
@@ -477,15 +508,14 @@ def asymptotic_ratio(g: GlobalDirichletTruncation, alpha, b, c, samples=None):
             m *= 10
         samples.append(g.bound)
     out = []
-    running = 0
-    want = sorted(set(samples))
-    idx = 0
-    for m in range(1, g.bound + 1):
-        running += g.coefficients[m]
-        while idx < len(want) and want[idx] == m:
-            denom = c * m**alpha * (math.log(m) ** b if b else 1.0)
-            out.append((m, running / denom if denom else float("inf")))
-            idx += 1
+    running, done = 0, 0
+    for m in sorted(set(samples)):
+        if not 1 <= m <= g.bound:
+            continue
+        running += sum(g.coefficients[done + 1 : m + 1])
+        done = m
+        denom = c * m**alpha * (math.log(m) ** b if b else 1.0)
+        out.append((m, running / denom if denom else float("inf")))
     return out
 
 

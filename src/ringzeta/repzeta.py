@@ -22,14 +22,12 @@ from .errors import (
     InternalConsistencyError,
     MalformedInputError,
     ResourceGuardError,
-    StabilizationError,
     UnsupportedError,
 )
 from .poly import Polynomial
 from .ratfun import LocalDirichletTruncation, funeq_verdict, hybrid_funeq_verdict
 
 DEFAULT_GUARD = 10**8
-STABILIZATION_MARGIN = 2
 POINT_COUNT_MAX_PRIME = 10**4
 
 
@@ -145,42 +143,33 @@ def _all_characters(p, N, d):
     return p ** (N * d), lambda: _primitive_vectors(p, N, d), 1
 
 
-def _unit_floor(R, p, ells):
-    """The certificate: does R(ell) keep a unit entry mod p for every ell given?"""
-    return all(any(x % p for row in R.evaluate(ell) for x in row) for ell in ells)
-
-
 def rep_zeta_class2(
     pres: Class2Presentation,
     p: int,
     J: int,
     guard: int = DEFAULT_GUARD,
-    margin: int = STABILIZATION_MARGIN,
 ) -> LocalDirichletTruncation:
     """Twist-isoclass counts c[p^0..p^J] from the coadjoint-orbit recipe.
 
     R(u ell) = u R(ell) for a unit u, so a unit class of characters shares one
     type: each level walks one representative per class (`_unit_classes`)
-    with weight phi(p^N), and `guard` bounds the representatives per level.
-    From level 2 on, only the lifts (`_lifts`) of the level-1 classes with
-    R(ell) singular mod p are walked.  A lift of a nonsingular class has
-    det R(ell) a unit, so type (0, ..., 0) and exponent d N / 2; the
-    p^((N-1)(d'-1)) lifts of each are credited in one step.  The guard still
-    counts every unit class of the level.  `_orbit_counts` with
-    `_all_characters` walks every primitive ell instead; it is the oracle the
-    tests hold this to.
+    with weight phi(p^N), and `guard` bounds the representatives of the
+    largest level.  From level 2 on, only the lifts (`_lifts`) of the level-1
+    classes with R(ell) singular mod p are walked.  A lift of a nonsingular
+    class has det R(ell) a unit, so type (0, ..., 0) and exponent d N / 2; the
+    p^((N-1)(d'-1)) lifts of each are credited in one step.  `_orbit_counts`
+    with `_all_characters` walks every primitive ell instead; it is the oracle
+    the tests hold this to.
 
-    Level iteration continues while a level can still contribute dimensions
-    <= J.  When every primitive ell has R(ell) nonzero mod p, the evaluated
-    matrix keeps two unit divisors at every level, so the dimension exponent is
-    at least N and levels beyond J are certified without enumeration; otherwise
-    levels up to J + margin are enumerated, and contributions at the margin
-    raise a StabilizationError instead of silently truncating.
+    Levels 1..J are walked (level 1 also when J = 0).  A class with R(ell) = 0
+    mod p has exponent 0 at level 1 and makes p a bad prime; any other class
+    keeps two unit divisors at every level, so its exponent is at least N and
+    levels beyond J contribute nothing.
     """
-    return _orbit_counts(pres, p, J, guard, margin, _unit_classes)
+    return _orbit_counts(pres, p, J, guard, _unit_classes)
 
 
-def _orbit_counts(pres, p, J, guard, margin, chart):
+def _orbit_counts(pres, p, J, guard, chart):
     """The level loop of `rep_zeta_class2`; `chart(p, N, d')` gives the walk."""
     if p == 2:
         raise UnsupportedError("p = 2 is excluded (orbit parametrization needs odd period)")
@@ -192,38 +181,21 @@ def _orbit_counts(pres, p, J, guard, margin, chart):
     dprime = pres.dprime
     counts = [0] * (J + 1)
     counts[0] = 1  # the trivial level
-    size, walk, _ = chart(p, 1, dprime)
+    top = max(J, 1)
+    size, _, _ = chart(p, top, dprime)  # the levels grow with N
     if size > guard:
         raise ResourceGuardError(
-            f"certificate pass needs {size} characters, over guard {guard}",
+            f"level {top} needs {size} characters, over guard {guard}",
             predicted=size,
             ceiling=guard,
         )
-    unit_floor = _unit_floor(R, p, walk())
     lift = chart is _unit_classes
     singular, nonsingular = [], 0  # level-1 classes by whether R(ell) is singular mod p
-    N = 0
-    while True:
-        N += 1
-        if unit_floor and N > J:
-            break
-        if N > J + margin:
-            raise StabilizationError(
-                f"level {N - 1} still produced dimensions <= {J}; cannot truncate safely"
-            )
-        size, walk, weight = chart(p, N, dprime)
-        if size > guard:
-            raise ResourceGuardError(
-                f"level {N} needs {size} characters, over guard {guard}",
-                predicted=size,
-                ceiling=guard,
-            )
-        min_exponent = None
-        if nonsingular:
-            # det R(ell) is a unit mod p^N: type (0, ..., 0), exponent d N / 2
-            min_exponent = R.d * N // 2
-            if min_exponent <= J:
-                counts[min_exponent] += nonsingular * p ** ((N - 1) * (dprime - 1)) * weight
+    for N in range(1, top + 1):
+        _, walk, weight = chart(p, N, dprime)
+        # det R(ell) is a unit mod p^N: type (0, ..., 0), exponent d N / 2
+        if nonsingular and R.d * N // 2 <= J:
+            counts[R.d * N // 2] += nonsingular * p ** ((N - 1) * (dprime - 1)) * weight
         for ell in _lifts(singular, p, N) if lift and N > 1 else walk():
             t = smith_type(R.evaluate(ell), p, N)
             defect = sum(N - m for m in t.type)
@@ -240,8 +212,6 @@ def _orbit_counts(pres, p, J, guard, margin, chart):
                     f"level-{N} character {ell} gives a one-dimensional class; "
                     f"p = {p} is a bad prime for this presentation"
                 )
-            if min_exponent is None or e < min_exponent:
-                min_exponent = e
             if e <= J:
                 counts[e] += weight
             if lift and N == 1:
@@ -249,8 +219,6 @@ def _orbit_counts(pres, p, J, guard, margin, chart):
                     singular.append(ell)
                 else:
                     nonsingular += 1
-        if N >= J and (min_exponent is None or min_exponent > J):
-            break
     return LocalDirichletTruncation(p, tuple(counts))
 
 

@@ -135,15 +135,117 @@ def test_euler_product_multiplicative():
                 assert g.coefficients[m * n] == g.coefficients[m] * g.coefficients[n]
 
 
+def _largest_prime_factor(m):
+    largest, d = 1, 2
+    while m > 1:
+        while m % d == 0:
+            largest, m = d, m // d
+        d += 1
+    return largest
+
+
 def test_euler_product_coverage_error():
-    with pytest.raises(CoverageError):
-        ratfun.euler_product(ratfun.zeta_zn(1), 10, 30)  # 11, 13, ... uncovered
+    # every m <= 28 is 23-smooth; 11 is the least index 10 leaves uncovered
+    assert ratfun.euler_product(ratfun.zeta_zn(1), 24, 28).coefficients == (0,) + (1,) * 28
+    with pytest.raises(CoverageError, match=r"^index 11 has prime factor 11 > 10$"):
+        ratfun.euler_product(ratfun.zeta_zn(1), 10, 30)
+    # the error names the least index that is not P-smooth, exactly when one exists
+    for P in range(0, 30):
+        for B in range(0, 45, 3):
+            rough = [m for m in range(2, B + 1) if _largest_prime_factor(m) > P]
+            try:
+                g = ratfun.euler_product(ratfun.zeta_zn(2), P, B)
+            except CoverageError as exc:
+                assert rough and str(exc) == f"index {rough[0]} has prime factor {rough[0]} > {P}"
+            else:
+                assert not rough and len(g.coefficients) == B + 1, (P, B)
+
+
+def test_euler_product_assembly_matches_trial_division():
+    # callable local factors with zero and negative coefficients, against
+    # a_m = prod over p^v || m of a_p[v] with m factored by trial division;
+    # primes_up_to above the bound adds primes of depth 0
+    rng = random.Random(4099)
+    for bound, primes_up_to in ((0, 0), (1, 5), (2, 2), (12, 12), (97, 130), (720, 720),
+                                (1999, 1999), (2048, 2100)):
+        table = {}
+
+        def factor(p):
+            if p not in table:
+                table[p] = ratfun.LocalDirichletTruncation(
+                    p, (1, *(rng.choice((-3, -1, 0, 0, 1, 2, 7)) for _ in range(11))))
+            return table[p]
+
+        g = ratfun.euler_product(factor, primes_up_to, bound)
+        assert sorted(table) == [p for p in range(2, primes_up_to + 1)
+                                 if _largest_prime_factor(p) == p]
+        want = [0] + [1] * bound
+        for m in range(2, bound + 1):
+            rest, d = m, 2
+            while rest > 1:
+                v = 0
+                while rest % d == 0:
+                    rest, v = rest // d, v + 1
+                want[m] *= table[d].coefficients[v] if v else 1
+                d += 1
+        assert g.coefficients == tuple(want), bound
+        if bound >= 12:
+            assert 0 in want[2:] and min(want) < 0
+    # every prime of depth >= 1 is too shallow; the least one is named
+    shallow = lambda p: ratfun.LocalDirichletTruncation(p, (1,))  # noqa: E731
+    with pytest.raises(CoverageError, match=r"^local factor at p=2 too shallow \(0 < 2\)$"):
+        ratfun.euler_product(shallow, 5, 5)
+
+
+def test_euler_product_band_errors_match_per_prime_expand():
+    # the same class and message as expand at the first failing prime, with
+    # bounds that give at least three bands of primes of one depth
+    rng = random.Random(6007)
+
+    def outcome(factor, P, N):
+        try:
+            return ratfun.euler_product(factor, P, N).coefficients
+        except (NonExpandableError, MalformedInputError, CoverageError) as exc:
+            return type(exc), str(exc)
+
+    kinds = set()
+    for _ in range(200):
+        f = _random_euler_factor(rng)
+        N = rng.randrange(27, 400)
+        P = rng.choice((N, N + rng.randrange(1, 60)))
+        once = outcome(f, P, N)
+        per_prime = outcome(lambda p: expand(f, p, max(k for k in range(12) if p**k <= N)), P, N)
+        assert once == per_prime, (f, P, N)
+        kinds.add(once[0] if isinstance(once[0], type) else tuple)
+    assert kinds == {tuple, NonExpandableError, MalformedInputError}, kinds
+
+
+def _running_ratios(g, alpha, b, c, samples):
+    """asymptotic_ratio by one running sum over every m <= bound."""
+    import math
+
+    out, running, want = [], 0, sorted(set(samples))
+    for m in range(1, g.bound + 1):
+        running += g.coefficients[m]
+        if m in want:
+            denom = c * m**alpha * (math.log(m) ** b if b else 1.0)
+            out.append((m, running / denom if denom else float("inf")))
+    return out
 
 
 def test_asymptotic_ratio_rank_one():
     g = ratfun.euler_product(ratfun.zeta_zn(1), 200, 200)
     ratios = ratfun.asymptotic_ratio(g, 1, 0, 1.0, samples=[50, 200])
     assert ratios == [(50, 1.0), (200, 1.0)]
+    # duplicates count once; samples outside 1..bound are left out
+    h = ratfun.euler_product(ratfun.formula_catalog("heisenberg_subring"), 1000, 1000)
+    for samples in ([], [1], [1000, 7, 7, 1, 999], [-3, 0, 5, 5, 1001, 10**6, 640],
+                    list(range(0, 1002, 37))):
+        for args in ((1.5, 1, 0.5), (2, 0, 0.0)):
+            assert ratfun.asymptotic_ratio(h, *args, samples=samples) == _running_ratios(
+                h, *args, samples)
+    default = [10, 100, 1000]
+    assert ratfun.asymptotic_ratio(h, 2, 0, 1.0) == _running_ratios(h, 2, 0, 1.0, default)
 
 
 def _partitions_at_most(n, d):

@@ -1,5 +1,4 @@
 import random
-from itertools import product
 
 import pytest
 
@@ -9,7 +8,6 @@ from ringzeta.errors import (
     InternalConsistencyError,
     MalformedInputError,
     ResourceGuardError,
-    StabilizationError,
     UnsupportedError,
 )
 from ringzeta.repzeta import (
@@ -115,7 +113,7 @@ def test_unit_class_chart_predicts_its_walk():
 def _outcome(run):
     try:
         return run().coefficients
-    except (InternalConsistencyError, StabilizationError, UnsupportedError) as exc:
+    except (InternalConsistencyError, UnsupportedError) as exc:
         return type(exc)
 
 
@@ -133,21 +131,21 @@ def _random_constants(rng, d, dprime, p):
 
 def test_rep_quotient_matches_full_walk_on_random_presentations():
     # one representative per unit class, weighted by phi(p^N), against every
-    # primitive character counted once; the full walk's cost caps each case
+    # primitive character counted once; a cap on the characters of levels
+    # 1..J+2 keeps each full walk small
     rng = random.Random(90313)
-    margin = repzeta.STABILIZATION_MARGIN
     outcomes = []
     while len(outcomes) < 100:
         d, dprime = rng.randint(2, 5), rng.choice((1, 2, 2, 3, 3))
         p, J = rng.choice((3, 5)), rng.randint(1, 3)
-        if sum(p ** (N * dprime) for N in range(1, J + margin + 1)) > 30000:
+        if sum(p ** (N * dprime) for N in range(1, J + 3)) > 30000:
             continue
         constants = _random_constants(rng, d, dprime, p)
         pres = algebra.Class2Presentation("random", d, dprime, constants)
         rng.randint(1, 3)  # keeps the seeded sequence of presentations unchanged
         fast = _outcome(lambda: rep_zeta_class2(pres, p, J))
         full = _outcome(lambda: repzeta._orbit_counts(
-            pres, p, J, repzeta.DEFAULT_GUARD, margin, repzeta._all_characters))
+            pres, p, J, repzeta.DEFAULT_GUARD, repzeta._all_characters))
         assert fast == full, (constants, d, dprime, p, J)
         outcomes.append(full)
     assert sum(isinstance(o, tuple) for o in outcomes) >= 40
@@ -185,8 +183,7 @@ def test_rep_lift_cut_matches_full_walk_on_random_presentations():
             "random", d, dprime, _random_constants(rng, d, dprime, p))
         fast = _outcome(lambda: rep_zeta_class2(pres, p, J))
         full = _outcome(lambda: repzeta._orbit_counts(
-            pres, p, J, repzeta.DEFAULT_GUARD, repzeta.STABILIZATION_MARGIN,
-            repzeta._all_characters))
+            pres, p, J, repzeta.DEFAULT_GUARD, repzeta._all_characters))
         assert fast == full, (pres.constants, d, dprime, p, J)
         R = commutator_matrix(pres)
         _, walk, _ = repzeta._unit_classes(p, 1, dprime)
@@ -211,31 +208,8 @@ def test_smith_forms_walked_by_the_quotient_and_the_oracle(monkeypatch):
     rep_zeta_class2(pres, 3, 2)
     assert (calls.count(1), calls.count(2)) == (13, 4 * 9)
     calls.clear()
-    repzeta._orbit_counts(pres, 3, 2, repzeta.DEFAULT_GUARD, repzeta.STABILIZATION_MARGIN,
-                          repzeta._all_characters)
+    repzeta._orbit_counts(pres, 3, 2, repzeta.DEFAULT_GUARD, repzeta._all_characters)
     assert (calls.count(1), calls.count(2)) == (26, 3**6 - 3**3)
-
-
-def test_unit_floor_certificate_matches_every_nonzero_vector():
-    # the certificate walks P^{d'-1}(F_p); a direct check looks at every
-    # nonzero vector of F_p^{d'}
-    rng = random.Random(40127)
-    verdicts = []
-    while len(verdicts) < 150:
-        d, dprime, p = rng.randint(2, 5), rng.randint(1, 3), rng.choice((3, 5, 7))
-        constants = _random_constants(rng, d, dprime, p)
-        if not constants:
-            continue
-        R = commutator_matrix(algebra.Class2Presentation("random", d, dprime, constants))
-        direct = all(
-            any(x % p for row in R.evaluate(ell) for x in row)
-            for ell in product(range(p), repeat=dprime)
-            if any(ell)
-        )
-        _, walk, _ = repzeta._unit_classes(p, 1, dprime)
-        assert repzeta._unit_floor(R, p, walk()) == direct, (constants, d, dprime, p)
-        verdicts.append(direct)
-    assert 30 <= sum(verdicts) <= 120, sum(verdicts)
 
 
 def test_point_count_examples():
@@ -288,10 +262,19 @@ def test_rep_zeta_bad_prime_is_rejected():
     assert rep_zeta_class2(pres, 5, 2).coefficients == (1, 4, 20)
 
 
-def test_rep_zeta_guard():
+def test_rep_zeta_guard(monkeypatch):
+    # level 2 has 101^2 * 10,303 unit classes: refused before any level-1 work
+    calls = []
+    real = repzeta.smith_type
+    monkeypatch.setattr(repzeta, "smith_type", lambda A, p, N: calls.append(N) or real(A, p, N))
     pres = algebra.catalog_presentation("dusautoy_ec")
-    with pytest.raises(ResourceGuardError):
+    with pytest.raises(ResourceGuardError) as info:
         rep_zeta_class2(pres, 101, 2, guard=10**6)
+    assert info.value.predicted == 101**2 * 10303 and not calls
+    # the level-1 classes fit: the guard bounds the largest level walked
+    with pytest.raises(ResourceGuardError):
+        repzeta._orbit_counts(pres, 101, 2, 10303, repzeta._unit_classes)
+    assert not calls
 
 
 def test_weight_values_requires_curve():
