@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
-"""Record the prime-by-prime behaviour of the elliptic point counts and the
-twist-isoclass counts of the rank-9 catalog ring.
+"""Record the prime-by-prime behaviour of the elliptic point counts, the
+twist-isoclass counts and the ideal counts of the rank-9 catalog ring.
 
 The weighted Euler factor W_1 + b(p) W_2 is genuinely non-uniform: b(p) is not
 a polynomial in p (it is p + 1 exactly when p = 3 mod 4).  This script prints
-the counts and, where the orbit enumeration is affordable, re-derives the
-truncation from first principles next to the weighted-formula expansion.
+the counts and, for each orbit prime, re-derives the representation and ideal
+truncations from first principles next to the weighted-formula expansions.
 Values are recorded, not asserted; the assertions live in the test suite.
 """
 
 import argparse
 
-from ringzeta import algebra, igusa, ratfun, repzeta
+from ringzeta import algebra, igusa, latticezeta, ratfun, repzeta
+
+IDEAL_DEPTH = 6
 
 
 def main():
@@ -41,6 +43,18 @@ def main():
         orbit = repzeta.rep_zeta_class2(pres, p, 2).coefficients
         marker = "==" if orbit == formula else "!="
         print(f"  p={p}: orbit {list(orbit)} {marker} weighted formula {list(formula)}"
+              f"  (b({p}) = {weights['b']})")
+
+    print()
+    ring = algebra.catalog("dusautoy_ec")
+    normal = ratfun.formula_catalog("dusautoy_normal")
+    print(f"ideal counts a[p^0..p^{IDEAL_DEPTH}] of the rank-9 ring:")
+    for p in args.orbit_primes:
+        weights = repzeta.weight_values(normal, p)
+        formula = normal.expand(p, IDEAL_DEPTH, weights).coefficients
+        ideals = latticezeta.count(ring, p, IDEAL_DEPTH, "ideals").coefficients
+        marker = "==" if ideals == formula else "!="
+        print(f"  p={p}: ideals {list(ideals)} {marker} weighted formula {list(formula)}"
               f"  (b({p}) = {weights['b']})")
 
 

@@ -6,19 +6,24 @@ i is p^{m_i}, and entries above a diagonal entry are reduced modulo it.  Every
 sublattice appears exactly once.  This module is the independent oracle the
 closed-form Euler factors are checked against.
 
-`count` has one rule.  If some basis order makes the ring triangular for the
-mode (see `_search_order`; nilpotent rings in a basis adapted to a central
-series are the strict case), the objects come from a depth-first search that
-fixes Hermite rows from the last one up and cuts a subtree as soon as a row
-fails closure.  Where closure is linear in the row (ideals, antisymmetric
-subrings, sublattices), the first row's entries above the diagonal need not
-be tried one by one: the ones that pass form a coset in Z_p^{n-1} modulo the
-span of the later rows, counted for every diagonal exponent at once by one
-linear solve over Z/p^E, used wherever the later rows leave more candidates
-than a solve costs.  A ring with no such order (the cross product on Z^3,
-for one) goes through `enumerate_sublattices` and tests each lattice with
-`is_subring`/`is_ideal`; that path is also the brute oracle the search is
-tested against.
+`count` takes one of three paths.  The ideals of a ring that is class 2 in
+its given basis (every product lands in coordinates that are no factor of any
+product) come from the central sum: one linear solve per lattice of the
+centre, over only the lattices that the least rank of the commutator forms
+mod p leaves (see `_central_counts`).  Otherwise, if some basis order makes
+the ring triangular for the mode (see `_search_order`; nilpotent rings in a
+basis adapted to a central series are the strict case), the objects come
+from a depth-first search that fixes Hermite rows from the last one up and
+cuts a subtree as soon as a row fails closure.  Where closure is linear in
+the row (ideals, antisymmetric subrings, sublattices), the first row's
+entries above the diagonal need not be tried one by one: the ones that pass
+form a coset in Z_p^{n-1} modulo the span of the later rows, counted for
+every diagonal exponent at once by one linear solve over Z/p^E, used
+wherever the later rows leave more candidates than a solve costs.  A ring
+with no such order (the cross product on Z^3, for one) goes through
+`enumerate_sublattices` and tests each lattice with `is_subring`/`is_ideal`.
+That path and the search are the oracles the central sum is tested against,
+and that path is the oracle of the search.
 """
 
 from __future__ import annotations
@@ -246,20 +251,29 @@ def count(
 ) -> LocalDirichletTruncation:
     """a[k] = number of index-p^k objects of the requested kind, k = 0..K.
 
-    When the ring has a triangular order for the mode (see `_search_order`),
-    the constants are relabelled into it and the objects are counted by the
-    pruned search (sublattices as the ideals of the zero ring); the counts do
-    not depend on the basis.  There `ceiling` bounds the number of search
-    nodes (one per candidate row tested or row-0 solve), and
-    ResourceGuardError is raised as soon as the search visits more.  A ring
-    with no such order is enumerated and tested lattice by lattice; there
-    `ceiling` bounds the predicted number of sublattices of index up to p^K,
-    checked before any is enumerated.
+    Three paths, the first that applies:
+    - ideals of a ring that is class 2 in its given basis (see
+      `_central_split`): the central sum `_central_counts`.  `ceiling` bounds
+      its nodes, one per point of P^(d'-1)(F_p) in the rank walk and one per
+      lattice of the centre walked.
+    - a ring with a triangular order for the mode (see `_search_order`): the
+      constants are relabelled into it and the objects are counted by the
+      pruned search (sublattices as the ideals of the zero ring); the counts
+      do not depend on the basis.  `ceiling` bounds the search nodes, one per
+      candidate row tested or row-0 solve.
+    - any other ring is enumerated and tested lattice by lattice; `ceiling`
+      bounds the predicted number of sublattices of index up to p^K, checked
+      before any is enumerated.
+    On the first two paths ResourceGuardError is raised as soon as the walk
+    visits more than `ceiling` nodes.
     """
     if mode not in MODES:
         raise MalformedInputError(f"mode must be one of {MODES}")
-    order = _search_order(alg, mode)
-    if order is None:
+    split = _central_split(alg) if mode == "ideals" else None
+    order = None if split else _search_order(alg, mode)
+    if split:
+        coeffs = _central_counts(alg, p, K, ceiling, *split)
+    elif order is None:
         coeffs = _brute_counts(alg, p, K, mode, ceiling)
     else:
         if mode == "sublattices":
@@ -427,15 +441,7 @@ def _row0_counts(alg, rows, p, E, rights, lefts):
     D = p**E
     if not rights and not lefts:
         return D, 0
-    H = [row[1:] for row in rows[1:]]
-    Y = [None] * s
-    for i in reversed(range(s)):
-        # row i of Y = p^E H^-1 from the rows below it; the division is exact
-        acc = [D * (j == i) for j in range(s)]
-        for k in range(i + 1, s):
-            if H[i][k]:
-                acc = [a - H[i][k] * y for a, y in zip(acc, Y[k])]
-        Y[i] = [a // H[i][i] for a in acc]
+    Y = _scaled_inverse([row[1:] for row in rows[1:]], D)
     system, rhs = [], []
     # (x, r, o): the row is factor r of each constant (a, b, k), x factor o
     for x, r, o in chain(((x, 0, 1) for x in rights), ((x, 1, 0) for x in lefts)):
@@ -470,3 +476,142 @@ def _row0_counts(alg, rows, p, E, rights, lefts):
     solutions, least = scaled_solutions_mod(system, rhs, s, p, E)
     # divide by the p^(E(n-2)) lifts; written so that rank 1 (s = 0) stays exact
     return solutions * D // D**s, least
+
+
+def _central_split(alg):
+    """(noncentral, central) 0-based coordinates when alg is class 2 in its
+    given basis, else None: the central coordinates are no factor of any
+    structure constant, so they span an ideal Z that annihilates the ring,
+    every product lands in Z, and both lists are nonempty."""
+    factors = {c - 1 for key in alg.constants for c in key[:2]}
+    central = [c for c in range(alg.rank) if c not in factors]
+    if not factors or not central or any(k - 1 in factors for *_, k in alg.constants):
+        return None
+    return sorted(factors), central
+
+
+def _central_counts(alg, p, K, ceiling, noncentral, central):
+    """Ideals of index p^k, k = 0..K, of a ring that is class 2 in its given
+    basis (see `_central_split`), by the sum over the lattices Lambda' of Z.
+
+    Identify L/Z with Z_p^d and let d' = rank Z.  An ideal meets Z in some
+    Lambda' and maps onto a lattice of Z_p^d inside X(Lambda') = {x : x L and
+    L x lie in Lambda'}; each such pair comes from |Z:Lambda'|^d ideals, one
+    per homomorphism from the image to Z/Lambda' (Grunewald, Segal and Smith,
+    Invent. Math. 93 (1988), Lemma 6.1).  So
+
+        zeta(s) = zeta_{Z_p^d}(s) sum |Z:Lambda'|^(d-s) |Z_p^d : X(Lambda')|^-s.
+
+    With |Z:Lambda'| = p^E, x lies in X(Lambda') iff x C Y = 0 mod p^E for
+    Y = p^E H^-1 (`_scaled_inverse`, H the Hermite matrix of Lambda') and the
+    matrix C of each product map x -> x e_j, and x -> e_j x unless the ring is
+    antisymmetric, read in Z.  X(Lambda') contains p^E Z_p^d, so one count
+    of the solutions mod p^E (`scaled_solutions_mod`) gives its index.
+
+    Only the Lambda' that contain p^L Z, L = floor(K / (1 + r)), are walked.
+    Here r is the least rank mod p of R(ell) = (ell C), the same system with
+    Y the column ell, over ell in P^(d'-1)(F_p).  If p^l is the largest
+    elementary divisor of Z/Lambda', some ell primitive mod p kills Lambda'
+    mod p^l, so x R(ell) = 0 mod p^l on X(Lambda'): its index is at least
+    p^(l r), and the ideals over Lambda' have index at least p^(l (1 + r)).
+    A search node is one point ell of the rank walk or one Lambda' walked;
+    `ceiling` bounds their number.
+    """
+    d, dc = len(noncentral), len(central)
+    row_of = {c + 1: i for i, c in enumerate(noncentral)}
+    col_of = {c + 1: i for i, c in enumerate(central)}
+    sides = ((0, 1),) if "antisymmetric" in alg.flags else ((0, 1), (1, 0))
+    # (r, o): x is factor r of each constant (a, b, k), e_j factor o; block
+    # (r, j) is the d x d' matrix of x -> x e_j (r = 0) or e_j x (r = 1)
+    blocks = {}
+    for key, v in alg.constants.items():
+        for r, o in sides:
+            block = blocks.setdefault((r, key[o]), [[0] * dc for _ in range(d)])
+            block[row_of[key[r]]][col_of[key[2]]] += v
+    blocks = list(blocks.values())
+    nodes = 0
+
+    def visit():
+        nonlocal nodes
+        nodes += 1
+        if nodes > ceiling:
+            raise ResourceGuardError(
+                f"central sum visited more than {ceiling} nodes", ceiling=ceiling
+            )
+
+    def kernel_log(Y, E):
+        """log_p of the number of x mod p^E with x C Y = 0 for every C."""
+        system = [
+            [sum(c * y[col] for c, y in zip(row, Y)) for row in C]
+            for C in blocks
+            for col in range(len(Y[0]))
+        ]
+        solutions, _ = scaled_solutions_mod(system, [0] * len(system), d, p, E)
+        return _log_p(solutions, p)
+
+    r = d
+    for ell in _projective_points(p, dc):
+        visit()
+        r = min(r, d - kernel_log([[x] for x in ell], 1))
+        if not r:
+            break
+    L = K // (1 + r)
+    # the images of the ideals over Lambda': sublattices of X(Lambda'), a copy of Z_p^d
+    abelian = [sublattice_count_prediction(d, p, k) for k in range(K + 1)]
+    coeffs = [0] * (K + 1)
+    rows = [None] * dc
+
+    def place(i, used):
+        # row i of Lambda' in Hermite form, after rows i+1..d'-1; p^L e_i lies
+        # in Lambda' iff p^(L-m) row_i - p^L e_i lies in the span of the later
+        # rows, so a row that fails it cuts its subtree
+        for m in range(min(L, K - used) + 1):
+            for tail in product(*(range(rows[j][j]) for j in range(i + 1, dc))):
+                scaled = (0,) * (i + 1) + tuple(p ** (L - m) * t for t in tail)
+                if not _in_span(rows, i + 1, scaled):
+                    continue
+                rows[i] = (0,) * i + (p**m,) + tail
+                if i:
+                    place(i - 1, used + m)
+                    continue
+                visit()
+                E = used + m
+                least = E + E * d - kernel_log(_scaled_inverse(rows, p**E), E)
+                for k in range(K - least + 1):
+                    coeffs[least + k] += p ** (E * d) * abelian[k]
+
+    place(dc - 1, 0)
+    return coeffs
+
+
+def _projective_points(p, n):
+    """One vector per point of P^(n-1)(F_p): its first nonzero coordinate is 1."""
+    for i in range(n):
+        for tail in product(range(p), repeat=n - 1 - i):
+            yield (0,) * i + (1,) + tail
+
+
+def _log_p(N, p):
+    """e with N = p^e."""
+    e = 0
+    while N > 1:
+        N //= p
+        e += 1
+    return e
+
+
+def _scaled_inverse(H, D):
+    """Y = D H^-1 for an upper triangular integer matrix H with det H | D.
+
+    Row i of Y follows from the rows below it, and each division is exact
+    because D H^-1 = (D / det H) adj(H) is integral.  A vector w lies in the
+    row span of H over Z_p iff w Y = 0 mod D."""
+    s = len(H)
+    Y = [None] * s
+    for i in reversed(range(s)):
+        acc = [D * (j == i) for j in range(s)]
+        for k in range(i + 1, s):
+            if H[i][k]:
+                acc = [a - H[i][k] * y for a, y in zip(acc, Y[k])]
+        Y[i] = [a // H[i][i] for a in acc]
+    return Y

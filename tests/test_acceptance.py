@@ -19,13 +19,16 @@ import ringzeta
 from ringzeta import algebra, cli, cones, coxeter, igusa, latticezeta, ratfun, repzeta
 
 # small cases of each command the acceptance criteria exercise: the lattice
-# search with and without the row-0 solve, both orbit walks' callers, the
-# one-shot Euler expansion and the Poincare lifting walk
+# search with and without the row-0 solve, the central sum of class-2 ideals,
+# both orbit walks' callers, the one-shot Euler expansion and the Poincare
+# lifting walk
 DETERMINISM_COMMANDS = [
     ["zeta", "compare", "--ring", "catalog:heisenberg", "--formula", "heisenberg_subring",
      "--prime", "2", "--max-index", "3", "--yes"],
     ["zeta", "compare", "--ring", "catalog:sl2", "--formula", "sl2_odd",
      "--prime", "3", "--max-index", "3", "--yes"],
+    ["zeta", "compare", "--ring", "catalog:heisenberg", "--formula", "heisenberg_ideal",
+     "--mode", "ideals", "--prime", "3", "--max-index", "4"],
     ["rep", "compare", "--presentation", "catalog:heisenberg", "--formula", "heisenberg_rep",
      "--prime", "3", "--max-exp", "2"],
     ["rep", "compare", "--presentation", "catalog:dusautoy_ec", "--formula", "dusautoy_rep",
@@ -213,14 +216,22 @@ def test_criterion_09_representation_zeta():
 def test_criterion_10_rank9_ideal_truncation():
     with criterion(10, "rank-9 ring ideal counts match the weighted normal factor"):
         dus = algebra.catalog("dusautoy_ec")
-        brute = latticezeta.count(dus, 2, 2, "ideals").coefficients
         hybrid = ratfun.formula_catalog("dusautoy_normal")
+        # the Hermite row search, which count no longer takes for this ring
+        brute = tuple(latticezeta._search_counts(dus, 2, 2, "ideals", latticezeta.DEFAULT_CEILING))
         weights = repzeta.weight_values(hybrid, 2)
         formula = hybrid.expand(2, 2, weights).coefficients
-        assert brute == formula
+        assert brute == formula == latticezeta.count(dus, 2, 2, "ideals").coefficients
         # at this depth the weighted corrections vanish: the factor reduces to
         # the rank-6 abelian part (the curve enters only from Y^5 on)
         assert formula == ratfun.expand(ratfun.zeta_zn(6), 2, 2).coefficients
+        # the central sum reaches the depths where b(p) enters, at b(p) = p + 1
+        # (p = 3, 7) and at b(5) = 8
+        for p, K in ((3, 6), (5, 7), (7, 7)):
+            weights = repzeta.weight_values(hybrid, p)
+            formula = hybrid.expand(p, K, weights).coefficients
+            assert latticezeta.count(dus, p, K, "ideals").coefficients == formula, p
+            assert formula != hybrid.expand(p, K, {"b": weights["b"] + 1}).coefficients, p
 
 
 def test_criterion_11_global_asymptotics():

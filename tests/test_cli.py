@@ -136,6 +136,20 @@ def test_rep_ceiling_bounds_every_unit_class(capsys):
     assert "level 2 needs 775 characters" in capsys.readouterr().err
 
 
+def test_central_sum_ceiling_bounds_lattices_and_rank_points(capsys):
+    # dusautoy_ec ideals at p = 3: 13 points of P^2(F_3) in the rank walk,
+    # least rank 4, so L = 6 // 5 = 1 and the 28 lattices between 3Z^3 and Z^3
+    argv = ["zeta", "count", "--ring", "catalog:dusautoy_ec", "--prime", "3",
+            "--max-index", "6", "--mode", "ideals"]
+    assert cli.main(["--ceiling", "5", *argv]) == 3
+    err = capsys.readouterr().err
+    assert "central sum, --ceiling 5 bounds the central lattices" in err
+    assert "visited more than 5 nodes" in err and "Traceback" not in err
+    assert cli.main(argv) == 0
+    assert cli.main(["--ceiling", "41", *argv]) == 0
+    assert cli.main(["--ceiling", "40", *argv]) == 3
+
+
 def test_lookup_errors_print_the_bare_message(capsys):
     assert cli.main(["zeta", "formula", "--name", "nosuch", "--prime", "3",
                      "--max-index", "2"]) == 2

@@ -471,3 +471,82 @@ def test_a_row0_solve_is_one_search_node(monkeypatch):
     assert latticezeta.count(cw2, 5, 3, "ideals", ceiling=198).coefficients == expected
     with pytest.raises(ResourceGuardError):
         latticezeta.count(cw2, 5, 3, "ideals", ceiling=197)
+
+
+def _random_class2_ring(rng):
+    """A random ring that is class 2 in its given basis: generators e_1..e_d,
+    d <= 4, and central e_{d+1}..e_{d+d'}, d' <= 3, that receive every product.
+
+    Half are antisymmetric; the rest carry no flags and draw each e_a * e_b
+    on its own, so the products x * e_j and e_j * x differ.  Now and then the
+    last central coordinate receives no product, which puts a zero R(ell) in
+    the rank walk (r = 0, no pruning).  Coefficients include multiples of 2
+    and 3."""
+    values = (-2, -1, 1, 2, 3, 4, 6)
+    d, dc = rng.randrange(1, 5), rng.randrange(1, 4)
+    antisym = d > 1 and rng.random() < 0.5
+    targets = range(d + 1, d + dc + (0 if dc > 1 and rng.random() < 0.3 else 1))
+    density = rng.choice((0.3, 0.6))
+    constants = {}
+    while not constants:
+        for a in range(1, d + 1):
+            for b in range(a + 1 if antisym else 1, d + 1):
+                for k in targets:
+                    if rng.random() < density:
+                        c = rng.choice(values)
+                        constants[(a, b, k)] = c
+                        if antisym:
+                            constants[(b, a, k)] = -c
+    flags = ("antisymmetric",) if antisym else ()
+    return algebra.StructureConstantAlgebra("class2", d + dc, constants, flags)
+
+
+def _some_R_vanishes(alg, p):
+    """Is there a nonzero ell in F_p^{d'} with ell(e_a * e_b) = 0 mod p for
+    every a, b?  Then R(ell) = 0 mod p, and the least rank r is 0."""
+    central = latticezeta._central_split(alg)[1]
+    products = {}
+    for (a, b, k), c in alg.constants.items():
+        products.setdefault((a, b), {})[k - 1] = c
+    return any(
+        any(ell) and all(
+            sum(l * prod.get(c, 0) for l, c in zip(ell, central)) % p == 0
+            for prod in products.values()
+        )
+        for ell in product(range(p), repeat=len(central))
+    )
+
+
+def test_central_sum_matches_the_search_and_brute_enumeration(monkeypatch):
+    """count takes the central sum on every ring that is class 2 in its
+    basis, here written in a shuffled basis.  It must equal the row search
+    (in the unshuffled, triangular basis) and the brute enumeration, and the
+    pruned walk must equal the walk over every Lambda' of index up to p^K."""
+    rng = random.Random(6174)
+    seen = {"r = 0": 0, "r > 0": 0, "left products": 0, "d' = 3": 0}
+    for trial in range(45):
+        alg = _random_class2_ring(rng)
+        p = rng.choice((2, 3))
+        n = alg.rank
+        K = 3 if p == 2 or n <= 5 else 2
+        perm = rng.sample(range(1, n + 1), n)
+        shuffled = algebra.StructureConstantAlgebra(
+            "shuffled", n,
+            {(perm[a - 1], perm[b - 1], perm[k - 1]): c for (a, b, k), c in alg.constants.items()},
+            alg.flags,
+        )
+        assert latticezeta._central_split(shuffled) is not None
+        got = latticezeta.count(shuffled, p, K, "ideals").coefficients
+        search = latticezeta._search_counts(alg, p, K, "ideals", latticezeta.DEFAULT_CEILING)
+        assert got == tuple(search), (trial, p, K, alg.flags, alg.constants)
+        depth = _brute_depth(n, p)
+        brute = latticezeta._brute_counts(alg, p, depth, "ideals", latticezeta.DEFAULT_CEILING)
+        assert got[:depth + 1] == tuple(brute), (trial, p, depth, alg.flags, alg.constants)
+        with monkeypatch.context() as m:
+            # the zero vector has R = 0, so r = 0 and L = K: no pruning
+            m.setattr(latticezeta, "_projective_points", lambda p, n: [(0,) * n])
+            assert latticezeta.count(shuffled, p, K, "ideals").coefficients == got, trial
+        seen["r = 0" if _some_R_vanishes(alg, p) else "r > 0"] += 1
+        seen["left products"] += "antisymmetric" not in alg.flags
+        seen["d' = 3"] += len(latticezeta._central_split(alg)[1]) == 3
+    assert min(seen.values()) >= 8, seen

@@ -19,9 +19,10 @@ def _run(script, *args):
 
 def test_nonuniformity_table_orbits_match_the_formula():
     out = _run("nonuniformity_table.py", "--max-prime", "7", "--orbit-primes", "3", "5")
-    orbit_lines = [line for line in out.splitlines() if "orbit" in line and "p=" in line]
-    assert len(orbit_lines) == 2
-    assert all(" == " in line for line in orbit_lines), out
+    for kind in ("orbit", "ideals"):
+        lines = [line for line in out.splitlines() if f": {kind} [" in line]
+        assert [line.split(":")[0].strip() for line in lines] == ["p=3", "p=5"], out
+        assert all(" == " in line for line in lines), out
 
 
 def test_asymptotics_demo_runs():
