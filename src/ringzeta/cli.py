@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from functools import lru_cache
 
@@ -573,7 +574,13 @@ def main(argv=None):
 
         traceback.print_exc()
         return EXIT_INTERNAL
-    _emit(report, args.output)
+    try:
+        _emit(report, args.output)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so that the flush at
+        # exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

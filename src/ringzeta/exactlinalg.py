@@ -1,4 +1,4 @@
-"""Small exact linear algebra helpers over Q and Z (Fraction / int, no floats)."""
+"""Small exact linear algebra helpers over Q, Z and Z/p^E (Fraction / int, no floats)."""
 
 import math
 from fractions import Fraction
@@ -146,20 +146,24 @@ def diagonalize_rowlattice(A):
     return divisors, V
 
 
-def scaled_solutions_mod(rows, rhs, ncols, p, E):
-    """(N, least): for every s >= least the system rows . x = p^s rhs
-    (mod p^E) has N solutions x in (Z/p^E)^ncols, and for 0 <= s < least none.
+def local_elimination(rows, rhs, ncols, p, E):
+    """(valuations, least) of one elimination of rows . x = p^s rhs over Z/p^E.
 
-    Smith-type elimination over the local ring Z/p^E: the pivot is an entry of
-    least valuation v among the rows and columns left, so every other entry of
-    its row is divisible by p^v and a unimodular change of variables clears
-    them without touching the other rows.  The pivot equation then has p^v
-    solutions if p^v divides its right side and none otherwise; a column that
-    never gets a pivot is free and contributes p^E, and a row that never gets
-    one needs a zero right side.  Row operations act linearly on the right
-    side, so one elimination of rhs serves every scale p^s: a pivot row whose
-    reduced right side has valuation w needs s >= v - w, a row without a pivot
-    needs s >= E - w.
+    The pivot is an entry of least valuation v among the rows and columns
+    left, so every other entry of its row is divisible by p^v and a unimodular
+    change of variables clears them without touching the other rows; the
+    pivot column is cleared from the other rows.  `valuations` lists the
+    pivots' v in order.  With E for each row that never gets a pivot, they are
+    the elementary divisors of the matrix mod p^E.
+
+    A pivot equation has p^v solutions if p^v divides its right side and none
+    otherwise; a column without a pivot is free, and a row without one needs
+    a zero right side.  So for every s >= least the system has
+    p^(sum(valuations) + E (ncols - len(valuations))) solutions in
+    (Z/p^E)^ncols, and for 0 <= s < least none.  Row operations act linearly
+    on the right side, so one elimination serves every scale p^s: a pivot row
+    whose reduced right side has valuation w needs s >= v - w, a row without
+    a pivot needs s >= E - w.
     """
     q = p**E
     valuation = {p**v: v for v in range(E + 1)}
@@ -169,17 +173,27 @@ def scaled_solutions_mod(rows, rhs, ncols, p, E):
 
     mat = [[x % q for x in row] for row in rows]
     rhs = [x % q for x in rhs]
-    live, cols = list(range(len(mat))), list(range(ncols))
-    log = least = 0
+    live, cols = list(range(len(mat))), list(range(ncols))  # ascending
+    valuations, least = [], 0
     while live and cols:
-        entries = [(val(mat[i][j]), i, j) for i in live for j in cols if mat[i][j]]
-        if not entries:
+        # the least (v, i, j) over nonzero entries; scanning in ascending
+        # order, the first unit found is that one
+        v = E
+        for i in live:
+            row = mat[i]
+            for j in cols:
+                if row[j] and (w := val(row[j])) < v:
+                    v, r, c = w, i, j
+                    if not v:
+                        break
+            if not v:
+                break
+        if v == E:  # every entry left is 0
             break
-        v, r, c = min(entries)
         least = max(least, v - val(rhs[r]))
         live.remove(r)
         cols.remove(c)
-        log += v
+        valuations.append(v)
         pivot = p**v
         inverse = pow(mat[r][c] // pivot, -1, q)
         for i in live:
@@ -188,4 +202,4 @@ def scaled_solutions_mod(rows, rhs, ncols, p, E):
                 mat[i] = [(a - f * b) % q for a, b in zip(mat[i], mat[r])]
                 rhs[i] = (rhs[i] - f * rhs[r]) % q
     least = max([least] + [E - val(rhs[i]) for i in live])
-    return p ** (log + E * len(cols)), least
+    return valuations, least

@@ -35,7 +35,7 @@ from itertools import chain, product
 
 from .algebra import StructureConstantAlgebra, catalog, multiply
 from .errors import MalformedInputError, ResourceGuardError
-from .exactlinalg import scaled_solutions_mod
+from .exactlinalg import local_elimination
 from .ratfun import LocalDirichletTruncation
 
 DEFAULT_CEILING = 10**8
@@ -433,9 +433,10 @@ def _row0_counts(alg, rows, p, E, rights, lefts):
     L_1; F maps L_1 into itself because L_1 is closed.  With Y = p^E H^-1 for
     the Hermite matrix H of L_1, w lies in L_1 iff w Y = 0 mod p^E, so the
     passing tails are the solutions mod p^E of one linear system.  Its right
-    side is p^m times a fixed vector, so one elimination in
-    `scaled_solutions_mod` serves every m.  Each point of Q has p^(E(n-2))
-    lifts mod p^E.  E = max m_j would not do: rows (2, 1), (0, 2) give Q = Z/4.
+    side is p^m times a fixed vector, so one `local_elimination` serves every
+    m.  Each point of Q has p^(E(n-2)) lifts mod p^E, so with pivot valuations
+    v the count is p^(sum(v) + E (1 - len(v))).  E = max m_j would not do:
+    rows (2, 1), (0, 2) give Q = Z/4.
     """
     s = len(rows) - 1
     D = p**E
@@ -473,9 +474,8 @@ def _row0_counts(alg, rows, p, E, rights, lefts):
                     side[col] -= Y[k][col] * f
         system += block
         rhs += side
-    solutions, least = scaled_solutions_mod(system, rhs, s, p, E)
-    # divide by the p^(E(n-2)) lifts; written so that rank 1 (s = 0) stays exact
-    return solutions * D // D**s, least
+    valuations, least = local_elimination(system, rhs, s, p, E)
+    return p ** (sum(valuations) + E * (1 - len(valuations))), least
 
 
 def _central_split(alg):
@@ -505,8 +505,9 @@ def _central_counts(alg, p, K, ceiling, noncentral, central):
     With |Z:Lambda'| = p^E, x lies in X(Lambda') iff x C Y = 0 mod p^E for
     Y = p^E H^-1 (`_scaled_inverse`, H the Hermite matrix of Lambda') and the
     matrix C of each product map x -> x e_j, and x -> e_j x unless the ring is
-    antisymmetric, read in Z.  X(Lambda') contains p^E Z_p^d, so one count
-    of the solutions mod p^E (`scaled_solutions_mod`) gives its index.
+    antisymmetric, read in Z.  X(Lambda') contains p^E Z_p^d, so the pivot
+    valuations v of one `local_elimination` mod p^E give its index: the
+    solutions number p^(sum(v) + E (d - len(v))).
 
     Only the Lambda' that contain p^L Z, L = floor(K / (1 + r)), are walked.
     Here r is the least rank mod p of R(ell) = (ell C), the same system with
@@ -546,8 +547,8 @@ def _central_counts(alg, p, K, ceiling, noncentral, central):
             for C in blocks
             for col in range(len(Y[0]))
         ]
-        solutions, _ = scaled_solutions_mod(system, [0] * len(system), d, p, E)
-        return _log_p(solutions, p)
+        valuations, _ = local_elimination(system, [0] * len(system), d, p, E)
+        return sum(valuations) + E * (d - len(valuations))
 
     r = d
     for ell in _projective_points(p, dc):
@@ -589,15 +590,6 @@ def _projective_points(p, n):
     for i in range(n):
         for tail in product(range(p), repeat=n - 1 - i):
             yield (0,) * i + (1,) + tail
-
-
-def _log_p(N, p):
-    """e with N = p^e."""
-    e = 0
-    while N > 1:
-        N //= p
-        e += 1
-    return e
 
 
 def _scaled_inverse(H, D):

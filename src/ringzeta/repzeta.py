@@ -4,10 +4,12 @@ Characters of level p^N on the centre correspond to primitive vectors ell in
 (Z/p^N)^{d'}; the elementary divisor type m of the evaluated commutator matrix
 R(ell) mod p^N yields one twist-isoclass of dimension p^{sum_i (N - m_i)/2}.
 Divisors are capped at N, which is exactly what makes the exponent the right
-one.  Unit multiples u*ell share that type, so each level walks one ell per unit
-class (the points of P^{d'-1}(Z/p^N)) with weight phi(p^N).  Beyond level 1 only
-the lifts of the level-1 classes where R(ell) is singular mod p are walked: a lift
-of a nonsingular class keeps type (0, ..., 0) and is credited without a Smith
+one.  `smith_type` reads the type off `exactlinalg.local_elimination`, the one
+elimination over Z/p^E that the lattice counts use too.  Unit multiples u*ell
+share that type, so each level walks one ell per unit class (the points of
+P^{d'-1}(Z/p^N)) with weight phi(p^N).  Beyond level 1 only the lifts of the
+level-1 classes where R(ell) is singular mod p are walked: a lift of a
+nonsingular class keeps type (0, ..., 0) and is credited without a Smith
 form.  The walk over every primitive ell stays as the oracle.  Also: brute-force
 point counts on affine and projective plane curves.
 """
@@ -24,6 +26,7 @@ from .errors import (
     ResourceGuardError,
     UnsupportedError,
 )
+from .exactlinalg import local_elimination
 from .poly import Polynomial
 from .ratfun import LocalDirichletTruncation, funeq_verdict, hybrid_funeq_verdict
 
@@ -45,66 +48,16 @@ class ElementaryDivisorType:
 
 
 def smith_type(A, p: int, N: int) -> ElementaryDivisorType:
-    """Diagonalize A over Z/p^N by unit-pivot elimination; valuations capped at N."""
+    """Elementary divisor type of the square matrix A over Z/p^N: the pivot
+    valuations of `exactlinalg.local_elimination`, and N for each row left
+    without a pivot, so the divisors are capped at N."""
     if N < 1:
         raise MalformedInputError("need N >= 1")
-    q = p**N
-    work = [[x % q for x in row] for row in A]
-    d = len(work)
-    if any(len(row) != d for row in work):
+    d = len(A)
+    if any(len(row) != d for row in A):
         raise MalformedInputError("matrix must be square")
-
-    def val(x):
-        if x == 0:
-            return N
-        v = 0
-        while x % p == 0:
-            x //= p
-            v += 1
-        return v
-
-    divisors = []
-    top = 0
-    while top < d:
-        best_v = N
-        best = None
-        for r in range(top, d):
-            row = work[r]
-            for c in range(top, d):
-                if row[c]:
-                    v = val(row[c])
-                    if v < best_v:
-                        best_v = v
-                        best = (r, c)
-                        if v == 0:
-                            break
-            if best_v == 0:
-                break
-        if best is None:
-            divisors.extend([N] * (d - top))
-            break
-        r0, c0 = best
-        work[top], work[r0] = work[r0], work[top]
-        if c0 != top:
-            for row in work:
-                row[top], row[c0] = row[c0], row[top]
-        pivot = work[top][top]
-        unit = pivot // p**best_v
-        unit_inv = pow(unit, -1, p ** (N - best_v)) if best_v < N else 1
-        for r in range(top + 1, d):
-            x = work[r][top]
-            if x:
-                f = (x // p**best_v) * unit_inv
-                work[r] = [(a - f * b) % q for a, b in zip(work[r], work[top])]
-        for c in range(top + 1, d):
-            x = work[top][c]
-            if x:
-                f = (x // p**best_v) * unit_inv
-                for r in range(top, d):
-                    work[r][c] = (work[r][c] - f * work[r][top]) % q
-        divisors.append(best_v)
-        top += 1
-    return ElementaryDivisorType(N, tuple(sorted(divisors)))
+    valuations, _ = local_elimination(A, [0] * d, d, p, N)
+    return ElementaryDivisorType(N, tuple(sorted(valuations + [N] * (d - len(valuations)))))
 
 
 def _primitive_vectors(p, N, d):

@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -454,3 +456,22 @@ def test_cli_fuzz_exits_with_a_documented_code(argv):
         sys.stdin = stdin
     assert code in range(5), (argv, code)
     assert "Traceback" not in err.getvalue(), (argv, err.getvalue())
+
+
+def test_closed_pipe_exits_quietly_with_the_commands_code():
+    """A reader that left before the report was written (as with `| head`)
+    costs no traceback and no change of exit code."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "ringzeta.cli", "rep", "zeta", "--presentation",
+             "catalog:heisenberg", "--prime", "3", "--max-exp", "2"],
+            env=env, stdin=subprocess.DEVNULL, stdout=write_end, stderr=subprocess.PIPE,
+            text=True, check=False,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (0, "")

@@ -355,8 +355,16 @@ def test_count_matches_brute_enumeration_on_random_triangular_rings():
     assert min(searched.values()) >= 40, searched
 
 
-def test_scaled_solutions_mod_matches_brute_force():
-    from ringzeta.exactlinalg import scaled_solutions_mod
+def _kernel_size(rows, ncols, modulus):
+    """|{x in (Z/modulus)^ncols : rows . x = 0 mod modulus}| by enumeration."""
+    return sum(
+        all(sum(a * v for a, v in zip(row, x)) % modulus == 0 for row in rows)
+        for x in product(range(modulus), repeat=ncols)
+    )
+
+
+def test_local_elimination_matches_brute_force():
+    from ringzeta.exactlinalg import local_elimination
 
     rng = random.Random(3511)
     kinds = set()
@@ -370,7 +378,9 @@ def test_scaled_solutions_mod_matches_brute_force():
         draw = lambda: rng.choice((0, 1, p, p * p, rng.randrange(-q - 3, q + 4)))
         rows = [[draw() for _ in range(ncols)] for _ in range(rng.randrange(0, 5))]
         rhs = [draw() for _ in rows]
-        solutions, least = scaled_solutions_mod(rows, rhs, ncols, p, E)
+        valuations, least = local_elimination(rows, rhs, ncols, p, E)
+        assert all(0 <= v < E for v in valuations) and len(valuations) <= min(len(rows), ncols)
+        solutions = p ** (sum(valuations) + E * (ncols - len(valuations)))
         for s in range(E + 2):
             expected = sum(
                 all((sum(a * v for a, v in zip(row, x)) - p**s * b) % q == 0
@@ -380,6 +390,10 @@ def test_scaled_solutions_mod_matches_brute_force():
             assert (solutions if s >= least else 0) == expected, (rows, rhs, ncols, p, E, s)
             kinds.add((expected == 0, 1 < expected < q**ncols))
         kinds.add(("unsolvable unscaled", least > 0))
+        # the valuations are the elementary divisors: they give the kernel mod every p^k
+        for k in range(1, E + 1):
+            exponent = sum(min(v, k) for v in valuations) + k * (ncols - len(valuations))
+            assert _kernel_size(rows, ncols, p**k) == p**exponent, (rows, ncols, p, E, k)
     assert kinds == {(True, False), (False, True), (False, False),
                      ("unsolvable unscaled", True), ("unsolvable unscaled", False)}
 

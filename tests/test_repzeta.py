@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -27,6 +28,36 @@ def test_smith_type_examples():
     assert smith_type([[0, 3], [-3, 0]], 3, 3).type == (1, 1)
     assert smith_type([[0, 0], [0, 0]], 5, 2).type == (2, 2)
     assert smith_type([[2, 0], [0, 8]], 2, 2).type == (1, 2)  # capped at N
+    for A, N in (([[1]], 0), ([[1, 2]], 1), ([[1, 2], [3]], 1)):  # level, non-square, ragged
+        with pytest.raises(MalformedInputError):
+            smith_type(A, 3, N)
+
+
+def test_smith_type_gives_the_kernel_at_every_level():
+    """|{x in (Z/p^k)^d : A x = 0}| = p^(sum min(m_i, k)) for k = 1..N, by enumeration."""
+    rng = random.Random(5309)
+    kinds = set()
+    for _ in range(300):
+        p, d = rng.choice((2, 3, 5)), rng.randrange(1, 4)
+        N = rng.randrange(1, 4)
+        while p ** (N * d) > 4096:  # stops at N = 1, since 5^3 <= 4096
+            N -= 1
+        q = p**N
+        draw = lambda: rng.choice((0, 1, p, p * p, rng.randrange(-q - 3, q + 4)))
+        A = [[draw() for _ in range(d)] for _ in range(d)]
+        if d > 1 and rng.random() < 0.3:  # a row dependent on the others
+            A[-1] = [sum(rng.randrange(-3, 4) * row[j] for row in A[:-1]) for j in range(d)]
+        t = smith_type(A, p, N).type
+        for k in range(1, N + 1):
+            kernel = sum(
+                all(sum(a * v for a, v in zip(row, x)) % p**k == 0 for row in A)
+                for x in product(range(p**k), repeat=d)
+            )
+            assert kernel == p ** sum(min(m, k) for m in t), (A, p, N, k, t)
+        kinds.add(("unit", 0 in t))
+        kinds.add(("between", any(0 < m < N for m in t)))
+        kinds.add(("capped", N in t))
+    assert kinds == {(kind, seen) for kind in ("unit", "between", "capped") for seen in (True, False)}
 
 
 def _random_unimodular(rng, d, p, N):
