@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
-from fractions import Fraction
+from collections import Counter, defaultdict
+from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, count
 
 from .errors import LookupError_, MalformedInputError
-from .exactlinalg import RowSpace
+from .exactlinalg import rref
 
 KNOWN_FLAGS = frozenset({"antisymmetric", "lie", "associative", "commutative"})
 
@@ -123,113 +123,64 @@ def multiply(alg: StructureConstantAlgebra, u, v):
     return tuple(out)
 
 
-def _basis_product(alg, i, j):
-    out = [0] * alg.rank
-    for (a, b, k), c in alg.constants.items():
-        if a == i and b == j:
-            out[k - 1] = c
-    return out
-
-
 def validate(alg: StructureConstantAlgebra) -> ValidationReport:
-    """Check every axiom on all basis triples, whatever the declared flags say."""
-    n = alg.rank
-    anti_w = None
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            pij = _basis_product(alg, i, j)
-            pji = _basis_product(alg, j, i)
-            bad = (
-                any(a != -b for a, b in zip(pij, pji))
-                if i != j
-                else any(pij)
-            )
-            if bad:
-                k = next(k for k in range(n) if (pij[k] != -pji[k] if i != j else pij[k] != 0))
-                anti_w = (i, j, k + 1)
-                break
-        if anti_w:
-            break
+    """Check every axiom on all basis triples, whatever the declared flags say.
 
-    basis = [alg.basis_vector(i) for i in range(1, n + 1)]
+    Each axiom is a sum of structure constants that must vanish at every basis
+    triple (i, j, k) and output coordinate l, built from the nonzero constants:
+    antisymmetry c_ijl + c_jil for i < j and c_iil for i = j; commutativity
+    c_ijl - c_jil; associativity sum_m c_ijm c_mkl - c_jkm c_iml; Jacobi
+    sum_m c_jkm c_iml summed over the cyclic shifts of (i, j, k).  The sums
+    are keyed (witness..., l), and the witness is the least one with a nonzero
+    sum: (i, j, l) with i <= j for antisymmetry, (i, j, None) with i < j for
+    commutativity and (i, j, k) otherwise.
+    """
+    by_right = defaultdict(list)  # m -> [(h, l, c_hml)]
+    by_left = defaultdict(list)  # m -> [(k, l, c_mkl)]
+    for (a, b, l), c in alg.constants.items():
+        by_right[b].append((a, l, c))
+        by_left[a].append((b, l, c))
+    anti, comm, assoc, jacobi = Counter(), Counter(), Counter(), Counter()
+    for (i, j, m), c in alg.constants.items():
+        anti[min(i, j), max(i, j), m] += c
+        if i != j:
+            comm[min(i, j), max(i, j), None, m] += c if i < j else -c
+        for k, l, d in by_left[m]:  # (e_i e_j) e_k
+            assoc[i, j, k, l] += c * d
+        for h, l, d in by_right[m]:  # e_h (e_i e_j)
+            assoc[h, i, j, l] -= c * d
+            for key in ((h, i, j, l), (j, h, i, l), (i, j, h, l)):
+                jacobi[key] += c * d
 
-    jac_w = None
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                s = [
-                    a + b + c
-                    for a, b, c in zip(
-                        multiply(alg, basis[i - 1], multiply(alg, basis[j - 1], basis[k - 1])),
-                        multiply(alg, basis[j - 1], multiply(alg, basis[k - 1], basis[i - 1])),
-                        multiply(alg, basis[k - 1], multiply(alg, basis[i - 1], basis[j - 1])),
-                    )
-                ]
-                if any(s):
-                    jac_w = (i, j, k)
-                    break
-            if jac_w:
-                break
-        if jac_w:
-            break
-
-    ass_w = None
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                lhs = multiply(alg, multiply(alg, basis[i - 1], basis[j - 1]), basis[k - 1])
-                rhs = multiply(alg, basis[i - 1], multiply(alg, basis[j - 1], basis[k - 1]))
-                if lhs != rhs:
-                    ass_w = (i, j, k)
-                    break
-            if ass_w:
-                break
-        if ass_w:
-            break
-
-    com_w = None
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if _basis_product(alg, i, j) != _basis_product(alg, j, i):
-                com_w = (i, j, None)
-                break
-        if com_w:
-            break
+    def verdict(sums):
+        w = min((key[:3] for key, v in sums.items() if v), default=None)
+        return AxiomVerdict(w is None, w)
 
     return ValidationReport(
-        antisymmetric=AxiomVerdict(anti_w is None, anti_w),
-        jacobi=AxiomVerdict(jac_w is None, jac_w),
-        associative=AxiomVerdict(ass_w is None, ass_w),
-        commutative=AxiomVerdict(com_w is None, com_w),
+        antisymmetric=verdict(anti),
+        jacobi=verdict(jacobi),
+        associative=verdict(assoc),
+        commutative=verdict(comm),
     )
 
 
 def nilpotency_class(alg: StructureConstantAlgebra):
     """Smallest c with gamma_{c+1} = 0 over Q, or None when the series
-    stabilizes at a nonzero term.  Ranks decide; torsion is not modeled."""
+    stabilizes at a nonzero term.  Ranks decide; torsion is not modeled.
+
+    A basis of gamma_{c+1} is the rref of the products u e_b, u running over a
+    basis of gamma_c; as gamma_{c+1} lies in gamma_c, equal ranks mean equal
+    spaces."""
     n = alg.rank
     basis = [alg.basis_vector(i) for i in range(1, n + 1)]
-    current = basis  # gamma_1 spanning set
-    current_dim = n
-    for c in range(1, 2 * n + 3):
-        space = RowSpace(n)
-        for u in current:
-            for b in basis:
-                space.add(multiply(alg, [Fraction(x) for x in u], b))
-        if space.dim == 0:
+    current = basis  # a basis of gamma_c
+    for c in count(1):
+        space, _ = rref([multiply(alg, u, b) for u in current for b in basis], n)
+        if not space:
             return c
-        # stabilization means equal spans, not just equal dimensions
-        if space.dim == current_dim:
-            joint = RowSpace(n)
-            for v in current:
-                joint.add(v)
-            for v in space.basis():
-                joint.add(v)
-            if joint.dim == current_dim:
-                return None
-        current = space.basis()
-        current_dim = space.dim
-    return None
+        if len(space) == len(current):
+            return None
+        current = space
 
 
 def scale(alg: StructureConstantAlgebra, p: int, i: int) -> StructureConstantAlgebra:
@@ -462,11 +413,14 @@ def _load_object(path, kind, int_fields):
 
 def load_algebra(path) -> StructureConstantAlgebra:
     data = _load_object(path, "ring", ("rank",))
+    flags = data.get("flags", [])
+    if not (isinstance(flags, list) and all(isinstance(f, str) for f in flags)):
+        raise MalformedInputError(f"ring file {path}: flags must be a list of strings")
     return StructureConstantAlgebra(
         data.get("name", str(path)),
         data["rank"],
         _constants_from_json(data.get("constants", [])),
-        data.get("flags", []),
+        flags,
     )
 
 

@@ -404,7 +404,7 @@ def _positive_int(text):
 
 def _nonnegative_int(text):
     """Truncation bounds (--max-index, --max-exp, --depth, --scale-exp, --max-m,
-    --primes-up-to) and the symmetric-group degree (coxeter check --n)."""
+    --primes-up-to, cone --bound) and the symmetric-group degree (coxeter check --n)."""
     n = _int(text)
     if n < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
@@ -489,7 +489,7 @@ def build_parser():
         cc = conesub.add_parser(name, parents=[common])
         cc.add_argument("--system", required=True, help="JSON file: {phi: [[..]], kinds: [..]}")
         if with_bound:
-            cc.add_argument("--bound", type=int, default=6)
+            cc.add_argument("--bound", type=_nonnegative_int, default=6)
             cc.add_argument("--strict", action="store_true")
         cc.set_defaults(handler=cmd_cone)
 

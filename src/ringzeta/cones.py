@@ -79,9 +79,19 @@ class DiophantineConeSystem:
 
     @classmethod
     def from_json(cls, path):
+        """Read {"phi": [[int, ..], ..], "kinds": [str, ..], "name": ..}; kinds optional."""
         with open(path) as fh:
             data = json.load(fh)
-        return cls(data["phi"], data.get("kinds"), name=data.get("name", str(path)))
+        if not isinstance(data, dict):
+            raise MalformedInputError(f"cone file {path} must hold a JSON object")
+        phi, kinds = data.get("phi"), data.get("kinds")
+        if not (isinstance(phi, list) and phi and all(
+                isinstance(row, list) and all(type(x) is int for x in row) for row in phi)):
+            raise MalformedInputError(f"cone file {path}: phi must be a nonempty list of integer rows")
+        if kinds is not None and not (isinstance(kinds, list)
+                                      and all(isinstance(k, str) for k in kinds)):
+            raise MalformedInputError(f"cone file {path}: kinds must be a list of strings")
+        return cls(phi, kinds, name=data.get("name", str(path)))
 
     def __repr__(self):
         return f"DiophantineConeSystem(m={self.m}, rank={self.rank})"

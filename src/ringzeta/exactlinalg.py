@@ -1,4 +1,8 @@
-"""Small exact linear algebra helpers over Q, Z and Z/p^E (Fraction / int, no floats)."""
+"""Small exact linear algebra helpers over Q, Z and Z/p^E (Fraction / int, no floats).
+
+Over Q, `rref` is the one row-echelon routine: `rank`, `nullspace` and
+`solve_exact` read off it, and so do the cone computations and the lower
+central series of `algebra.nilpotency_class`."""
 
 import math
 from fractions import Fraction
@@ -60,41 +64,6 @@ def solve_exact(rows, rhs):
     for r, pc in enumerate(pivots):
         x[pc] = red[r][ncols]
     return x
-
-
-class RowSpace:
-    """Incrementally maintained rational row space (for lower-central series)."""
-
-    def __init__(self, ncols):
-        self.ncols = ncols
-        self.rows = []  # kept in echelon form
-        self.pivots = []
-
-    def add(self, vec):
-        """Reduce vec against the basis; absorb it if independent.  Returns True if it grew."""
-        v = [Fraction(x) for x in vec]
-        for row, p in zip(self.rows, self.pivots):
-            if v[p] != 0:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
-        lead = next((c for c in range(self.ncols) if v[c] != 0), None)
-        if lead is None:
-            return False
-        inv = v[lead]
-        v = [x / inv for x in v]
-        self.rows.append(v)
-        self.pivots.append(lead)
-        order = sorted(range(len(self.pivots)), key=lambda i: self.pivots[i])
-        self.rows = [self.rows[i] for i in order]
-        self.pivots = [self.pivots[i] for i in order]
-        return True
-
-    @property
-    def dim(self):
-        return len(self.rows)
-
-    def basis(self):
-        return [tuple(row) for row in self.rows]
 
 
 def diagonalize_rowlattice(A):

@@ -22,6 +22,7 @@ from .errors import (
     MalformedInputError,
     ResourceGuardError,
 )
+from .latticezeta import sublattice_count_prediction
 from .poly import Polynomial
 from .ratfun import XY, BivariateRationalFunction, LocalDirichletTruncation
 
@@ -318,21 +319,10 @@ def theorem3d_zeta(
             correction[k] = pref * total
     coeffs = []
     for k in range(K + 1):
-        abelian = _abelian_rank3_coefficient(p, k)
-        val = abelian - correction[k]
+        val = sublattice_count_prediction(3, p, k) - correction[k]
         if val.denominator != 1 or val < 0:
             raise InternalConsistencyError(
                 f"assembled coefficient a[{k}] = {val} is not a non-negative integer"
             )
         coeffs.append(int(val))
     return LocalDirichletTruncation(p, tuple(coeffs))
-
-
-def _abelian_rank3_coefficient(p, k):
-    # coefficient of t^k in 1/((1-t)(1-pt)(1-p^2 t))
-    total = 0
-    for a in range(k + 1):
-        for b in range(k + 1 - a):
-            c = k - a - b
-            total += p**b * p ** (2 * c)
-    return Fraction(total)

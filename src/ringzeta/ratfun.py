@@ -377,7 +377,7 @@ def _primes_up_to(n):
 
 def _expand_once(f: BivariateRationalFunction, D: int):
     """(primes, depth) -> [expand(f, p, depth).coefficients for p in primes]
-    for depth <= D, from one expansion of f.
+    for depth <= D, from one expansion of f where the band allows it.
 
     With the denominator sum_j d_j(X) Y^j and the numerator sum_k n_k(X) Y^k,
     the Y^k coefficient of f is N_k(X) / c0(X)^(k - ymin + 1) for
@@ -386,11 +386,11 @@ def _expand_once(f: BivariateRationalFunction, D: int):
     division kept free of denominators).  Only N_k and c0 meet the prime.
 
     A band of primes is evaluated term by term, in int arithmetic, when c0
-    and the N_k have int coefficients and no negative X-power.  Its rows are
-    the values of N_k themselves when c0 is 1, no negative Y-power survives
-    and a[p^0] is 1 at every prime of the band; any other band goes prime by
-    prime, in ascending order, and so raises what expand(f, p, depth) would
-    at its first failing prime.
+    and the N_k have int coefficients and no negative X-power, c0 is 1, no
+    negative Y-power survives and a[p^0] is 1 at every prime of the band:
+    its rows are then the values of N_k themselves.  Any other band is
+    expanded prime by prime with expand(f, p, depth), in ascending order, and
+    so raises what that does at its first failing prime.
     """
     num = f.num.slices(1)
     ymin = min(0, min(num, default=0))
@@ -409,25 +409,13 @@ def _expand_once(f: BivariateRationalFunction, D: int):
                 s = s - d[j] * N[i - j] * c0_pow[j - 1]
         N.append(s)
     ints = all(type(c) is int and ex >= 0 for s in (c0, *N) for (ex, _), c in s.terms.items())
-    N_at = [_evaluator(s) for s in N]
-    c0_at = _evaluator(c0)
-
-    def at(p, depth):
-        c = c0_at(p)
-        if c == 0:  # not expandable at p: the per-prime expansion names the error
-            return expand(f, p, depth).coefficients
-        vals = [N_at[i](p) if c == 1 else Fraction(N_at[i](p)) / c ** (i + 1)
-                for i in range(depth - ymin + 1)]
-        if any(vals[:-ymin]):
-            raise NonExpandableError("negative Y-powers survive expansion")
-        return _integral_truncation(p, vals[-ymin:]).coefficients
 
     def band(primes, depth):
         if ints and all(v == 1 for v in _band_values(c0, primes)):
             rows = [_band_values(N[i], primes) for i in range(depth - ymin + 1)]
             if not any(map(any, rows[:-ymin])) and all(v == 1 for v in rows[-ymin]):
                 return list(zip(*rows[-ymin:]))
-        return [at(p, depth) for p in primes]
+        return [expand(f, p, depth).coefficients for p in primes]
 
     return band
 
@@ -445,8 +433,9 @@ def euler_product(factor, primes_up_to: int, bound: int) -> GlobalDirichletTrunc
 
     factor is either a BivariateRationalFunction W, the same at every prime
     (zeta_p(s) = W(p, p^{-s})), which is expanded once as a Y-series with
-    coefficients in X and evaluated over each band of primes of one depth,
-    raising what expand(W, p, depth) would; or a callable
+    coefficients in X and evaluated over each band of primes of one depth (a
+    band off the int fast path of `_expand_once` takes expand(W, p, depth) at
+    each prime, and raises what that raises); or a callable
     p -> LocalDirichletTruncation of sufficient depth.  A prime p has depth d
     when p^d <= bound < p^(d+1).  Raises CoverageError, naming the least
     prime in (primes_up_to, bound], when there is one.
@@ -553,9 +542,10 @@ _FORMULAS = None
 
 
 def _formulas():
+    """Name -> formula data; keys starting with '_' document the file."""
     global _FORMULAS
     if _FORMULAS is None:
-        _FORMULAS = _load_formula_file()
+        _FORMULAS = {k: v for k, v in _load_formula_file().items() if not k.startswith("_")}
     return _FORMULAS
 
 

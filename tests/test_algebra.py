@@ -1,4 +1,7 @@
 import json
+import math
+import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -214,3 +217,87 @@ def test_catalog_lie_entries_pass_jacobi_exhaustively():
         report = algebra.validate(alg)
         assert report.jacobi.holds, alg.name
         assert report.antisymmetric.holds, alg.name
+
+
+def _definition_report(alg):
+    """Each axiom checked from its definition with `multiply` on basis
+    vectors; the witness is the first failing triple in the scan order."""
+    n = alg.rank
+    e = [None] + [alg.basis_vector(i) for i in range(1, n + 1)]
+
+    def mul(u, v):
+        return algebra.multiply(alg, u, v)
+
+    def add(*vectors):
+        return tuple(map(sum, zip(*vectors)))
+
+    def first(triples, fails):
+        return next((t for t in triples if fails(*t)), None)
+
+    def anti_sum(i, j):
+        return add(mul(e[i], e[j]), mul(e[j], e[i])) if i != j else mul(e[i], e[i])
+
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    anti = first([(i, j, l) for i, j in pairs for l in range(1, n + 1)],
+                 lambda i, j, l: anti_sum(i, j)[l - 1])
+    triples = list(product(range(1, n + 1), repeat=3))
+    jacobi = first(triples, lambda i, j, k: any(add(
+        mul(e[i], mul(e[j], e[k])), mul(e[j], mul(e[k], e[i])), mul(e[k], mul(e[i], e[j])))))
+    assoc = first(triples, lambda i, j, k: mul(mul(e[i], e[j]), e[k]) != mul(e[i], mul(e[j], e[k])))
+    comm = first([(i, j, None) for i, j in pairs if i < j],
+                 lambda i, j, _: mul(e[i], e[j]) != mul(e[j], e[i]))
+    return {name: {"holds": w is None, "witness": w} for name, w in (
+        ("antisymmetric", anti), ("jacobi", jacobi), ("associative", assoc), ("commutative", comm))}
+
+
+def _definition_class(alg):
+    """The least c <= n such that every left-normed product of c + 1 basis
+    vectors vanishes, else None; products are kept up to sign and content."""
+    n = alg.rank
+    basis = [alg.basis_vector(i) for i in range(1, n + 1)]
+    products = set(basis)
+    for c in range(1, n + 1):
+        nxt = set()
+        for u in products:
+            for b in basis:
+                v = algebra.multiply(alg, u, b)
+                if any(v):
+                    g = math.gcd(*v) * (1 if next(x for x in v if x) > 0 else -1)
+                    nxt.add(tuple(x // g for x in v))
+        if not nxt:
+            return c
+        products = nxt
+    return None
+
+
+def _random_ring(rng):
+    """Sparse constants, optionally antisymmetrized or symmetrized, with the
+    output index optionally above both inputs (a nilpotent ring)."""
+    n = rng.randint(1, 5)
+    shape, upper = rng.choice(["free", "anti", "sym"]), n > 1 and rng.random() < 0.5
+    constants = {}
+    for _ in range(rng.randint(0, 2 * n)):
+        i, j = rng.randint(1, n - upper), rng.randint(1, n - upper)
+        if shape == "anti" and i == j:
+            continue
+        k = rng.randint(max(i, j) + 1, n) if upper else rng.randint(1, n)
+        v = rng.choice([-2, -1, 1, 1, 2])
+        constants[(i, j, k)] = v
+        if shape != "free" and i != j:
+            constants[(j, i, k)] = -v if shape == "anti" else v
+    return algebra.StructureConstantAlgebra("random", n, constants)
+
+
+def test_validate_and_nilpotency_class_match_their_definitions():
+    rng = random.Random(7)
+    combinations, classes = set(), set()
+    for _ in range(2000):
+        alg = _random_ring(rng)
+        report = algebra.validate(alg).as_dict()
+        assert report == _definition_report(alg), alg.constants
+        nc = algebra.nilpotency_class(alg)
+        assert nc == _definition_class(alg), alg.constants
+        combinations.add(tuple(v["holds"] for v in report.values()))
+        classes.add(nc)
+    assert len(combinations) >= 10
+    assert classes >= {None, 1, 2, 3, 4}

@@ -161,6 +161,15 @@ def test_lookup_errors_print_the_bare_message(capsys):
     assert capsys.readouterr().err == "usage error: unknown catalog presentation 'nosuch'\n"
 
 
+def test_formula_file_schema_is_not_a_formula(capsys):
+    from ringzeta import ratfun
+
+    assert not [name for name in ratfun.formula_names() if name.startswith("_")]
+    assert cli.main(["zeta", "formula", "--name", "_schema", "--prime", "3",
+                     "--max-index", "2"]) == 2
+    assert capsys.readouterr().err == "usage error: unknown formula '_schema'\n"
+
+
 def test_guard_exit_three():
     code, _ = run(
         ["--ceiling", "10", "zeta", "count", "--ring", "catalog:abelian(4)",
@@ -301,6 +310,51 @@ def test_ring_validate_malformed_file_is_a_usage_error(tmp_path, doc):
     ring = tmp_path / "ring.json"
     ring.write_text(json.dumps(doc))
     assert run(["ring", "validate", "--ring", str(ring)])[0] == 2
+
+
+@pytest.mark.parametrize("flags", [5, "lie", [1], [["lie"]]])
+def test_ring_flags_must_be_a_list_of_strings(tmp_path, capsys, flags):
+    ring = tmp_path / "ring.json"
+    ring.write_text(json.dumps({"rank": 3, "flags": flags}))
+    assert run(["ring", "validate", "--ring", str(ring)])[0] == 2
+    assert "flags must be a list of strings" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    {"phi": [[1.5, -1]]},  # was truncated to the ray 1 1
+    {"phi": [["2", -1]]},
+    {"phi": [[True, -1]]},
+    {},
+    [1],
+    {"phi": "ab"},
+    {"phi": [1, 2]},
+    {"phi": [[1, -1]], "kinds": "eq"},
+])
+@pytest.mark.parametrize("command", ["rays", "series"])
+def test_cone_malformed_system_is_a_usage_error(tmp_path, capsys, doc, command):
+    system = tmp_path / "cone.json"
+    system.write_text(json.dumps(doc))
+    assert run(["cone", command, "--system", str(system)]) == (2, "")
+    assert capsys.readouterr().err.startswith("usage error: cone file ")
+
+
+def test_cone_negative_bound_is_a_usage_error(capsys):
+    argv = ["cone", "series", "--system", str(DATA / "stanley_cone.json"), "--bound", "-1"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "--bound: must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ring, witnesses", [
+    ("catalog:sl2", {"associative": "(1, 1, 2)", "commutative": "(1, 2, None)"}),
+    ("catalog:componentwise(3)", {"antisymmetric": "(1, 1, 1)", "jacobi": "(1, 1, 1)"}),
+])
+def test_ring_validate_witnesses(ring, witnesses):
+    code, out = run(["ring", "validate", "--ring", ring, "--output", "json"])
+    rows = json.loads(out)["rows"]
+    assert code == 0
+    assert {r["axiom"]: r["witness"] for r in rows if not r["holds"]} == witnesses
 
 
 @pytest.mark.parametrize("doc", [[2, 1], {"d": 2, "dprime": "1"}, {"d": 2.0, "dprime": 1}])
