@@ -295,10 +295,12 @@ def catalog(name: str, param: int | None = None) -> StructureConstantAlgebra:
             f"abelian({n})", n, {}, ("antisymmetric", "lie", "associative", "commutative")
         )
     if name == "heisenberg":
+        _refuse_param(name, param)
         return StructureConstantAlgebra(
             "heisenberg", 3, {(1, 2, 3): 1, (2, 1, 3): -1}, ("antisymmetric", "lie")
         )
     if name == "sl2":
+        _refuse_param(name, param)
         constants = {
             (1, 2, 3): 1, (2, 1, 3): -1,   # [e, f] = h
             (3, 1, 1): 2, (1, 3, 1): -2,   # [h, e] = 2e
@@ -321,6 +323,7 @@ def catalog(name: str, param: int | None = None) -> StructureConstantAlgebra:
             ("associative", "commutative"),
         )
     if name == "dusautoy_ec":
+        _refuse_param(name, param)
         return StructureConstantAlgebra(
             "dusautoy_ec",
             9,
@@ -338,15 +341,22 @@ def _require_param(name, param):
     return param
 
 
+def _refuse_param(name, param):
+    if param is not None:
+        raise MalformedInputError(f"catalog entry {name!r} takes no parameter")
+
+
 @lru_cache(maxsize=None)
 def catalog_presentation(name: str, param: int | None = None) -> Class2Presentation:
     if name == "heisenberg":
+        _refuse_param(name, param)
         return Class2Presentation("heisenberg", 2, 1, {(1, 2, 1): 1, (2, 1, 1): -1})
     if name == "free_nilpotent_2_d":
         d = _require_param(name, param)
         pairs, constants = _free_nilpotent_2_constants(d)
         return Class2Presentation(f"free_nilpotent_2_{d}", d, len(pairs), constants)
     if name == "dusautoy_ec":
+        _refuse_param(name, param)
         return Class2Presentation("dusautoy_ec", 6, 3, _dusautoy_constants())
     raise LookupError_(f"unknown catalog presentation {name!r}")
 
@@ -398,11 +408,14 @@ def _constants_from_json(entries):
 
 
 def _load_object(path, kind, int_fields):
-    """The JSON object in `path`, with each of `int_fields` present and an integer."""
+    """The JSON object in `path`, with each of `int_fields` present and an
+    integer, and `name`, when present, a string."""
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise MalformedInputError(f"{kind} file {path} must hold a JSON object")
+    if not isinstance(data.get("name", ""), str):
+        raise MalformedInputError(f"{kind} file {path}: name must be a string")
     for field in int_fields:
         if field not in data:
             raise MalformedInputError(f"{kind} file {path} missing field {field!r}")

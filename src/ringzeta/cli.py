@@ -92,11 +92,12 @@ def _guard_preview(args, alg):
     """Say on stderr what --ceiling bounds on the path `latticezeta.count`
     takes.  Only the enumerate path has a prediction: the sublattices of index
     up to p^K, confirmed at a terminal above 10^6."""
-    if args.mode == "ideals" and latticezeta._central_split(alg):
+    path = latticezeta.count_path(alg, args.mode)[0]
+    if path == "central sum":
         print(f"resource guard: central sum, --ceiling {args.ceiling} bounds the central "
               "lattices walked and the points of the rank walk", file=sys.stderr)
         return
-    if latticezeta._search_order(alg, args.mode) is not None:
+    if path == "row search":
         print(f"resource guard: row search, --ceiling {args.ceiling} bounds the search nodes",
               file=sys.stderr)
         return

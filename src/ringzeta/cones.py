@@ -91,6 +91,8 @@ class DiophantineConeSystem:
         if kinds is not None and not (isinstance(kinds, list)
                                       and all(isinstance(k, str) for k in kinds)):
             raise MalformedInputError(f"cone file {path}: kinds must be a list of strings")
+        if not isinstance(data.get("name", ""), str):
+            raise MalformedInputError(f"cone file {path}: name must be a string")
         return cls(phi, kinds, name=data.get("name", str(path)))
 
     def __repr__(self):

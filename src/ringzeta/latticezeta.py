@@ -251,7 +251,7 @@ def count(
 ) -> LocalDirichletTruncation:
     """a[k] = number of index-p^k objects of the requested kind, k = 0..K.
 
-    Three paths, the first that applies:
+    Three paths, the first that applies (`count_path` names it):
     - ideals of a ring that is class 2 in its given basis (see
       `_central_split`): the central sum `_central_counts`.  `ceiling` bounds
       its nodes, one per point of P^(d'-1)(F_p) in the rank walk and one per
@@ -269,23 +269,33 @@ def count(
     """
     if mode not in MODES:
         raise MalformedInputError(f"mode must be one of {MODES}")
-    split = _central_split(alg) if mode == "ideals" else None
-    order = None if split else _search_order(alg, mode)
-    if split:
-        coeffs = _central_counts(alg, p, K, ceiling, *split)
-    elif order is None:
+    path, how = count_path(alg, mode)
+    if path == "central sum":
+        coeffs = _central_counts(alg, p, K, ceiling, *how)
+    elif path == "enumeration":
         coeffs = _brute_counts(alg, p, K, mode, ceiling)
     else:
         if mode == "sublattices":
             alg, mode = catalog("abelian", alg.rank), "ideals"
-        elif order != list(range(alg.rank)):
-            pos = {c + 1: t + 1 for t, c in enumerate(order)}
+        elif how != list(range(alg.rank)):
+            pos = {c + 1: t + 1 for t, c in enumerate(how)}
             constants = {
                 (pos[a], pos[b], pos[k]): c for (a, b, k), c in alg.constants.items()
             }
             alg = StructureConstantAlgebra(alg.name, alg.rank, constants, alg.flags)
         coeffs = _search_counts(alg, p, K, mode, ceiling)
     return LocalDirichletTruncation(p, tuple(coeffs))
+
+
+def count_path(alg: StructureConstantAlgebra, mode: str):
+    """The path `count` takes, as (name, what it needs): ("central sum", the
+    split of `_central_split`), ("row search", the order of `_search_order`)
+    or ("enumeration", None), the first that applies."""
+    split = _central_split(alg) if mode == "ideals" else None
+    if split:
+        return "central sum", split
+    order = _search_order(alg, mode)
+    return ("enumeration", None) if order is None else ("row search", order)
 
 
 def _brute_counts(alg, p, K, mode, ceiling):

@@ -161,6 +161,9 @@ def invert_prime(f: BivariateRationalFunction) -> BivariateRationalFunction:
 # series expansion
 
 
+_UNIT_LEADING = "a[p^0] must be 1 for zeta-type counting"
+
+
 @dataclass(frozen=True)
 class LocalDirichletTruncation:
     """Coefficients a[k] of p^{-ks}, k = 0..K, as exact integers."""
@@ -170,7 +173,7 @@ class LocalDirichletTruncation:
 
     def __post_init__(self):
         if self.coefficients and self.coefficients[0] != 1:
-            raise MalformedInputError("a[p^0] must be 1 for zeta-type counting")
+            raise MalformedInputError(_UNIT_LEADING)
 
     @property
     def depth(self):
@@ -181,28 +184,79 @@ class LocalDirichletTruncation:
 
 
 def expand_series(f: BivariateRationalFunction, p: int, K: int) -> list[Fraction]:
-    """Coefficients of Y^0..Y^K of f at X = p, as exact Fractions."""
-    num = _at_prime(f.num, p)
-    if not num:
-        return [Fraction(0)] * (K + 1)
-    shift = min(0, min(num))
-    order = K - shift
-    den = _at_prime(_denominator(f, order), p)
-    if not den.get(0):
-        raise NonExpandableError("denominator vanishes at Y = 0")
-    inv = _series_inverse(den, order)
-    coeffs = [Fraction(0)] * (order + 1)
-    for ey, c in num.items():
-        if ey - shift > order:
+    """Coefficients of Y^0..Y^K of f at X = p, as exact Fractions (`_series`
+    at the one prime)."""
+    cols, _, error = _series(f, [p], K)
+    if error:
+        raise error
+    return [Fraction(col[0]) for col in cols]
+
+
+def expand(f: BivariateRationalFunction, p: int, K: int) -> LocalDirichletTruncation:
+    """Integer Dirichlet truncation of a catalog-style Euler factor."""
+    return _integral_truncation(p, expand_series(f, p, K))
+
+
+def _integral_truncation(p, coeffs):
+    return LocalDirichletTruncation(p, _rows([[c] for c in coeffs], 1, None)[0])
+
+
+def _series(f, primes, K):
+    """The Y^0..Y^K coefficients of f at X = p for every p in primes, as
+    columns (one list over the primes per power of Y), and the index of the
+    least prime that fails with its NonExpandableError (len(primes) and None
+    when none does).
+
+    With the numerator sum_k n_k(X) Y^k, whose least Y-power is ymin <= 0,
+    and the denominator sum_j d_j(X) Y^j capped at Y^(K - ymin), the division
+    a_k = (n_k - sum_{j>=1} d_j a_{k-j}) / d_0 runs for k = ymin..K over the
+    whole list at once, each slice evaluated by `_band_values`; it stays in
+    int arithmetic when d_0 is 1 at every prime.  A prime fails where d_0
+    vanishes under a nonzero numerator (checked first), or where a_k != 0 for
+    some k < 0.  A prime where the whole numerator vanishes gets zeros.
+    """
+    num = f.num.slices(1)
+    ymin = min(0, min(num, default=0))
+    d = {j: _band_values(s, primes) for j, s in _denominator(f, K - ymin).slices(1).items()}
+    zeros = [0] * len(primes)
+    d0 = d.pop(0, zeros)
+    stop, error = len(primes), None
+    if 0 in d0:
+        values = zip(d0, *(_band_values(s, primes) for s in num.values()))
+        i = next((i for i, (c, *ns) in enumerate(values) if not c and any(ns)), stop)
+        if i < stop:
+            stop, error = i, NonExpandableError("denominator vanishes at Y = 0")
+    inv = None if d0.count(1) == len(d0) else [1 / Fraction(c or 1) for c in d0]
+    a = []  # a[i] is the column of Y^(i + ymin)
+    for i in range(K - ymin + 1):
+        col = _band_values(num[i + ymin], primes) if i + ymin in num else zeros
+        for j, dj in d.items():
+            if j <= i:
+                col = [c - x * y for c, x, y in zip(col, dj, a[i - j])]
+        a.append(col if inv is None else [c * v for c, v in zip(col, inv)])
+    for col in a[:-ymin]:
+        i = next((i for i, c in enumerate(col[:stop]) if c), stop)
+        if i < stop:
+            stop, error = i, NonExpandableError("negative Y-powers survive expansion")
+    return a[-ymin:], stop, error
+
+
+def _rows(cols, stop, error):
+    """expand's coefficient tuples, one per prime, from `_series`'s columns:
+    raises what expand raises at the least prime that fails, the error of
+    `_series` there, a coefficient that is not an integer, or a[p^0] != 1."""
+    for k, col in enumerate(cols):
+        if set(map(type, col)) <= {int}:
             continue
-        for k in range(0, order + 1 - (ey - shift)):
-            coeffs[ey - shift + k] += c * inv[k]
-    if shift < 0:
-        for k in range(-shift):
-            if coeffs[k]:
-                raise NonExpandableError("negative Y-powers survive expansion")
-        coeffs = coeffs[-shift:]
-    return coeffs[: K + 1]
+        i = next((i for i, c in enumerate(col[:stop]) if c.denominator != 1), stop)
+        if i < stop:
+            stop, error = i, NonExpandableError(f"coefficient of Y^{k} is not an integer: {col[i]}")
+        cols[k] = list(map(int, col))
+    if cols[0][:stop].count(1) < stop:
+        raise MalformedInputError(_UNIT_LEADING)
+    if error:
+        raise error
+    return list(zip(*cols))
 
 
 def _denominator(f, order):
@@ -218,44 +272,15 @@ def _denominator(f, order):
     return den
 
 
-def _evaluator(poly):
-    """p -> poly at X = p, for a polynomial free of Y, in int arithmetic unless
-    a coefficient or a negative exponent needs Fraction.  It does not go
-    through Polynomial.evaluate, whose calls count the Igusa points."""
-    terms = [(ex, c) for (ex, _), c in poly.terms.items()]
-    exact = all(ex >= 0 for ex, _ in terms)
-    return lambda p: sum(c * (p if exact else Fraction(p)) ** ex for ex, c in terms)
-
-
-def _at_prime(poly, p):
-    """Y-exponent -> the nonzero value at X = p of that Y-power's coefficient."""
-    values = {ey: _evaluator(s)(p) for ey, s in poly.slices(1).items()}
-    return {ey: v for ey, v in values.items() if v}
-
-
-def _series_inverse(den, order):
-    c0 = Fraction(den[0])
-    inv = [Fraction(0)] * (order + 1)
-    inv[0] = 1 / c0
-    for k in range(1, order + 1):
-        s = Fraction(0)
-        for j, cj in den.items():
-            if 1 <= j <= k:
-                s += cj * inv[k - j]
-        inv[k] = -s / c0
-    return inv
-
-
-def expand(f: BivariateRationalFunction, p: int, K: int) -> LocalDirichletTruncation:
-    """Integer Dirichlet truncation of a catalog-style Euler factor."""
-    return _integral_truncation(p, expand_series(f, p, K))
-
-
-def _integral_truncation(p, coeffs):
-    for k, c in enumerate(coeffs):
-        if c.denominator != 1:
-            raise NonExpandableError(f"coefficient of Y^{k} is not an integer: {c}")
-    return LocalDirichletTruncation(p, tuple(map(int, coeffs)))
+def _band_values(poly, primes):
+    """[poly at X = p for p in primes], for a polynomial free of Y, one pass
+    over the list per term; a negative X-power goes through Fraction.  It does
+    not call Polynomial.evaluate, whose calls count the Igusa points."""
+    values = [0] * len(primes)
+    for (ex, _), c in poly.terms.items():
+        xs = primes if ex >= 0 else [Fraction(p) for p in primes]
+        values = [v + c * x**ex for v, x in zip(values, xs)]
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -375,67 +400,13 @@ def _primes_up_to(n):
     return list(compress(range(n + 1), sieve))
 
 
-def _expand_once(f: BivariateRationalFunction, D: int):
-    """(primes, depth) -> [expand(f, p, depth).coefficients for p in primes]
-    for depth <= D, from one expansion of f where the band allows it.
-
-    With the denominator sum_j d_j(X) Y^j and the numerator sum_k n_k(X) Y^k,
-    the Y^k coefficient of f is N_k(X) / c0(X)^(k - ymin + 1) for
-    k = ymin..D, where c0 = d_0, ymin <= 0 is the numerator's lowest Y-power
-    and N_k = n_k c0^(k - ymin) - sum_{j>=1} d_j N_{k-j} c0^(j-1) (series
-    division kept free of denominators).  Only N_k and c0 meet the prime.
-
-    A band of primes is evaluated term by term, in int arithmetic, when c0
-    and the N_k have int coefficients and no negative X-power, c0 is 1, no
-    negative Y-power survives and a[p^0] is 1 at every prime of the band:
-    its rows are then the values of N_k themselves.  Any other band is
-    expanded prime by prime with expand(f, p, depth), in ascending order, and
-    so raises what that does at its first failing prime.
-    """
-    num = f.num.slices(1)
-    ymin = min(0, min(num, default=0))
-    order = D - ymin
-    d = _denominator(f, order).slices(1)
-    zero = Polynomial(XY)
-    c0 = d.get(0, zero)
-    c0_pow = [Polynomial(XY, {(0, 0): 1})]
-    for _ in range(order):
-        c0_pow.append(c0_pow[-1] * c0)
-    N = []
-    for i in range(order + 1):  # i = k - ymin
-        s = num.get(i + ymin, zero) * c0_pow[i]
-        for j in range(1, i + 1):
-            if j in d:
-                s = s - d[j] * N[i - j] * c0_pow[j - 1]
-        N.append(s)
-    ints = all(type(c) is int and ex >= 0 for s in (c0, *N) for (ex, _), c in s.terms.items())
-
-    def band(primes, depth):
-        if ints and all(v == 1 for v in _band_values(c0, primes)):
-            rows = [_band_values(N[i], primes) for i in range(depth - ymin + 1)]
-            if not any(map(any, rows[:-ymin])) and all(v == 1 for v in rows[-ymin]):
-                return list(zip(*rows[-ymin:]))
-        return [expand(f, p, depth).coefficients for p in primes]
-
-    return band
-
-
-def _band_values(poly, primes):
-    """[poly at X = p for p in primes], one pass over the band per term."""
-    values = [0] * len(primes)
-    for (ex, _), c in poly.terms.items():
-        values = [v + c * p**ex for v, p in zip(values, primes)]
-    return values
-
-
 def euler_product(factor, primes_up_to: int, bound: int) -> GlobalDirichletTruncation:
     """Assemble a_m for m <= bound from local factors at all primes <= primes_up_to.
 
     factor is either a BivariateRationalFunction W, the same at every prime
-    (zeta_p(s) = W(p, p^{-s})), which is expanded once as a Y-series with
-    coefficients in X and evaluated over each band of primes of one depth (a
-    band off the int fast path of `_expand_once` takes expand(W, p, depth) at
-    each prime, and raises what that raises); or a callable
+    (zeta_p(s) = W(p, p^{-s})), expanded by one series division (`_series`)
+    over each band of primes of one depth, which raises what expand(W, p,
+    depth) raises at the least prime that fails; or a callable
     p -> LocalDirichletTruncation of sufficient depth.  A prime p has depth d
     when p^d <= bound < p^(d+1).  Raises CoverageError, naming the least
     prime in (primes_up_to, bound], when there is one.
@@ -447,12 +418,11 @@ def euler_product(factor, primes_up_to: int, bound: int) -> GlobalDirichletTrunc
     # cuts[d] counts the primes with p^d <= bound: band d is primes[cuts[d + 1]:cuts[d]]
     cuts = [len(primes)] + [bisect_right(primes, bound, key=lambda p: p**d)
                             for d in range(1, D + 2)]
-    band = _expand_once(factor, D) if isinstance(factor, BivariateRationalFunction) else None
     local = {}
     for depth in range(D, -1, -1):  # ascending primes
         ps = primes[cuts[depth + 1] : cuts[depth]]
-        if band is not None:
-            local.update(zip(ps, band(ps, depth)))
+        if isinstance(factor, BivariateRationalFunction):
+            local.update(zip(ps, _rows(*_series(factor, ps, depth))))
             continue
         for p in ps:
             trunc = factor(p)
@@ -603,6 +573,8 @@ def formula_catalog(name: str, param: int | None = None):
     data = _formulas().get(base)
     if data is None:
         raise LookupError_(f"unknown formula {name!r}")
+    if param is not None:
+        raise MalformedInputError(f"formula {base!r} takes no parameter")
     if data["kind"] == "rational":
         return _rational_from_json(data)
     if data["kind"] == "hybrid":

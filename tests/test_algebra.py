@@ -162,6 +162,18 @@ def test_unknown_catalog_name():
         algebra.catalog("borel")
 
 
+def test_catalog_entry_without_parameter_refuses_one():
+    for name in ("heisenberg", "sl2", "dusautoy_ec"):
+        with pytest.raises(MalformedInputError, match="takes no parameter"):
+            algebra.catalog(name, 2)
+        assert algebra.catalog(name).name == name
+    for name in ("heisenberg", "dusautoy_ec"):
+        with pytest.raises(MalformedInputError, match="takes no parameter"):
+            algebra.catalog_presentation(name, 3)
+    with pytest.raises(MalformedInputError, match="takes no parameter"):
+        algebra.resolve_ring_spec("catalog:scale(heisenberg(2),3,1)")
+
+
 def test_ring_spec_resolution():
     assert algebra.resolve_ring_spec("catalog:abelian(3)").rank == 3
     scaled = algebra.resolve_ring_spec("catalog:scale(heisenberg,3,1)")

@@ -305,6 +305,7 @@ def test_ring_validate_file_and_catalog(tmp_path):
     {"constants": []},
     {"rank": 3, "constants": 5},
     {"rank": 3, "constants": [[1, 2, 3, "1"]]},
+    {"rank": 3, "name": {"a": 1}},  # was printed as the ring's name
 ])
 def test_ring_validate_malformed_file_is_a_usage_error(tmp_path, doc):
     ring = tmp_path / "ring.json"
@@ -329,6 +330,7 @@ def test_ring_flags_must_be_a_list_of_strings(tmp_path, capsys, flags):
     {"phi": "ab"},
     {"phi": [1, 2]},
     {"phi": [[1, -1]], "kinds": "eq"},
+    {"phi": [[1, -1]], "name": [1]},  # was printed as "system: [1]"
 ])
 @pytest.mark.parametrize("command", ["rays", "series"])
 def test_cone_malformed_system_is_a_usage_error(tmp_path, capsys, doc, command):
@@ -357,7 +359,20 @@ def test_ring_validate_witnesses(ring, witnesses):
     assert {r["axiom"]: r["witness"] for r in rows if not r["holds"]} == witnesses
 
 
-@pytest.mark.parametrize("doc", [[2, 1], {"d": 2, "dprime": "1"}, {"d": 2.0, "dprime": 1}])
+@pytest.mark.parametrize("argv", [
+    ["zeta", "count", "--ring", "catalog:heisenberg(2)", "--prime", "3", "--max-index", "2"],
+    ["ring", "validate", "--ring", "catalog:sl2(9)"],
+    ["rep", "zeta", "--presentation", "catalog:heisenberg(3)", "--prime", "3", "--max-exp", "1"],
+    ["zeta", "formula", "--name", "heisenberg_subring(7)", "--prime", "3", "--max-index", "2"],
+])
+def test_parameter_on_a_catalog_entry_without_one_is_a_usage_error(capsys, argv):
+    # each of these used to drop the parameter and run the plain entry
+    assert run(argv) == (2, "")
+    assert "takes no parameter" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [[2, 1], {"d": 2, "dprime": "1"}, {"d": 2.0, "dprime": 1},
+                                 {"d": 2, "dprime": 1, "name": 5}])
 def test_rep_zeta_malformed_presentation_is_a_usage_error(tmp_path, doc):
     pres = tmp_path / "pres.json"
     pres.write_text(json.dumps(doc))

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -327,6 +328,15 @@ def test_catalog_name_with_parameter_syntax():
     assert "zeta_Zn(n)" in ratfun.formula_names()
 
 
+def test_catalog_formula_without_parameter_refuses_one():
+    for call in (lambda: ratfun.formula_catalog("heisenberg_subring(7)"),
+                 lambda: ratfun.formula_catalog("dusautoy_rep", 2)):
+        with pytest.raises(MalformedInputError, match="takes no parameter"):
+            call()
+    with pytest.raises(LookupError_):
+        ratfun.formula_catalog("riemann(2)")
+
+
 def test_rational_equality_by_cross_multiplication():
     # 1/(1-Y) * 1/(1-XY) written with different factor bookkeeping
     a = zp_factor(0, 1) * zp_factor(1, 1)
@@ -466,3 +476,66 @@ def test_euler_product_expands_once_matches_per_prime_expand():
         values += isinstance(once, tuple)
         errors += once is NonExpandableError
     assert values >= 40 and errors >= 1, (values, errors)
+
+
+def _at_x(poly, p):
+    """poly at X = p, as a Laurent polynomial in Y alone, term by term."""
+    out = Polynomial(("Y",))
+    for (ex, ey), c in poly.terms.items():
+        out = out + Polynomial(("Y",), {(ey,): c * Fraction(p) ** ex})
+    return out
+
+
+def test_expand_series_times_the_denominator_is_the_numerator():
+    # an oracle that runs no series division: where expansion succeeds, the
+    # series times the denominator at X = p is the numerator at X = p up to
+    # Y^K; NonExpandableError comes exactly where d_0(p) = 0 under a nonzero
+    # numerator, or where the numerator at X = p keeps a negative Y-power;
+    # a quarter of the factors get d_0 = 0 at one of the primes
+    rng = random.Random(7919)
+    seen = Counter()
+    for _ in range(300):
+        f = _random_euler_factor(rng)
+        if rng.random() < 0.25:
+            q = rng.choice((2, 3, 5, 7))
+            f = f * BivariateRationalFunction(1, None, Polynomial(XY, {(0, 0): -q, (1, 0): 1}))
+        K = rng.randrange(0, 7)
+        for p in (2, 3, 5, 7):
+            num = _at_x(f.num, p)
+            den = _at_x(f.extra_den, p)
+            for (a, b), mult in f.den_factors.items():
+                for _ in range(mult):
+                    den = den * Polynomial(("Y",), {(0,): 1, (b,): -(p**a)})
+            vanishing = bool(num.terms) and (0,) not in den.terms
+            negative = bool(num.terms) and min(num.terms)[0] < 0
+            try:
+                series = expand_series(f, p, K)
+            except NonExpandableError:
+                assert vanishing or negative, (f, p, K)
+                seen["vanishing" if vanishing else "negative"] += 1
+                continue
+            assert not (vanishing or negative), (f, p, K)
+            product = Polynomial(("Y",), {(k,): c for k, c in enumerate(series)}) * den
+            assert ({e: c for e, c in product.terms.items() if e[0] <= K}
+                    == {e: c for e, c in num.terms.items() if e[0] <= K}), (f, p, K)
+            seen["expanded"] += 1
+    assert seen["expanded"] >= 600 and seen["vanishing"] >= 10 and seen["negative"] >= 10, seen
+
+
+def test_ratfun_never_calls_polynomial_evaluate(monkeypatch):
+    # the benchmark's tracer counts every Polynomial.evaluate call as an Igusa
+    # point, so expanding a catalog factor must not make one
+    calls = []
+    evaluate = Polynomial.evaluate
+    monkeypatch.setattr(Polynomial, "evaluate",
+                        lambda self, point: calls.append(point) or evaluate(self, point))
+    rational = [f for f in (ratfun.formula_catalog(name.replace("(n)", "(3)"))
+                            for name in ratfun.formula_names())
+                if isinstance(f, BivariateRationalFunction)]
+    assert len(rational) >= 10
+    for f in rational:
+        ratfun.euler_product(f, 300, 300)
+        for p in (2, 3, 5):
+            expand(f, p, 6)
+    assert calls == []
+    assert Polynomial(XY, {(1, 0): 2}).evaluate((3, 0)) == 6 and calls == [(3, 0)]
