@@ -220,14 +220,14 @@ def cmd_cone(args):
             "rows": [{"ray": " ".join(map(str, r))} for r in ex.rays],
         }, EXIT_PASS
     if args.cone_command == "series":
-        series = cones.brute_series(sys_, args.bound, strict=args.strict)
+        series = cones.brute_series(sys_, args.bound, strict=args.strict, ceiling=args.ceiling)
         rows = [
             {"exponents": " ".join(map(str, e)), "coefficient": c}
             for e, c in sorted(series.terms.items())
         ]
         return {"system": sys_.name, "bound": args.bound, "strict": args.strict, "rows": rows}, EXIT_PASS
     if args.cone_command == "ratform":
-        form = cones.rational_form(sys_)
+        form = cones.rational_form(sys_, ceiling=args.ceiling)
         rows = [
             {"part": "numerator", "exponents": " ".join(map(str, e)), "coefficient": c}
             for e, c in sorted(form.numerator.items())
@@ -235,16 +235,16 @@ def cmd_cone(args):
             {"part": "denominator-ray", "exponents": " ".join(map(str, r)), "coefficient": ""}
             for r in form.denominator_rays
         ]
-        check = cones.expand_form(form, args.bound)
+        check = cones.expand_form(form, args.bound, ceiling=args.ceiling)
         if sys_.slack_columns:
             check = check.marginalize(sys_.slack_columns)
-        agrees = check == cones.brute_series(sys_, args.bound, strict=False)
+        agrees = check == cones.brute_series(sys_, args.bound, ceiling=args.ceiling)
         return {
             "system": sys_.name,
             "expansion_matches_enumeration": agrees,
             "rows": rows,
         }, (EXIT_PASS if agrees else EXIT_INTERNAL)
-    verdict = cones.reciprocity_check(sys_, args.bound)
+    verdict = cones.reciprocity_check(sys_, args.bound, ceiling=args.ceiling)
     code = {"pass": EXIT_PASS, "fail": EXIT_FAIL, "inconclusive": EXIT_PASS}[verdict.status]
     return {"system": sys_.name, "status": verdict.status, "detail": verdict.detail}, code
 
@@ -444,7 +444,6 @@ def build_parser():
     # leaf copies from clobbering values parsed at the top level
     common = argparse.ArgumentParser(add_help=False)
     _add_common(common, suppress=True)
-    parser._ringzeta_common = common
     sub = parser.add_subparsers(dest="command", required=True)
 
     ring = sub.add_parser("ring", help="ring-level operations").add_subparsers(
@@ -491,6 +490,7 @@ def build_parser():
         cc.add_argument("--system", required=True, help="JSON file: {phi: [[..]], kinds: [..]}")
         if with_bound:
             cc.add_argument("--bound", type=_nonnegative_int, default=6)
+        if name == "series":
             cc.add_argument("--strict", action="store_true")
         cc.set_defaults(handler=cmd_cone)
 

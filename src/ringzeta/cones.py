@@ -7,11 +7,13 @@ defines the monoid E of non-negative integer solutions.  The module produces
   * the completely fundamental solutions (primitive extreme-ray generators),
   * an exact rational form: the cone is split into half-open simplicial
     subcones on the extreme rays, so the pieces partition the cone and the
-    series identity holds term by term with no inclusion-exclusion,
+    series identity holds term by term with no inclusion-exclusion; the
+    facets it cones over are coordinate faces, read off the rays' zeros,
   * Stanley-reciprocity verdicts, and monomial substitutions into Euler
     factors W(X, Y).
 
-All arithmetic is exact (int / Fraction).
+All arithmetic is exact (int / Fraction).  `ceiling` bounds the enumeration
+nodes, the parallelepiped cosets and the expansion terms, one walk at a time.
 """
 
 from __future__ import annotations
@@ -19,12 +21,12 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm, prod
 
-from .errors import MalformedInputError, PoleError, ResourceGuardError, UnsupportedError
-from .exactlinalg import diagonalize_rowlattice, nullspace, rank, rref, solve_exact
+from .errors import InternalConsistencyError, MalformedInputError, PoleError, ResourceGuardError
+from .exactlinalg import diagonalize_rowlattice, nullspace, rank, solve_exact
+from .latticezeta import DEFAULT_CEILING
 from .poly import Polynomial
 from .ratfun import XY, BivariateRationalFunction
 
@@ -122,9 +124,11 @@ class MultivariateSeriesTruncation:
         return MultivariateSeriesTruncation(self.m, self.bound, out)
 
 
-def brute_series(sys: DiophantineConeSystem, B: int, strict: bool = False):
+def brute_series(sys: DiophantineConeSystem, B: int, strict: bool = False,
+                 ceiling: int = DEFAULT_CEILING):
     """Enumerate solutions with every coordinate in [0, B] ([1, B] when strict),
-    then marginalize the slack columns."""
+    then marginalize the slack columns.  More than `ceiling` nodes of the
+    search raise ResourceGuardError."""
     if sys.m > MAX_VARIABLES or B > MAX_BOUND:
         raise ResourceGuardError(
             f"guard: m <= {MAX_VARIABLES} and B <= {MAX_BOUND}", predicted=sys.m
@@ -144,8 +148,14 @@ def brute_series(sys: DiophantineConeSystem, B: int, strict: bool = False):
             suff_max[r][idx] = suff_max[r][idx + 1] + hi_c
     terms = {}
     alpha = [0] * m
+    nodes = 0
 
     def rec(idx, partial):
+        nonlocal nodes
+        nodes += 1
+        if nodes > ceiling:
+            raise ResourceGuardError(f"the enumeration visited more than {ceiling} nodes",
+                                     ceiling=ceiling)
         if idx == m:
             if all(s == 0 for s in partial):
                 e = tuple(alpha)
@@ -179,9 +189,7 @@ class ExtremeRays:
 
 
 def _primitive(vec):
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
+    g = gcd(*vec)
     return tuple(x // g for x in vec) if g else tuple(vec)
 
 
@@ -205,9 +213,7 @@ def extreme_rays(sys: DiophantineConeSystem) -> ExtremeRays:
             if all(x > 0 for x in vec) or all(x < 0 for x in vec):
                 if vec[0] < 0:
                     vec = [-x for x in vec]
-                denom = 1
-                for x in vec:
-                    denom = denom * x.denominator // gcd(denom, x.denominator)
+                denom = lcm(*(x.denominator for x in vec))
                 full = [0] * m
                 for j, x in zip(support, vec):
                     full[j] = int(x * denom)
@@ -228,123 +234,58 @@ class MultivariateRationalForm:
     denominator_rays: tuple  # tuple of ray tuples (with multiplicity)
 
 
-def _affine_coordinates(points):
-    """Coordinates of the points in a basis of their affine hull.
+def _triangulate(rays, face, dim):
+    """Pulling triangulation of the face of dimension `dim` spanned by the
+    rays[i], i in `face` (ascending), as tuples of ray indices.
 
-    Returns (coords, affdim): coords[i] is a Fraction tuple of length affdim."""
-    base = points[0]
-    vecs = [[x - b for x, b in zip(pt, base)] for pt in points]
-    red, pivots = rref(vecs)
-    affdim = len(pivots)
-    coords = []
-    for v in vecs:
-        residual = [Fraction(x) for x in v]
-        alpha = []
-        for row, piv in zip(red, pivots):
-            c = residual[piv]
-            alpha.append(c)
-            if c:
-                residual = [a - c * b for a, b in zip(residual, row)]
-        if any(residual):
-            raise MalformedInputError("point outside affine hull")
-        coords.append(tuple(alpha))
-    return coords, affdim
-
-
-def _facets(points_idx, coords):
-    """Facets of the convex hull, as frozensets of indices into points_idx."""
-    affdim = len(coords[0]) if coords else 0
-    if affdim == 0:
-        return []
-    npts = len(points_idx)
-    facets = set()
-    for subset in combinations(range(npts), affdim):
-        base = coords[subset[0]]
-        mat = [[coords[s][j] - base[j] for j in range(affdim)] for s in subset[1:]]
-        kern = nullspace(mat, affdim) if mat else nullspace([[0] * affdim], affdim)
-        if len(kern) != 1:
-            continue
-        normal = kern[0]
-        sides = [
-            sum(n * (coords[i][j] - base[j]) for j, n in enumerate(normal))
-            for i in range(npts)
-        ]
-        if all(s >= 0 for s in sides) or all(s <= 0 for s in sides):
-            on = frozenset(i for i in range(npts) if sides[i] == 0)
-            if len(on) < npts:
-                facets.add(on)
-    return facets
-
-
-def _triangulate_points(points_idx, points):
-    """Pulling triangulation of a point configuration (indices into `points`).
-
-    Recursively cones the lowest-index vertex over the facets avoiding it."""
-    coords, affdim = _affine_coordinates([points[i] for i in points_idx])
-    independent = len(points_idx) == affdim + 1
-    if independent:
-        return [tuple(points_idx)]
-    v_local = 0  # points_idx is sorted; pull the first
-    out = []
-    for facet in _facets(points_idx, coords):
-        if v_local in facet:
-            continue
-        sub_idx = sorted(points_idx[i] for i in facet)
-        for sub in _triangulate_points(sub_idx, points):
-            out.append((points_idx[v_local],) + sub)
-    return out
+    The face's first ray is coned over each facet that misses it.  A face of
+    {alpha >= 0 : Phi alpha = 0} meets coordinate hyperplanes in its faces,
+    and each of its facets is one such face, so a facet is the set of the
+    face's rays that vanish in one coordinate, when they span dim - 1
+    dimensions."""
+    if len(face) == dim:
+        return [tuple(face)]
+    facets = {tuple(i for i in face if not rays[i][j]) for j in range(len(rays[0]))}
+    return [
+        (face[0],) + sigma
+        for facet in sorted(facets)
+        if face[0] not in facet and rank([rays[i] for i in facet]) == dim - 1
+        for sigma in _triangulate(rays, facet, dim - 1)
+    ]
 
 
 def _solve_in_ray_basis(rays, target):
-    """Coefficients t with sum t_i * rays[i] = target (target must lie in the span)."""
-    d = len(rays)
-    m = len(target)
-    mat = [[Fraction(rays[i][j]) for j in range(m)] for i in range(d)]
-    _, pivots = rref(mat, m)
-    cols = pivots
-    square = [[Fraction(rays[i][c]) for i in range(d)] for c in cols]
-    rhs = [Fraction(target[c]) for c in cols]
-    t = solve_exact(square, rhs)
+    """Coefficients t with sum t_i * rays[i] = target; the rays are independent."""
+    t = solve_exact([[r[j] for r in rays] for j in range(len(target))], target)
     if t is None:
-        raise MalformedInputError("target not in the span of the rays")
-    for j in range(m):
-        if sum(t[i] * rays[i][j] for i in range(d)) != target[j]:
-            raise MalformedInputError("target not in the span of the rays")
+        raise InternalConsistencyError("target not in the span of the rays")
     return t
 
 
-def _parallelepiped_points(rays, closed):
+def _parallelepiped_points(rays, closed, ceiling):
     """Lattice points of the half-open fundamental parallelepiped of the rays.
 
-    closed[i] says whether the facet opposite to... (coefficient t_i = 0 side)
-    is kept; open coordinates use (0, 1] instead of [0, 1).  Enumerates coset
-    representatives of the saturated lattice modulo the ray lattice via an
-    integer diagonalization."""
-    d = len(rays)
-    m = len(rays[0])
-    divisors, V = diagonalize_rowlattice([list(r) for r in rays])
+    closed[i] says whether the facet t_i = 0, the one spanned by the other
+    rays, is kept: a closed coordinate takes t_i in [0, 1) and an open one in
+    (0, 1].  There is one point per coset of the ray lattice in its
+    saturation; an integer diagonalization gives coset representatives, and
+    coordinates in the ray basis are linear in them.  More than `ceiling`
+    cosets are refused before any is walked."""
+    divisors, V = diagonalize_rowlattice(rays)
+    if (cosets := prod(divisors)) > ceiling:
+        raise ResourceGuardError(f"a parallelepiped has {cosets} points, over ceiling {ceiling}",
+                                 predicted=cosets, ceiling=ceiling)
+    basis = [_solve_in_ray_basis(rays, v) for v in V[:len(rays)]]
     points = {}
-    for combo in product(*[range(dv) for dv in divisors]):
-        z = [0] * m
-        for c, vrow in zip(combo, V):
-            if c:
-                for j in range(m):
-                    z[j] += c * vrow[j]
-        t = _solve_in_ray_basis(rays, z)
-        tt = []
-        for i, ti in enumerate(t):
-            frac = ti - (ti.numerator // ti.denominator)  # in [0,1)
-            if frac == 0 and not closed[i]:
-                frac = Fraction(1)
-            tt.append(frac)
-        pt = tuple(
-            int(sum(tt[i] * rays[i][j] for i in range(d))) for j in range(m)
-        )
-        chk = [sum(Fraction(tt[i]) * rays[i][j] for i in range(d)) for j in range(m)]
-        if any(c.denominator != 1 for c in chk):
-            raise MalformedInputError("parallelepiped point is not integral")
+    for combo in product(*map(range, divisors)):
+        t = [sum(c * b[i] for c, b in zip(combo, basis)) % 1 for i in range(len(rays))]
+        t = [ti or int(not keep) for ti, keep in zip(t, closed)]
+        pt = [sum(ti * r[j] for ti, r in zip(t, rays)) for j in range(len(rays[0]))]
+        if any(x.denominator != 1 for x in pt):
+            raise InternalConsistencyError("parallelepiped point is not integral")
+        pt = tuple(map(int, pt))
         if pt in points:
-            raise MalformedInputError("duplicate parallelepiped representative")
+            raise InternalConsistencyError("duplicate parallelepiped representative")
         points[pt] = 1
     return points
 
@@ -354,7 +295,8 @@ def _variables(m):
     return tuple(f"x{i}" for i in range(1, m + 1))
 
 
-def rational_form(sys: DiophantineConeSystem, _seed: int = 0) -> MultivariateRationalForm:
+def rational_form(sys: DiophantineConeSystem, _seed: int = 0,
+                  ceiling: int = DEFAULT_CEILING) -> MultivariateRationalForm:
     """Exact rational generating function of the non-negative solution monoid.
 
     The cone is triangulated on its extreme rays; each simplicial piece is made
@@ -362,70 +304,51 @@ def rational_form(sys: DiophantineConeSystem, _seed: int = 0) -> MultivariateRat
     the cone and expand() agrees with brute_series() coefficient by
     coefficient."""
     ex = extreme_rays(sys)
-    # cones inside the non-negative orthant are always pointed; a violated ray
-    # sign would mean a non-pointed cone slipped through
-    if any(min(r) < 0 for r in ex.rays):
-        raise UnsupportedError("non-pointed cone (negative ray component)")
     if len(ex.rays) > MAX_RAYS:
         raise ResourceGuardError(f"guard: at most {MAX_RAYS} extreme rays", predicted=len(ex.rays))
     m = sys.m
     if not ex.rays:
         return MultivariateRationalForm(m, {tuple([0] * m): 1}, ())
     rays = list(ex.rays)
-    d = ex.dim
-    # normalize onto the hyperplane sum = 1 and triangulate
-    points = [tuple(Fraction(x, sum(r)) for x in r) for r in rays]
-    simplices = _triangulate_points(list(range(len(rays))), points)
-    for sigma in simplices:
-        if len(sigma) != d:
-            raise MalformedInputError("triangulation produced a non-maximal simplex")
+    simplices = _triangulate(rays, list(range(len(rays))), ex.dim)
     # generic interior point for the half-open orientation
     rng = random.Random(_seed)
     for _ in range(64):
         w_coeff = [rng.randrange(1, 1000) for _ in rays]
         w = [sum(w_coeff[i] * rays[i][j] for i in range(len(rays))) for j in range(m)]
-        barycentric = []
-        ok = True
-        for sigma in simplices:
-            t = _solve_in_ray_basis([rays[i] for i in sigma], w)
-            if any(ti == 0 for ti in t):
-                ok = False
-                break
-            barycentric.append(t)
-        if ok:
+        barycentric = [_solve_in_ray_basis([rays[i] for i in sigma], w) for sigma in simplices]
+        if all(all(t) for t in barycentric):
             break
     else:
-        raise MalformedInputError("could not find a generic interior point")
-    pieces = []
+        raise InternalConsistencyError("could not find a generic interior point")
+    names, zero = _variables(m), tuple([0] * m)
+    all_rays = sorted({rays[i] for sigma in simplices for i in sigma})
+    numerator = Polynomial(names)
     for sigma, t in zip(simplices, barycentric):
         sigma_rays = [rays[i] for i in sigma]
-        closed = [ti > 0 for ti in t]
-        pieces.append((sigma_rays, _parallelepiped_points(sigma_rays, closed)))
-    all_rays = sorted({tuple(r) for sigma_rays, _ in pieces for r in sigma_rays})
-    names, zero = _variables(m), tuple([0] * m)
-    numerator = Polynomial(names)
-    for sigma_rays, pts in pieces:
-        sigma_set = {tuple(r) for r in sigma_rays}
-        piece = Polynomial(names, pts)
+        piece = Polynomial(names, _parallelepiped_points(sigma_rays, [ti > 0 for ti in t], ceiling))
         for r in all_rays:
-            if r not in sigma_set:
+            if r not in sigma_rays:
                 piece = piece * Polynomial(names, {zero: 1, r: -1})
         numerator = numerator + piece
     return MultivariateRationalForm(m, numerator.terms, tuple(all_rays))
 
 
-def expand_form(form: MultivariateRationalForm, B: int) -> MultivariateSeriesTruncation:
+def expand_form(form: MultivariateRationalForm, B: int,
+                ceiling: int = DEFAULT_CEILING) -> MultivariateSeriesTruncation:
     """Box-truncated series of the form (every exponent in [0, B])."""
-    series, negatives = _expand_with_laurent(form.numerator, form.denominator_rays, form.m, B)
+    series, negatives = _expand_with_laurent(form.numerator, form.denominator_rays, form.m, B,
+                                             ceiling)
     if negatives:
-        raise MalformedInputError("unexpected negative exponents in expansion")
+        raise InternalConsistencyError("unexpected negative exponents in expansion")
     return MultivariateSeriesTruncation(form.m, B, series)
 
 
-def _expand_with_laurent(numerator, rays, m, B):
+def _expand_with_laurent(numerator, rays, m, B, ceiling):
     """Series of numerator / prod(1 - X^ray) in the box [0, B]^m.
 
-    Laurent numerators are allowed; returns (terms_in_box, negatives_present)."""
+    Laurent numerators are allowed; returns (terms_in_box, negatives_present).
+    More than `ceiling` terms propagated raise ResourceGuardError."""
     if not numerator:
         return {}, False
     shift = [max(0, -min(e[j] for e in numerator)) for j in range(m)]
@@ -437,12 +360,17 @@ def _expand_with_laurent(numerator, rays, m, B):
         if all(0 <= x <= cp for x, cp in zip(e2, cap)):
             b = buckets[sum(e2)]
             b[e2] = b.get(e2, 0) + c
+    propagated = 0
     for r in rays:
         rsum = sum(r)
         for deg in range(maxdeg + 1):
             bucket = buckets[deg]
             if not bucket or deg + rsum > maxdeg:
                 continue
+            propagated += len(bucket)
+            if propagated > ceiling:
+                raise ResourceGuardError(f"the expansion propagated more than {ceiling} terms",
+                                         ceiling=ceiling)
             target = buckets[deg + rsum]
             for e, c in list(bucket.items()):
                 if not c:
@@ -450,8 +378,8 @@ def _expand_with_laurent(numerator, rays, m, B):
                 e2 = tuple(x + y for x, y in zip(e, r))
                 if all(x <= cp for x, cp in zip(e2, cap)):
                     target[e2] = target.get(e2, 0) + c
-    out = {}
-    negatives = False
+    # every exponent is within the cap, and shifting back is one-to-one
+    out, negatives = {}, False
     for bucket in buckets:
         for e, c in bucket.items():
             if not c:
@@ -459,10 +387,8 @@ def _expand_with_laurent(numerator, rays, m, B):
             e2 = tuple(x - s for x, s in zip(e, shift))
             if any(x < 0 for x in e2):
                 negatives = True
-                continue
-            if all(x <= B for x in e2):
-                out[e2] = out.get(e2, 0) + c
-    out = {e: c for e, c in out.items() if c}
+            else:
+                out[e2] = c
     return out, negatives
 
 
@@ -476,19 +402,20 @@ class ReciprocityVerdict:
     detail: str = ""
 
 
-def reciprocity_check(sys: DiophantineConeSystem, B: int) -> ReciprocityVerdict:
+def reciprocity_check(sys: DiophantineConeSystem, B: int,
+                      ceiling: int = DEFAULT_CEILING) -> ReciprocityVerdict:
     """Compare the strict-solution series with (-1)^d E(1/X) up to the box bound."""
-    strict = brute_series(sys, B, strict=True)
+    strict = brute_series(sys, B, strict=True, ceiling=ceiling)
     if not strict.terms:
         return ReciprocityVerdict("inconclusive", "no strict solution within the bound")
-    form = rational_form(sys)
-    ex_dim = extreme_rays(sys).dim
+    form = rational_form(sys, ceiling=ceiling)
+    # the simplices are full-dimensional, so their rays span the cone
+    dim = rank(list(form.denominator_rays), sys.m)
     # E(1/X): invert numerator exponents; each 1/(1 - X^-r) = -X^r/(1 - X^r)
-    q = len(form.denominator_rays)
-    sign = (-1) ** (ex_dim + q)
+    sign = (-1) ** (dim + len(form.denominator_rays))
     shift_total = [sum(r[j] for r in form.denominator_rays) for j in range(sys.m)]
     num = Polynomial(_variables(sys.m), form.numerator).invert().shift(*shift_total).scale(sign)
-    series, negatives = _expand_with_laurent(num.terms, form.denominator_rays, sys.m, B)
+    series, negatives = _expand_with_laurent(num.terms, form.denominator_rays, sys.m, B, ceiling)
     if negatives:
         return ReciprocityVerdict("fail", "inverted series has negative exponents")
     candidate = MultivariateSeriesTruncation(sys.m, B, series)
@@ -504,7 +431,8 @@ def reciprocity_check(sys: DiophantineConeSystem, B: int) -> ReciprocityVerdict:
 
 
 def substitute(obj, assignment) -> BivariateRationalFunction:
-    """Apply the monoid homomorphism X_i -> X^{e1} Y^{e2} (None means -> 1).
+    """Apply the monoid homomorphism X_i -> X^{e1} Y^{e2} (None means -> 1)
+    to a series truncation or a rational form.
 
     assignment: sequence of (e1, e2) pairs or None per variable, e >= 0."""
     images = []
@@ -516,6 +444,8 @@ def substitute(obj, assignment) -> BivariateRationalFunction:
             if e1 < 0 or e2 < 0:
                 raise MalformedInputError("assignment exponents must be non-negative")
             images.append((e1, e2))
+    if len(images) != obj.m:
+        raise MalformedInputError("assignment must cover every variable")
 
     def image(exp_vector):
         ax = sum(e * im[0] for e, im in zip(exp_vector, images))
@@ -523,25 +453,16 @@ def substitute(obj, assignment) -> BivariateRationalFunction:
         return ax, ay
 
     if isinstance(obj, MultivariateSeriesTruncation):
-        if len(images) != obj.m:
-            raise MalformedInputError("assignment must cover every variable")
-        acc = {}
-        for e, c in obj.terms.items():
-            key = image(e)
-            acc[key] = acc.get(key, 0) + c
-        return BivariateRationalFunction(Polynomial(XY, acc))
-
-    form = obj
-    if len(images) != form.m:
-        raise MalformedInputError("assignment must cover every variable")
+        terms, rays = obj.terms, ()
+    else:
+        terms, rays = obj.numerator, obj.denominator_rays
     acc = {}
-    for e, c in form.numerator.items():
+    for e, c in terms.items():
         key = image(e)
         acc[key] = acc.get(key, 0) + c
-    num = Polynomial(XY, acc)
     den = {}
     extra = Polynomial(XY, {(0, 0): 1})
-    for ray in form.denominator_rays:
+    for ray in rays:
         a, b = image(ray)
         if (a, b) == (0, 0):
             raise PoleError(f"substitution sends ray {ray} to 1", ray=ray)
@@ -549,7 +470,7 @@ def substitute(obj, assignment) -> BivariateRationalFunction:
             den[(a, b)] = den.get((a, b), 0) + 1
         else:
             extra = extra * Polynomial(XY, {(0, 0): 1, (a, b): -1})
-    return BivariateRationalFunction(num, den, extra)
+    return BivariateRationalFunction(Polynomial(XY, acc), den, extra)
 
 
 # ---------------------------------------------------------------------------

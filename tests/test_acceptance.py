@@ -20,8 +20,8 @@ from ringzeta import algebra, cli, cones, coxeter, igusa, latticezeta, ratfun, r
 
 # small cases of each command the acceptance criteria exercise: the lattice
 # search with and without the row-0 solve, the central sum of class-2 ideals,
-# both orbit walks' callers, the one-shot Euler expansion and the Poincare
-# lifting walk
+# both orbit walks' callers, the one-shot Euler expansion, the Poincare
+# lifting walk and the cone triangulation
 DETERMINISM_COMMANDS = [
     ["zeta", "compare", "--ring", "catalog:heisenberg", "--formula", "heisenberg_subring",
      "--prime", "2", "--max-index", "3", "--yes"],
@@ -35,6 +35,9 @@ DETERMINISM_COMMANDS = [
      "--prime", "5", "--max-exp", "2"],
     ["euler", "--name", "heisenberg_subring", "--primes-up-to", "60", "--max-m", "60"],
     ["igusa", "zeta3d", "--ring", "catalog:sl2", "--prime", "3", "--max-index", "4"],
+    *[["cone", command, "--system", str(Path(__file__).parent / "data" / fixture), "--bound", "6"]
+      for fixture in ("stanley_cone.json", "heisenberg_inequality.json")
+      for command in ("ratform", "reciprocity")],
 ]
 
 

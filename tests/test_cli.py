@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -185,6 +186,9 @@ def test_guard_exit_three():
     # 3 points mod 3, then 7 singular nodes lifted
     ["igusa", "poincare", "--poly", "x^2", "--prime", "3", "--depth", "4"],
     ["igusa", "zeta3d", "--ring", "catalog:heisenberg", "--prime", "3", "--max-index", "2"],
+    # series and reciprocity stop in the enumeration, ratform in the expansion
+    *[["cone", name, "--system", str(DATA / "stanley_cone.json")]
+      for name in ("series", "ratform", "reciprocity")],
 ], ids=lambda argv: " ".join(argv[:2]))
 def test_ceiling_reaches_every_guard(argv):
     assert run([*argv, "--ceiling", "5"])[0] == 3
@@ -285,6 +289,48 @@ def test_cone_commands(tmp_path):
     assert code == 0
     code, out = run(["cone", "series", "--system", str(system), "--bound", "1"])
     assert code == 0
+
+
+@pytest.mark.parametrize("command, doc, bound", [
+    ("series", {"phi": [[0] * 12]}, "60"),  # 61^12 nodes
+    ("ratform", {"phi": [[1, 1, -100000]]}, "2"),  # a parallelepiped of 100,000 points
+    ("ratform", {"phi": [[0] * 10]}, "12"),  # 13^10 terms in the expansion
+])
+def test_cone_walks_are_refused_at_the_ceiling(tmp_path, capsys, command, doc, bound):
+    system = tmp_path / "cone.json"
+    system.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out = run(["cone", command, "--system", str(system), "--bound", bound, "--ceiling", "1"])
+    assert (code, out) == (3, "")
+    assert time.perf_counter() - start < 2
+    err = capsys.readouterr().err
+    assert err.startswith("resource guard: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["ratform", "reciprocity"])
+def test_only_cone_series_takes_strict(command):
+    with pytest.raises(SystemExit) as exc:
+        run(["cone", command, "--system", str(DATA / "stanley_cone.json"), "--strict"])
+    assert exc.value.code == 2
+
+
+def test_cone_commands_on_the_zero_variable_system(tmp_path):
+    system = tmp_path / "none.json"
+    system.write_text(json.dumps({"phi": [[]]}))
+
+    def report(command):
+        code, out = run(["--output", "json", "cone", command, "--system", str(system)])
+        assert code == 0, command
+        out = json.loads(out)
+        assert out.pop("system") == str(system)
+        return out
+
+    assert report("rays") == {"dimension": 0, "rows": []}
+    assert report("series") == {"bound": 6, "strict": False,
+                                "rows": [{"exponents": "", "coefficient": 1}]}
+    assert report("ratform") == {"expansion_matches_enumeration": True, "rows": [
+        {"part": "numerator", "exponents": "", "coefficient": 1}]}
+    assert report("reciprocity") == {"status": "pass", "detail": ""}
 
 
 def test_ring_validate_file_and_catalog(tmp_path):
@@ -481,8 +527,9 @@ _GRAMMAR = {
     ("zeta", "funeq"): {"--name": _FORMULAS, "--solve": None, "--expect-sign": _SMALL,
                         "--expect-a": _SMALL, "--expect-b": _SMALL},
     ("cone", "rays"): {"--system": _SYSTEMS},
-    **{("cone", name): {"--system": _SYSTEMS, "--bound": _SMALL, "--strict": None}
-       for name in ("series", "ratform", "reciprocity")},
+    ("cone", "series"): {"--system": _SYSTEMS, "--bound": _SMALL, "--strict": None},
+    **{("cone", name): {"--system": _SYSTEMS, "--bound": _SMALL}
+       for name in ("ratform", "reciprocity")},
     ("igusa", "poincare"): {"--poly": st.sampled_from(["x^2", "x*y", "y^2 - x^3 + x", "x + y + z",
                                                        "0", "3", "x^", "(x"]),
                             "--prime": _PRIMES, "--depth": _SMALL},

@@ -1,10 +1,17 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from ringzeta import cones, ratfun
 from ringzeta.cones import DiophantineConeSystem, brute_series, expand_form, extreme_rays
-from ringzeta.errors import MalformedInputError, PoleError, ResourceGuardError
+from ringzeta.errors import (
+    InternalConsistencyError,
+    MalformedInputError,
+    PoleError,
+    ResourceGuardError,
+)
 
 
 STANLEY = DiophantineConeSystem([[1, 1, -1, -1]])
@@ -201,3 +208,50 @@ def test_master_property_on_harder_cones():
     for B in (4, 7):
         assert expand_form(form, B) == brute_series(skew, B)
     assert cones.reciprocity_check(skew, 8).status == "pass"
+
+
+def test_coordinate_face_that_is_not_a_facet():
+    # Stanley's cone times the cone of x5 + x6 = x7: 5-dimensional, and its
+    # coordinate face x7 = 0 (Stanley's cone alone) has dimension 3
+    face = DiophantineConeSystem([[1, 1, -1, -1, 0, 0, 0], [0, 0, 0, 0, 1, 1, -1]])
+    ex = extreme_rays(face)
+    assert len(ex.rays) == 6 and ex.dim == 5
+    form = cones.rational_form(face)
+    assert form.numerator == {(0,) * 7: 1, (1, 1, 1, 1, 0, 0, 0): -1}
+    assert form.denominator_rays == ex.rays
+    assert expand_form(form, 3) == brute_series(face, 3)
+    assert cones.reciprocity_check(face, 3).status == "pass"
+
+
+def test_rational_form_matches_enumeration_on_random_cones():
+    """Seeded oracle: on random systems the rational form expands to the
+    enumeration, and reciprocity never fails."""
+    rng = random.Random(20261018)
+    statuses = Counter()
+    for _ in range(200):
+        m = rng.randint(1, 6)
+        phi = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(rng.randint(1, 2))]
+        sys_ = DiophantineConeSystem(phi, [rng.choice(("eq", "le")) for _ in phi])
+        got = expand_form(cones.rational_form(sys_), 3)
+        if sys_.slack_columns:
+            got = got.marginalize(sys_.slack_columns)
+        assert got == brute_series(sys_, 3), (phi, sys_.kinds)
+        statuses[cones.reciprocity_check(sys_, 3).status] += 1
+    assert statuses["fail"] == 0 and statuses["pass"] >= 50, statuses
+
+
+def test_broken_invariants_are_internal_errors():
+    with pytest.raises(InternalConsistencyError):
+        cones._solve_in_ray_basis([(1, 0)], [0, 1])
+    with pytest.raises(InternalConsistencyError):
+        expand_form(cones.MultivariateRationalForm(1, {(-1,): 1}, ()), 2)
+
+
+def test_ceiling_bounds_each_walk():
+    with pytest.raises(ResourceGuardError):
+        brute_series(STANLEY, 6, ceiling=5)
+    with pytest.raises(ResourceGuardError):
+        expand_form(cones.rational_form(STANLEY), 6, ceiling=5)
+    with pytest.raises(ResourceGuardError):  # one skew piece has 2 points
+        cones.rational_form(DiophantineConeSystem([[1, 2, -2, -1]]), ceiling=1)
+    assert cones.rational_form(DiophantineConeSystem([[1, 2, -2, -1]]), ceiling=2)
