@@ -16,6 +16,7 @@ from functools import lru_cache
 
 from . import algebra, cones, coxeter, igusa, latticezeta, ratfun, repzeta
 from .errors import (
+    DEFAULT_CEILING,
     CoverageError,
     InternalConsistencyError,
     LookupError_,
@@ -80,10 +81,10 @@ def _comparison_report(left_label, right_label, prime, left, right):
     }, (EXIT_PASS if verdict else EXIT_FAIL)
 
 
-def _expand_formula(name, p, K):
+def _expand_formula(name, p, K, ceiling):
     formula = ratfun.formula_catalog(name)
     if isinstance(formula, ratfun.PointCountHybrid):
-        weights = repzeta.weight_values(formula, p)
+        weights = repzeta.weight_values(formula, p, ceiling)
         return formula.expand(p, K, weights)
     return ratfun.expand(formula, p, K)
 
@@ -154,7 +155,7 @@ def cmd_zeta_count(args):
 
 
 def cmd_zeta_formula(args):
-    trunc = _expand_formula(args.name, args.prime, args.max_index)
+    trunc = _expand_formula(args.name, args.prime, args.max_index, args.ceiling)
     return {
         "formula": args.name,
         "prime": args.prime,
@@ -169,7 +170,7 @@ def cmd_zeta_compare(args):
         alg, args.prime, args.max_index, mode=args.mode,
         ceiling=args.ceiling,
     )
-    formula = _expand_formula(args.formula, args.prime, args.max_index)
+    formula = _expand_formula(args.formula, args.prime, args.max_index, args.ceiling)
     return _comparison_report(
         f"enumeration[{alg.name}:{args.mode}]",
         f"formula[{args.formula}]",
@@ -213,7 +214,7 @@ def cmd_zeta_funeq(args):
 def cmd_cone(args):
     sys_ = cones.DiophantineConeSystem.from_json(args.system)
     if args.cone_command == "rays":
-        ex = cones.extreme_rays(sys_)
+        ex = cones.extreme_rays(sys_, args.ceiling)
         return {
             "system": sys_.name,
             "dimension": ex.dim,
@@ -251,7 +252,7 @@ def cmd_cone(args):
 
 def cmd_igusa_poincare(args):
     poly = igusa.parse_polynomial(args.poly)
-    pc = igusa.poincare_counts(poly, args.prime, args.depth, guard=args.ceiling)
+    pc = igusa.poincare_counts(poly, args.prime, args.depth, ceiling=args.ceiling)
     series = igusa.zf_series_from_poincare(pc, len(poly.variables)) if args.depth >= 1 else []
     return {
         "polynomial": repr(poly),
@@ -271,7 +272,7 @@ def cmd_igusa_zeta3d(args):
     alg = algebra.resolve_ring_spec(args.ring)
     form = igusa.theorem3d_form(alg)
     trunc = igusa.theorem3d_zeta(
-        alg, args.prime, args.scale_exp, args.max_index, guard=args.ceiling
+        alg, args.prime, args.scale_exp, args.max_index, ceiling=args.ceiling
     )
     return {
         "ring": alg.name,
@@ -285,7 +286,7 @@ def cmd_igusa_zeta3d(args):
 def cmd_rep_zeta(args):
     pres = algebra.resolve_presentation_spec(args.presentation)
     trunc = repzeta.rep_zeta_class2(
-        pres, args.prime, args.max_exp, guard=args.ceiling
+        pres, args.prime, args.max_exp, ceiling=args.ceiling
     )
     return {
         "presentation": pres.name,
@@ -297,9 +298,9 @@ def cmd_rep_zeta(args):
 def cmd_rep_compare(args):
     pres = algebra.resolve_presentation_spec(args.presentation)
     brute = repzeta.rep_zeta_class2(
-        pres, args.prime, args.max_exp, guard=args.ceiling
+        pres, args.prime, args.max_exp, ceiling=args.ceiling
     )
-    formula = _expand_formula(args.formula, args.prime, args.max_exp)
+    formula = _expand_formula(args.formula, args.prime, args.max_exp, args.ceiling)
     return _comparison_report(
         f"orbit-count[{pres.name}]",
         f"formula[{args.formula}]",
@@ -313,7 +314,7 @@ def cmd_euler(args):
     formula = ratfun.formula_catalog(args.name)
     if isinstance(formula, ratfun.PointCountHybrid):
         raise MalformedInputError("euler products of hybrids are not exposed on the CLI")
-    global_trunc = ratfun.euler_product(formula, args.primes_up_to, args.max_m)
+    global_trunc = ratfun.euler_product(formula, args.primes_up_to, args.max_m, args.ceiling)
     out = {"formula": args.name, "primes_up_to": args.primes_up_to, "max_m": args.max_m}
     if args.asymptotics:
         try:
@@ -339,11 +340,11 @@ def cmd_coxeter_check(args):
     n = args.n
     rows = []
     ok = True
-    for I, total in coxeter.descent_sums(n).items():
+    for I, total in coxeter.descent_sums(n, args.ceiling).items():
         match = total == coxeter.gaussian_binomial(n, I)
         ok = ok and match
         rows.append({"I": "{" + ",".join(map(str, sorted(I))) + "}", "descent_sum_matches": match})
-    longest = coxeter.longest_element_identities(n)
+    longest = coxeter.longest_element_identities(n, args.ceiling)
     ok = ok and longest.holds
     return {
         "n": n,
@@ -426,7 +427,7 @@ def _add_common(parser, suppress):
                             help="skip interactive guard confirmation")
     parser.add_argument(
         "--ceiling", type=_positive_int, help="resource-guard ceiling for enumerations",
-        **(kw if suppress else {"default": latticezeta.DEFAULT_CEILING}),
+        **(kw if suppress else {"default": DEFAULT_CEILING}),
     )
 
 

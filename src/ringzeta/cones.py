@@ -12,8 +12,10 @@ defines the monoid E of non-negative integer solutions.  The module produces
   * Stanley-reciprocity verdicts, and monomial substitutions into Euler
     factors W(X, Y).
 
-All arithmetic is exact (int / Fraction).  `ceiling` bounds the enumeration
-nodes, the parallelepiped cosets and the expansion terms, one walk at a time.
+All arithmetic is exact (int / Fraction).  `ceiling` bounds each walk on its
+own: the values the enumeration tries, the supports the ray search tries, the
+faces the triangulation recurses into, the numerator terms of the rational
+form and the expansion's terms, and the points of a min-form box.
 """
 
 from __future__ import annotations
@@ -21,19 +23,14 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import combinations, product
-from math import gcd, lcm, prod
+from math import comb, gcd, lcm, prod
 
-from .errors import InternalConsistencyError, MalformedInputError, PoleError, ResourceGuardError
+from .errors import DEFAULT_CEILING, Budget, InternalConsistencyError, MalformedInputError, PoleError
 from .exactlinalg import diagonalize_rowlattice, nullspace, rank, solve_exact
-from .latticezeta import DEFAULT_CEILING
 from .poly import Polynomial
 from .ratfun import XY, BivariateRationalFunction
-
-MAX_VARIABLES = 12
-MAX_BOUND = 60
-MAX_RAY_VARIABLES = 10
-MAX_RAYS = 12
 
 
 class DiophantineConeSystem:
@@ -127,12 +124,8 @@ class MultivariateSeriesTruncation:
 def brute_series(sys: DiophantineConeSystem, B: int, strict: bool = False,
                  ceiling: int = DEFAULT_CEILING):
     """Enumerate solutions with every coordinate in [0, B] ([1, B] when strict),
-    then marginalize the slack columns.  More than `ceiling` nodes of the
-    search raise ResourceGuardError."""
-    if sys.m > MAX_VARIABLES or B > MAX_BOUND:
-        raise ResourceGuardError(
-            f"guard: m <= {MAX_VARIABLES} and B <= {MAX_BOUND}", predicted=sys.m
-        )
+    then marginalize the slack columns.  `ceiling` bounds the values tried,
+    the B + 1 - lo candidates of each inner node of the search."""
     lo = 1 if strict else 0
     m = sys.m
     rows = sys.rows
@@ -148,19 +141,15 @@ def brute_series(sys: DiophantineConeSystem, B: int, strict: bool = False,
             suff_max[r][idx] = suff_max[r][idx + 1] + hi_c
     terms = {}
     alpha = [0] * m
-    nodes = 0
+    charge = Budget(ceiling, "the enumeration", "values").charge
 
     def rec(idx, partial):
-        nonlocal nodes
-        nodes += 1
-        if nodes > ceiling:
-            raise ResourceGuardError(f"the enumeration visited more than {ceiling} nodes",
-                                     ceiling=ceiling)
         if idx == m:
             if all(s == 0 for s in partial):
                 e = tuple(alpha)
                 terms[e] = terms.get(e, 0) + 1
             return
+        charge(B + 1 - lo)
         for v in range(lo, B + 1):
             new = [partial[r] + rows[r][idx] * v for r in range(nrows)]
             if all(
@@ -193,15 +182,16 @@ def _primitive(vec):
     return tuple(x // g for x in vec) if g else tuple(vec)
 
 
-def extreme_rays(sys: DiophantineConeSystem) -> ExtremeRays:
+def extreme_rays(sys: DiophantineConeSystem, ceiling: int = DEFAULT_CEILING) -> ExtremeRays:
     """Completely fundamental solutions, by support-subset enumeration: a ray's
-    support S satisfies rank(Phi_S) = |S| - 1 with one-dimensional kernel."""
-    if sys.m > MAX_RAY_VARIABLES:
-        raise ResourceGuardError(f"guard: m <= {MAX_RAY_VARIABLES}", predicted=sys.m)
+    support S satisfies rank(Phi_S) = |S| - 1 with one-dimensional kernel.
+    `ceiling` bounds the supports tried, charged up front."""
     m = sys.m
     rows = sys.rows
+    sizes = range(1, min(m, sys.rank + 1) + 1)
+    Budget(ceiling, "the ray search", "supports").charge(sum(comb(m, size) for size in sizes))
     found = set()
-    for size in range(1, min(m, sys.rank + 1) + 1):
+    for size in sizes:
         for support in combinations(range(m), size):
             sub = [[row[j] for j in support] for row in rows]
             kern = nullspace(sub, size) if sub else nullspace([[0] * size], size)
@@ -234,15 +224,17 @@ class MultivariateRationalForm:
     denominator_rays: tuple  # tuple of ray tuples (with multiplicity)
 
 
-def _triangulate(rays, face, dim):
+def _triangulate(rays, face, dim, charge):
     """Pulling triangulation of the face of dimension `dim` spanned by the
-    rays[i], i in `face` (ascending), as tuples of ray indices.
+    rays[i], i in `face` (ascending), as tuples of ray indices; `charge` counts
+    each face recursed into.
 
     The face's first ray is coned over each facet that misses it.  A face of
     {alpha >= 0 : Phi alpha = 0} meets coordinate hyperplanes in its faces,
     and each of its facets is one such face, so a facet is the set of the
     face's rays that vanish in one coordinate, when they span dim - 1
     dimensions."""
+    charge()
     if len(face) == dim:
         return [tuple(face)]
     facets = {tuple(i for i in face if not rays[i][j]) for j in range(len(rays[0]))}
@@ -250,7 +242,7 @@ def _triangulate(rays, face, dim):
         (face[0],) + sigma
         for facet in sorted(facets)
         if face[0] not in facet and rank([rays[i] for i in facet]) == dim - 1
-        for sigma in _triangulate(rays, facet, dim - 1)
+        for sigma in _triangulate(rays, facet, dim - 1, charge)
     ]
 
 
@@ -262,19 +254,16 @@ def _solve_in_ray_basis(rays, target):
     return t
 
 
-def _parallelepiped_points(rays, closed, ceiling):
-    """Lattice points of the half-open fundamental parallelepiped of the rays.
+def _parallelepiped_points(rays, closed, lattice):
+    """Lattice points of the half-open fundamental parallelepiped of the rays,
+    given `lattice` = diagonalize_rowlattice(rays).
 
     closed[i] says whether the facet t_i = 0, the one spanned by the other
     rays, is kept: a closed coordinate takes t_i in [0, 1) and an open one in
     (0, 1].  There is one point per coset of the ray lattice in its
     saturation; an integer diagonalization gives coset representatives, and
-    coordinates in the ray basis are linear in them.  More than `ceiling`
-    cosets are refused before any is walked."""
-    divisors, V = diagonalize_rowlattice(rays)
-    if (cosets := prod(divisors)) > ceiling:
-        raise ResourceGuardError(f"a parallelepiped has {cosets} points, over ceiling {ceiling}",
-                                 predicted=cosets, ceiling=ceiling)
+    coordinates in the ray basis are linear in them."""
+    divisors, V = lattice
     basis = [_solve_in_ray_basis(rays, v) for v in V[:len(rays)]]
     points = {}
     for combo in product(*map(range, divisors)):
@@ -302,15 +291,24 @@ def rational_form(sys: DiophantineConeSystem, _seed: int = 0,
     The cone is triangulated on its extreme rays; each simplicial piece is made
     half-open facing a fixed generic interior point, so the pieces partition
     the cone and expand() agrees with brute_series() coefficient by
-    coefficient."""
-    ex = extreme_rays(sys)
-    if len(ex.rays) > MAX_RAYS:
-        raise ResourceGuardError(f"guard: at most {MAX_RAYS} extreme rays", predicted=len(ex.rays))
+    coefficient.
+
+    `ceiling` bounds the ray search and the triangulation, and then the
+    numerator terms, charged before any piece is walked: a piece has one
+    point per coset of its ray lattice, the product of its elementary
+    divisors, times 2^(#rays - dim) from the factors 1 - X^r of the rays it
+    misses."""
+    ex = extreme_rays(sys, ceiling)
     m = sys.m
     if not ex.rays:
         return MultivariateRationalForm(m, {tuple([0] * m): 1}, ())
     rays = list(ex.rays)
-    simplices = _triangulate(rays, list(range(len(rays))), ex.dim)
+    simplices = _triangulate(rays, list(range(len(rays))), ex.dim,
+                             Budget(ceiling, "the triangulation", "faces").charge)
+    all_rays = sorted({rays[i] for sigma in simplices for i in sigma})
+    lattices = [diagonalize_rowlattice([rays[i] for i in sigma]) for sigma in simplices]
+    Budget(ceiling, "the numerator", "terms").charge(
+        sum(prod(divisors) for divisors, _ in lattices) << (len(all_rays) - ex.dim))
     # generic interior point for the half-open orientation
     rng = random.Random(_seed)
     for _ in range(64):
@@ -322,11 +320,10 @@ def rational_form(sys: DiophantineConeSystem, _seed: int = 0,
     else:
         raise InternalConsistencyError("could not find a generic interior point")
     names, zero = _variables(m), tuple([0] * m)
-    all_rays = sorted({rays[i] for sigma in simplices for i in sigma})
     numerator = Polynomial(names)
-    for sigma, t in zip(simplices, barycentric):
+    for sigma, t, lattice in zip(simplices, barycentric, lattices):
         sigma_rays = [rays[i] for i in sigma]
-        piece = Polynomial(names, _parallelepiped_points(sigma_rays, [ti > 0 for ti in t], ceiling))
+        piece = Polynomial(names, _parallelepiped_points(sigma_rays, [ti > 0 for ti in t], lattice))
         for r in all_rays:
             if r not in sigma_rays:
                 piece = piece * Polynomial(names, {zero: 1, r: -1})
@@ -348,29 +345,33 @@ def _expand_with_laurent(numerator, rays, m, B, ceiling):
     """Series of numerator / prod(1 - X^ray) in the box [0, B]^m.
 
     Laurent numerators are allowed; returns (terms_in_box, negatives_present).
-    More than `ceiling` terms propagated raise ResourceGuardError."""
+    The terms are kept by total degree, and each ray's pass runs over the
+    degrees present in increasing order; `ceiling` bounds the terms it
+    propagates."""
     if not numerator:
         return {}, False
     shift = [max(0, -min(e[j] for e in numerator)) for j in range(m)]
     cap = [B + shift[j] for j in range(m)]
     maxdeg = sum(cap)
-    buckets = [dict() for _ in range(maxdeg + 1)]
+    buckets = {}
     for e, c in numerator.items():
         e2 = tuple(x + s for x, s in zip(e, shift))
         if all(0 <= x <= cp for x, cp in zip(e2, cap)):
-            b = buckets[sum(e2)]
+            b = buckets.setdefault(sum(e2), {})
             b[e2] = b.get(e2, 0) + c
-    propagated = 0
+    charge = Budget(ceiling, "the expansion", "terms").charge
     for r in rays:
         rsum = sum(r)
-        for deg in range(maxdeg + 1):
+        degrees = sorted(buckets)  # a sorted list is a heap
+        while degrees:
+            deg = heappop(degrees)
             bucket = buckets[deg]
-            if not bucket or deg + rsum > maxdeg:
+            if deg + rsum > maxdeg:
                 continue
-            propagated += len(bucket)
-            if propagated > ceiling:
-                raise ResourceGuardError(f"the expansion propagated more than {ceiling} terms",
-                                         ceiling=ceiling)
+            charge(len(bucket))
+            if deg + rsum not in buckets:
+                buckets[deg + rsum] = {}
+                heappush(degrees, deg + rsum)
             target = buckets[deg + rsum]
             for e, c in list(bucket.items()):
                 if not c:
@@ -380,7 +381,7 @@ def _expand_with_laurent(numerator, rays, m, B, ceiling):
                     target[e2] = target.get(e2, 0) + c
     # every exponent is within the cap, and shifting back is one-to-one
     out, negatives = {}, False
-    for bucket in buckets:
+    for bucket in buckets.values():
         for e, c in bucket.items():
             if not c:
                 continue
@@ -477,14 +478,15 @@ def substitute(obj, assignment) -> BivariateRationalFunction:
 # min-of-linear-forms series (brute force only)
 
 
-def minform_series(forms, r, s, t, B, strict=False) -> MultivariateSeriesTruncation:
+def minform_series(forms, r, s, t, B, strict=False,
+                   ceiling: int = DEFAULT_CEILING) -> MultivariateSeriesTruncation:
     """Sum over n in {lo..B}^r of X^n * prod_sigma Y_sigma^{min_tau L_{sigma tau}(n)}.
 
-    forms[sigma][tau] is the coefficient vector (length r) of a Z-linear form."""
-    if r + s > MAX_VARIABLES or B > MAX_BOUND:
-        raise ResourceGuardError(f"guard: r+s <= {MAX_VARIABLES}, B <= {MAX_BOUND}")
+    forms[sigma][tau] is the coefficient vector (length r) of a Z-linear form.
+    `ceiling` bounds the (B + 1)^r points of the box, charged up front."""
     if len(forms) != s or any(len(row) != t for row in forms):
         raise MalformedInputError("forms must be an s x t array of coefficient vectors")
+    Budget(ceiling, "the box", "points").charge((B + 1) ** r)
     lo = 1 if strict else 0
     terms = {}
     for n in product(range(lo, B + 1), repeat=r):

@@ -14,11 +14,9 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
-from .errors import MalformedInputError, ResourceGuardError, UnsupportedError
+from .errors import DEFAULT_CEILING, Budget, MalformedInputError, UnsupportedError
 from .poly import Polynomial
 from .ratfun import XY, BivariateRationalFunction, funeq_verdict, invert_prime
-
-MAX_SYMMETRIC = 8
 
 
 @dataclass(frozen=True)
@@ -60,10 +58,21 @@ class LongestElementVerdict:
     witness: tuple | None = None
 
 
-def longest_element_identities(n: int) -> LongestElementVerdict:
-    """Check l(w) + l(w w0) = C(n,2) and D(w w0) = D(w)^c over all of S_n."""
-    if n > MAX_SYMMETRIC:
-        raise ResourceGuardError(f"guard: n <= {MAX_SYMMETRIC}")
+def _charge_permutations(n, ceiling):
+    """Charge the n! permutations of S_n up front.  The product stops at the
+    first k! past the ceiling: S_n contains S_k, so that refuses it already."""
+    k, order = 0, 1
+    while k < n and order <= ceiling:
+        k += 1
+        order *= k
+    what = f"S_{n}" if k == n else f"S_{n} contains S_{k}, which"
+    Budget(ceiling, what, "permutations").charge(order)
+
+
+def longest_element_identities(n: int, ceiling: int = DEFAULT_CEILING) -> LongestElementVerdict:
+    """Check l(w) + l(w w0) = C(n,2) and D(w w0) = D(w)^c over all of S_n;
+    `ceiling` bounds the n! permutations."""
+    _charge_permutations(n, ceiling)
     full = n * (n - 1) // 2
     everything = frozenset(range(1, n))
     for img in permutations(range(1, n + 1)):
@@ -109,11 +118,11 @@ def descent_sum(n: int, I) -> Polynomial:
     return descent_sums(n)[frozenset(I) & frozenset(range(1, n))]
 
 
-def descent_sums(n: int) -> dict:
+def descent_sums(n: int, ceiling: int = DEFAULT_CEILING) -> dict:
     """I -> descent_sum(n, I) for every subset I of [n-1], from one walk of S_n
-    that counts the lengths of each descent set."""
-    if n > MAX_SYMMETRIC:
-        raise ResourceGuardError(f"guard: n <= {MAX_SYMMETRIC}")
+    that counts the lengths of each descent set; `ceiling` bounds the n!
+    permutations."""
+    _charge_permutations(n, ceiling)
     table = {}  # descent set -> Counter of lengths
     for img in permutations(range(1, n + 1)):
         w = PermutationData(img)
@@ -129,11 +138,10 @@ def descent_sums(n: int) -> dict:
 # ---------------------------------------------------------------------------
 # flags over prime fields (independent geometric oracle)
 
-MAX_FLAG_N = 4
 FLAG_PRIMES = (2, 3)
 
 
-def _rref_subspaces(n, dim, q):
+def _rref_subspaces(n, dim, q, charge):
     """Canonical RREF bases of the dim-dimensional subspaces of F_q^n."""
     subspaces = []
     for pivots in combinations(range(n), dim):
@@ -149,6 +157,7 @@ def _rref_subspaces(n, dim, q):
                 rows[r][p] = 1
             for (r, c), v in zip(free_positions, values):
                 rows[r][c] = v
+            charge()
             subspaces.append(tuple(tuple(r) for r in rows))
     return subspaces
 
@@ -167,20 +176,21 @@ def _contained(sub, sup, q):
     return all(_in_rowspace_modp(row, sup, q) for row in sub)
 
 
-def flag_count(n: int, I, q: int) -> int:
-    """Number of flags of type I in F_q^n, by exhaustive chain enumeration."""
-    if n > MAX_FLAG_N:
-        raise ResourceGuardError(f"guard: n <= {MAX_FLAG_N}")
+def flag_count(n: int, I, q: int, ceiling: int = DEFAULT_CEILING) -> int:
+    """Number of flags of type I in F_q^n, by exhaustive chain enumeration;
+    `ceiling` bounds the subspaces listed plus the chain nodes."""
     if q not in FLAG_PRIMES:
         raise UnsupportedError("prime fields q in {2, 3} only")
     chain = sorted(I)
     if any(not 1 <= i <= n - 1 for i in chain):
         raise MalformedInputError("I must be a subset of [n-1]")
-    levels = [_rref_subspaces(n, d, q) for d in chain]
+    charge = Budget(ceiling, "the flag walk", "subspaces and nodes").charge
+    levels = [_rref_subspaces(n, d, q, charge) for d in chain]
     count = 0
 
     def rec(level, prev):
         nonlocal count
+        charge()
         if level == len(levels):
             count += 1
             return

@@ -1,4 +1,7 @@
-"""Shared exception types, mapped to CLI exit codes by ringzeta.cli."""
+"""Shared exception types, mapped to CLI exit codes by ringzeta.cli, and the
+one resource guard every walk counts its work against."""
+
+DEFAULT_CEILING = 10**8
 
 
 class MalformedInputError(ValueError):
@@ -16,6 +19,28 @@ class ResourceGuardError(RuntimeError):
         super().__init__(message)
         self.predicted = predicted
         self.ceiling = ceiling
+
+
+class Budget:
+    """The units of work of one walk, counted against `ceiling`.
+
+    A walk charges its predicted total up front, before any work, or its units
+    as it goes.  A charge that would pass the ceiling raises
+    ResourceGuardError; when it is the first, nothing was walked, and the
+    error records it as the prediction."""
+
+    def __init__(self, ceiling, what, unit):
+        self.ceiling, self.what, self.unit, self.used = ceiling, what, unit, 0
+
+    def charge(self, units=1):
+        if self.used + units > self.ceiling:
+            if not self.used:
+                raise ResourceGuardError(
+                    f"{self.what} needs {units} {self.unit}, over ceiling {self.ceiling}",
+                    predicted=units, ceiling=self.ceiling)
+            raise ResourceGuardError(
+                f"{self.what} visited more than {self.ceiling} {self.unit}", ceiling=self.ceiling)
+        self.used += units
 
 
 class InternalConsistencyError(RuntimeError):

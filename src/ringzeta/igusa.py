@@ -17,16 +17,10 @@ from fractions import Fraction
 from itertools import product
 
 from .algebra import StructureConstantAlgebra
-from .errors import (
-    InternalConsistencyError,
-    MalformedInputError,
-    ResourceGuardError,
-)
+from .errors import DEFAULT_CEILING, Budget, InternalConsistencyError, MalformedInputError
 from .latticezeta import sublattice_count_prediction
 from .poly import Polynomial
 from .ratfun import XY, BivariateRationalFunction, LocalDirichletTruncation
-
-DEFAULT_GUARD = 10**8
 
 # the older name of the polynomial type, still used by callers and by the
 # benchmark's tracer, which counts calls to IntegerPolynomial.evaluate
@@ -138,9 +132,10 @@ class PoincareTruncation:
             raise MalformedInputError("N_0 must be 1")
 
 
-def poincare_counts(f: Polynomial, p: int, M: int, guard=DEFAULT_GUARD) -> PoincareTruncation:
-    """N_0..N_M by Hensel lifting; `guard` bounds the points walked, the p^n
-    points mod p plus the singular nodes lifted.
+def poincare_counts(f: Polynomial, p: int, M: int,
+                    ceiling: int = DEFAULT_CEILING) -> PoincareTruncation:
+    """N_0..N_M by Hensel lifting; `ceiling` bounds the points walked, the p^n
+    points mod p, charged up front, plus the singular nodes lifted.
 
     For x with f(x) = 0 mod p^j, j >= 1, and t in (Z/p)^n,
     f(x + p^j t) = f(x) + p^j grad f(x).t mod p^(j+1): the higher Taylor terms
@@ -154,11 +149,8 @@ def poincare_counts(f: Polynomial, p: int, M: int, guard=DEFAULT_GUARD) -> Poinc
     counts = [1] + [0] * M
     if M == 0:
         return PoincareTruncation(p, M, tuple(counts))
-    walked = p**n
-    if walked > guard:
-        raise ResourceGuardError(
-            f"p^n = {p}^{n} points mod p exceed guard {guard}", predicted=walked, ceiling=guard
-        )
+    walk = Budget(ceiling, "the lifting walk", "points")
+    walk.charge(p**n)
     gradient = [f.derivative(v) for v in range(n)]
     lifts = list(product(range(p), repeat=n))
     smooth = 0
@@ -176,11 +168,7 @@ def poincare_counts(f: Polynomial, p: int, M: int, guard=DEFAULT_GUARD) -> Poinc
             counts[m] += smooth * p ** ((n - 1) * (m - 1))
     while stack:  # depth-first: at most p^n pending nodes per level
         x, j = stack.pop()
-        walked += 1
-        if walked > guard:
-            raise ResourceGuardError(
-                f"the lifting walk visited more than {guard} points", ceiling=guard
-            )
+        walk.charge()
         if f.evaluate(x) % p ** (j + 1):
             continue
         counts[j + 1] += p**n
@@ -291,7 +279,7 @@ def theorem3d_form(alg: StructureConstantAlgebra) -> QuadraticForm3:
 
 
 def theorem3d_zeta(
-    alg: StructureConstantAlgebra, p: int, i: int, K: int, guard=DEFAULT_GUARD
+    alg: StructureConstantAlgebra, p: int, i: int, K: int, ceiling: int = DEFAULT_CEILING
 ) -> LocalDirichletTruncation:
     """Subring zeta truncation of p^i * alg via the quadratic-form correction:
 
@@ -300,12 +288,12 @@ def theorem3d_zeta(
     realized on truncations: Z_f(s-2) reweights the integral series by p^{2m},
     and the prefactor is the monomial X^{2(i+1)} Y^{i+1}.  The correction's
     Y^k coefficient needs the integral series to order k-(i+1), so Poincare
-    depth K-i suffices and is what gets computed; `guard` bounds its walk."""
+    depth K-i suffices and is what gets computed; `ceiling` bounds its walk."""
     form = theorem3d_form(alg)
     correction = [Fraction(0)] * (K + 1)
     if K >= i + 1 and not form.is_zero():
         depth = K - i
-        pc = poincare_counts(form.to_polynomial(), p, depth, guard=guard)
+        pc = poincare_counts(form.to_polynomial(), p, depth, ceiling=ceiling)
         z = zf_series_from_poincare(pc, 3)
         pref = Fraction(p ** (2 * (i + 1)), 1) / (1 - Fraction(1, p))
         for k in range(i + 1, K + 1):

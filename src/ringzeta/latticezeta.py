@@ -34,11 +34,9 @@ from functools import lru_cache
 from itertools import chain, product
 
 from .algebra import StructureConstantAlgebra, catalog, multiply
-from .errors import MalformedInputError, ResourceGuardError
+from .errors import DEFAULT_CEILING, Budget, MalformedInputError
 from .exactlinalg import local_elimination
 from .ratfun import LocalDirichletTruncation
-
-DEFAULT_CEILING = 10**8
 
 
 @dataclass(frozen=True)
@@ -136,13 +134,7 @@ def enumerate_sublattices(n, p, k, ceiling=DEFAULT_CEILING):
     """Yield each index-p^k sublattice of Z_p^n exactly once, in canonical form."""
     if n < 1 or k < 0:
         raise MalformedInputError("need n >= 1 and k >= 0")
-    predicted = sublattice_count_prediction(n, p, k)
-    if predicted > ceiling:
-        raise ResourceGuardError(
-            f"predicted {predicted} lattices exceeds ceiling {ceiling}",
-            predicted=predicted,
-            ceiling=ceiling,
-        )
+    Budget(ceiling, f"index {p}^{k}", "lattices").charge(sublattice_count_prediction(n, p, k))
     for m in _compositions(k, n):
         yield from _lattices_for_composition(n, p, m)
 
@@ -302,12 +294,7 @@ def _brute_counts(alg, p, K, mode, ceiling):
     """Enumerate every index-p^k sublattice and test it, k = 0..K.  Refused up
     front when the sublattices of index up to p^K outnumber `ceiling`."""
     predicted = sum(sublattice_count_prediction(alg.rank, p, k) for k in range(K + 1))
-    if predicted > ceiling:
-        raise ResourceGuardError(
-            f"predicted {predicted} lattices exceeds ceiling {ceiling}",
-            predicted=predicted,
-            ceiling=ceiling,
-        )
+    Budget(ceiling, "the enumeration", "lattices").charge(predicted)
     test = {
         "subrings": lambda lat: is_subring(alg, lat),
         "ideals": lambda lat: is_ideal(alg, lat),
@@ -343,7 +330,7 @@ def _search_counts(alg, p, K, mode, ceiling):
     linear = mode == "ideals" or antisym
     rows = [None] * n
     coeffs = [0] * (K + 1)
-    nodes = 0
+    visit = Budget(ceiling, "search", "nodes").charge
     if mode == "ideals":
         # basis vectors whose products on that side can be nonzero
         units = _unit_vectors(n)
@@ -363,14 +350,6 @@ def _search_counts(alg, p, K, mode, ceiling):
             if any(prod) and not _in_span(rows, i, prod):
                 return False
         return True
-
-    def visit():
-        nonlocal nodes
-        nodes += 1
-        if nodes > ceiling:
-            raise ResourceGuardError(
-                f"search visited more than {ceiling} nodes", ceiling=ceiling
-            )
 
     # Columns that are no factor of any structure constant are inert: no
     # product reads them.  When no constant (a, b, k) has k in {a, b}, every
@@ -540,15 +519,7 @@ def _central_counts(alg, p, K, ceiling, noncentral, central):
             block = blocks.setdefault((r, key[o]), [[0] * dc for _ in range(d)])
             block[row_of[key[r]]][col_of[key[2]]] += v
     blocks = list(blocks.values())
-    nodes = 0
-
-    def visit():
-        nonlocal nodes
-        nodes += 1
-        if nodes > ceiling:
-            raise ResourceGuardError(
-                f"central sum visited more than {ceiling} nodes", ceiling=ceiling
-            )
+    visit = Budget(ceiling, "central sum", "nodes").charge
 
     def kernel_log(Y, E):
         """log_p of the number of x mod p^E with x C Y = 0 for every C."""

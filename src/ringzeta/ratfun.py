@@ -23,6 +23,8 @@ from importlib import resources
 from itertools import compress
 
 from .errors import (
+    DEFAULT_CEILING,
+    Budget,
     CoverageError,
     LookupError_,
     MalformedInputError,
@@ -400,7 +402,8 @@ def _primes_up_to(n):
     return list(compress(range(n + 1), sieve))
 
 
-def euler_product(factor, primes_up_to: int, bound: int) -> GlobalDirichletTruncation:
+def euler_product(factor, primes_up_to: int, bound: int,
+                  ceiling: int = DEFAULT_CEILING) -> GlobalDirichletTruncation:
     """Assemble a_m for m <= bound from local factors at all primes <= primes_up_to.
 
     factor is either a BivariateRationalFunction W, the same at every prime
@@ -409,8 +412,10 @@ def euler_product(factor, primes_up_to: int, bound: int) -> GlobalDirichletTrunc
     depth) raises at the least prime that fails; or a callable
     p -> LocalDirichletTruncation of sufficient depth.  A prime p has depth d
     when p^d <= bound < p^(d+1).  Raises CoverageError, naming the least
-    prime in (primes_up_to, bound], when there is one.
+    prime in (primes_up_to, bound], when there is one.  `ceiling` bounds the
+    integers sieved plus the `bound` coefficients, charged before the sieve.
     """
+    Budget(ceiling, "the Euler product", "integers").charge(max(primes_up_to, bound) + bound)
     everything = _primes_up_to(max(primes_up_to, bound))
     covered = bisect_right(everything, primes_up_to)
     primes = everything[:covered]

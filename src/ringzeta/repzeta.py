@@ -21,17 +21,15 @@ from itertools import product
 
 from .algebra import Class2Presentation, commutator_matrix
 from .errors import (
+    DEFAULT_CEILING,
+    Budget,
     InternalConsistencyError,
     MalformedInputError,
-    ResourceGuardError,
     UnsupportedError,
 )
 from .exactlinalg import local_elimination
 from .poly import Polynomial
 from .ratfun import LocalDirichletTruncation, funeq_verdict, hybrid_funeq_verdict
-
-DEFAULT_GUARD = 10**8
-POINT_COUNT_MAX_PRIME = 10**4
 
 
 @dataclass(frozen=True)
@@ -100,13 +98,13 @@ def rep_zeta_class2(
     pres: Class2Presentation,
     p: int,
     J: int,
-    guard: int = DEFAULT_GUARD,
+    ceiling: int = DEFAULT_CEILING,
 ) -> LocalDirichletTruncation:
     """Twist-isoclass counts c[p^0..p^J] from the coadjoint-orbit recipe.
 
     R(u ell) = u R(ell) for a unit u, so a unit class of characters shares one
     type: each level walks one representative per class (`_unit_classes`)
-    with weight phi(p^N), and `guard` bounds the representatives of the
+    with weight phi(p^N), and `ceiling` bounds the representatives of the
     largest level.  From level 2 on, only the lifts (`_lifts`) of the level-1
     classes with R(ell) singular mod p are walked.  A lift of a nonsingular
     class has det R(ell) a unit, so type (0, ..., 0) and exponent d N / 2; the
@@ -119,10 +117,10 @@ def rep_zeta_class2(
     keeps two unit divisors at every level, so its exponent is at least N and
     levels beyond J contribute nothing.
     """
-    return _orbit_counts(pres, p, J, guard, _unit_classes)
+    return _orbit_counts(pres, p, J, ceiling, _unit_classes)
 
 
-def _orbit_counts(pres, p, J, guard, chart):
+def _orbit_counts(pres, p, J, ceiling, chart):
     """The level loop of `rep_zeta_class2`; `chart(p, N, d')` gives the walk."""
     if p == 2:
         raise UnsupportedError("p = 2 is excluded (orbit parametrization needs odd period)")
@@ -136,12 +134,7 @@ def _orbit_counts(pres, p, J, guard, chart):
     counts[0] = 1  # the trivial level
     top = max(J, 1)
     size, _, _ = chart(p, top, dprime)  # the levels grow with N
-    if size > guard:
-        raise ResourceGuardError(
-            f"level {top} needs {size} characters, over guard {guard}",
-            predicted=size,
-            ceiling=guard,
-        )
+    Budget(ceiling, f"level {top}", "characters").charge(size)
     lift = chart is _unit_classes
     singular, nonsingular = [], 0  # level-1 classes by whether R(ell) is singular mod p
     for N in range(1, top + 1):
@@ -179,12 +172,11 @@ def _orbit_counts(pres, p, J, guard, chart):
 # point counting
 
 
-def point_count_affine(f: Polynomial, p: int) -> int:
-    """|{(x, y) in F_p^2 : f = 0}| by exhaustion."""
-    if p > POINT_COUNT_MAX_PRIME:
-        raise ResourceGuardError(f"guard: p <= {POINT_COUNT_MAX_PRIME}")
+def point_count_affine(f: Polynomial, p: int, ceiling: int = DEFAULT_CEILING) -> int:
+    """|{(x, y) in F_p^2 : f = 0}| by exhaustion; `ceiling` bounds the p^2 points."""
     if len(f.variables) != 2:
         raise MalformedInputError("affine plane counting needs a 2-variable polynomial")
+    Budget(ceiling, f"the plane over F_{p}", "points").charge(p * p)
     return sum(
         1 for x in range(p) for y in range(p) if f.evaluate((x, y)) % p == 0
     )
@@ -201,11 +193,12 @@ class ProjectivePlaneCurve:
             raise MalformedInputError("curve polynomial must be homogeneous")
 
 
-def point_count_projective(curve: ProjectivePlaneCurve, p: int) -> int:
+def point_count_projective(curve: ProjectivePlaneCurve, p: int,
+                           ceiling: int = DEFAULT_CEILING) -> int:
     """Projective points, via normalized representatives: (x : y : 1),
-    then (x : 1 : 0), then (1 : 0 : 0)."""
-    if p > POINT_COUNT_MAX_PRIME:
-        raise ResourceGuardError(f"guard: p <= {POINT_COUNT_MAX_PRIME}")
+    then (x : 1 : 0), then (1 : 0 : 0); `ceiling` bounds the p^2 + p + 1
+    points."""
+    Budget(ceiling, f"the projective plane over F_{p}", "points").charge(p * p + p + 1)
     f = curve.polynomial
     count = sum(
         1 for x in range(p) for y in range(p) if f.evaluate((x, y, 1)) % p == 0
@@ -216,9 +209,10 @@ def point_count_projective(curve: ProjectivePlaneCurve, p: int) -> int:
     return count
 
 
-def weight_values(hybrid, p: int) -> dict:
+def weight_values(hybrid, p: int, ceiling: int = DEFAULT_CEILING) -> dict:
     """Point-count values for every weight symbol of a hybrid, from the curves
-    it declares (parsed with the igusa expression grammar)."""
+    it declares (parsed with the igusa expression grammar); `ceiling` bounds
+    each curve's count."""
     from .igusa import parse_polynomial
 
     values = {}
@@ -227,7 +221,7 @@ def weight_values(hybrid, p: int) -> dict:
         if expr is None:
             raise MalformedInputError(f"hybrid declares no curve for weight {symbol!r}")
         curve = ProjectivePlaneCurve(parse_polynomial(expr))
-        values[symbol] = point_count_projective(curve, p)
+        values[symbol] = point_count_projective(curve, p, ceiling)
     return values
 
 

@@ -186,9 +186,14 @@ def test_guard_exit_three():
     # 3 points mod 3, then 7 singular nodes lifted
     ["igusa", "poincare", "--poly", "x^2", "--prime", "3", "--depth", "4"],
     ["igusa", "zeta3d", "--ring", "catalog:heisenberg", "--prime", "3", "--max-index", "2"],
-    # series and reciprocity stop in the enumeration, ratform in the expansion
+    # series and reciprocity stop in the enumeration, rays and ratform in the
+    # ray search, which tries 10 supports
     *[["cone", name, "--system", str(DATA / "stanley_cone.json")]
-      for name in ("series", "ratform", "reciprocity")],
+      for name in ("rays", "series", "ratform", "reciprocity")],
+    ["coxeter", "check", "--n", "4"],  # 24 permutations
+    ["euler", "--name", "zeta_Zn(2)", "--primes-up-to", "10", "--max-m", "10"],  # 20 integers
+    # the hybrid's curve has 31 points over F_5
+    ["zeta", "formula", "--name", "dusautoy_rep", "--prime", "5", "--max-index", "2"],
 ], ids=lambda argv: " ".join(argv[:2]))
 def test_ceiling_reaches_every_guard(argv):
     assert run([*argv, "--ceiling", "5"])[0] == 3
@@ -291,20 +296,41 @@ def test_cone_commands(tmp_path):
     assert code == 0
 
 
-@pytest.mark.parametrize("command, doc, bound", [
-    ("series", {"phi": [[0] * 12]}, "60"),  # 61^12 nodes
-    ("ratform", {"phi": [[1, 1, -100000]]}, "2"),  # a parallelepiped of 100,000 points
-    ("ratform", {"phi": [[0] * 10]}, "12"),  # 13^10 terms in the expansion
-])
-def test_cone_walks_are_refused_at_the_ceiling(tmp_path, capsys, command, doc, bound):
+@pytest.mark.parametrize("command, doc, bound, ceiling, walk", [
+    ("series", {"phi": [[0] * 12]}, "60", "1", "the enumeration"),  # 61^12 nodes
+    # one parallelepiped of 100,000 points, after 6 supports and 1 face
+    ("ratform", {"phi": [[1, 1, -100000]]}, "2", "10", "the numerator"),
+    ("ratform", {"phi": [[0] * 10]}, "12", "10", "the expansion"),  # 13^10 terms
+    # a bound of 10^12 is refused before any loop or list of that length
+    ("series", {"phi": [[1, 1]]}, str(10**12), "10", "the enumeration"),  # 10^12 values
+    ("ratform", {"phi": [[1, 1, -1, -1]]}, str(10**12), "10", "the expansion"),
+], ids=["series-doc0-60", "ratform-doc1-2", "ratform-doc2-12", "series-huge-bound",
+        "ratform-huge-bound"])
+def test_cone_walks_are_refused_at_the_ceiling(tmp_path, capsys, command, doc, bound, ceiling,
+                                               walk):
     system = tmp_path / "cone.json"
     system.write_text(json.dumps(doc))
     start = time.perf_counter()
-    code, out = run(["cone", command, "--system", str(system), "--bound", bound, "--ceiling", "1"])
+    code, out = run(["cone", command, "--system", str(system), "--bound", bound,
+                     "--ceiling", ceiling])
     assert (code, out) == (3, "")
     assert time.perf_counter() - start < 2
     err = capsys.readouterr().err
-    assert err.startswith("resource guard: ") and "Traceback" not in err
+    assert err.startswith(f"resource guard: {walk} ") and "Traceback" not in err
+
+
+def test_ceiling_replaces_the_cone_size_caps(tmp_path, capsys):
+    # 16 extreme rays: 20 pieces of 2^9 numerator terms each
+    system = tmp_path / "cone.json"
+    system.write_text(json.dumps({"phi": [[1, 1, 1, 1, -1, -1, -1, -1]]}))
+    code, out = run(["cone", "ratform", "--system", str(system), "--bound", "2"])
+    assert code == 0 and "expansion_matches_enumeration: True" in out
+    # 30 rays: 126 pieces of 2^20 terms each, refused before any is multiplied out
+    system.write_text(json.dumps({"phi": [[1] * 6 + [-1] * 5]}))
+    start = time.perf_counter()
+    assert run(["cone", "ratform", "--system", str(system)]) == (3, "")
+    assert time.perf_counter() - start < 2
+    assert "the numerator needs 132120576 terms" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["ratform", "reciprocity"])
@@ -479,6 +505,29 @@ def test_euler_resolves_the_formula_before_the_product():
 def test_coxeter_check_command():
     code, out = run(["coxeter", "check", "--n", "4"])
     assert code == 0 and "pass" in out
+
+
+def test_coxeter_check_refuses_a_huge_degree_at_once(capsys):
+    # n! is not computed: the product stops at 12! > 10^8
+    start = time.perf_counter()
+    assert run(["coxeter", "check", "--n", "1000000"]) == (3, "")
+    assert time.perf_counter() - start < 1
+    assert "contains S_12, which needs 479001600 permutations" in capsys.readouterr().err
+
+
+def test_euler_is_refused_before_the_sieve(monkeypatch, capsys):
+    from ringzeta import ratfun
+
+    def sieve(n):
+        raise AssertionError(f"sieved up to {n}")
+
+    monkeypatch.setattr(ratfun, "_primes_up_to", sieve)
+    argv = ["euler", "--name", "zeta_Zn(2)", "--primes-up-to", "100", "--max-m", "1"]
+    assert run(["--ceiling", "100", *argv]) == (3, "")
+    assert "the Euler product needs 101 integers" in capsys.readouterr().err
+    # 10^11 + 1 integers: refused at the default ceiling, with no sieve
+    argv[4] = str(10**11)
+    assert run(argv) == (3, "")
 
 
 def test_corrupted_catalog_entry_fails_compare(monkeypatch):

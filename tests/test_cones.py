@@ -38,7 +38,7 @@ def test_brute_series_examples():
 
 def test_brute_series_guard():
     with pytest.raises(ResourceGuardError):
-        brute_series(DiophantineConeSystem.empty(13), 2)
+        brute_series(DiophantineConeSystem.empty(13), 2, ceiling=10**4)
 
 
 def test_extreme_rays_examples():
@@ -252,6 +252,29 @@ def test_ceiling_bounds_each_walk():
         brute_series(STANLEY, 6, ceiling=5)
     with pytest.raises(ResourceGuardError):
         expand_form(cones.rational_form(STANLEY), 6, ceiling=5)
-    with pytest.raises(ResourceGuardError):  # one skew piece has 2 points
-        cones.rational_form(DiophantineConeSystem([[1, 2, -2, -1]]), ceiling=1)
-    assert cones.rational_form(DiophantineConeSystem([[1, 2, -2, -1]]), ceiling=2)
+    # [[1, 2, -2, -1]]: the ray search tries 10 supports, the largest walk
+    skew = DiophantineConeSystem([[1, 2, -2, -1]])
+    with pytest.raises(ResourceGuardError):
+        cones.rational_form(skew, ceiling=1)
+    assert cones.rational_form(skew, ceiling=10)
+    with pytest.raises(ResourceGuardError) as err:
+        cones.rational_form(skew, ceiling=9)
+    assert err.value.predicted == 10
+    # 16 rays: 36 supports, then 39 faces recursed into, then 10,240 terms
+    with pytest.raises(ResourceGuardError, match="^the triangulation visited more than 38"):
+        cones.rational_form(DiophantineConeSystem([[1, 1, 1, 1, -1, -1, -1, -1]]), ceiling=38)
+
+
+def test_numerator_terms_are_charged_before_any_piece(monkeypatch):
+    # with the ray search unbounded, [[1, 2, -2, -1]] has 6 numerator terms:
+    # pieces of 1 and 2 points, times 2 for the one ray each misses
+    rays, walked = cones.extreme_rays, []
+    monkeypatch.setattr(cones, "extreme_rays", lambda sys, ceiling: rays(sys))
+    monkeypatch.setattr(cones, "_parallelepiped_points",
+                        lambda *args: walked.append(args) or {})
+    skew = DiophantineConeSystem([[1, 2, -2, -1]])
+    with pytest.raises(ResourceGuardError) as err:
+        cones.rational_form(skew, ceiling=5)
+    assert err.value.predicted == 6 and not walked
+    cones.rational_form(skew, ceiling=6)
+    assert len(walked) == 2

@@ -75,7 +75,7 @@ def test_longest_element_identities():
     w = PermutationData((3, 5, 2, 4, 1))
     assert length(coxeter.complement_by_longest(w)) == 10 - 7
     with pytest.raises(ResourceGuardError):
-        coxeter.longest_element_identities(9)
+        coxeter.longest_element_identities(9, ceiling=10**5)
 
 
 def test_gaussian_binomial_examples():
@@ -113,7 +113,7 @@ def test_flag_count_guards():
     with pytest.raises(UnsupportedError):
         flag_count(3, {1}, 4)
     with pytest.raises(ResourceGuardError):
-        flag_count(5, {1}, 2)
+        flag_count(5, {1}, 2, ceiling=20)
 
 
 def test_ip_abelian_family():

@@ -50,13 +50,13 @@ def test_poincare_guard():
     # the guard bounds the walk: the p^n points mod p, refused before any is
     # evaluated, plus each singular node lifted
     with pytest.raises(ResourceGuardError) as err:
-        poincare_counts(parse_polynomial("x + y + z"), 101, 4, guard=10**6)
+        poincare_counts(parse_polynomial("x + y + z"), 101, 4, ceiling=10**6)
     assert err.value.predicted == 101**3
     # x^2 mod 3: 3 points, then the nodes 0 mod 3, {0, 3, 6} mod 9, {0, 9, 18} mod 27
     f = parse_polynomial("x^2")
-    assert poincare_counts(f, 3, 4, guard=10).counts == (1, 1, 3, 3, 9)
+    assert poincare_counts(f, 3, 4, ceiling=10).counts == (1, 1, 3, 3, 9)
     with pytest.raises(ResourceGuardError):
-        poincare_counts(f, 3, 4, guard=9)
+        poincare_counts(f, 3, 4, ceiling=9)
 
 
 def _random_polynomial(rng, p, n):

@@ -6,6 +6,7 @@ import pytest
 from ringzeta import algebra, igusa, ratfun, repzeta
 from ringzeta.algebra import commutator_matrix
 from ringzeta.errors import (
+    DEFAULT_CEILING,
     InternalConsistencyError,
     MalformedInputError,
     ResourceGuardError,
@@ -176,7 +177,7 @@ def test_rep_quotient_matches_full_walk_on_random_presentations():
         rng.randint(1, 3)  # keeps the seeded sequence of presentations unchanged
         fast = _outcome(lambda: rep_zeta_class2(pres, p, J))
         full = _outcome(lambda: repzeta._orbit_counts(
-            pres, p, J, repzeta.DEFAULT_GUARD, repzeta._all_characters))
+            pres, p, J, DEFAULT_CEILING, repzeta._all_characters))
         assert fast == full, (constants, d, dprime, p, J)
         outcomes.append(full)
     assert sum(isinstance(o, tuple) for o in outcomes) >= 40
@@ -214,7 +215,7 @@ def test_rep_lift_cut_matches_full_walk_on_random_presentations():
             "random", d, dprime, _random_constants(rng, d, dprime, p))
         fast = _outcome(lambda: rep_zeta_class2(pres, p, J))
         full = _outcome(lambda: repzeta._orbit_counts(
-            pres, p, J, repzeta.DEFAULT_GUARD, repzeta._all_characters))
+            pres, p, J, DEFAULT_CEILING, repzeta._all_characters))
         assert fast == full, (pres.constants, d, dprime, p, J)
         R = commutator_matrix(pres)
         _, walk, _ = repzeta._unit_classes(p, 1, dprime)
@@ -239,7 +240,7 @@ def test_smith_forms_walked_by_the_quotient_and_the_oracle(monkeypatch):
     rep_zeta_class2(pres, 3, 2)
     assert (calls.count(1), calls.count(2)) == (13, 4 * 9)
     calls.clear()
-    repzeta._orbit_counts(pres, 3, 2, repzeta.DEFAULT_GUARD, repzeta._all_characters)
+    repzeta._orbit_counts(pres, 3, 2, DEFAULT_CEILING, repzeta._all_characters)
     assert (calls.count(1), calls.count(2)) == (26, 3**6 - 3**3)
 
 
@@ -300,7 +301,7 @@ def test_rep_zeta_guard(monkeypatch):
     monkeypatch.setattr(repzeta, "smith_type", lambda A, p, N: calls.append(N) or real(A, p, N))
     pres = algebra.catalog_presentation("dusautoy_ec")
     with pytest.raises(ResourceGuardError) as info:
-        rep_zeta_class2(pres, 101, 2, guard=10**6)
+        rep_zeta_class2(pres, 101, 2, ceiling=10**6)
     assert info.value.predicted == 101**2 * 10303 and not calls
     # the level-1 classes fit: the guard bounds the largest level walked
     with pytest.raises(ResourceGuardError):
