@@ -14,8 +14,8 @@ defines the monoid E of non-negative integer solutions.  The module produces
 
 All arithmetic is exact (int / Fraction).  `ceiling` bounds each walk on its
 own: the values the enumeration tries, the supports the ray search tries, the
-faces the triangulation recurses into, the numerator terms of the rational
-form and the expansion's terms, and the points of a min-form box.
+faces the triangulation visits, the numerator terms of the rational
+form, the expansion's steps, and the points of a min-form box.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from itertools import combinations, product
 from math import comb, gcd, lcm, prod
 
@@ -125,7 +124,8 @@ def brute_series(sys: DiophantineConeSystem, B: int, strict: bool = False,
                  ceiling: int = DEFAULT_CEILING):
     """Enumerate solutions with every coordinate in [0, B] ([1, B] when strict),
     then marginalize the slack columns.  `ceiling` bounds the values tried,
-    the B + 1 - lo candidates of each inner node of the search."""
+    the B + 1 - lo candidates of each inner node of the search, which keeps
+    one pending iterator per coordinate, not one call frame."""
     lo = 1 if strict else 0
     m = sys.m
     rows = sys.rows
@@ -139,16 +139,11 @@ def brute_series(sys: DiophantineConeSystem, B: int, strict: bool = False,
             lo_c, hi_c = sorted((c * lo, c * B))
             suff_min[r][idx] = suff_min[r][idx + 1] + lo_c
             suff_max[r][idx] = suff_max[r][idx + 1] + hi_c
-    terms = {}
-    alpha = [0] * m
     charge = Budget(ceiling, "the enumeration", "values").charge
 
-    def rec(idx, partial):
-        if idx == m:
-            if all(s == 0 for s in partial):
-                e = tuple(alpha)
-                terms[e] = terms.get(e, 0) + 1
-            return
+    def children(idx, partial):
+        """The values at idx that leave every row solvable, with the new sums;
+        at the last coordinate that means every row sum is 0."""
         charge(B + 1 - lo)
         for v in range(lo, B + 1):
             new = [partial[r] + rows[r][idx] * v for r in range(nrows)]
@@ -156,11 +151,22 @@ def brute_series(sys: DiophantineConeSystem, B: int, strict: bool = False,
                 new[r] + suff_min[r][idx + 1] <= 0 <= new[r] + suff_max[r][idx + 1]
                 for r in range(nrows)
             ):
-                alpha[idx] = v
-                rec(idx + 1, new)
-        alpha[idx] = 0
+                yield v, new
 
-    rec(0, [0] * nrows)
+    terms = {} if m else {(): 1}
+    alpha = [0] * m
+    stack = [children(0, [0] * nrows)] if m else []
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            continue
+        alpha[len(stack) - 1] = step[0]
+        if len(stack) < m:
+            stack.append(children(len(stack), step[1]))
+        else:
+            e = tuple(alpha)
+            terms[e] = terms.get(e, 0) + 1
     series = MultivariateSeriesTruncation(m, B, terms)
     if sys.slack_columns:
         series = series.marginalize(sys.slack_columns)
@@ -189,7 +195,7 @@ def extreme_rays(sys: DiophantineConeSystem, ceiling: int = DEFAULT_CEILING) -> 
     m = sys.m
     rows = sys.rows
     sizes = range(1, min(m, sys.rank + 1) + 1)
-    Budget(ceiling, "the ray search", "supports").charge(sum(comb(m, size) for size in sizes))
+    Budget(ceiling, "the ray search", "supports").predict(sum(comb(m, size) for size in sizes))
     found = set()
     for size in sizes:
         for support in combinations(range(m), size):
@@ -224,26 +230,26 @@ class MultivariateRationalForm:
     denominator_rays: tuple  # tuple of ray tuples (with multiplicity)
 
 
-def _triangulate(rays, face, dim, charge):
-    """Pulling triangulation of the face of dimension `dim` spanned by the
-    rays[i], i in `face` (ascending), as tuples of ray indices; `charge` counts
-    each face recursed into.
+def _triangulate(rays, dim, charge):
+    """Pulling triangulation of the cone of dimension `dim` spanned by the
+    rays, as tuples of ray indices; `charge` counts each face visited.
 
-    The face's first ray is coned over each facet that misses it.  A face of
-    {alpha >= 0 : Phi alpha = 0} meets coordinate hyperplanes in its faces,
-    and each of its facets is one such face, so a facet is the set of the
-    face's rays that vanish in one coordinate, when they span dim - 1
-    dimensions."""
-    charge()
-    if len(face) == dim:
-        return [tuple(face)]
-    facets = {tuple(i for i in face if not rays[i][j]) for j in range(len(rays[0]))}
-    return [
-        (face[0],) + sigma
-        for facet in sorted(facets)
-        if face[0] not in facet and rank([rays[i] for i in facet]) == dim - 1
-        for sigma in _triangulate(rays, facet, dim - 1, charge)
-    ]
+    A face's first ray is coned over each facet that misses it, depth-first
+    with an explicit stack.  A face of {alpha >= 0 : Phi alpha = 0} meets
+    coordinate hyperplanes in its faces, and each of its facets is one such
+    face, so a facet is the set of the face's rays that vanish in one
+    coordinate, when they span dim - 1 dimensions."""
+    simplices, stack = [], [((), tuple(range(len(rays))), dim)]
+    while stack:
+        apex, face, d = stack.pop()
+        charge()
+        if len(face) == d:
+            simplices.append(apex + face)
+            continue
+        facets = {tuple(i for i in face if not rays[i][j]) for j in range(len(rays[0]))}
+        stack.extend((apex + face[:1], facet, d - 1) for facet in sorted(facets, reverse=True)
+                     if face[0] not in facet and rank([rays[i] for i in facet]) == d - 1)
+    return simplices
 
 
 def _solve_in_ray_basis(rays, target):
@@ -303,11 +309,10 @@ def rational_form(sys: DiophantineConeSystem, _seed: int = 0,
     if not ex.rays:
         return MultivariateRationalForm(m, {tuple([0] * m): 1}, ())
     rays = list(ex.rays)
-    simplices = _triangulate(rays, list(range(len(rays))), ex.dim,
-                             Budget(ceiling, "the triangulation", "faces").charge)
+    simplices = _triangulate(rays, ex.dim, Budget(ceiling, "the triangulation", "faces").charge)
     all_rays = sorted({rays[i] for sigma in simplices for i in sigma})
     lattices = [diagonalize_rowlattice([rays[i] for i in sigma]) for sigma in simplices]
-    Budget(ceiling, "the numerator", "terms").charge(
+    Budget(ceiling, "the numerator", "terms").predict(
         sum(prod(divisors) for divisors, _ in lattices) << (len(all_rays) - ex.dim))
     # generic interior point for the half-open orientation
     rng = random.Random(_seed)
@@ -345,33 +350,30 @@ def _expand_with_laurent(numerator, rays, m, B, ceiling):
     """Series of numerator / prod(1 - X^ray) in the box [0, B]^m.
 
     Laurent numerators are allowed; returns (terms_in_box, negatives_present).
-    The terms are kept by total degree, and each ray's pass runs over the
-    degrees present in increasing order; `ceiling` bounds the terms it
-    propagates."""
+    The terms are kept in one bucket per total degree.  `ceiling` bounds the
+    steps: each pass over the buckets, one per ray and one to read them out,
+    is charged before the buckets are made, and each term propagated as it
+    goes."""
     if not numerator:
         return {}, False
     shift = [max(0, -min(e[j] for e in numerator)) for j in range(m)]
     cap = [B + shift[j] for j in range(m)]
     maxdeg = sum(cap)
-    buckets = {}
+    budget = Budget(ceiling, "the expansion", "steps")
+    budget.predict((len(rays) + 1) * (maxdeg + 1))
+    buckets = [dict() for _ in range(maxdeg + 1)]
     for e, c in numerator.items():
         e2 = tuple(x + s for x, s in zip(e, shift))
         if all(0 <= x <= cp for x, cp in zip(e2, cap)):
-            b = buckets.setdefault(sum(e2), {})
+            b = buckets[sum(e2)]
             b[e2] = b.get(e2, 0) + c
-    charge = Budget(ceiling, "the expansion", "terms").charge
     for r in rays:
         rsum = sum(r)
-        degrees = sorted(buckets)  # a sorted list is a heap
-        while degrees:
-            deg = heappop(degrees)
+        for deg in range(maxdeg + 1):
             bucket = buckets[deg]
-            if deg + rsum > maxdeg:
+            if not bucket or deg + rsum > maxdeg:
                 continue
-            charge(len(bucket))
-            if deg + rsum not in buckets:
-                buckets[deg + rsum] = {}
-                heappush(degrees, deg + rsum)
+            budget.charge(len(bucket))
             target = buckets[deg + rsum]
             for e, c in list(bucket.items()):
                 if not c:
@@ -381,7 +383,7 @@ def _expand_with_laurent(numerator, rays, m, B, ceiling):
                     target[e2] = target.get(e2, 0) + c
     # every exponent is within the cap, and shifting back is one-to-one
     out, negatives = {}, False
-    for bucket in buckets.values():
+    for bucket in buckets:
         for e, c in bucket.items():
             if not c:
                 continue
@@ -478,15 +480,15 @@ def substitute(obj, assignment) -> BivariateRationalFunction:
 # min-of-linear-forms series (brute force only)
 
 
-def minform_series(forms, r, s, t, B, strict=False,
-                   ceiling: int = DEFAULT_CEILING) -> MultivariateSeriesTruncation:
+def minform_series(forms, r, s, t, B, strict=False) -> MultivariateSeriesTruncation:
     """Sum over n in {lo..B}^r of X^n * prod_sigma Y_sigma^{min_tau L_{sigma tau}(n)}.
 
     forms[sigma][tau] is the coefficient vector (length r) of a Z-linear form.
-    `ceiling` bounds the (B + 1)^r points of the box, charged up front."""
+    The default ceiling bounds the (B + 1)^r points of the box, charged up
+    front."""
     if len(forms) != s or any(len(row) != t for row in forms):
         raise MalformedInputError("forms must be an s x t array of coefficient vectors")
-    Budget(ceiling, "the box", "points").charge((B + 1) ** r)
+    Budget(DEFAULT_CEILING, "the box", "points").predict((B + 1) ** r)
     lo = 1 if strict else 0
     terms = {}
     for n in product(range(lo, B + 1), repeat=r):

@@ -66,7 +66,7 @@ def _charge_permutations(n, ceiling):
         k += 1
         order *= k
     what = f"S_{n}" if k == n else f"S_{n} contains S_{k}, which"
-    Budget(ceiling, what, "permutations").charge(order)
+    Budget(ceiling, what, "permutations").predict(order)
 
 
 def longest_element_identities(n: int, ceiling: int = DEFAULT_CEILING) -> LongestElementVerdict:

@@ -24,23 +24,24 @@ class ResourceGuardError(RuntimeError):
 class Budget:
     """The units of work of one walk, counted against `ceiling`.
 
-    A walk charges its predicted total up front, before any work, or its units
-    as it goes.  A charge that would pass the ceiling raises
-    ResourceGuardError; when it is the first, nothing was walked, and the
-    error records it as the prediction."""
+    A walk predicts a total it knows before any work, or charges its units as
+    it goes, or both; past the ceiling either raises ResourceGuardError."""
 
     def __init__(self, ceiling, what, unit):
         self.ceiling, self.what, self.unit, self.used = ceiling, what, unit, 0
 
+    def predict(self, total):
+        self.used += total
+        if self.used > self.ceiling:
+            raise ResourceGuardError(
+                f"{self.what} needs {self.used} {self.unit}, over ceiling {self.ceiling}",
+                predicted=self.used, ceiling=self.ceiling)
+
     def charge(self, units=1):
-        if self.used + units > self.ceiling:
-            if not self.used:
-                raise ResourceGuardError(
-                    f"{self.what} needs {units} {self.unit}, over ceiling {self.ceiling}",
-                    predicted=units, ceiling=self.ceiling)
+        self.used += units
+        if self.used > self.ceiling:
             raise ResourceGuardError(
                 f"{self.what} visited more than {self.ceiling} {self.unit}", ceiling=self.ceiling)
-        self.used += units
 
 
 class InternalConsistencyError(RuntimeError):

@@ -150,7 +150,7 @@ def poincare_counts(f: Polynomial, p: int, M: int,
     if M == 0:
         return PoincareTruncation(p, M, tuple(counts))
     walk = Budget(ceiling, "the lifting walk", "points")
-    walk.charge(p**n)
+    walk.predict(p**n)
     gradient = [f.derivative(v) for v in range(n)]
     lifts = list(product(range(p), repeat=n))
     smooth = 0

@@ -134,7 +134,7 @@ def enumerate_sublattices(n, p, k, ceiling=DEFAULT_CEILING):
     """Yield each index-p^k sublattice of Z_p^n exactly once, in canonical form."""
     if n < 1 or k < 0:
         raise MalformedInputError("need n >= 1 and k >= 0")
-    Budget(ceiling, f"index {p}^{k}", "lattices").charge(sublattice_count_prediction(n, p, k))
+    Budget(ceiling, f"index {p}^{k}", "lattices").predict(sublattice_count_prediction(n, p, k))
     for m in _compositions(k, n):
         yield from _lattices_for_composition(n, p, m)
 
@@ -294,7 +294,7 @@ def _brute_counts(alg, p, K, mode, ceiling):
     """Enumerate every index-p^k sublattice and test it, k = 0..K.  Refused up
     front when the sublattices of index up to p^K outnumber `ceiling`."""
     predicted = sum(sublattice_count_prediction(alg.rank, p, k) for k in range(K + 1))
-    Budget(ceiling, "the enumeration", "lattices").charge(predicted)
+    Budget(ceiling, "the enumeration", "lattices").predict(predicted)
     test = {
         "subrings": lambda lat: is_subring(alg, lat),
         "ideals": lambda lat: is_ideal(alg, lat),

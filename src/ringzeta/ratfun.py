@@ -415,7 +415,7 @@ def euler_product(factor, primes_up_to: int, bound: int,
     prime in (primes_up_to, bound], when there is one.  `ceiling` bounds the
     integers sieved plus the `bound` coefficients, charged before the sieve.
     """
-    Budget(ceiling, "the Euler product", "integers").charge(max(primes_up_to, bound) + bound)
+    Budget(ceiling, "the Euler product", "integers").predict(max(primes_up_to, bound) + bound)
     everything = _primes_up_to(max(primes_up_to, bound))
     covered = bisect_right(everything, primes_up_to)
     primes = everything[:covered]

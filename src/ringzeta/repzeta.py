@@ -134,7 +134,7 @@ def _orbit_counts(pres, p, J, ceiling, chart):
     counts[0] = 1  # the trivial level
     top = max(J, 1)
     size, _, _ = chart(p, top, dprime)  # the levels grow with N
-    Budget(ceiling, f"level {top}", "characters").charge(size)
+    Budget(ceiling, f"level {top}", "characters").predict(size)
     lift = chart is _unit_classes
     singular, nonsingular = [], 0  # level-1 classes by whether R(ell) is singular mod p
     for N in range(1, top + 1):
@@ -172,11 +172,12 @@ def _orbit_counts(pres, p, J, ceiling, chart):
 # point counting
 
 
-def point_count_affine(f: Polynomial, p: int, ceiling: int = DEFAULT_CEILING) -> int:
-    """|{(x, y) in F_p^2 : f = 0}| by exhaustion; `ceiling` bounds the p^2 points."""
+def point_count_affine(f: Polynomial, p: int) -> int:
+    """|{(x, y) in F_p^2 : f = 0}| by exhaustion; the default ceiling bounds
+    the p^2 points."""
     if len(f.variables) != 2:
         raise MalformedInputError("affine plane counting needs a 2-variable polynomial")
-    Budget(ceiling, f"the plane over F_{p}", "points").charge(p * p)
+    Budget(DEFAULT_CEILING, f"the plane over F_{p}", "points").predict(p * p)
     return sum(
         1 for x in range(p) for y in range(p) if f.evaluate((x, y)) % p == 0
     )
@@ -198,7 +199,7 @@ def point_count_projective(curve: ProjectivePlaneCurve, p: int,
     """Projective points, via normalized representatives: (x : y : 1),
     then (x : 1 : 0), then (1 : 0 : 0); `ceiling` bounds the p^2 + p + 1
     points."""
-    Budget(ceiling, f"the projective plane over F_{p}", "points").charge(p * p + p + 1)
+    Budget(ceiling, f"the projective plane over F_{p}", "points").predict(p * p + p + 1)
     f = curve.polynomial
     count = sum(
         1 for x in range(p) for y in range(p) if f.evaluate((x, y, 1)) % p == 0

@@ -304,8 +304,10 @@ def test_cone_commands(tmp_path):
     # a bound of 10^12 is refused before any loop or list of that length
     ("series", {"phi": [[1, 1]]}, str(10**12), "10", "the enumeration"),  # 10^12 values
     ("ratform", {"phi": [[1, 1, -1, -1]]}, str(10**12), "10", "the expansion"),
+    # no rays: the one pass that reads the 2 * 10^12 + 1 degree buckets out
+    ("ratform", {"phi": [[1, 1]]}, str(10**12), "10", "the expansion"),
 ], ids=["series-doc0-60", "ratform-doc1-2", "ratform-doc2-12", "series-huge-bound",
-        "ratform-huge-bound"])
+        "ratform-huge-bound", "ratform-no-rays-huge-bound"])
 def test_cone_walks_are_refused_at_the_ceiling(tmp_path, capsys, command, doc, bound, ceiling,
                                                walk):
     system = tmp_path / "cone.json"
@@ -331,6 +333,17 @@ def test_ceiling_replaces_the_cone_size_caps(tmp_path, capsys):
     assert run(["cone", "ratform", "--system", str(system)]) == (3, "")
     assert time.perf_counter() - start < 2
     assert "the numerator needs 132120576 terms" in capsys.readouterr().err
+
+
+def test_cone_series_walks_more_coordinates_than_the_recursion_limit(tmp_path, capsys):
+    system = tmp_path / "cone.json"
+    system.write_text(json.dumps({"phi": [[0] * 2000]}))
+    argv = ["cone", "series", "--system", str(system), "--bound", "0"]
+    code, out = run(argv)
+    assert code == 0 and " ".join(["0"] * 2000) in out
+    assert run(argv + ["--ceiling", "5"]) == (3, "")
+    err = capsys.readouterr().err
+    assert "the enumeration visited more than 5 values" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["ratform", "reciprocity"])

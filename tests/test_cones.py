@@ -265,6 +265,20 @@ def test_ceiling_bounds_each_walk():
         cones.rational_form(DiophantineConeSystem([[1, 1, 1, 1, -1, -1, -1, -1]]), ceiling=38)
 
 
+def test_a_charge_as_the_walk_goes_is_not_a_prediction():
+    # the first node's 61 values are not the walk's total
+    with pytest.raises(ResourceGuardError, match="^the enumeration visited more than 1 values"
+                       ) as err:
+        brute_series(DiophantineConeSystem.empty(12), 60, ceiling=1)
+    assert err.value.predicted is None
+
+
+def test_minform_box_is_refused_at_the_default_ceiling():
+    with pytest.raises(ResourceGuardError, match="^the box needs 100000001 points") as err:
+        cones.minform_series([[(1,)]], r=1, s=1, t=1, B=10**8)
+    assert err.value.predicted == 10**8 + 1
+
+
 def test_numerator_terms_are_charged_before_any_piece(monkeypatch):
     # with the ray search unbounded, [[1, 2, -2, -1]] has 6 numerator terms:
     # pieces of 1 and 2 points, times 2 for the one ray each misses
