@@ -91,12 +91,15 @@ def _expand_formula(name, p, K, ceiling):
 
 def _guard_preview(args, alg):
     """Say on stderr what --ceiling bounds on the path `latticezeta.count`
-    takes.  Only the enumerate path has a prediction: the sublattices of index
-    up to p^K, confirmed at a terminal above 10^6."""
+    takes.  Only the enumerate path prints a prediction: the sublattices of
+    index up to p^K, confirmed at a terminal above 10^6."""
     path = latticezeta.count_path(alg, args.mode)[0]
     if path == "central sum":
-        print(f"resource guard: central sum, --ceiling {args.ceiling} bounds the central "
-              "lattices walked and the points of the rank walk", file=sys.stderr)
+        walked = ("central lattices walked and the points of the rank walk" if args.mode == "ideals"
+                  else "lattices of the abelian quotient of index below p^K, predicted, "
+                  "and the central lattices walked")
+        print(f"resource guard: central sum, --ceiling {args.ceiling} bounds the {walked}",
+              file=sys.stderr)
         return
     if path == "row search":
         print(f"resource guard: row search, --ceiling {args.ceiling} bounds the search nodes",

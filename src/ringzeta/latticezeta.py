@@ -6,11 +6,15 @@ i is p^{m_i}, and entries above a diagonal entry are reduced modulo it.  Every
 sublattice appears exactly once.  This module is the independent oracle the
 closed-form Euler factors are checked against.
 
-`count` takes one of three paths.  The ideals of a ring that is class 2 in
-its given basis (every product lands in coordinates that are no factor of any
-product) come from the central sum: one linear solve per lattice of the
-centre, over only the lattices that the least rank of the commutator forms
-mod p leaves (see `_central_counts`).  Otherwise, if some basis order makes
+`count` takes one of three paths.  The subrings and ideals of a ring that is
+class 2 in its given basis (every product lands in coordinates that are no
+factor of any product) come from a central sum.  Subrings sum over the
+lattices M of the abelian quotient: the subrings over M are counted by the
+lattices of the centre that contain the products of M, which depend only on
+their elementary-divisor type (see `_central_subring_counts`).  Ideals sum
+over the lattices of the centre, one linear solve each, over only the ones
+that the least rank of the commutator forms mod p leaves (see
+`_central_counts`).  Otherwise, if some basis order makes
 the ring triangular for the mode (see `_search_order`; nilpotent rings in a
 basis adapted to a central series are the strict case), the objects come
 from a depth-first search that fixes Hermite rows from the last one up and
@@ -22,13 +26,14 @@ every diagonal exponent at once by one linear solve over Z/p^E, used
 wherever the later rows leave more candidates than a solve costs.  A ring
 with no such order (the cross product on Z^3, for one) goes through
 `enumerate_sublattices` and tests each lattice with `is_subring`/`is_ideal`.
-That path and the search are the oracles the central sum is tested against,
+That path and the search are the oracles the central sums are tested against,
 and that path is the oracle of the search.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, product
@@ -244,10 +249,12 @@ def count(
     """a[k] = number of index-p^k objects of the requested kind, k = 0..K.
 
     Three paths, the first that applies (`count_path` names it):
-    - ideals of a ring that is class 2 in its given basis (see
-      `_central_split`): the central sum `_central_counts`.  `ceiling` bounds
-      its nodes, one per point of P^(d'-1)(F_p) in the rank walk and one per
-      lattice of the centre walked.
+    - subrings or ideals of a ring that is class 2 in its given basis (see
+      `_central_split`): the central sums `_central_subring_counts` and
+      `_central_counts`.  `ceiling` bounds their nodes: for subrings one per
+      lattice of the abelian quotient of index below p^K, predicted, and one
+      per lattice of the centre walked; for ideals one per point of
+      P^(d'-1)(F_p) in the rank walk and one per lattice of the centre walked.
     - a ring with a triangular order for the mode (see `_search_order`): the
       constants are relabelled into it and the objects are counted by the
       pruned search (sublattices as the ideals of the zero ring); the counts
@@ -257,13 +264,14 @@ def count(
       bounds the predicted number of sublattices of index up to p^K, checked
       before any is enumerated.
     On the first two paths ResourceGuardError is raised as soon as the walk
-    visits more than `ceiling` nodes.
+    visits, or predicts, more than `ceiling` nodes.
     """
     if mode not in MODES:
         raise MalformedInputError(f"mode must be one of {MODES}")
     path, how = count_path(alg, mode)
     if path == "central sum":
-        coeffs = _central_counts(alg, p, K, ceiling, *how)
+        central = _central_counts if mode == "ideals" else _central_subring_counts
+        coeffs = central(alg, p, K, ceiling, *how)
     elif path == "enumeration":
         coeffs = _brute_counts(alg, p, K, mode, ceiling)
     else:
@@ -281,9 +289,10 @@ def count(
 
 def count_path(alg: StructureConstantAlgebra, mode: str):
     """The path `count` takes, as (name, what it needs): ("central sum", the
-    split of `_central_split`), ("row search", the order of `_search_order`)
-    or ("enumeration", None), the first that applies."""
-    split = _central_split(alg) if mode == "ideals" else None
+    split of `_central_split`, for subrings and ideals), ("row search", the
+    order of `_search_order`) or ("enumeration", None), the first that
+    applies."""
+    split = _central_split(alg) if mode != "sublattices" else None
     if split:
         return "central sum", split
     order = _search_order(alg, mode)
@@ -541,28 +550,117 @@ def _central_counts(alg, p, K, ceiling, noncentral, central):
     # the images of the ideals over Lambda': sublattices of X(Lambda'), a copy of Z_p^d
     abelian = [sublattice_count_prediction(d, p, k) for k in range(K + 1)]
     coeffs = [0] * (K + 1)
-    rows = [None] * dc
+    for rows, E in _lattices_containing(p, [L] * dc, K):
+        visit()
+        least = E + E * d - kernel_log(_scaled_inverse(rows, p**E), E)
+        for k in range(K - least + 1):
+            coeffs[least + k] += p ** (E * d) * abelian[k]
+    return coeffs
+
+
+def _lattices_containing(p, bounds, most):
+    """Yield (rows, e) for each lattice of Z_p^n, n = len(bounds), of index
+    p^e <= p^most that contains p^bounds[i] e_i for every i, in Hermite form.
+    The rows list is reused from one lattice to the next.
+
+    Rows are fixed from the last one up.  p^b e_i, zero before coordinate i,
+    lies in the lattice iff it lies in the span of rows i..n-1, that is iff
+    row i has exponent m <= b and p^(b-m) row_i - p^b e_i lies in the span of
+    the later rows; a row that fails cuts its subtree."""
+    n = len(bounds)
+    rows = [None] * n
 
     def place(i, used):
-        # row i of Lambda' in Hermite form, after rows i+1..d'-1; p^L e_i lies
-        # in Lambda' iff p^(L-m) row_i - p^L e_i lies in the span of the later
-        # rows, so a row that fails it cuts its subtree
-        for m in range(min(L, K - used) + 1):
-            for tail in product(*(range(rows[j][j]) for j in range(i + 1, dc))):
-                scaled = (0,) * (i + 1) + tuple(p ** (L - m) * t for t in tail)
+        for m in range(min(bounds[i], most - used) + 1):
+            for tail in product(*(range(rows[j][j]) for j in range(i + 1, n))):
+                scaled = (0,) * (i + 1) + tuple(p ** (bounds[i] - m) * t for t in tail)
                 if not _in_span(rows, i + 1, scaled):
                     continue
                 rows[i] = (0,) * i + (p**m,) + tail
                 if i:
-                    place(i - 1, used + m)
-                    continue
-                visit()
-                E = used + m
-                least = E + E * d - kernel_log(_scaled_inverse(rows, p**E), E)
-                for k in range(K - least + 1):
-                    coeffs[least + k] += p ** (E * d) * abelian[k]
+                    yield from place(i - 1, used + m)
+                else:
+                    yield rows, used + m
 
-    place(dc - 1, 0)
+    return place(n - 1, 0)
+
+
+def _central_subring_counts(alg, p, K, ceiling, noncentral, central):
+    """Subrings of index p^k, k = 0..K, of a ring that is class 2 in its given
+    basis (see `_central_split`), by the sum over the lattices M of the
+    abelian quotient.
+
+    Write L = Z_p^d + Z with d' = rank Z.  Every product lands in Z and reads
+    only the Z_p^d parts of its factors; call it beta(x, y).  A lattice H of L
+    maps onto a lattice M of Z_p^d and meets Z in a lattice Lambda', and
+    H = {(x, z) : x in M, z in phi(x) + Lambda'} for a homomorphism
+    phi: M -> Z/Lambda'.  Conversely every such triple (M, Lambda', phi) gives
+    a lattice H, of index |Z_p^d : M| |Z : Lambda'|, and M is free of rank d,
+    so there are |Z : Lambda'|^d maps phi.  A product of two elements of H is
+    beta of their images, an element of Z, so it lies in H iff it lies in
+    Lambda': H is a subring iff Lambda' contains beta(M, M), the span of the
+    beta(m_i, m_j) over the rows of M (i < j when the ring is antisymmetric,
+    for then beta(m, m) = 0 and beta(m_j, m_i) = -beta(m_i, m_j)).  So
+
+        zeta(s) = sum_M |Z_p^d : M|^-s sum_{Lambda' >= beta(M, M)} |Z : Lambda'|^(d-s),
+
+    the subring form of the decomposition behind Lemma 6.1 of Grunewald,
+    Segal and Smith, Invent. Math. 93 (1988).
+
+    For M of index p^k, the Lambda' that count have index p^e <= p^c,
+    c = K - k, so they contain p^c Z, and they contain beta(M, M) iff they
+    contain beta(M, M) + p^c Z.  The number of them of each index depends
+    only on the elementary divisors of Z / (beta(M, M) + p^c Z): the pivot
+    valuations of one `local_elimination` mod p^c, padded with c.  The M of
+    index p^K have c = 0, only Lambda' = Z, and are credited at once; the
+    others are walked by Hermite rows from the last one up, each row's
+    products with itself and the later rows computed once for its subtree,
+    and tallied by (k, type).  The Lambda' of each (k, type) found are then
+    walked once (`_lattices_containing`, the diagonal lattice of that type).
+    A search node is one M walked or one Lambda' walked; the M are predicted
+    before any work, and `ceiling` bounds the total.
+    """
+    d, dc = len(noncentral), len(central)
+    row_of = {c + 1: i for i, c in enumerate(noncentral)}
+    col_of = {c + 1: i for i, c in enumerate(central)}
+    form = [(row_of[a], row_of[b], col_of[k], v) for (a, b, k), v in alg.constants.items()]
+    antisym = "antisymmetric" in alg.flags
+    budget = Budget(ceiling, "central sum", "nodes")
+    budget.predict(sum(sublattice_count_prediction(d, p, k) for k in range(K)))
+
+    def beta(x, y):
+        w = [0] * dc
+        for a, b, k, v in form:
+            if x[a] and y[b]:
+                w[k] += v * x[a] * y[b]
+        return w
+
+    rows = [None] * d
+    types = Counter()
+
+    def place(i, used, products):
+        for m in range(K - used):
+            for tail in product(*(range(rows[j][j]) for j in range(i + 1, d))):
+                row = rows[i] = (0,) * i + (p**m,) + tail
+                later = rows[i + 1:] if antisym else rows[i:]
+                new = [beta(row, r) for r in later]
+                if not antisym:
+                    new += [beta(r, row) for r in rows[i + 1:]]
+                new = products + [w for w in new if any(w)]
+                if i:
+                    place(i - 1, used + m, new)
+                    continue
+                c = K - used - m
+                valuations, _ = local_elimination(new, [0] * len(new), dc, p, c)
+                types[used + m, tuple(sorted(valuations)) + (c,) * (dc - len(valuations))] += 1
+
+    place(d - 1, 0, [])
+    coeffs = [0] * (K + 1)
+    coeffs[K] = sublattice_count_prediction(d, p, K)
+    for (k, mu), ms in types.items():
+        for _, e in _lattices_containing(p, mu, K - k):
+            budget.charge()
+            coeffs[k + e] += ms * p ** (e * d)
     return coeffs
 
 

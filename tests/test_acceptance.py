@@ -109,10 +109,13 @@ def test_criterion_03_sl2_including_the_even_prime():
 def test_criterion_04_rank6_free_class2_ring():
     with criterion(4, "rank-6 free class-2 ring matches the 16-term numerator factor"):
         f23 = algebra.catalog("free_nilpotent_2_d", 3)
-        for p, K in ((2, 4), (3, 2)):
+        factor = ratfun.formula_catalog("f23_subring")
+        for p, K in ((2, 4), (3, 4)):
             brute = latticezeta.count(f23, p, K, "subrings")
-            formula = ratfun.expand(ratfun.formula_catalog("f23_subring"), p, K)
-            assert brute.coefficients == formula.coefficients, (p, K)
+            assert brute.coefficients == ratfun.expand(factor, p, K).coefficients, (p, K)
+        # the Hermite row search, which count no longer takes for this ring
+        search = latticezeta._search_counts(f23, 2, 3, "subrings", latticezeta.DEFAULT_CEILING)
+        assert tuple(search) == ratfun.expand(factor, 2, 3).coefficients
 
 
 def test_criterion_05_three_dimensional_assembly():

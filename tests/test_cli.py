@@ -153,6 +153,22 @@ def test_central_sum_ceiling_bounds_lattices_and_rank_points(capsys):
     assert cli.main(["--ceiling", "40", *argv]) == 3
 
 
+def test_central_subring_sum_ceiling_bounds_both_lattice_walks(capsys):
+    # free_nilpotent_2_d(3) subrings at p = 3: the 1 + 13 lattices M of Z_3^3
+    # of index below 9 are predicted, then the central lattices walked: Z^3
+    # for M = Z_3^3, and for the 13 M of index 3, whose products span a
+    # lattice of type (0, 1, 1) mod 3, the 1 + 4 that contain it
+    argv = ["zeta", "count", "--ring", "catalog:free_nilpotent_2_d(3)", "--prime", "3",
+            "--max-index", "2"]
+    assert cli.main(["--ceiling", "5", *argv]) == 3
+    err = capsys.readouterr().err
+    assert "central sum, --ceiling 5 bounds the lattices of the abelian quotient" in err
+    assert "central sum needs 14 nodes, over ceiling 5" in err and "Traceback" not in err
+    assert cli.main(["--ceiling", "20", *argv]) == 0
+    assert cli.main(["--ceiling", "19", *argv]) == 3
+    assert "visited more than 19 nodes" in capsys.readouterr().err
+
+
 def test_lookup_errors_print_the_bare_message(capsys):
     assert cli.main(["zeta", "formula", "--name", "nosuch", "--prime", "3",
                      "--max-index", "2"]) == 2

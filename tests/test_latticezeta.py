@@ -187,11 +187,16 @@ def test_resource_guard():
     with pytest.raises(ResourceGuardError) as err:
         list(latticezeta.enumerate_sublattices(6, 2, 9, ceiling=1000))
     assert err.value.predicted > 1000
-    # the search counts the candidate rows it tests
+    # the central subring sum predicts the 1 + 3 + 7 lattices M of Z_2^2 of
+    # index below 8, then walks 1 + 2 + 2 central lattices, one walk for each
+    # index of M (the type of Z / beta(M, M) is fixed by it)
     heis = algebra.catalog("heisenberg")
     with pytest.raises(ResourceGuardError) as err:
         latticezeta.count(heis, 2, 3, "subrings", ceiling=10)
-    assert err.value.ceiling == 10
+    assert (err.value.predicted, err.value.ceiling) == (11, 10)
+    assert latticezeta.count(heis, 2, 3, "subrings", ceiling=16).coefficients == (1, 3, 19, 43)
+    with pytest.raises(ResourceGuardError):
+        latticezeta.count(heis, 2, 3, "subrings", ceiling=15)
     # sl2 at p=3, K=5 takes 1,097 nodes, row-0 solves included (a loop over
     # row 0's tails visited 112,377)
     sl2 = algebra.catalog("sl2")
@@ -515,6 +520,17 @@ def _random_class2_ring(rng):
     return algebra.StructureConstantAlgebra("class2", d + dc, constants, flags)
 
 
+def _shuffled(alg, rng):
+    """alg with its basis vectors in a random order."""
+    n = alg.rank
+    perm = rng.sample(range(1, n + 1), n)
+    return algebra.StructureConstantAlgebra(
+        "shuffled", n,
+        {(perm[a - 1], perm[b - 1], perm[k - 1]): c for (a, b, k), c in alg.constants.items()},
+        alg.flags,
+    )
+
+
 def _some_R_vanishes(alg, p):
     """Is there a nonzero ell in F_p^{d'} with ell(e_a * e_b) = 0 mod p for
     every a, b?  Then R(ell) = 0 mod p, and the least rank r is 0."""
@@ -543,12 +559,7 @@ def test_central_sum_matches_the_search_and_brute_enumeration(monkeypatch):
         p = rng.choice((2, 3))
         n = alg.rank
         K = 3 if p == 2 or n <= 5 else 2
-        perm = rng.sample(range(1, n + 1), n)
-        shuffled = algebra.StructureConstantAlgebra(
-            "shuffled", n,
-            {(perm[a - 1], perm[b - 1], perm[k - 1]): c for (a, b, k), c in alg.constants.items()},
-            alg.flags,
-        )
+        shuffled = _shuffled(alg, rng)
         assert latticezeta._central_split(shuffled) is not None
         got = latticezeta.count(shuffled, p, K, "ideals").coefficients
         search = latticezeta._search_counts(alg, p, K, "ideals", latticezeta.DEFAULT_CEILING)
@@ -564,3 +575,73 @@ def test_central_sum_matches_the_search_and_brute_enumeration(monkeypatch):
         seen["left products"] += "antisymmetric" not in alg.flags
         seen["d' = 3"] += len(latticezeta._central_split(alg)[1]) == 3
     assert min(seen.values()) >= 8, seen
+
+
+def test_central_subring_sum_matches_the_search_and_brute_enumeration():
+    """count takes the central subring sum on every ring that is class 2 in
+    its basis, here written in a shuffled basis.  It must equal the row search
+    (in the unshuffled, triangular basis) and the brute enumeration."""
+    rng = random.Random(2718)
+    seen = {"no flags": 0, "antisymmetric": 0, "d' = 3": 0, "unused central coordinate": 0}
+    for trial in range(45):
+        alg = _random_class2_ring(rng)
+        p = rng.choice((2, 3))
+        n = alg.rank
+        K = 3 if n + p <= 7 else 2  # the row search is the slow side
+        shuffled = _shuffled(alg, rng)
+        assert latticezeta.count_path(shuffled, "subrings")[0] == "central sum"
+        got = latticezeta.count(shuffled, p, K, "subrings").coefficients
+        search = latticezeta._search_counts(alg, p, K, "subrings", latticezeta.DEFAULT_CEILING)
+        assert got == tuple(search), (trial, p, K, alg.flags, alg.constants)
+        depth = _brute_depth(n, p)
+        brute = latticezeta._brute_counts(alg, p, depth, "subrings", latticezeta.DEFAULT_CEILING)
+        assert got[:depth + 1] == tuple(brute), (trial, p, depth, alg.flags, alg.constants)
+        central = latticezeta._central_split(alg)[1]
+        seen["antisymmetric" if "antisymmetric" in alg.flags else "no flags"] += 1
+        seen["d' = 3"] += len(central) == 3
+        seen["unused central coordinate"] += any(
+            all(k - 1 != c for *_, k in alg.constants) for c in central)
+    assert min(seen.values()) >= 5, seen
+
+
+def test_dusautoy_ec_subrings_match_the_row_search():
+    # no closed form is known for them; the row search is the only oracle
+    dus = algebra.catalog("dusautoy_ec")
+    search = latticezeta._search_counts(dus, 2, 2, "subrings", latticezeta.DEFAULT_CEILING)
+    assert latticezeta.count(dus, 2, 2, "subrings").coefficients == tuple(search) == (1, 63, 2667)
+
+
+def _signed_central_permutation(alg, rng):
+    """alg in the basis s_i e_sigma(i), with random signs s_i and a random
+    permutation sigma of the coordinates that are no factor of any product:
+    the isomorphs the lattice benchmark draws."""
+    n = alg.rank
+    central = latticezeta._central_split(alg)[1]
+    sigma = list(range(n))
+    for c, t in zip(central, rng.sample(central, len(central))):
+        sigma[c] = t
+    inverse = {t: i for i, t in enumerate(sigma)}
+    sign = [rng.choice((-1, 1)) for _ in range(n)]
+    constants = {}
+    for (a, b, k), c in alg.constants.items():
+        i, j, l = (inverse[x - 1] for x in (a, b, k))
+        constants[(i + 1, j + 1, l + 1)] = sign[i] * sign[j] * sign[l] * c
+    return algebra.StructureConstantAlgebra(alg.name, n, constants, alg.flags)
+
+
+def test_class2_subrings_never_take_the_search_or_the_enumeration(monkeypatch):
+    from ringzeta import ratfun
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("searched or enumerated")
+
+    monkeypatch.setattr(latticezeta, "_search_counts", refuse)
+    monkeypatch.setattr(latticezeta, "enumerate_sublattices", refuse)
+    rng = random.Random(31)
+    cases = ((algebra.catalog("heisenberg"), "heisenberg_subring", 3, 5),
+             (algebra.catalog("free_nilpotent_2_d", 3), "f23_subring", 2, 3))
+    for alg, formula, p, K in cases:
+        expected = ratfun.expand(ratfun.formula_catalog(formula), p, K).coefficients
+        for _ in range(3):
+            isomorph = _signed_central_permutation(alg, rng)
+            assert latticezeta.count(isomorph, p, K, "subrings").coefficients == expected
