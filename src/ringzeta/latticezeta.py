@@ -14,17 +14,18 @@ lattices of the centre that contain the products of M, which depend only on
 their elementary-divisor type (see `_central_subring_counts`).  Ideals sum
 over the lattices of the centre, one linear solve each, over only the ones
 that the least rank of the commutator forms mod p leaves (see
-`_central_counts`).  Otherwise, if some basis order makes
-the ring triangular for the mode (see `_search_order`; nilpotent rings in a
-basis adapted to a central series are the strict case), the objects come
-from a depth-first search that fixes Hermite rows from the last one up and
-cuts a subtree as soon as a row fails closure.  Where closure is linear in
-the row (ideals, antisymmetric subrings, sublattices), the first row's
-entries above the diagonal need not be tried one by one: the ones that pass
-form a coset in Z_p^{n-1} modulo the span of the later rows, counted for
-every diagonal exponent at once by one linear solve over Z/p^E, used
-wherever the later rows leave more candidates than a solve costs.  A ring
-with no such order (the cross product on Z^3, for one) goes through
+`_central_counts`).  Otherwise, if some basis order makes the ring triangular
+for the mode (see `_search_order`; nilpotent rings in a basis adapted to a
+central series are the strict case), the objects come from a depth-first
+search that fixes Hermite rows from the last one up, cuts a subtree as soon
+as a row fails closure, and counts a subtree in one step once its fixed rows
+contain every product (so sublattices, the ideals of the zero ring, take one
+step).  Where closure is linear in the row (ideals, antisymmetric subrings),
+the first row's entries above the diagonal need not be tried one by one: the
+ones that pass form a coset in Z_p^{n-1} modulo the span of the later rows,
+counted for every diagonal exponent at once by one linear solve over Z/p^E,
+used wherever the later rows leave more candidates than a solve costs.  A
+ring with no such order (the cross product on Z^3, for one) goes through
 `enumerate_sublattices` and tests each lattice with `is_subring`/`is_ideal`.
 That path and the search are the oracles the central sums are tested against,
 and that path is the oracle of the search.
@@ -258,8 +259,8 @@ def count(
     - a ring with a triangular order for the mode (see `_search_order`): the
       constants are relabelled into it and the objects are counted by the
       pruned search (sublattices as the ideals of the zero ring); the counts
-      do not depend on the basis.  `ceiling` bounds the search nodes, one per
-      candidate row tested or row-0 solve.
+      do not depend on the basis.  `ceiling` bounds the search nodes: one per
+      candidate row tested, row-0 solve or subtree credited.
     - any other ring is enumerated and tested lattice by lattice; `ceiling`
       bounds the predicted number of sublattices of index up to p^K, checked
       before any is enumerated.
@@ -326,13 +327,18 @@ def _search_counts(alg, p, K, mode, ceiling):
     later row or (for ideals) a basis vector has support in coordinates
     i..n-1, and the lattice meets their span in the span of rows i..n-1.  So
     whether it lies in the lattice is decided as soon as row i is chosen; a
-    row that fails cuts its subtree.
+    row that fails cuts its subtree.  Before row i is chosen, a subtree whose
+    rows i+1..n-1 (of index p^e) contain every product e_a e_b is credited
+    at once: L L lies in every completion, so each is a subring and an ideal,
+    and those of index p^(e+r) are a lattice of Z_p^(i+1) of index p^r
+    (`sublattice_count_prediction`) with one of p^e fills of the later
+    columns in each of rows 0..i.
 
     When closure is linear in the row (ideals, antisymmetric subrings), and
     rows 1..n-1 leave row 0 more than 8 candidates (`_solve_pays`), they are
     not tried: `_row0_counts` counts the passing tails for every exponent
-    left with one linear solve.  A search node is one candidate row tested or
-    one such solve; `ceiling` bounds their number.
+    left with one linear solve.  A search node is one candidate row tested,
+    one such solve or one subtree credited; `ceiling` bounds their number.
     """
     n = alg.rank
     antisym = "antisymmetric" in alg.flags
@@ -373,13 +379,26 @@ def _search_counts(alg, p, K, mode, ceiling):
     else:
         active = set(range(n))
 
-    def place(i, used, exponents):
+    # the distinct nonzero products e_a e_b, which span L L
+    products = {}
+    for (a, b, k), v in alg.constants.items():
+        products.setdefault((a, b), [0] * n)[k - 1] += v
+    square = {tuple(w) for w in products.values() if any(w)}
+    low = min((next(j for j, x in enumerate(w) if x) for w in square), default=n)
+
+    def place(i, used):
+        exponents = range(K - used + 1)
+        if i < low and all(_in_span(rows, i + 1, w) for w in square):
+            visit()
+            for r in exponents:
+                coeffs[used + r] += p ** ((i + 1) * used) * sublattice_count_prediction(i + 1, p, r)
+            return
         cols = range(i + 1, n)
         choices = [range(rows[j][j]) if j in active else (0,) for j in cols]
         if not i and linear:
             rights, lefts = (right, left) if mode == "ideals" else (rows[1:], ())
             tests = math.prod(map(len, choices)) * len(exponents)
-            if _solve_pays(tests, len(rights) + len(lefts)):
+            if _solve_pays(tests):
                 visit()
                 passing, least = _row0_counts(alg, rows, p, used, rights, lefts)
                 for m in exponents:
@@ -400,19 +419,18 @@ def _search_counts(alg, p, K, mode, ceiling):
                     continue
                 for fill in product(*fills):
                     rows[i] = head + tuple(a + b for a, b in zip(tail, fill))
-                    place(i - 1, used + m, range(K - used - m + 1))
+                    place(i - 1, used + m)
 
-    place(n - 1, 0, range(K + 1))
+    place(n - 1, 0)
     return coeffs
 
 
-def _solve_pays(tests, products):
+def _solve_pays(tests):
     """Count row 0 by `_row0_counts` rather than test its candidate rows one
-    by one: when there is no product to test (the count is then p^E), or more
-    than 8 candidates.  Timed at every leaf of the lattice benchmark's rings
-    (CPython 3.11), one solve cost as much as 7.5 to 19 row tests at ranks 3
-    to 9, and any cut from 4 to 16 gave the same total time within 5%."""
-    return not products or tests > 8
+    by one when there are more than 8.  Timed at every leaf of the lattice
+    benchmark's rings (CPython 3.11), one solve cost as much as 7.5 to 19 row
+    tests at ranks 3 to 9; any cut from 4 to 16 gave the same total within 5%."""
+    return tests > 8
 
 
 def _row0_counts(alg, rows, p, E, rights, lefts):
@@ -437,10 +455,7 @@ def _row0_counts(alg, rows, p, E, rights, lefts):
     rows (2, 1), (0, 2) give Q = Z/4.
     """
     s = len(rows) - 1
-    D = p**E
-    if not rights and not lefts:
-        return D, 0
-    Y = _scaled_inverse([row[1:] for row in rows[1:]], D)
+    Y = _scaled_inverse([row[1:] for row in rows[1:]], p**E)
     system, rhs = [], []
     # (x, r, o): the row is factor r of each constant (a, b, k), x factor o
     for x, r, o in chain(((x, 0, 1) for x in rights), ((x, 1, 0) for x in lefts)):

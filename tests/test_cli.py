@@ -189,10 +189,22 @@ def test_formula_file_schema_is_not_a_formula(capsys):
 
 def test_guard_exit_three():
     code, _ = run(
-        ["--ceiling", "10", "zeta", "count", "--ring", "catalog:abelian(4)",
-         "--prime", "3", "--max-index", "3", "--yes"]
+        ["--ceiling", "10", "zeta", "count", "--ring", "catalog:componentwise(4)",
+         "--mode", "ideals", "--prime", "3", "--max-index", "3", "--yes"]
     )
     assert code == 3
+
+
+@pytest.mark.parametrize("mode", ["sublattices", "subrings", "ideals"])
+def test_zero_ring_of_rank_1200_is_counted_in_one_node(mode):
+    # the zero ring's whole search tree is credited at the top, so none of
+    # the 1200 rows is placed, each of which would take one recursion level
+    code, out = run(
+        ["--ceiling", "1", "zeta", "count", "--ring", "catalog:abelian(1200)",
+         "--prime", "2", "--max-index", "1", "--mode", mode, "--yes"]
+    )
+    assert code == 0
+    assert out.splitlines()[-1].split() == ["1", str(2**1200 - 1)]
 
 
 @pytest.mark.parametrize("argv", [
