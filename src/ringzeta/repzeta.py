@@ -7,11 +7,13 @@ Divisors are capped at N, which is exactly what makes the exponent the right
 one.  `smith_type` reads the type off `exactlinalg.local_elimination`, the one
 elimination over Z/p^E that the lattice counts use too.  Unit multiples u*ell
 share that type, so each level walks one ell per unit class (the points of
-P^{d'-1}(Z/p^N)) with weight phi(p^N).  Beyond level 1 only the lifts of the
-level-1 classes where R(ell) is singular mod p are walked: a lift of a
-nonsingular class keeps type (0, ..., 0) and is credited without a Smith
-form.  The walk over every primitive ell stays as the oracle.  Also: brute-force
-point counts on affine and projective plane curves.
+P^{d'-1}(Z/p^N)) with weight phi(p^N).  Beyond level 1 the walk is bounded
+by the rank r of R(ell) mod p: every lift of a level-1 class keeps those r
+unit divisors, so its exponent is at least r N / 2, and the lifts of a class
+with r N > 2 J are skipped, as none can reach p^J.  A nonsingular class
+(r = d) keeps type (0, ..., 0) and its lifts are credited without a Smith
+form.  The walk over every primitive ell stays as the oracle.  Also:
+brute-force point counts on affine and projective plane curves.
 """
 
 from __future__ import annotations
@@ -104,18 +106,23 @@ def rep_zeta_class2(
 
     R(u ell) = u R(ell) for a unit u, so a unit class of characters shares one
     type: each level walks one representative per class (`_unit_classes`)
-    with weight phi(p^N), and `ceiling` bounds the representatives of the
-    largest level.  From level 2 on, only the lifts (`_lifts`) of the level-1
-    classes with R(ell) singular mod p are walked.  A lift of a nonsingular
-    class has det R(ell) a unit, so type (0, ..., 0) and exponent d N / 2; the
-    p^((N-1)(d'-1)) lifts of each are credited in one step.  `_orbit_counts`
-    with `_all_characters` walks every primitive ell instead; it is the oracle
-    the tests hold this to.
+    with weight phi(p^N).  From level 2 on, only lifts (`_lifts`) of level-1
+    classes are walked, and only those that can reach p^J.  If R(ell) has rank
+    r mod p, every lift of ell keeps r unit divisors, so its exponent is at
+    least r N / 2: the lifts of a class with r N > 2 J are skipped.  A
+    nonsingular class (r = d) has type (0, ..., 0) and exponent d N / 2 at
+    every level, and its p^((N-1)(d'-1)) lifts are credited in one step when
+    d N <= 2 J.  `ceiling` bounds the Smith forms of all levels, predicted
+    before each level: the level-1 classes, then the lifts the bound leaves.
+    `_orbit_counts` with `_all_characters` walks every primitive ell at every
+    level instead; it is the oracle the tests hold this to.
 
     Levels 1..J are walked (level 1 also when J = 0).  A class with R(ell) = 0
     mod p has exponent 0 at level 1 and makes p a bad prime; any other class
-    keeps two unit divisors at every level, so its exponent is at least N and
-    levels beyond J contribute nothing.
+    has r >= 2, so its exponent is at least N and levels beyond J contribute
+    nothing.  The bound skips no check: a skipped lift has e >= r N / 2 >= N,
+    never the e = 0 of a bad prime, and an antisymmetric R(ell) has an even
+    defect at every level.
     """
     return _orbit_counts(pres, p, J, ceiling, _unit_classes)
 
@@ -133,16 +140,22 @@ def _orbit_counts(pres, p, J, ceiling, chart):
     counts = [0] * (J + 1)
     counts[0] = 1  # the trivial level
     top = max(J, 1)
-    size, _, _ = chart(p, top, dprime)  # the levels grow with N
-    Budget(ceiling, f"level {top}", "characters").predict(size)
+    budget = Budget(ceiling, f"the walk to level {top}", "characters")
     lift = chart is _unit_classes
-    singular, nonsingular = [], 0  # level-1 classes by whether R(ell) is singular mod p
+    ranks = {}  # level-1 classes by the rank r of R(ell) mod p
     for N in range(1, top + 1):
-        _, walk, weight = chart(p, N, dprime)
-        # det R(ell) is a unit mod p^N: type (0, ..., 0), exponent d N / 2
-        if nonsingular and R.d * N // 2 <= J:
-            counts[R.d * N // 2] += nonsingular * p ** ((N - 1) * (dprime - 1)) * weight
-        for ell in _lifts(singular, p, N) if lift and N > 1 else walk():
+        size, walk, weight = chart(p, N, dprime)
+        ells = walk()
+        if lift and N > 1:
+            # each lift keeps r unit divisors, so e >= r N / 2
+            reach = {r: group for r, group in ranks.items() if r * N <= 2 * J}
+            lifts = p ** ((N - 1) * (dprime - 1))  # level-N classes over each level-1 one
+            if R.d in reach:  # det R(ell) a unit: type (0, ..., 0), exponent d N / 2
+                counts[R.d * N // 2] += len(reach.pop(R.d)) * lifts * weight
+            walked = [ell for group in reach.values() for ell in group]
+            size, ells = len(walked) * lifts, _lifts(walked, p, N)
+        budget.predict(size)
+        for ell in ells:
             t = smith_type(R.evaluate(ell), p, N)
             defect = sum(N - m for m in t.type)
             if defect % 2:
@@ -161,10 +174,7 @@ def _orbit_counts(pres, p, J, ceiling, chart):
             if e <= J:
                 counts[e] += weight
             if lift and N == 1:
-                if any(t.type):
-                    singular.append(ell)
-                else:
-                    nonsingular += 1
+                ranks.setdefault(t.type.count(0), []).append(ell)
     return LocalDirichletTruncation(p, tuple(counts))
 
 

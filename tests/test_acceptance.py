@@ -217,7 +217,7 @@ def test_criterion_09_representation_zeta():
         hybrid = ratfun.formula_catalog("dusautoy_rep")
         assert repzeta.weight_values(hybrid, 7)["b"] == 8
         dus = algebra.catalog_presentation("dusautoy_ec")
-        for p in (3, 5, 7):
+        for p in (3, 5, 7, 31):
             weights = repzeta.weight_values(hybrid, p)
             brute = repzeta.rep_zeta_class2(dus, p, 2).coefficients
             formula = hybrid.expand(p, 2, weights).coefficients

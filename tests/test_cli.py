@@ -130,13 +130,20 @@ def test_enumerate_guard_checks_the_sum_it_prints(tmp_path, capsys):
 
 
 def test_rep_ceiling_bounds_every_unit_class(capsys):
-    # level 2 at p = 5, d' = 3 has 25 * 31 = 775 unit classes; only the lifts
-    # of the singular level-1 ones are walked, but the guard counts them all
+    # p = 5, d' = 3: the 31 level-1 classes are walked; no level-2 lift is, as
+    # a lift of a curve point (rank 4 mod p) has e >= 4 > 2
     argv = ["rep", "zeta", "--presentation", "catalog:dusautoy_ec", "--prime", "5",
             "--max-exp", "2"]
-    assert cli.main(["--ceiling", "775", *argv]) == 0
-    assert cli.main(["--ceiling", "774", *argv]) == 3
-    assert "level 2 needs 775 characters" in capsys.readouterr().err
+    assert cli.main(["--ceiling", "31", *argv]) == 0
+    assert cli.main(["--ceiling", "30", *argv]) == 3
+    assert "the walk to level 2 needs 31 characters" in capsys.readouterr().err
+    # p = 101: the 10,303 level-1 classes, refused before any level-2 work
+    argv = ["rep", "compare", "--presentation", "catalog:dusautoy_ec", "--formula",
+            "dusautoy_rep", "--prime", "101", "--max-exp", "2"]
+    assert cli.main(["--ceiling", "10302", *argv]) == 3
+    assert "needs 10303 characters, over ceiling 10302" in capsys.readouterr().err
+    assert cli.main(argv) == 0
+    assert "verdict: pass" in capsys.readouterr().out
 
 
 def test_central_sum_ceiling_bounds_lattices_and_rank_points(capsys):

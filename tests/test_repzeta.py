@@ -229,16 +229,50 @@ def test_rep_lift_cut_matches_full_walk_on_random_presentations():
     assert InternalConsistencyError in outcomes
 
 
+def test_rep_rank_bound_matches_full_walk_on_random_presentations():
+    # level N >= 2 walks the lifts of a level-1 class of rank r mod p only if
+    # r N <= 2J: each lift keeps r unit divisors, so e >= r N / 2.  Both sides
+    # of the bound must occur for a singular class (0 < r < d): skipped at
+    # N = J when r > 2, walked at N = 2 when r <= J.
+    rng = random.Random(191)
+    outcomes, skipped, walked = [], 0, 0
+    while len(outcomes) < 40:
+        d, dprime = rng.choice((4, 6)), rng.choice((2, 3))
+        p, J = rng.choice((3, 5, 7)), rng.randint(2, 4)
+        if d * d * sum(p ** (N * dprime) for N in range(1, J + 1)) > 120000:
+            continue
+        pres = algebra.Class2Presentation(
+            "random", d, dprime, _random_constants(rng, d, dprime, p))
+        fast = _outcome(lambda: rep_zeta_class2(pres, p, J))
+        full = _outcome(lambda: repzeta._orbit_counts(
+            pres, p, J, DEFAULT_CEILING, repzeta._all_characters))
+        assert fast == full, (pres.constants, d, dprime, p, J)
+        outcomes.append(full)
+        if isinstance(full, tuple):
+            R = commutator_matrix(pres)
+            _, walk, _ = repzeta._unit_classes(p, 1, dprime)
+            ranks = {smith_type(R.evaluate(ell), p, 1).type.count(0) for ell in walk()}
+            skipped += any(2 < r < d for r in ranks)
+            walked += any(r < d and r <= J for r in ranks)
+    assert skipped >= 5 and walked >= 5, (skipped, walked)
+    assert InternalConsistencyError in outcomes
+
+
 def test_smith_forms_walked_by_the_quotient_and_the_oracle(monkeypatch):
-    # dusautoy_ec at p = 3: R(ell) is singular mod 3 on the b(3) = 4 points of
-    # the elliptic curve among the 13 level-1 classes, so level 2 walks only
-    # their 4 * 3^2 lifts; the oracle walks all 3^6 - 3^3 primitive characters
+    # dusautoy_ec at p = 3: R(ell) has rank 4 mod 3 on the b(3) = 4 points of
+    # the elliptic curve among the 13 level-1 classes and is nonsingular on the
+    # rest.  A level-N lift of a rank-4 class has e >= 4 N / 2, so at J = 2 no
+    # level-2 lift is walked; at J = 4 level 2 walks the 4 * 3^2 lifts and
+    # levels 3 and 4 none.  The oracle walks all 3^6 - 3^3 primitive characters.
     calls = []
     real = repzeta.smith_type
     monkeypatch.setattr(repzeta, "smith_type", lambda A, p, N: calls.append(N) or real(A, p, N))
     pres = algebra.catalog_presentation("dusautoy_ec")
     rep_zeta_class2(pres, 3, 2)
-    assert (calls.count(1), calls.count(2)) == (13, 4 * 9)
+    assert (calls.count(1), calls.count(2)) == (13, 0)
+    calls.clear()
+    rep_zeta_class2(pres, 3, 4)
+    assert [calls.count(N) for N in range(1, 5)] == [13, 4 * 9, 0, 0]
     calls.clear()
     repzeta._orbit_counts(pres, 3, 2, DEFAULT_CEILING, repzeta._all_characters)
     assert (calls.count(1), calls.count(2)) == (26, 3**6 - 3**3)
@@ -295,18 +329,28 @@ def test_rep_zeta_bad_prime_is_rejected():
 
 
 def test_rep_zeta_guard(monkeypatch):
-    # level 2 has 101^2 * 10,303 unit classes: refused before any level-1 work
+    # the guard predicts each level's walk before it: at p = 101, J = 2 the
+    # 10,303 level-1 classes and no level-2 lift (e >= 4 > 2 on the curve
+    # points), so a lower ceiling is refused before any Smith form
     calls = []
     real = repzeta.smith_type
     monkeypatch.setattr(repzeta, "smith_type", lambda A, p, N: calls.append(N) or real(A, p, N))
     pres = algebra.catalog_presentation("dusautoy_ec")
     with pytest.raises(ResourceGuardError) as info:
-        rep_zeta_class2(pres, 101, 2, ceiling=10**6)
-    assert info.value.predicted == 101**2 * 10303 and not calls
-    # the level-1 classes fit: the guard bounds the largest level walked
-    with pytest.raises(ResourceGuardError):
-        repzeta._orbit_counts(pres, 101, 2, 10303, repzeta._unit_classes)
-    assert not calls
+        rep_zeta_class2(pres, 101, 2, ceiling=10302)
+    assert info.value.predicted == 10303 and not calls
+    # at p = 3, J = 4: 13 level-1 classes, then the 4 * 9 level-2 lifts of the
+    # curve points; level 3 walks none (4 * 3 > 8)
+    with pytest.raises(ResourceGuardError) as info:
+        rep_zeta_class2(pres, 3, 4, ceiling=48)
+    assert info.value.predicted == 13 + 36 and calls == [1] * 13
+    calls.clear()
+    assert rep_zeta_class2(pres, 3, 4, ceiling=49).coefficients == (1, 0, 8, 18, 72)
+    calls.clear()
+    # the oracle predicts each level's full chart: 3^3, then 3^6
+    with pytest.raises(ResourceGuardError) as info:
+        repzeta._orbit_counts(pres, 3, 2, 27 + 728, repzeta._all_characters)
+    assert info.value.predicted == 27 + 729 and calls.count(2) == 0
 
 
 def test_weight_values_requires_curve():
@@ -320,10 +364,14 @@ def test_weight_values_requires_curve():
 
 
 def test_rep_zeta_dusautoy_deeper_truncation():
-    # one level deeper at the smallest prime: c_{p^3} = (p^3 - 1) - b(p)(p - 1)
+    # deeper levels at small primes, against dusautoy_rep expanded with its
+    # b(p) weights; at J = 4 the level-2 lifts of the curve points are walked
     pres = algebra.catalog_presentation("dusautoy_ec")
     hybrid = ratfun.formula_catalog("dusautoy_rep")
-    weights = repzeta.weight_values(hybrid, 3)
-    got = rep_zeta_class2(pres, 3, 3)
-    assert got.coefficients == hybrid.expand(3, 3, weights).coefficients
-    assert got.coefficients[3] == (27 - 1) - weights["b"] * 2
+    for p, J, expected in ((3, 3, None), (3, 4, (1, 0, 8, 18, 72)), (5, 4, (1, 0, 32, 92, 800))):
+        weights = repzeta.weight_values(hybrid, p)
+        got = rep_zeta_class2(pres, p, J).coefficients
+        assert got == hybrid.expand(p, J, weights).coefficients, p
+        assert expected is None or got == expected
+        # c_{p^3} = (p^3 - 1) - b(p)(p - 1)
+        assert got[3] == (p**3 - 1) - weights["b"] * (p - 1)
