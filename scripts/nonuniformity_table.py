@@ -34,7 +34,7 @@ def main():
         print(f"{p:>4} {p % 4:>8} {c:>6} {b:>6} {p + 1:>6}")
 
     print()
-    pres = algebra.catalog_presentation("dusautoy_ec")
+    pres = algebra.resolve_presentation_spec("catalog:dusautoy_ec")
     hybrid = ratfun.formula_catalog("dusautoy_rep")
     print("twist-isoclass counts c[p^0..p^2] of the rank-9 ring:")
     for p in args.orbit_primes:

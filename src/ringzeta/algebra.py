@@ -12,9 +12,9 @@ import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, count
+from itertools import combinations, count, product
 
-from .errors import LookupError_, MalformedInputError
+from .errors import LookupError_, MalformedInputError, UnsupportedError
 from .exactlinalg import rref
 
 KNOWN_FLAGS = frozenset({"antisymmetric", "lie", "associative", "commutative"})
@@ -199,7 +199,9 @@ def scale(alg: StructureConstantAlgebra, p: int, i: int) -> StructureConstantAlg
 
 
 class Class2Presentation:
-    """Relations [e_i, e_j] = sum_k c_{ijk} f_k with central f_1..f_{dprime}."""
+    """Relations [e_i, e_j] = sum_k c_{ijk} f_k with central f_1..f_{dprime}.
+    They need not be antisymmetric (the central sums take any class-2 ring);
+    `CommutatorMatrix` checks that for the orbit count."""
 
     def __init__(self, name, d, dprime, constants):
         if d < 1 or dprime < 1:
@@ -208,9 +210,6 @@ class Class2Presentation:
         self.d = d
         self.dprime = dprime
         self.constants = _freeze_constants(constants, d, kmax=dprime)
-        for (i, j, k), v in self.constants.items():
-            if self.constants.get((j, i, k), 0) != -v:
-                raise MalformedInputError(f"presentation not antisymmetric at {(i, j, k)}")
 
     def __repr__(self):
         return f"Class2Presentation({self.name!r}, d={self.d}, dprime={self.dprime})"
@@ -223,12 +222,10 @@ class CommutatorMatrix:
         self.d = d
         self.dprime = dprime
         self.entries = entries  # entries[i][j] = coefficient tuple, length dprime
-        for i in range(d):
-            if any(entries[i][i]):
-                raise MalformedInputError("diagonal entries must vanish")
-            for j in range(d):
-                if tuple(entries[i][j]) != tuple(-c for c in entries[j][i]):
-                    raise MalformedInputError("entries must be antisymmetric forms")
+        for i, j, k in product(range(d), range(d), range(dprime)):
+            if entries[i][j][k] != -entries[j][i][k]:
+                raise MalformedInputError(
+                    f"commutator forms not antisymmetric at {(i + 1, j + 1, k + 1)}")
 
     def evaluate(self, ell):
         """Integer matrix R(ell)."""
@@ -252,36 +249,41 @@ def commutator_matrix(pres: Class2Presentation) -> CommutatorMatrix:
     return CommutatorMatrix(pres.d, pres.dprime, entries)
 
 
+def class2_presentation(alg: StructureConstantAlgebra) -> Class2Presentation | None:
+    """The presentation of alg when it is class 2 in its given basis, else
+    None.  Class 2 in the given basis: the coordinates that are no factor of
+    any structure constant span an ideal Z that annihilates the ring, every
+    product lands in Z, and Z and its complement are both nonzero.  The
+    factor coordinates become e_1..e_d and those of Z f_1..f_d', each in
+    order."""
+    factors = sorted({c for key in alg.constants for c in key[:2]})
+    e = {c: i for i, c in enumerate(factors, start=1)}
+    f = {c: k for k, c in enumerate((c for c in range(1, alg.rank + 1) if c not in e), start=1)}
+    if not e or not f or any(k in e for *_, k in alg.constants):
+        return None
+    return Class2Presentation(
+        alg.name, len(e), len(f),
+        {(e[a], e[b], f[k]): v for (a, b, k), v in alg.constants.items()},
+    )
+
+
+def projective_points(p, n):
+    """One vector per point of P^(n-1)(F_p): its first nonzero coordinate is 1."""
+    for i in range(n):
+        for tail in product(range(p), repeat=n - 1 - i):
+            yield (0,) * i + (1,) + tail
+
+
 # ---------------------------------------------------------------------------
 # catalog
 
+# du Sautoy's elliptic-curve ring, basis x1..x6, y1..y3: [x_i, x_{3+j}] is the
+# sum of the y_k listed at (i, j)
 _DUSAUTOY_SMALL_R = (
-    (("y3",), ("y1",), ("y2",)),
-    (("y1",), ("y3",), ()),
-    (("y2",), (), ("y1",)),
+    ((3,), (1,), (2,)),
+    ((1,), (3,), ()),
+    ((2,), (), (1,)),
 )
-
-
-def _dusautoy_constants():
-    # basis x1..x6, y1..y3; [x_i, x_{3+j}] = small R entry (i, j)
-    names = {"y1": 1, "y2": 2, "y3": 3}
-    constants = {}
-    for i in range(3):
-        for j in range(3):
-            for sym in _DUSAUTOY_SMALL_R[i][j]:
-                k = names[sym]
-                constants[(i + 1, 3 + j + 1, k)] = 1
-                constants[(3 + j + 1, i + 1, k)] = -1
-    return constants
-
-
-def _free_nilpotent_2_constants(d):
-    pairs = list(combinations(range(1, d + 1), 2))
-    constants = {}
-    for k, (i, j) in enumerate(pairs, start=1):
-        constants[(i, j, k)] = 1
-        constants[(j, i, k)] = -1
-    return pairs, constants
 
 
 @lru_cache(maxsize=None)
@@ -309,10 +311,11 @@ def catalog(name: str, param: int | None = None) -> StructureConstantAlgebra:
         return StructureConstantAlgebra("sl2", 3, constants, ("antisymmetric", "lie"))
     if name == "free_nilpotent_2_d":
         d = _require_param(name, param)
-        pairs, constants = _free_nilpotent_2_constants(d)
-        shifted = {(i, j, d + k): v for (i, j, k), v in constants.items()}
+        constants = {}
+        for k, (i, j) in enumerate(combinations(range(1, d + 1), 2), start=d + 1):
+            constants[(i, j, k)], constants[(j, i, k)] = 1, -1
         return StructureConstantAlgebra(
-            f"free_nilpotent_2_{d}", d + len(pairs), shifted, ("antisymmetric", "lie")
+            f"free_nilpotent_2_{d}", d + d * (d - 1) // 2, constants, ("antisymmetric", "lie")
         )
     if name == "componentwise":
         n = _require_param(name, param)
@@ -324,12 +327,11 @@ def catalog(name: str, param: int | None = None) -> StructureConstantAlgebra:
         )
     if name == "dusautoy_ec":
         _refuse_param(name, param)
-        return StructureConstantAlgebra(
-            "dusautoy_ec",
-            9,
-            {(i, j, 6 + k): v for (i, j, k), v in _dusautoy_constants().items()},
-            ("antisymmetric", "lie"),
-        )
+        constants = {}
+        for i, j in product(range(3), repeat=2):
+            for k in _DUSAUTOY_SMALL_R[i][j]:
+                constants[(i + 1, j + 4, 6 + k)], constants[(j + 4, i + 1, 6 + k)] = 1, -1
+        return StructureConstantAlgebra("dusautoy_ec", 9, constants, ("antisymmetric", "lie"))
     raise LookupError_(f"unknown catalog ring {name!r}")
 
 
@@ -344,21 +346,6 @@ def _require_param(name, param):
 def _refuse_param(name, param):
     if param is not None:
         raise MalformedInputError(f"catalog entry {name!r} takes no parameter")
-
-
-@lru_cache(maxsize=None)
-def catalog_presentation(name: str, param: int | None = None) -> Class2Presentation:
-    if name == "heisenberg":
-        _refuse_param(name, param)
-        return Class2Presentation("heisenberg", 2, 1, {(1, 2, 1): 1, (2, 1, 1): -1})
-    if name == "free_nilpotent_2_d":
-        d = _require_param(name, param)
-        pairs, constants = _free_nilpotent_2_constants(d)
-        return Class2Presentation(f"free_nilpotent_2_{d}", d, len(pairs), constants)
-    if name == "dusautoy_ec":
-        _refuse_param(name, param)
-        return Class2Presentation("dusautoy_ec", 6, 3, _dusautoy_constants())
-    raise LookupError_(f"unknown catalog presentation {name!r}")
 
 
 _SPEC_RE = re.compile(r"^([a-zA-Z_][a-zA-Z0-9_]*)(?:\((\d+)\))?$")
@@ -380,12 +367,14 @@ def resolve_ring_spec(spec: str) -> StructureConstantAlgebra:
 
 
 def resolve_presentation_spec(spec: str) -> Class2Presentation:
-    if spec.startswith("catalog:"):
-        m = _SPEC_RE.match(spec[len("catalog:"):])
-        if not m:
-            raise MalformedInputError(f"cannot parse presentation spec {spec!r}")
-        return catalog_presentation(m.group(1), int(m.group(2)) if m.group(2) else None)
-    return load_presentation(spec)
+    """The presentation of a catalog ring spec (see `class2_presentation`) or
+    of a presentation JSON file."""
+    if not spec.startswith("catalog:"):
+        return load_presentation(spec)
+    pres = class2_presentation(resolve_ring_spec(spec))
+    if pres is None:
+        raise UnsupportedError(f"{spec!r} is not class 2 in its given basis")
+    return pres
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, product
 
-from .algebra import StructureConstantAlgebra, catalog, multiply
+from .algebra import (
+    StructureConstantAlgebra,
+    catalog,
+    class2_presentation,
+    multiply,
+    projective_points,
+)
 from .errors import DEFAULT_CEILING, Budget, MalformedInputError
 from .exactlinalg import local_elimination
 from .ratfun import LocalDirichletTruncation
@@ -251,8 +257,9 @@ def count(
 
     Three paths, the first that applies (`count_path` names it):
     - subrings or ideals of a ring that is class 2 in its given basis (see
-      `_central_split`): the central sums `_central_subring_counts` and
-      `_central_counts`.  `ceiling` bounds their nodes: for subrings one per
+      `algebra.class2_presentation`): the central sums
+      `_central_subring_counts` and `_central_counts`, which read its
+      presentation.  `ceiling` bounds their nodes: for subrings one per
       lattice of the abelian quotient of index below p^K, predicted, and one
       per lattice of the centre walked; for ideals one per point of
       P^(d'-1)(F_p) in the rank walk and one per lattice of the centre walked.
@@ -272,7 +279,7 @@ def count(
     path, how = count_path(alg, mode)
     if path == "central sum":
         central = _central_counts if mode == "ideals" else _central_subring_counts
-        coeffs = central(alg, p, K, ceiling, *how)
+        coeffs = central(how, "antisymmetric" in alg.flags, p, K, ceiling)
     elif path == "enumeration":
         coeffs = _brute_counts(alg, p, K, mode, ceiling)
     else:
@@ -290,12 +297,12 @@ def count(
 
 def count_path(alg: StructureConstantAlgebra, mode: str):
     """The path `count` takes, as (name, what it needs): ("central sum", the
-    split of `_central_split`, for subrings and ideals), ("row search", the
-    order of `_search_order`) or ("enumeration", None), the first that
-    applies."""
-    split = _central_split(alg) if mode != "sublattices" else None
-    if split:
-        return "central sum", split
+    presentation of `algebra.class2_presentation`, for subrings and ideals),
+    ("row search", the order of `_search_order`) or ("enumeration", None),
+    the first that applies."""
+    pres = class2_presentation(alg) if mode != "sublattices" else None
+    if pres:
+        return "central sum", pres
     order = _search_order(alg, mode)
     return ("enumeration", None) if order is None else ("row search", order)
 
@@ -491,27 +498,18 @@ def _row0_counts(alg, rows, p, E, rights, lefts):
     return p ** (sum(valuations) + E * (1 - len(valuations))), least
 
 
-def _central_split(alg):
-    """(noncentral, central) 0-based coordinates when alg is class 2 in its
-    given basis, else None: the central coordinates are no factor of any
-    structure constant, so they span an ideal Z that annihilates the ring,
-    every product lands in Z, and both lists are nonempty."""
-    factors = {c - 1 for key in alg.constants for c in key[:2]}
-    central = [c for c in range(alg.rank) if c not in factors]
-    if not factors or not central or any(k - 1 in factors for *_, k in alg.constants):
-        return None
-    return sorted(factors), central
-
-
-def _central_counts(alg, p, K, ceiling, noncentral, central):
+def _central_counts(pres, antisym, p, K, ceiling):
     """Ideals of index p^k, k = 0..K, of a ring that is class 2 in its given
-    basis (see `_central_split`), by the sum over the lattices Lambda' of Z.
+    basis, by the sum over the lattices Lambda' of Z.  `pres` is its
+    presentation (`algebra.class2_presentation`), and `antisym` says whether
+    the ring is antisymmetric.
 
-    Identify L/Z with Z_p^d and let d' = rank Z.  An ideal meets Z in some
-    Lambda' and maps onto a lattice of Z_p^d inside X(Lambda') = {x : x L and
-    L x lie in Lambda'}; each such pair comes from |Z:Lambda'|^d ideals, one
-    per homomorphism from the image to Z/Lambda' (Grunewald, Segal and Smith,
-    Invent. Math. 93 (1988), Lemma 6.1).  So
+    Identify L/Z with Z_p^d, spanned by e_1..e_d, and Z with Z_p^d',
+    spanned by f_1..f_d'.  An ideal meets Z in some Lambda' and maps onto a
+    lattice of Z_p^d inside X(Lambda') = {x : x L and L x lie in Lambda'};
+    each such pair comes from |Z:Lambda'|^d ideals, one per homomorphism from
+    the image to Z/Lambda' (Grunewald, Segal and Smith, Invent. Math. 93
+    (1988), Lemma 6.1).  So
 
         zeta(s) = zeta_{Z_p^d}(s) sum |Z:Lambda'|^(d-s) |Z_p^d : X(Lambda')|^-s.
 
@@ -531,17 +529,15 @@ def _central_counts(alg, p, K, ceiling, noncentral, central):
     A search node is one point ell of the rank walk or one Lambda' walked;
     `ceiling` bounds their number.
     """
-    d, dc = len(noncentral), len(central)
-    row_of = {c + 1: i for i, c in enumerate(noncentral)}
-    col_of = {c + 1: i for i, c in enumerate(central)}
-    sides = ((0, 1),) if "antisymmetric" in alg.flags else ((0, 1), (1, 0))
+    d, dc = pres.d, pres.dprime
+    sides = ((0, 1),) if antisym else ((0, 1), (1, 0))
     # (r, o): x is factor r of each constant (a, b, k), e_j factor o; block
     # (r, j) is the d x d' matrix of x -> x e_j (r = 0) or e_j x (r = 1)
     blocks = {}
-    for key, v in alg.constants.items():
+    for key, v in pres.constants.items():
         for r, o in sides:
             block = blocks.setdefault((r, key[o]), [[0] * dc for _ in range(d)])
-            block[row_of[key[r]]][col_of[key[2]]] += v
+            block[key[r] - 1][key[2] - 1] += v
     blocks = list(blocks.values())
     visit = Budget(ceiling, "central sum", "nodes").charge
 
@@ -556,7 +552,7 @@ def _central_counts(alg, p, K, ceiling, noncentral, central):
         return sum(valuations) + E * (d - len(valuations))
 
     r = d
-    for ell in _projective_points(p, dc):
+    for ell in projective_points(p, dc):
         visit()
         r = min(r, d - kernel_log([[x] for x in ell], 1))
         if not r:
@@ -600,10 +596,11 @@ def _lattices_containing(p, bounds, most):
     return place(n - 1, 0)
 
 
-def _central_subring_counts(alg, p, K, ceiling, noncentral, central):
+def _central_subring_counts(pres, antisym, p, K, ceiling):
     """Subrings of index p^k, k = 0..K, of a ring that is class 2 in its given
-    basis (see `_central_split`), by the sum over the lattices M of the
-    abelian quotient.
+    basis, by the sum over the lattices M of the abelian quotient.  `pres` is
+    its presentation (`algebra.class2_presentation`), and `antisym` says
+    whether the ring is antisymmetric.
 
     Write L = Z_p^d + Z with d' = rank Z.  Every product lands in Z and reads
     only the Z_p^d parts of its factors; call it beta(x, y).  A lattice H of L
@@ -635,11 +632,8 @@ def _central_subring_counts(alg, p, K, ceiling, noncentral, central):
     A search node is one M walked or one Lambda' walked; the M are predicted
     before any work, and `ceiling` bounds the total.
     """
-    d, dc = len(noncentral), len(central)
-    row_of = {c + 1: i for i, c in enumerate(noncentral)}
-    col_of = {c + 1: i for i, c in enumerate(central)}
-    form = [(row_of[a], row_of[b], col_of[k], v) for (a, b, k), v in alg.constants.items()]
-    antisym = "antisymmetric" in alg.flags
+    d, dc = pres.d, pres.dprime
+    form = [(a - 1, b - 1, k - 1, v) for (a, b, k), v in pres.constants.items()]
     budget = Budget(ceiling, "central sum", "nodes")
     budget.predict(sum(sublattice_count_prediction(d, p, k) for k in range(K)))
 
@@ -677,13 +671,6 @@ def _central_subring_counts(alg, p, K, ceiling, noncentral, central):
             budget.charge()
             coeffs[k + e] += ms * p ** (e * d)
     return coeffs
-
-
-def _projective_points(p, n):
-    """One vector per point of P^(n-1)(F_p): its first nonzero coordinate is 1."""
-    for i in range(n):
-        for tail in product(range(p), repeat=n - 1 - i):
-            yield (0,) * i + (1,) + tail
 
 
 def _scaled_inverse(H, D):

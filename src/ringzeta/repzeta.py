@@ -6,14 +6,16 @@ R(ell) mod p^N yields one twist-isoclass of dimension p^{sum_i (N - m_i)/2}.
 Divisors are capped at N, which is exactly what makes the exponent the right
 one.  `smith_type` reads the type off `exactlinalg.local_elimination`, the one
 elimination over Z/p^E that the lattice counts use too.  Unit multiples u*ell
-share that type, so each level walks one ell per unit class (the points of
-P^{d'-1}(Z/p^N)) with weight phi(p^N).  Beyond level 1 the walk is bounded
-by the rank r of R(ell) mod p: every lift of a level-1 class keeps those r
-unit divisors, so its exponent is at least r N / 2, and the lifts of a class
-with r N > 2 J are skipped, as none can reach p^J.  A nonsingular class
-(r = d) keeps type (0, ..., 0) and its lifts are credited without a Smith
-form.  The walk over every primitive ell stays as the oracle.  Also:
-brute-force point counts on affine and projective plane curves.
+share that type, so level 1 walks one ell per point of P^{d'-1}(F_p) with
+weight p - 1, and level N the lifts of those points, one ell per unit class
+of level N, with weight phi(p^N).  Beyond level 1 the walk is bounded by the
+rank r of R(ell) mod p: every lift of a level-1 class keeps those r unit
+divisors, so its exponent is at least r N / 2, and the lifts of a class with
+r N > 2 J are skipped, as none can reach p^J.  A nonsingular class (r = d)
+keeps type (0, ..., 0) and its lifts are credited without a Smith form.
+`_brute_orbit_counts`, its own loop over every primitive ell, stays as the
+oracle.  Also: brute-force point counts on affine and projective plane
+curves.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .algebra import Class2Presentation, commutator_matrix
+from .algebra import Class2Presentation, commutator_matrix, projective_points
 from .errors import (
     DEFAULT_CEILING,
     Budget,
@@ -29,7 +31,7 @@ from .errors import (
     MalformedInputError,
     UnsupportedError,
 )
-from .exactlinalg import local_elimination
+from .exactlinalg import local_elimination, rank
 from .poly import Polynomial
 from .ratfun import LocalDirichletTruncation, funeq_verdict, hybrid_funeq_verdict
 
@@ -67,21 +69,6 @@ def _primitive_vectors(p, N, d):
             yield ell
 
 
-def _unit_classes(p, N, d):
-    """(size, walk, weight) of the quotient: one primitive vector per unit class,
-    i.e. the points of P^{d-1}(Z/p^N) (first unit coordinate 1, earlier ones in
-    pZ/p^N), each standing for the phi(p^N) characters of its class."""
-    q = p**N
-
-    def walk():
-        for i in range(d):
-            for head in product(range(0, q, p), repeat=i):
-                for tail in product(range(q), repeat=d - 1 - i):
-                    yield head + (1,) + tail
-
-    return p ** ((N - 1) * (d - 1)) * (p**d - 1) // (p - 1), walk, q - q // p
-
-
 def _lifts(classes, p, N):
     """The level-N unit classes over the given level-1 ones: the normal form
     (0..0, 1, t) lifts to head in (pZ/p^N)^i, then 1, then t_j + pZ/p^N."""
@@ -89,11 +76,6 @@ def _lifts(classes, p, N):
     for ell in classes:
         i = ell.index(1)
         yield from product(*[range(0, q, p)] * i, (1,), *(range(t, q, p) for t in ell[i + 1:]))
-
-
-def _all_characters(p, N, d):
-    """(size, walk, weight) of the oracle: every primitive vector, once."""
-    return p ** (N * d), lambda: _primitive_vectors(p, N, d), 1
 
 
 def rep_zeta_class2(
@@ -105,17 +87,18 @@ def rep_zeta_class2(
     """Twist-isoclass counts c[p^0..p^J] from the coadjoint-orbit recipe.
 
     R(u ell) = u R(ell) for a unit u, so a unit class of characters shares one
-    type: each level walks one representative per class (`_unit_classes`)
-    with weight phi(p^N).  From level 2 on, only lifts (`_lifts`) of level-1
-    classes are walked, and only those that can reach p^J.  If R(ell) has rank
-    r mod p, every lift of ell keeps r unit divisors, so its exponent is at
-    least r N / 2: the lifts of a class with r N > 2 J are skipped.  A
-    nonsingular class (r = d) has type (0, ..., 0) and exponent d N / 2 at
-    every level, and its p^((N-1)(d'-1)) lifts are credited in one step when
-    d N <= 2 J.  `ceiling` bounds the Smith forms of all levels, predicted
-    before each level: the level-1 classes, then the lifts the bound leaves.
-    `_orbit_counts` with `_all_characters` walks every primitive ell at every
-    level instead; it is the oracle the tests hold this to.
+    type: level 1 walks one representative per point of P^(d'-1)(F_p)
+    (`projective_points`) with weight p - 1.  Each later level N walks the
+    lifts (`_lifts`) of the level-1 classes with weight phi(p^N), and only
+    those that can reach p^J.  If R(ell) has rank r mod p, every lift of ell
+    keeps r unit divisors, so its exponent is at least r N / 2: the lifts of
+    a class with r N > 2 J are skipped.  A nonsingular class (r = d) has type
+    (0, ..., 0) and exponent d N / 2 at every level, and its p^((N-1)(d'-1))
+    lifts are credited in one step when d N <= 2 J.  `ceiling` bounds the
+    Smith forms of all levels, predicted before each level: the level-1
+    classes, then the lifts the bound leaves.  `_brute_orbit_counts`, which
+    walks every primitive ell at every level, is the oracle the tests hold
+    this to.
 
     Levels 1..J are walked (level 1 also when J = 0).  A class with R(ell) = 0
     mod p has exponent 0 at level 1 and makes p a bad prime; any other class
@@ -124,58 +107,84 @@ def rep_zeta_class2(
     never the e = 0 of a bad prime, and an antisymmetric R(ell) has an even
     defect at every level.
     """
-    return _orbit_counts(pres, p, J, ceiling, _unit_classes)
+    R = _orbit_matrix(pres, p)
+    dprime = pres.dprime
+    counts = [1] + [0] * J  # c[p^0]: the trivial level
+    top = max(J, 1)
+    budget = Budget(ceiling, f"the walk to level {top}", "characters")
+    budget.predict((p**dprime - 1) // (p - 1))
+    ranks = {}  # level-1 classes by the rank r of R(ell) mod p
+    for ell in projective_points(p, dprime):
+        t = _tally(R, ell, p, 1, p - 1, counts)
+        ranks.setdefault(t.count(0), []).append(ell)
+    for N in range(2, top + 1):
+        # each lift keeps r unit divisors, so e >= r N / 2
+        reach = {r: group for r, group in ranks.items() if r * N <= 2 * J}
+        lifts = p ** ((N - 1) * (dprime - 1))  # level-N classes over each level-1 one
+        weight = p**N - p ** (N - 1)
+        if R.d in reach:  # det R(ell) a unit: type (0, ..., 0), exponent d N / 2
+            counts[R.d * N // 2] += len(reach.pop(R.d)) * lifts * weight
+        walked = [ell for group in reach.values() for ell in group]
+        budget.predict(len(walked) * lifts)
+        for ell in _lifts(walked, p, N):
+            _tally(R, ell, p, N, weight, counts)
+    return LocalDirichletTruncation(p, tuple(counts))
 
 
-def _orbit_counts(pres, p, J, ceiling, chart):
-    """The level loop of `rep_zeta_class2`; `chart(p, N, d')` gives the walk."""
+def _brute_orbit_counts(pres, p, J, ceiling):
+    """The oracle of `rep_zeta_class2`: every primitive ell of levels
+    1..max(J, 1), each counted once.  `ceiling` bounds the p^(N d') vectors
+    of each level N, predicted before it."""
+    R = _orbit_matrix(pres, p)
+    counts = [1] + [0] * J
+    top = max(J, 1)
+    budget = Budget(ceiling, f"the walk to level {top}", "characters")
+    for N in range(1, top + 1):
+        budget.predict(p ** (N * pres.dprime))
+        for ell in _primitive_vectors(p, N, pres.dprime):
+            _tally(R, ell, p, N, 1, counts)
+    return LocalDirichletTruncation(p, tuple(counts))
+
+
+def _orbit_matrix(pres, p):
+    """The commutator matrix of pres, after the refusals both walks share."""
+    R = commutator_matrix(pres)
     if p == 2:
         raise UnsupportedError("p = 2 is excluded (orbit parametrization needs odd period)")
-    R = commutator_matrix(pres)
     if R.is_zero():
         raise UnsupportedError(
             "identically-zero commutator matrix: the orbit recipe degenerates"
         )
-    dprime = pres.dprime
-    counts = [0] * (J + 1)
-    counts[0] = 1  # the trivial level
-    top = max(J, 1)
-    budget = Budget(ceiling, f"the walk to level {top}", "characters")
-    lift = chart is _unit_classes
-    ranks = {}  # level-1 classes by the rank r of R(ell) mod p
-    for N in range(1, top + 1):
-        size, walk, weight = chart(p, N, dprime)
-        ells = walk()
-        if lift and N > 1:
-            # each lift keeps r unit divisors, so e >= r N / 2
-            reach = {r: group for r, group in ranks.items() if r * N <= 2 * J}
-            lifts = p ** ((N - 1) * (dprime - 1))  # level-N classes over each level-1 one
-            if R.d in reach:  # det R(ell) a unit: type (0, ..., 0), exponent d N / 2
-                counts[R.d * N // 2] += len(reach.pop(R.d)) * lifts * weight
-            walked = [ell for group in reach.values() for ell in group]
-            size, ells = len(walked) * lifts, _lifts(walked, p, N)
-        budget.predict(size)
-        for ell in ells:
-            t = smith_type(R.evaluate(ell), p, N)
-            defect = sum(N - m for m in t.type)
-            if defect % 2:
-                raise InternalConsistencyError(
-                    f"odd rank defect {defect} for antisymmetric R({ell}) at level {N}"
-                )
-            e = defect // 2
-            if e == 0:
-                # a level-N character collapsing to dimension 1 re-counts
-                # the trivial twist-isoclass: p is outside the recipe's
-                # validity for this presentation
-                raise InternalConsistencyError(
-                    f"level-{N} character {ell} gives a one-dimensional class; "
-                    f"p = {p} is a bad prime for this presentation"
-                )
-            if e <= J:
-                counts[e] += weight
-            if lift and N == 1:
-                ranks.setdefault(t.type.count(0), []).append(ell)
-    return LocalDirichletTruncation(p, tuple(counts))
+    return R
+
+
+def _tally(R, ell, p, N, weight, counts):
+    """Add `weight` to counts[e] for the level-N character ell, e the half
+    rank defect of R(ell) mod p^N, when e < len(counts); returns its type."""
+    t = smith_type(R.evaluate(ell), p, N).type
+    defect = sum(N - m for m in t)
+    if defect % 2:
+        raise InternalConsistencyError(
+            f"odd rank defect {defect} for antisymmetric R({ell}) at level {N}"
+        )
+    e = defect // 2
+    if e == 0:
+        # a level-N character collapsing to dimension 1 re-counts the trivial
+        # twist-isoclass.  When the relations span the centre over Q, p is
+        # outside the recipe's validity for this presentation; when they do
+        # not, some integral ell has R(ell) = 0 and every prime is.
+        if rank([form for row in R.entries for form in row], R.dprime) < R.dprime:
+            raise UnsupportedError(
+                "the relations do not span the centre: R(ell) = 0 for an integral "
+                "ell != 0, so the orbit recipe degenerates at every prime"
+            )
+        raise InternalConsistencyError(
+            f"level-{N} character {ell} gives a one-dimensional class; "
+            f"p = {p} is a bad prime for this presentation"
+        )
+    if e < len(counts):
+        counts[e] += weight
+    return t
 
 
 # ---------------------------------------------------------------------------

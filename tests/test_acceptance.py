@@ -208,7 +208,7 @@ def test_criterion_08_functional_equations():
 
 def test_criterion_09_representation_zeta():
     with criterion(9, "orbit-method counts match totients and the weighted factors"):
-        heis = algebra.catalog_presentation("heisenberg")
+        heis = algebra.resolve_presentation_spec("catalog:heisenberg")
         for p in (3, 5, 7):
             got = repzeta.rep_zeta_class2(heis, p, 3).coefficients
             assert got == (1, p - 1, p**2 - p, p**3 - p**2), p
@@ -216,7 +216,7 @@ def test_criterion_09_representation_zeta():
         assert repzeta.point_count_affine(ec, 7) == 7  # p = 3 mod 4
         hybrid = ratfun.formula_catalog("dusautoy_rep")
         assert repzeta.weight_values(hybrid, 7)["b"] == 8
-        dus = algebra.catalog_presentation("dusautoy_ec")
+        dus = algebra.resolve_presentation_spec("catalog:dusautoy_ec")
         for p in (3, 5, 7, 31):
             weights = repzeta.weight_values(hybrid, p)
             brute = repzeta.rep_zeta_class2(dus, p, 2).coefficients

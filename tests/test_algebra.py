@@ -94,7 +94,7 @@ def test_nilpotency_class_invariant_under_scaling():
 
 
 def test_commutator_matrix_heisenberg():
-    pres = algebra.catalog_presentation("heisenberg")
+    pres = algebra.resolve_presentation_spec("catalog:heisenberg")
     R = algebra.commutator_matrix(pres)
     assert R.entries[0][1] == [1]
     assert R.entries[1][0] == [-1]
@@ -102,7 +102,7 @@ def test_commutator_matrix_heisenberg():
 
 
 def test_commutator_matrix_dusautoy_blocks():
-    R = algebra.commutator_matrix(algebra.catalog_presentation("dusautoy_ec"))
+    R = algebra.commutator_matrix(algebra.resolve_presentation_spec("catalog:dusautoy_ec"))
     # upper-right block rows: (y3, y1, y2), (y1, y3, 0), (y2, 0, y1)
     assert R.entries[0][3] == [0, 0, 1]
     assert R.entries[0][4] == [1, 0, 0]
@@ -124,7 +124,7 @@ def test_commutator_matrix_zero_presentation():
 @settings(max_examples=40, derandomize=True)
 @given(ell=st.lists(st.integers(-20, 20), min_size=3, max_size=3))
 def test_evaluated_commutator_matrix_antisymmetric(ell):
-    R = algebra.commutator_matrix(algebra.catalog_presentation("dusautoy_ec"))
+    R = algebra.commutator_matrix(algebra.resolve_presentation_spec("catalog:dusautoy_ec"))
     M = R.evaluate(ell)
     for i in range(6):
         assert M[i][i] == 0
@@ -169,7 +169,7 @@ def test_catalog_entry_without_parameter_refuses_one():
         assert algebra.catalog(name).name == name
     for name in ("heisenberg", "dusautoy_ec"):
         with pytest.raises(MalformedInputError, match="takes no parameter"):
-            algebra.catalog_presentation(name, 3)
+            algebra.resolve_presentation_spec(f"catalog:{name}(3)")
     with pytest.raises(MalformedInputError, match="takes no parameter"):
         algebra.resolve_ring_spec("catalog:scale(heisenberg(2),3,1)")
 
@@ -212,8 +212,32 @@ def test_load_presentation_file(tmp_path):
     )
     pres = algebra.load_presentation(path)
     assert (pres.d, pres.dprime) == (2, 1)
-    with pytest.raises(MalformedInputError):
-        algebra.Class2Presentation("bad", 2, 1, {(1, 2, 1): 1})
+    # a presentation need not be antisymmetric, but its commutator matrix must
+    bad = algebra.Class2Presentation("bad", 2, 1, {(1, 2, 1): 1})
+    with pytest.raises(MalformedInputError, match=r"not antisymmetric at \(1, 2, 1\)"):
+        algebra.commutator_matrix(bad)
+    with pytest.raises(MalformedInputError, match=r"not antisymmetric at \(2, 2, 1\)"):
+        algebra.commutator_matrix(algebra.Class2Presentation("bad", 2, 1, {(2, 2, 1): 1}))
+
+
+def test_catalog_presentations_are_read_off_the_rings():
+    # the factor coordinates become e_1..e_d and the others f_1..f_d', in order
+    def antisymmetric(*triples):
+        out = {}
+        for i, j, k in triples:
+            out[(i, j, k)], out[(j, i, k)] = 1, -1
+        return out
+
+    dusautoy = antisymmetric((1, 4, 3), (1, 5, 1), (1, 6, 2), (2, 4, 1), (2, 5, 3), (3, 4, 2),
+                             (3, 6, 1))
+    for spec, name, d, dprime, constants in (
+        ("heisenberg", "heisenberg", 2, 1, antisymmetric((1, 2, 1))),
+        ("free_nilpotent_2_d(3)", "free_nilpotent_2_3", 3, 3,
+         antisymmetric((1, 2, 1), (1, 3, 2), (2, 3, 3))),
+        ("dusautoy_ec", "dusautoy_ec", 6, 3, dusautoy),
+    ):
+        pres = algebra.resolve_presentation_spec("catalog:" + spec)
+        assert (pres.name, pres.d, pres.dprime, pres.constants) == (name, d, dprime, constants)
 
 
 def test_catalog_lie_entries_pass_jacobi_exhaustively():

@@ -182,7 +182,7 @@ def test_lookup_errors_print_the_bare_message(capsys):
     assert capsys.readouterr().err == "usage error: unknown formula 'nosuch'\n"
     assert cli.main(["rep", "zeta", "--presentation", "catalog:nosuch", "--prime", "3",
                      "--max-exp", "1"]) == 2
-    assert capsys.readouterr().err == "usage error: unknown catalog presentation 'nosuch'\n"
+    assert capsys.readouterr().err == "usage error: unknown catalog ring 'nosuch'\n"
 
 
 def test_formula_file_schema_is_not_a_formula(capsys):
@@ -274,6 +274,32 @@ def test_internal_consistency_exit_four(tmp_path):
     )
     code, _ = run(["rep", "zeta", "--presentation", str(pres), "--prime", "3", "--max-exp", "2"])
     assert code == 4
+
+
+def test_relations_that_miss_the_centre_exit_two(tmp_path, capsys):
+    # f2 is in no relation, so R(0, 1) = 0 at every prime: the input is
+    # outside the recipe, which no prime mends, not an internal fault
+    pres = tmp_path / "short.json"
+    pres.write_text(json.dumps({"d": 2, "dprime": 2, "constants": [[1, 2, 1, 1], [2, 1, 1, -1]]}))
+    for p in ("3", "101"):
+        argv = ["rep", "zeta", "--presentation", str(pres), "--prime", p, "--max-exp", "2"]
+        assert run(argv)[0] == 2
+        assert "do not span the centre" in capsys.readouterr().err
+
+
+def test_catalog_presentations_are_the_class2_catalog_rings(capsys):
+    def rep(spec, p):
+        argv = ["--output", "json", "rep", "zeta", "--presentation", spec, "--prime", p,
+                "--max-exp", "2"]
+        code, out = run(argv)
+        return code, out and [row["coefficient"] for row in json.loads(out)["rows"]]
+
+    for name in ("sl2", "abelian(3)", "componentwise(2)", "free_nilpotent_2_d(1)"):
+        assert rep(f"catalog:{name}", "3") == (2, "")
+        assert "not class 2 in its given basis" in capsys.readouterr().err
+    # [e1, e2] = 3 f1: the hand-built presentation of test_internal_consistency_exit_four
+    assert rep("catalog:scale(heisenberg,3,1)", "5") == (0, [1, 4, 20])
+    assert rep("catalog:scale(heisenberg,3,1)", "3")[0] == 4
 
 
 def test_json_output_round_trips():

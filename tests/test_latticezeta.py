@@ -545,10 +545,17 @@ def _shuffled(alg, rng):
     )
 
 
+def _central(alg):
+    """The 0-based coordinates that are no factor of any product: the centre
+    of a ring that is class 2 in its given basis."""
+    factors = {c - 1 for key in alg.constants for c in key[:2]}
+    return [c for c in range(alg.rank) if c not in factors]
+
+
 def _some_R_vanishes(alg, p):
     """Is there a nonzero ell in F_p^{d'} with ell(e_a * e_b) = 0 mod p for
     every a, b?  Then R(ell) = 0 mod p, and the least rank r is 0."""
-    central = latticezeta._central_split(alg)[1]
+    central = _central(alg)
     products = {}
     for (a, b, k), c in alg.constants.items():
         products.setdefault((a, b), {})[k - 1] = c
@@ -574,7 +581,7 @@ def test_central_sum_matches_the_search_and_brute_enumeration(monkeypatch):
         n = alg.rank
         K = 3 if p == 2 or n <= 5 else 2
         shuffled = _shuffled(alg, rng)
-        assert latticezeta._central_split(shuffled) is not None
+        assert algebra.class2_presentation(shuffled) is not None
         got = latticezeta.count(shuffled, p, K, "ideals").coefficients
         search = latticezeta._search_counts(alg, p, K, "ideals", latticezeta.DEFAULT_CEILING)
         assert got == tuple(search), (trial, p, K, alg.flags, alg.constants)
@@ -583,11 +590,11 @@ def test_central_sum_matches_the_search_and_brute_enumeration(monkeypatch):
         assert got[:depth + 1] == tuple(brute), (trial, p, depth, alg.flags, alg.constants)
         with monkeypatch.context() as m:
             # the zero vector has R = 0, so r = 0 and L = K: no pruning
-            m.setattr(latticezeta, "_projective_points", lambda p, n: [(0,) * n])
+            m.setattr(latticezeta, "projective_points", lambda p, n: [(0,) * n])
             assert latticezeta.count(shuffled, p, K, "ideals").coefficients == got, trial
         seen["r = 0" if _some_R_vanishes(alg, p) else "r > 0"] += 1
         seen["left products"] += "antisymmetric" not in alg.flags
-        seen["d' = 3"] += len(latticezeta._central_split(alg)[1]) == 3
+        seen["d' = 3"] += algebra.class2_presentation(alg).dprime == 3
     assert min(seen.values()) >= 8, seen
 
 
@@ -610,7 +617,7 @@ def test_central_subring_sum_matches_the_search_and_brute_enumeration():
         depth = _brute_depth(n, p)
         brute = latticezeta._brute_counts(alg, p, depth, "subrings", latticezeta.DEFAULT_CEILING)
         assert got[:depth + 1] == tuple(brute), (trial, p, depth, alg.flags, alg.constants)
-        central = latticezeta._central_split(alg)[1]
+        central = _central(alg)
         seen["antisymmetric" if "antisymmetric" in alg.flags else "no flags"] += 1
         seen["d' = 3"] += len(central) == 3
         seen["unused central coordinate"] += any(
@@ -630,7 +637,7 @@ def _signed_central_permutation(alg, rng):
     permutation sigma of the coordinates that are no factor of any product:
     the isomorphs the lattice benchmark draws."""
     n = alg.rank
-    central = latticezeta._central_split(alg)[1]
+    central = _central(alg)
     sigma = list(range(n))
     for c, t in zip(central, rng.sample(central, len(central))):
         sigma[c] = t

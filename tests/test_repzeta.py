@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -19,6 +20,11 @@ from ringzeta.repzeta import (
     rep_zeta_class2,
     smith_type,
 )
+
+
+def _catalog(name):
+    return algebra.resolve_presentation_spec("catalog:" + name)
+
 
 EC_AFFINE = igusa.parse_polynomial("y^2 - x^3 + x")
 EC_PROJECTIVE = ProjectivePlaneCurve(igusa.parse_polynomial("y^2*z - x^3 + x*z^2"))
@@ -102,7 +108,7 @@ def test_smith_type_unimodular_invariance():
 
 
 def test_rep_zeta_heisenberg_totients():
-    pres = algebra.catalog_presentation("heisenberg")
+    pres = _catalog("heisenberg")
     for p in (3, 5, 7):
         got = rep_zeta_class2(pres, p, 3)
         phi = [1] + [p**j - p ** (j - 1) for j in range(1, 4)]
@@ -112,7 +118,7 @@ def test_rep_zeta_heisenberg_totients():
 def test_rep_zeta_dimension_parity():
     # every primitive character level must produce an even rank defect;
     # sample levels of the rank-9 presentation directly
-    pres = algebra.catalog_presentation("dusautoy_ec")
+    pres = _catalog("dusautoy_ec")
     R = algebra.commutator_matrix(pres)
     p = 3
     for N in (1, 2):
@@ -122,7 +128,7 @@ def test_rep_zeta_dimension_parity():
 
 
 def test_rep_zeta_dusautoy_matches_hybrid():
-    pres = algebra.catalog_presentation("dusautoy_ec")
+    pres = _catalog("dusautoy_ec")
     hybrid = ratfun.formula_catalog("dusautoy_rep")
     for p in (3, 5, 11):
         weights = repzeta.weight_values(hybrid, p)
@@ -130,16 +136,6 @@ def test_rep_zeta_dusautoy_matches_hybrid():
         got = rep_zeta_class2(pres, p, 2)
         want = hybrid.expand(p, 2, weights)
         assert got.coefficients == want.coefficients
-
-
-def test_unit_class_chart_predicts_its_walk():
-    # the guard's size is the walk's length, and the classes cover every
-    # primitive character exactly weight times
-    for p, N, d in ((3, 1, 3), (3, 2, 2), (5, 2, 1), (3, 3, 2), (5, 1, 3)):
-        size, walk, weight = repzeta._unit_classes(p, N, d)
-        points = list(walk())
-        assert len(points) == len(set(points)) == size
-        assert size * weight == sum(1 for _ in repzeta._primitive_vectors(p, N, d))
 
 
 def _outcome(run):
@@ -176,8 +172,7 @@ def test_rep_quotient_matches_full_walk_on_random_presentations():
         pres = algebra.Class2Presentation("random", d, dprime, constants)
         rng.randint(1, 3)  # keeps the seeded sequence of presentations unchanged
         fast = _outcome(lambda: rep_zeta_class2(pres, p, J))
-        full = _outcome(lambda: repzeta._orbit_counts(
-            pres, p, J, DEFAULT_CEILING, repzeta._all_characters))
+        full = _outcome(lambda: repzeta._brute_orbit_counts(pres, p, J, DEFAULT_CEILING))
         assert fast == full, (constants, d, dprime, p, J)
         outcomes.append(full)
     assert sum(isinstance(o, tuple) for o in outcomes) >= 40
@@ -185,18 +180,25 @@ def test_rep_quotient_matches_full_walk_on_random_presentations():
 
 
 def test_lifts_list_each_unit_class_once():
-    # the level-N unit classes over each level-1 class, p^((N-1)(d-1)) of them,
-    # reduce to it mod p; together they are the level-N walk, each once
-    for p, N, d in ((3, 2, 2), (3, 3, 2), (5, 2, 3), (3, 2, 4), (7, 2, 1), (3, 1, 3)):
-        _, walk, _ = repzeta._unit_classes(p, 1, d)
-        size, level_walk, _ = repzeta._unit_classes(p, N, d)
+    # reference: every primitive vector of level N, scaled so that its first
+    # unit coordinate is 1.  Each class has phi(p^N) members, and the lifts of
+    # the points of P^(d-1)(F_p), p^((N-1)(d-1)) over each point and reducing
+    # to it mod p, list each class exactly once
+    for p, N, d in ((3, 1, 3), (5, 1, 3), (3, 2, 2), (5, 2, 1), (3, 3, 2), (5, 2, 3),
+                    (3, 2, 4), (7, 2, 1)):
+        q = p**N
+        classes = Counter()
+        for ell in repzeta._primitive_vectors(p, N, d):
+            inverse = pow(next(x for x in ell if x % p), -1, q)
+            classes[tuple(x * inverse % q for x in ell)] += 1
+        assert set(classes.values()) == {q - q // p}
         lifts = []
-        for ell in walk():
+        for ell in algebra.projective_points(p, d):
             over = list(repzeta._lifts([ell], p, N))
             assert len(over) == p ** ((N - 1) * (d - 1))
             assert all(tuple(x % p for x in lift) == ell for lift in over)
             lifts += over
-        assert len(lifts) == size and sorted(lifts) == sorted(level_walk())
+        assert len(lifts) == len(set(lifts)) and set(lifts) == set(classes)
 
 
 def test_rep_lift_cut_matches_full_walk_on_random_presentations():
@@ -214,12 +216,11 @@ def test_rep_lift_cut_matches_full_walk_on_random_presentations():
         pres = algebra.Class2Presentation(
             "random", d, dprime, _random_constants(rng, d, dprime, p))
         fast = _outcome(lambda: rep_zeta_class2(pres, p, J))
-        full = _outcome(lambda: repzeta._orbit_counts(
-            pres, p, J, DEFAULT_CEILING, repzeta._all_characters))
+        full = _outcome(lambda: repzeta._brute_orbit_counts(pres, p, J, DEFAULT_CEILING))
         assert fast == full, (pres.constants, d, dprime, p, J)
         R = commutator_matrix(pres)
-        _, walk, _ = repzeta._unit_classes(p, 1, dprime)
-        singular = {any(smith_type(R.evaluate(ell), p, 1).type) for ell in walk()}
+        singular = {any(smith_type(R.evaluate(ell), p, 1).type)
+                    for ell in algebra.projective_points(p, dprime)}
         mixed += singular == {True, False}
         # a credited class reaches the counts: exponent d N / 2 <= J at N = 2
         credited += singular == {True, False} and isinstance(full, tuple) and d <= J
@@ -244,14 +245,13 @@ def test_rep_rank_bound_matches_full_walk_on_random_presentations():
         pres = algebra.Class2Presentation(
             "random", d, dprime, _random_constants(rng, d, dprime, p))
         fast = _outcome(lambda: rep_zeta_class2(pres, p, J))
-        full = _outcome(lambda: repzeta._orbit_counts(
-            pres, p, J, DEFAULT_CEILING, repzeta._all_characters))
+        full = _outcome(lambda: repzeta._brute_orbit_counts(pres, p, J, DEFAULT_CEILING))
         assert fast == full, (pres.constants, d, dprime, p, J)
         outcomes.append(full)
         if isinstance(full, tuple):
             R = commutator_matrix(pres)
-            _, walk, _ = repzeta._unit_classes(p, 1, dprime)
-            ranks = {smith_type(R.evaluate(ell), p, 1).type.count(0) for ell in walk()}
+            ranks = {smith_type(R.evaluate(ell), p, 1).type.count(0)
+                     for ell in algebra.projective_points(p, dprime)}
             skipped += any(2 < r < d for r in ranks)
             walked += any(r < d and r <= J for r in ranks)
     assert skipped >= 5 and walked >= 5, (skipped, walked)
@@ -267,14 +267,14 @@ def test_smith_forms_walked_by_the_quotient_and_the_oracle(monkeypatch):
     calls = []
     real = repzeta.smith_type
     monkeypatch.setattr(repzeta, "smith_type", lambda A, p, N: calls.append(N) or real(A, p, N))
-    pres = algebra.catalog_presentation("dusautoy_ec")
+    pres = _catalog("dusautoy_ec")
     rep_zeta_class2(pres, 3, 2)
     assert (calls.count(1), calls.count(2)) == (13, 0)
     calls.clear()
     rep_zeta_class2(pres, 3, 4)
     assert [calls.count(N) for N in range(1, 5)] == [13, 4 * 9, 0, 0]
     calls.clear()
-    repzeta._orbit_counts(pres, 3, 2, DEFAULT_CEILING, repzeta._all_characters)
+    repzeta._brute_orbit_counts(pres, 3, 2, DEFAULT_CEILING)
     assert (calls.count(1), calls.count(2)) == (26, 3**6 - 3**3)
 
 
@@ -310,7 +310,7 @@ def test_theoremD_checks():
 
 
 def test_rep_zeta_rejects_even_prime_and_degenerate_matrix():
-    pres = algebra.catalog_presentation("heisenberg")
+    pres = _catalog("heisenberg")
     with pytest.raises(UnsupportedError):
         rep_zeta_class2(pres, 2, 2)
     zero = algebra.Class2Presentation("zero", 2, 1, {})
@@ -324,8 +324,23 @@ def test_rep_zeta_bad_prime_is_rejected():
     pres = algebra.Class2Presentation("thick", 2, 1, {(1, 2, 1): 3, (2, 1, 1): -3})
     with pytest.raises(InternalConsistencyError):
         rep_zeta_class2(pres, 3, 2)
+    with pytest.raises(InternalConsistencyError):
+        repzeta._brute_orbit_counts(pres, 3, 2, DEFAULT_CEILING)
     # at any prime not dividing the constants the same presentation is fine
     assert rep_zeta_class2(pres, 5, 2).coefficients == (1, 4, 20)
+
+
+def test_relations_that_miss_the_centre_are_refused_by_both_walks():
+    # f2 in no relation, or [e1, e2] = f1 + f2: R(ell) = 0 for ell = (0, 1)
+    # or (1, -1), at every prime.  That is outside the recipe, not a bad prime
+    for constants in ({(1, 2, 1): 1, (2, 1, 1): -1},
+                      {(1, 2, 1): 1, (1, 2, 2): 1, (2, 1, 1): -1, (2, 1, 2): -1}):
+        pres = algebra.Class2Presentation("short", 2, 2, constants)
+        for p in (3, 5):
+            with pytest.raises(UnsupportedError, match="do not span the centre"):
+                rep_zeta_class2(pres, p, 2)
+            with pytest.raises(UnsupportedError, match="do not span the centre"):
+                repzeta._brute_orbit_counts(pres, p, 2, DEFAULT_CEILING)
 
 
 def test_rep_zeta_guard(monkeypatch):
@@ -335,7 +350,7 @@ def test_rep_zeta_guard(monkeypatch):
     calls = []
     real = repzeta.smith_type
     monkeypatch.setattr(repzeta, "smith_type", lambda A, p, N: calls.append(N) or real(A, p, N))
-    pres = algebra.catalog_presentation("dusautoy_ec")
+    pres = _catalog("dusautoy_ec")
     with pytest.raises(ResourceGuardError) as info:
         rep_zeta_class2(pres, 101, 2, ceiling=10302)
     assert info.value.predicted == 10303 and not calls
@@ -349,7 +364,7 @@ def test_rep_zeta_guard(monkeypatch):
     calls.clear()
     # the oracle predicts each level's full chart: 3^3, then 3^6
     with pytest.raises(ResourceGuardError) as info:
-        repzeta._orbit_counts(pres, 3, 2, 27 + 728, repzeta._all_characters)
+        repzeta._brute_orbit_counts(pres, 3, 2, 27 + 728)
     assert info.value.predicted == 27 + 729 and calls.count(2) == 0
 
 
@@ -366,7 +381,7 @@ def test_weight_values_requires_curve():
 def test_rep_zeta_dusautoy_deeper_truncation():
     # deeper levels at small primes, against dusautoy_rep expanded with its
     # b(p) weights; at J = 4 the level-2 lifts of the curve points are walked
-    pres = algebra.catalog_presentation("dusautoy_ec")
+    pres = _catalog("dusautoy_ec")
     hybrid = ratfun.formula_catalog("dusautoy_rep")
     for p, J, expected in ((3, 3, None), (3, 4, (1, 0, 8, 18, 72)), (5, 4, (1, 0, 32, 92, 800))):
         weights = repzeta.weight_values(hybrid, p)
