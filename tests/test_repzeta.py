@@ -138,6 +138,20 @@ def test_rep_zeta_dusautoy_matches_hybrid():
         assert got.coefficients == want.coefficients
 
 
+def test_unit_class_chart_predicts_its_walk():
+    # the guard's size is the walk's length, and the classes cover every
+    # primitive character exactly weight times: level 1 walks P^(d-1)(F_p),
+    # each later level the lifts of those points
+    for p, N, d in ((3, 1, 3), (3, 2, 2), (5, 2, 1), (3, 3, 2), (5, 1, 3)):
+        size = (p**d - 1) // (p - 1) * p ** ((N - 1) * (d - 1))
+        weight = p**N - p ** (N - 1)
+        points = list(algebra.projective_points(p, d))
+        if N > 1:
+            points = list(repzeta._lifts(points, p, N))
+        assert len(points) == len(set(points)) == size
+        assert size * weight == sum(1 for _ in repzeta._primitive_vectors(p, N, d))
+
+
 def _outcome(run):
     try:
         return run().coefficients
