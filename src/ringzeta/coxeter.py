@@ -1,11 +1,11 @@
-"""Symmetric-group combinatorics and the inversion-property assembly.
+"""Symmetric-group combinatorics: lengths, descents, Gaussian binomials.
 
 Lengths are inversion counts, descents are one-line descents; the word-based
 definitions are validated once, exhaustively, in the test suite.  Gaussian
 binomials come from the q-Pascal rule and double as flag counts over prime
 fields, which the exhaustive flag enumerator cross-checks.  They and the
-descent sums are polynomials in X with no Y, in the ring of the Euler factors
-W(X, Y) they are assembled into.
+descent sums are polynomials in X with no Y, in the ring XY of the Euler
+factors W(X, Y).
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 from .errors import DEFAULT_CEILING, Budget, MalformedInputError, UnsupportedError
+from .exactlinalg import local_elimination
 from .poly import Polynomial
-from .ratfun import XY, BivariateRationalFunction, funeq_verdict, invert_prime
+from .ratfun import XY
 
 
 @dataclass(frozen=True)
@@ -162,18 +163,12 @@ def _rref_subspaces(n, dim, q, charge):
     return subspaces
 
 
-def _in_rowspace_modp(vec, rows, q):
-    v = list(vec)
-    for row in rows:
-        piv = next(c for c in range(len(row)) if row[c])
-        if v[piv]:
-            f = v[piv]  # pivot entry is 1 in RREF
-            v = [(a - f * b) % q for a, b in zip(v, row)]
-    return not any(v)
-
-
 def _contained(sub, sup, q):
-    return all(_in_rowspace_modp(row, sup, q) for row in sub)
+    """Whether the row space of sub lies in that of sup (independent rows):
+    appending sub's rows to sup's adds no pivot mod q."""
+    rows = sup + sub
+    valuations, _ = local_elimination(rows, [0] * len(rows), len(rows[0]), q, 1)
+    return len(valuations) == len(sup)
 
 
 def flag_count(n: int, I, q: int, ceiling: int = DEFAULT_CEILING) -> int:
@@ -200,60 +195,3 @@ def flag_count(n: int, I, q: int, ceiling: int = DEFAULT_CEILING) -> int:
 
     rec(0, None)
     return count
-
-
-# ---------------------------------------------------------------------------
-# Proposition-IP assembly
-
-
-def ip_assemble(family, n: int) -> BivariateRationalFunction:
-    """W = sum over I of binom(n, I) at X^{-1} times W_I."""
-    total = BivariateRationalFunction(0)
-    for size in range(0, n):
-        for I in combinations(range(1, n), size):
-            key = frozenset(I)
-            if key not in family:
-                raise MalformedInputError(f"family is missing I = {sorted(key)}")
-            binom = gaussian_binomial(n, key).invert()
-            total = total + BivariateRationalFunction(binom) * family[key]
-    return total
-
-
-@dataclass(frozen=True)
-class IpVerdict:
-    holds: bool
-    witness: frozenset | None = None
-    conclusion_checked: bool = False
-
-
-def ip_hypothesis_check(family, n: int) -> IpVerdict:
-    """Verify invert_prime(W_I) = (-1)^{|I|} sum_{J <= I} W_J for every I; on
-    success also verify the implied functional equation of the assembly."""
-    subsets = [frozenset(c) for size in range(0, n) for c in combinations(range(1, n), size)]
-    for I in subsets:
-        lhs = invert_prime(family[I])
-        rhs = BivariateRationalFunction(0)
-        for J in subsets:
-            if J <= I:
-                rhs = rhs + family[J]
-        rhs = rhs * ((-1) ** len(I))
-        if not lhs == rhs:
-            return IpVerdict(False, witness=I)
-    W = ip_assemble(family, n)
-    verdict = funeq_verdict(W, ((-1) ** (n - 1), n * (n - 1) // 2, 0))
-    return IpVerdict(bool(verdict.matches_expected), conclusion_checked=True)
-
-
-def abelian_w_family(n: int):
-    """W_I = prod over i in I of X_i/(1 - X_i) with X_i = X^{i(n-i)} Y^i."""
-    family = {}
-    for size in range(0, n):
-        for I in combinations(range(1, n), size):
-            num = Polynomial(XY, {(0, 0): 1})
-            den = {}
-            for i in I:
-                num = num.shift(i * (n - i), i)
-                key = (i * (n - i), i)
-                den[key] = den.get(key, 0) + 1
-            family[frozenset(I)] = BivariateRationalFunction(num, den)
-    return family

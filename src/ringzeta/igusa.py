@@ -204,11 +204,6 @@ def zf_series_from_poincare(pc: PoincareTruncation, nvars: int) -> list[Fraction
     return out
 
 
-def poincare_partial_sums(pc: PoincareTruncation, nvars: int) -> list[Fraction]:
-    """sum_{m<=k} p^{-nm} N_m t^m coefficients, for the series-relation check."""
-    return [Fraction(pc.counts[m], pc.p ** (nvars * m)) for m in range(pc.depth + 1)]
-
-
 def monomial_closed_form(exponents) -> BivariateRationalFunction:
     """Closed form of the local integral of |x1^e1 ... xn^en|^s:
     prod_i (1 - X^{-1})/(1 - X^{-1} Y^{e_i}), cleared to (X-1)/(X - Y^{e_i})."""

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .exactlinalg import local_elimination, rank
 from .poly import Polynomial
-from .ratfun import LocalDirichletTruncation, funeq_verdict, hybrid_funeq_verdict
+from .ratfun import LocalDirichletTruncation
 
 
 @dataclass(frozen=True)
@@ -95,8 +95,9 @@ def rep_zeta_class2(
     a class with r N > 2 J are skipped.  A nonsingular class (r = d) has type
     (0, ..., 0) and exponent d N / 2 at every level, and its p^((N-1)(d'-1))
     lifts are credited in one step when d N <= 2 J.  `ceiling` bounds the
-    Smith forms of all levels, predicted before each level: the level-1
-    classes, then the lifts the bound leaves.  `_brute_orbit_counts`, which
+    Smith forms of all levels, predicted twice: the level-1 classes before
+    level 1, then the lifts the bound leaves at every later level, which the
+    level-1 ranks fix, before level 2.  `_brute_orbit_counts`, which
     walks every primitive ell at every level, is the oracle the tests hold
     this to.
 
@@ -117,17 +118,19 @@ def rep_zeta_class2(
     for ell in projective_points(p, dprime):
         t = _tally(R, ell, p, 1, p - 1, counts)
         ranks.setdefault(t.count(0), []).append(ell)
+    nonsingular = len(ranks.pop(R.d, []))  # det R(ell) a unit: type (0, ..., 0)
+    walks = []  # (N, the level-1 classes whose lifts level N walks, their lifts each)
     for N in range(2, top + 1):
-        # each lift keeps r unit divisors, so e >= r N / 2
-        reach = {r: group for r, group in ranks.items() if r * N <= 2 * J}
         lifts = p ** ((N - 1) * (dprime - 1))  # level-N classes over each level-1 one
-        weight = p**N - p ** (N - 1)
-        if R.d in reach:  # det R(ell) a unit: type (0, ..., 0), exponent d N / 2
-            counts[R.d * N // 2] += len(reach.pop(R.d)) * lifts * weight
-        walked = [ell for group in reach.values() for ell in group]
-        budget.predict(len(walked) * lifts)
+        if R.d * N <= 2 * J:  # the nonsingular exponent d N / 2
+            counts[R.d * N // 2] += nonsingular * lifts * (p**N - p ** (N - 1))
+        # each lift keeps r unit divisors, so e >= r N / 2
+        walks.append((N, [ell for r, group in ranks.items() if r * N <= 2 * J for ell in group], lifts))
+    # the level-1 ranks fix every later walk: refuse it whole, before level 2
+    budget.predict(sum(len(walked) * lifts for _, walked, lifts in walks))
+    for N, walked, _ in walks:
         for ell in _lifts(walked, p, N):
-            _tally(R, ell, p, N, weight, counts)
+            _tally(R, ell, p, N, p**N - p ** (N - 1), counts)
     return LocalDirichletTruncation(p, tuple(counts))
 
 
@@ -215,18 +218,11 @@ class ProjectivePlaneCurve:
 
 def point_count_projective(curve: ProjectivePlaneCurve, p: int,
                            ceiling: int = DEFAULT_CEILING) -> int:
-    """Projective points, via normalized representatives: (x : y : 1),
-    then (x : 1 : 0), then (1 : 0 : 0); `ceiling` bounds the p^2 + p + 1
-    points."""
+    """Projective points, one per normalized representative of
+    `projective_points(p, 3)`; `ceiling` bounds the p^2 + p + 1 points."""
     Budget(ceiling, f"the projective plane over F_{p}", "points").predict(p * p + p + 1)
     f = curve.polynomial
-    count = sum(
-        1 for x in range(p) for y in range(p) if f.evaluate((x, y, 1)) % p == 0
-    )
-    count += sum(1 for x in range(p) if f.evaluate((x, 1, 0)) % p == 0)
-    if f.evaluate((1, 0, 0)) % p == 0:
-        count += 1
-    return count
+    return sum(1 for point in projective_points(p, 3) if f.evaluate(point) % p == 0)
 
 
 def weight_values(hybrid, p: int, ceiling: int = DEFAULT_CEILING) -> dict:
@@ -243,13 +239,3 @@ def weight_values(hybrid, p: int, ceiling: int = DEFAULT_CEILING) -> dict:
         curve = ProjectivePlaneCurve(parse_polynomial(expr))
         values[symbol] = point_count_projective(curve, p, ceiling)
     return values
-
-
-def theoremD_check(f, dprime: int):
-    """Functional-equation verdict with the expected monomial (+1, dprime, 0)."""
-    expected = (1, dprime, 0)
-    from .ratfun import PointCountHybrid
-
-    if isinstance(f, PointCountHybrid):
-        return hybrid_funeq_verdict(f, expected)
-    return funeq_verdict(f, expected)

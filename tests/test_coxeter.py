@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from ringzeta import cones, coxeter, ratfun
+from ringzeta import coxeter
 from ringzeta.coxeter import (
     PermutationData,
     descent_set,
@@ -14,7 +14,7 @@ from ringzeta.coxeter import (
 )
 from ringzeta.errors import MalformedInputError, ResourceGuardError, UnsupportedError
 from ringzeta.poly import Polynomial
-from ringzeta.ratfun import XY, BivariateRationalFunction
+from ringzeta.ratfun import XY
 
 
 def in_x(coeffs):
@@ -114,67 +114,3 @@ def test_flag_count_guards():
         flag_count(3, {1}, 4)
     with pytest.raises(ResourceGuardError):
         flag_count(5, {1}, 2, ceiling=20)
-
-
-def test_ip_abelian_family():
-    for n in range(2, 6):
-        family = coxeter.abelian_w_family(n)
-        verdict = coxeter.ip_hypothesis_check(family, n)
-        assert verdict.holds and verdict.conclusion_checked
-        total = coxeter.ip_assemble(family, n) * ratfun.zp_factor(0, n)
-        assert total == ratfun.zeta_zn(n)
-
-
-def test_ip_n2_identity_from_first_principles():
-    # 1/(1-Y^2) * (1 + (1+X^-1) XY/(1-XY)) = 1/((1-Y)(1-XY))
-    family = coxeter.abelian_w_family(2)
-    W = coxeter.ip_assemble(family, 2)
-    lhs = ratfun.zp_factor(0, 2) * W
-    assert lhs == ratfun.zeta_zn(2)
-    binom = BivariateRationalFunction(Polynomial(XY, {(0, 0): 1, (-1, 0): 1}))
-    manual = BivariateRationalFunction.constant(1) + binom * BivariateRationalFunction(
-        Polynomial(XY, {(1, 1): 1}), {(1, 1): 1}
-    )
-    assert W == manual
-
-
-def test_ip_family_built_from_cones():
-    # W_I as the strict-solution series of the empty system in |I| variables,
-    # monomially substituted; the hypothesis then is Stanley reciprocity
-    n = 3
-    family = {}
-    for size in range(0, n):
-        for I in combinations(range(1, n), size):
-            if not I:
-                family[frozenset()] = BivariateRationalFunction.constant(1)
-                continue
-            sys_ = cones.DiophantineConeSystem.empty(len(I))
-            form = cones.rational_form(sys_)
-            # strict series = prod X_i/(1 - X_i): shift the closed form by one
-            # in every variable and verify against strict enumeration
-            strict_form = cones.MultivariateRationalForm(
-                form.m,
-                {tuple([1] * len(I)): 1},
-                form.denominator_rays,
-            )
-            got = cones.expand_form(strict_form, 4)
-            assert got == cones.brute_series(sys_, 4, strict=True)
-            assignment = [(i * (n - i), i) for i in sorted(I)]
-            family[frozenset(I)] = cones.substitute(strict_form, assignment)
-    verdict = coxeter.ip_hypothesis_check(family, n)
-    assert verdict.holds
-
-
-def test_ip_violating_family():
-    bad = {
-        frozenset(): BivariateRationalFunction.constant(1),
-        frozenset({1}): BivariateRationalFunction.constant(1),
-    }
-    verdict = coxeter.ip_hypothesis_check(bad, 2)
-    assert not verdict.holds
-    assert verdict.witness == frozenset({1})
-
-
-def test_ip_assemble_missing_subset():
-    with pytest.raises(MalformedInputError):
-        coxeter.ip_assemble({frozenset(): BivariateRationalFunction.constant(1)}, 3)

@@ -302,6 +302,17 @@ def test_point_count_examples():
         assert point_count_projective(EC_PROJECTIVE, p) == point_count_affine(EC_AFFINE, p) + 1
 
 
+def test_point_count_projective_matches_its_definition():
+    # the nonzero zeros in F_p^3, one line through the origin per point; both
+    # curves vanish at (1 : 0 : 0), and x*y*z at every (x : 1 : 0)
+    for expr in ("x*y*z", "x^2*y - z^3", "y^2*z - x^3 + x*z^2"):
+        curve = ProjectivePlaneCurve(igusa.parse_polynomial(expr))
+        f = curve.polynomial
+        for p in (2, 3, 5, 7):
+            zeros = sum(1 for v in product(range(p), repeat=3) if any(v) and f.evaluate(v) % p == 0)
+            assert point_count_projective(curve, p) == zeros // (p - 1)
+
+
 def test_point_count_congruence_rule():
     # p = 3 mod 4 forces the affine count to be exactly p
     for p in (3, 7, 11, 19, 23):
@@ -315,12 +326,6 @@ def test_point_count_guard_and_validation():
         ProjectivePlaneCurve(igusa.parse_polynomial("y^2*z - x^3 + x"))
     with pytest.raises(MalformedInputError):
         point_count_affine(igusa.parse_polynomial("x + y + z"), 5)
-
-
-def test_theoremD_checks():
-    assert repzeta.theoremD_check(ratfun.formula_catalog("heisenberg_rep"), 1).matches_expected
-    assert repzeta.theoremD_check(ratfun.formula_catalog("dusautoy_rep"), 3).matches_expected
-    assert not repzeta.theoremD_check(ratfun.zeta_zn(2), 1).matches_expected
 
 
 def test_rep_zeta_rejects_even_prime_and_degenerate_matrix():
@@ -358,9 +363,10 @@ def test_relations_that_miss_the_centre_are_refused_by_both_walks():
 
 
 def test_rep_zeta_guard(monkeypatch):
-    # the guard predicts each level's walk before it: at p = 101, J = 2 the
-    # 10,303 level-1 classes and no level-2 lift (e >= 4 > 2 on the curve
-    # points), so a lower ceiling is refused before any Smith form
+    # the guard predicts level 1's walk before it, then every later level's
+    # together: at p = 101, J = 2 the 10,303 level-1 classes and no level-2
+    # lift (e >= 4 > 2 on the curve points), so a lower ceiling is refused
+    # before any Smith form
     calls = []
     real = repzeta.smith_type
     monkeypatch.setattr(repzeta, "smith_type", lambda A, p, N: calls.append(N) or real(A, p, N))
@@ -380,6 +386,21 @@ def test_rep_zeta_guard(monkeypatch):
     with pytest.raises(ResourceGuardError) as info:
         repzeta._brute_orbit_counts(pres, 3, 2, 27 + 728)
     assert info.value.predicted == 27 + 729 and calls.count(2) == 0
+
+
+def test_rep_zeta_refuses_the_whole_walk_after_level_1(monkeypatch):
+    # free_nilpotent_2_d(4) at p = 5, J = 3: 806 of the 3,906 level-1 classes
+    # have rank r = 2, so levels 2 and 3 both walk their lifts.  Level 2 alone
+    # (806 * 5^5) fits the default ceiling, level 3 (806 * 5^10) does not, and
+    # the refusal comes before any Smith form of level 2
+    calls = []
+    real = repzeta.smith_type
+    monkeypatch.setattr(repzeta, "smith_type", lambda A, p, N: calls.append(N) or real(A, p, N))
+    pres = _catalog("free_nilpotent_2_d(4)")
+    with pytest.raises(ResourceGuardError) as info:
+        rep_zeta_class2(pres, 5, 3)
+    assert info.value.predicted == 3906 + 806 * 5**5 + 806 * 5**10
+    assert calls == [1] * 3906
 
 
 def test_weight_values_requires_curve():
