@@ -1,5 +1,8 @@
 """Command-line front end.
 
+Importing it loads only `errors`, `ratfun` and `poly`: each handler imports
+the layers it calls, so a launch compiles only what its command uses.
+
 Exit codes: 0 success / comparison pass, 1 comparison fail, 2 usage error,
 3 resource guard tripped, 4 internal-consistency failure (also any unexpected
 exception, with its traceback on stderr).
@@ -8,15 +11,15 @@ exception, with its traceback on stderr).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 from functools import lru_cache
 
-from . import algebra, cones, coxeter, igusa, latticezeta, ratfun, repzeta
+from . import ratfun
 from .errors import (
     DEFAULT_CEILING,
+    MODES,
     CoverageError,
     InternalConsistencyError,
     LookupError_,
@@ -32,6 +35,9 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
 EXIT_INTERNAL = 4
+# the least strong pseudoprime to the prime bases 2..41 (Sorenson and Webster
+# 2015): `_is_prime` is exact below it, and `_prime` refuses any p from it on
+_PSEUDOPRIME_41 = 3317044064679887385961981
 
 
 def _coefficient_rows(coefficients):
@@ -46,6 +52,7 @@ def _emit(report, fmt, stream=None):
         return
     rows = report.get("rows")
     if fmt == "csv":
+        import csv
         if not rows:
             rows = [{"key": k, "value": v} for k, v in report.items() if k != "rows"]
         writer = csv.DictWriter(stream, fieldnames=list(rows[0].keys()))
@@ -84,6 +91,7 @@ def _comparison_report(left_label, right_label, prime, left, right):
 def _expand_formula(name, p, K, ceiling):
     formula = ratfun.formula_catalog(name)
     if isinstance(formula, ratfun.PointCountHybrid):
+        from . import repzeta
         weights = repzeta.weight_values(formula, p, ceiling)
         return formula.expand(p, K, weights)
     return ratfun.expand(formula, p, K)
@@ -93,6 +101,7 @@ def _guard_preview(args, alg):
     """Say on stderr what --ceiling bounds on the path `latticezeta.count`
     takes.  Only the enumerate path prints a prediction: the sublattices of
     index up to p^K, confirmed at a terminal above 10^6."""
+    from . import latticezeta
     path = latticezeta.count_path(alg, args.mode)[0]
     if path == "central sum":
         walked = ("central lattices walked and the points of the rank walk" if args.mode == "ideals"
@@ -121,6 +130,7 @@ def _guard_preview(args, alg):
 
 
 def cmd_ring_validate(args):
+    from . import algebra
     alg = algebra.resolve_ring_spec(args.ring)
     report = algebra.validate(alg)
     out = {"ring": alg.name, "rank": alg.rank, "flags": sorted(alg.flags)}
@@ -140,6 +150,7 @@ def cmd_ring_validate(args):
 
 
 def cmd_zeta_count(args):
+    from . import algebra, latticezeta
     alg = algebra.resolve_ring_spec(args.ring)
     _guard_preview(args, alg)
     trunc = latticezeta.count(
@@ -167,6 +178,7 @@ def cmd_zeta_formula(args):
 
 
 def cmd_zeta_compare(args):
+    from . import algebra, latticezeta
     alg = algebra.resolve_ring_spec(args.ring)
     _guard_preview(args, alg)
     brute = latticezeta.count(
@@ -215,6 +227,7 @@ def cmd_zeta_funeq(args):
 
 
 def cmd_cone(args):
+    from . import cones
     sys_ = cones.DiophantineConeSystem.from_json(args.system)
     if args.cone_command == "rays":
         ex = cones.extreme_rays(sys_, args.ceiling)
@@ -254,6 +267,7 @@ def cmd_cone(args):
 
 
 def cmd_igusa_poincare(args):
+    from . import igusa
     poly = igusa.parse_polynomial(args.poly)
     pc = igusa.poincare_counts(poly, args.prime, args.depth, ceiling=args.ceiling)
     series = igusa.zf_series_from_poincare(pc, len(poly.variables)) if args.depth >= 1 else []
@@ -272,6 +286,7 @@ def cmd_igusa_poincare(args):
 
 
 def cmd_igusa_zeta3d(args):
+    from . import algebra, igusa
     alg = algebra.resolve_ring_spec(args.ring)
     form = igusa.theorem3d_form(alg)
     trunc = igusa.theorem3d_zeta(
@@ -287,6 +302,7 @@ def cmd_igusa_zeta3d(args):
 
 
 def cmd_rep_zeta(args):
+    from . import algebra, repzeta
     pres = algebra.resolve_presentation_spec(args.presentation)
     trunc = repzeta.rep_zeta_class2(
         pres, args.prime, args.max_exp, ceiling=args.ceiling
@@ -299,6 +315,7 @@ def cmd_rep_zeta(args):
 
 
 def cmd_rep_compare(args):
+    from . import algebra, repzeta
     pres = algebra.resolve_presentation_spec(args.presentation)
     brute = repzeta.rep_zeta_class2(
         pres, args.prime, args.max_exp, ceiling=args.ceiling
@@ -340,6 +357,7 @@ def cmd_euler(args):
 
 
 def cmd_coxeter_check(args):
+    from . import coxeter
     n = args.n
     rows = []
     ok = True
@@ -371,14 +389,17 @@ def _int(text):
 def _prime(text):
     """--prime: the enumerators and the Smith-form code assume a prime."""
     p = _int(text)
+    if p >= _PSEUDOPRIME_41:
+        raise argparse.ArgumentTypeError(
+            f"cannot certify {p} as a prime: the test is exact only below {_PSEUDOPRIME_41}")
     if not _is_prime(p):
         raise argparse.ArgumentTypeError(f"{p} is not a prime")
     return p
 
 
 def _is_prime(n):
-    """Miller-Rabin with the first twelve prime bases: exact for n < 3.3e24."""
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    """Miller-Rabin with the thirteen prime bases 2..41."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
     if n < 2:
         return False
     for q in bases:
@@ -465,7 +486,7 @@ def build_parser():
     c.add_argument("--prime", type=_prime, required=True)
     c.add_argument("--max-index", type=_nonnegative_int, required=True,
                    help="count up to index p^K")
-    c.add_argument("--mode", choices=latticezeta.MODES, default="subrings")
+    c.add_argument("--mode", choices=MODES, default="subrings")
     c.set_defaults(handler=cmd_zeta_count)
     f = zeta.add_parser("formula", help="expand a catalog formula", parents=[common])
     f.add_argument("--name", required=True)
@@ -477,7 +498,7 @@ def build_parser():
     cp.add_argument("--formula", required=True)
     cp.add_argument("--prime", type=_prime, required=True)
     cp.add_argument("--max-index", type=_nonnegative_int, required=True)
-    cp.add_argument("--mode", choices=latticezeta.MODES, default="subrings")
+    cp.add_argument("--mode", choices=MODES, default="subrings")
     cp.set_defaults(handler=cmd_zeta_compare)
     fe = zeta.add_parser("funeq", help="functional-equation verdict", parents=[common])
     fe.add_argument("--name", required=True)

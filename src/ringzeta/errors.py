@@ -1,7 +1,8 @@
-"""Shared exception types, mapped to CLI exit codes by ringzeta.cli, and the
-one resource guard every walk counts its work against."""
+"""Shared exception types, mapped to CLI exit codes by ringzeta.cli, the one
+resource guard every walk counts its work against, and shared constants."""
 
 DEFAULT_CEILING = 10**8
+MODES = ("subrings", "ideals", "sublattices")  # what `latticezeta.count` counts
 
 
 class MalformedInputError(ValueError):

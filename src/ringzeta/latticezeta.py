@@ -46,7 +46,7 @@ from .algebra import (
     multiply,
     projective_points,
 )
-from .errors import DEFAULT_CEILING, Budget, MalformedInputError
+from .errors import DEFAULT_CEILING, MODES, Budget, MalformedInputError
 from .exactlinalg import local_elimination
 from .ratfun import LocalDirichletTruncation
 
@@ -241,9 +241,6 @@ def _search_order(alg: StructureConstantAlgebra, mode: str):
         placed[k] = True
         order.append(k)
     return order
-
-
-MODES = ("subrings", "ideals", "sublattices")
 
 
 def count(

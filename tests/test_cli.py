@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringzeta import cli
+from ringzeta import algebra, cli
 
 DATA = Path(__file__).parent / "data"
 
@@ -73,7 +73,10 @@ PRIME_COMMANDS = [
 @pytest.mark.parametrize("argv", PRIME_COMMANDS, ids=lambda argv: " ".join(argv[:2]))
 def test_prime_checked_at_the_boundary(argv):
     assert run(["--yes", *argv, "--prime", "3"])[0] == 0
-    for bad in ("4", "9", "1", "0", "-3", "x"):
+    # two strong pseudoprimes, to the bases 2..37 and 2..41, and a prime above
+    # the second, whose primality the test cannot certify
+    for bad in ("4", "9", "1", "0", "-3", "x", "318665857834031151167461",
+                "3317044064679887385961981", "3317044064679887385962123"):
         with pytest.raises(SystemExit) as exc:
             run([*argv, "--prime", bad])
         assert exc.value.code == 2, bad
@@ -83,6 +86,12 @@ def test_is_prime():
     sieve = [n for n in range(200) if n > 1 and all(n % q for q in range(2, n))]
     assert [n for n in range(200) if cli._is_prime(n)] == sieve
     assert cli._is_prime(2**61 - 1) and not cli._is_prime(3215031751)  # strong pseudoprime
+    # the least strong pseudoprime to the bases 2..37 needs base 41
+    assert not cli._is_prime(318665857834031151167461)
+    # primes between 10^23 and the limit: sympy.nextprime(10**23),
+    # sympy.nextprime(10**24) and sympy.prevprime(3317044064679887385961981)
+    for p in (100000000000000000000117, 1000000000000000000000007, 3317044064679887385961813):
+        assert cli._is_prime(p) and not cli._is_prime(p + 2)
 
 
 class _Terminal(io.StringIO):
@@ -530,7 +539,7 @@ def test_unexpected_exception_exits_four_with_traceback(monkeypatch, capsys):
     def broken(path):
         raise RuntimeError("unforeseen")
 
-    monkeypatch.setattr(cli.algebra, "load_algebra", broken)
+    monkeypatch.setattr(algebra, "load_algebra", broken)
     assert cli.main(["ring", "validate", "--ring", "ring.json"]) == 4
     err = capsys.readouterr().err
     assert "Traceback" in err and "RuntimeError: unforeseen" in err
@@ -714,3 +723,38 @@ def test_closed_pipe_exits_quietly_with_the_commands_code():
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (0, "")
+
+
+_FRONT_END = {"ringzeta", "ringzeta.cli", "ringzeta.errors", "ringzeta.ratfun", "ringzeta.poly"}
+_LOADED_AFTER = """
+import io, json, sys
+from contextlib import redirect_stdout
+import ringzeta.cli
+ringzeta.cli.build_parser()
+for argv in json.loads(sys.argv[1]):
+    with redirect_stdout(io.StringIO()):
+        assert ringzeta.cli.main(argv) == 0, argv
+print(json.dumps([m for m in sys.modules if m.split(".")[0] == "ringzeta"]))
+"""
+
+
+@pytest.mark.parametrize("argvs, unloaded", [
+    ([], None),
+    ([["euler", "--name", "heisenberg_subring", "--primes-up-to", "7", "--max-m", "10"],
+      ["zeta", "funeq", "--name", "heisenberg_subring", "--solve"]],
+     {"algebra", "exactlinalg", "latticezeta", "repzeta", "igusa", "cones", "coxeter"}),
+    ([["igusa", "poincare", "--poly", "y^2 - x^3 + x", "--prime", "5", "--depth", "3"]],
+     {"algebra", "latticezeta"}),
+])
+def test_a_command_loads_only_the_layers_it_calls(argvs, unloaded):
+    """In a fresh interpreter, importing the CLI and building its parser loads
+    only the front end; each command then loads the layers its handler calls."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", _LOADED_AFTER, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True, check=True)
+    loaded = set(json.loads(done.stdout))
+    if unloaded is None:
+        assert loaded == _FRONT_END
+    else:
+        assert not loaded & {f"ringzeta.{name}" for name in unloaded}
