@@ -334,7 +334,8 @@ def cmd_euler(args):
     formula = ratfun.formula_catalog(args.name)
     if isinstance(formula, ratfun.PointCountHybrid):
         raise MalformedInputError("euler products of hybrids are not exposed on the CLI")
-    global_trunc = ratfun.euler_product(formula, args.primes_up_to, args.max_m, args.ceiling)
+    samples = ratfun.asymptotic_samples(args.max_m) if args.asymptotics else [args.max_m]
+    sums = ratfun.partial_sums(formula, args.primes_up_to, samples, args.ceiling)
     out = {"formula": args.name, "primes_up_to": args.primes_up_to, "max_m": args.max_m}
     if args.asymptotics:
         try:
@@ -344,15 +345,17 @@ def cmd_euler(args):
             raise MalformedInputError("--asymptotics wants alpha,b,c") from exc
         rows = [
             {"m": m, "ratio": f"{r:.6f}"}
-            for m, r in ratfun.asymptotic_ratio(global_trunc, alpha, b, c)
+            for m, r in ratfun.asymptotic_ratio(sums, alpha, b, c)
         ]
         out["rows"] = rows
     else:
+        # partial_sums found every prime up to --max-m covered, so the first
+        # 30 coefficients need only the primes up to 30
         show = min(args.max_m, 30)
-        out["rows"] = [
-            {"m": m, "a_m": global_trunc.coefficients[m]} for m in range(1, show + 1)
-        ]
-        out["partial_sum"] = global_trunc.partial_sum(args.max_m)
+        coefficients = ratfun.euler_product(
+            formula, min(args.primes_up_to, show), show, args.ceiling).coefficients
+        out["rows"] = [{"m": m, "a_m": coefficients[m]} for m in range(1, show + 1)]
+        out["partial_sum"] = sums[args.max_m]
     return out, EXIT_PASS
 
 

@@ -19,7 +19,12 @@ from typing import TYPE_CHECKING
 
 from .errors import DEFAULT_CEILING, Budget, InternalConsistencyError, MalformedInputError
 from .poly import Polynomial
-from .ratfun import XY, BivariateRationalFunction, LocalDirichletTruncation
+from .ratfun import (
+    XY,
+    BivariateRationalFunction,
+    LocalDirichletTruncation,
+    sublattice_count_prediction,
+)
 
 if TYPE_CHECKING:  # `igusa poincare` loads neither algebra nor latticezeta
     from .algebra import StructureConstantAlgebra
@@ -286,7 +291,6 @@ def theorem3d_zeta(
     and the prefactor is the monomial X^{2(i+1)} Y^{i+1}.  The correction's
     Y^k coefficient needs the integral series to order k-(i+1), so Poincare
     depth K-i suffices and is what gets computed; `ceiling` bounds its walk."""
-    from .latticezeta import sublattice_count_prediction
     form = theorem3d_form(alg)
     correction = [Fraction(0)] * (K + 1)
     if K >= i + 1 and not form.is_zero():

@@ -48,7 +48,7 @@ from .algebra import (
 )
 from .errors import DEFAULT_CEILING, MODES, Budget, MalformedInputError
 from .exactlinalg import local_elimination
-from .ratfun import LocalDirichletTruncation
+from .ratfun import LocalDirichletTruncation, sublattice_count_prediction
 
 
 @dataclass(frozen=True)
@@ -121,16 +121,6 @@ def _in_span(rows, start, v):
                 if row[j]:
                     residual[j] -= c * row[j]
     return True
-
-
-def sublattice_count_prediction(n: int, p: int, k: int) -> int:
-    """Number of index-p^k sublattices: coefficient of t^k in prod_i 1/(1 - p^i t)."""
-    coeffs = [1] + [0] * k
-    for i in range(n):
-        q = p**i
-        for d in range(1, k + 1):
-            coeffs[d] += coeffs[d - 1] * q
-    return coeffs[k]
 
 
 def _compositions(k, n):

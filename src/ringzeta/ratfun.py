@@ -14,13 +14,14 @@ themselves have non-negative exponents.
 from __future__ import annotations
 
 import json
+import math
 import re
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from itertools import compress
+from itertools import accumulate, compress
 
 from .errors import (
     DEFAULT_CEILING,
@@ -203,7 +204,7 @@ def _integral_truncation(p, coeffs):
     return LocalDirichletTruncation(p, _rows([[c] for c in coeffs], 1, None)[0])
 
 
-def _series(f, primes, K):
+def _series(f, primes, K, den=None):
     """The Y^0..Y^K coefficients of f at X = p for every p in primes, as
     columns (one list over the primes per power of Y), and the index of the
     least prime that fails with its NonExpandableError (len(primes) and None
@@ -216,10 +217,14 @@ def _series(f, primes, K):
     int arithmetic when d_0 is 1 at every prime.  A prime fails where d_0
     vanishes under a nonzero numerator (checked first), or where a_k != 0 for
     some k < 0.  A prime where the whole numerator vanishes gets zeros.
+    `den`, when given, is the Y-slices of `_denominator` at an order of at
+    least K - ymin, built once for every band of a product.
     """
     num = f.num.slices(1)
     ymin = min(0, min(num, default=0))
-    d = {j: _band_values(s, primes) for j, s in _denominator(f, K - ymin).slices(1).items()}
+    order = K - ymin
+    den = _denominator(f, order).slices(1) if den is None else den
+    d = {j: _band_values(s, primes) for j, s in den.items() if j <= order}
     zeros = [0] * len(primes)
     d0 = d.pop(0, zeros)
     stop, error = len(primes), None
@@ -265,13 +270,15 @@ def _denominator(f, order):
     """The full denominator of f with every Y-power above `order` dropped.
 
     extra_den comes first: the factors only raise Y-powers, so capping the
-    product at each step drops nothing that could reach Y^0..Y^order."""
-    den = f.extra_den
+    product at each step drops nothing that could reach Y^0..Y^order.  Each
+    factor 1 - X^a Y^b subtracts the product so far, shifted by (a, b)."""
+    den = {e: c for e, c in f.extra_den.terms.items() if e[1] <= order}
     for (a, b), mult in f.den_factors.items():
         for _ in range(mult):
-            den = den * _poly_from_factor(a, b)
-            den = Polynomial(XY, {e: c for e, c in den.terms.items() if e[1] <= order})
-    return den
+            shifted = [((ex + a, ey + b), c) for (ex, ey), c in den.items() if ey + b <= order]
+            for e, c in shifted:
+                den[e] = den.get(e, 0) - c
+    return Polynomial(XY, den)
 
 
 def _band_values(poly, primes):
@@ -387,19 +394,43 @@ class GlobalDirichletTruncation:
         if self.bound >= 1 and self.coefficients[1] != 1:
             raise MalformedInputError("a_1 must be 1 for zeta-type series")
 
-    def partial_sum(self, m):
-        return sum(self.coefficients[1 : m + 1])
-
 
 def _primes_up_to(n):
     if n < 2:
         return []
     sieve = bytearray([1]) * (n + 1)
     sieve[0] = sieve[1] = 0
-    for i in range(2, int(n**0.5) + 1):
+    for i in range(2, math.isqrt(n) + 1):
         if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
+            sieve[i * i :: i] = bytearray((n - i * i) // i + 1)
     return list(compress(range(n + 1), sieve))
+
+
+def _bands(primes, bound):
+    """[(d, the primes p with p^d <= bound < p^(d+1))] over the ascending
+    primes, deepest band (least primes) first, empty bands left out."""
+    D = max(bound, 1).bit_length() - 1
+    # cuts[d] counts the primes with p^d <= bound: band d is primes[cuts[d + 1]:cuts[d]]
+    cuts = [len(primes)] + [bisect_right(primes, bound, key=lambda p: p**d)
+                            for d in range(1, D + 2)]
+    bands = [(d, primes[cuts[d + 1] : cuts[d]]) for d in range(D, -1, -1)]
+    return [(d, ps) for d, ps in bands if ps]
+
+
+def _local_rows(f, primes, bound):
+    """{p: expand(f, p, d).coefficients} for the ascending primes, d the depth
+    of p under bound: one series division (`_series`) per band over one
+    denominator capped at the deepest order, raising what expand raises at
+    the least prime that fails."""
+    bands = _bands(primes, bound)
+    if not bands:
+        return {}
+    ymin = min(0, min((ey for _, ey in f.num.terms), default=0))
+    den = _denominator(f, bands[0][0] - ymin).slices(1)
+    rows = {}
+    for depth, ps in bands:
+        rows.update(zip(ps, _rows(*_series(f, ps, depth, den))))
+    return rows
 
 
 def euler_product(factor, primes_up_to: int, bound: int,
@@ -407,33 +438,29 @@ def euler_product(factor, primes_up_to: int, bound: int,
     """Assemble a_m for m <= bound from local factors at all primes <= primes_up_to.
 
     factor is either a BivariateRationalFunction W, the same at every prime
-    (zeta_p(s) = W(p, p^{-s})), expanded by one series division (`_series`)
-    over each band of primes of one depth, which raises what expand(W, p,
-    depth) raises at the least prime that fails; or a callable
-    p -> LocalDirichletTruncation of sufficient depth.  A prime p has depth d
-    when p^d <= bound < p^(d+1).  Raises CoverageError, naming the least
-    prime in (primes_up_to, bound], when there is one.  `ceiling` bounds the
-    integers sieved plus the `bound` coefficients, charged before the sieve.
+    (zeta_p(s) = W(p, p^{-s})), expanded over each band of primes of one
+    depth (`_local_rows`), which raises what expand(W, p, depth) raises at
+    the least prime that fails; or a callable p -> LocalDirichletTruncation
+    of sufficient depth.  A prime p has depth d when p^d <= bound < p^(d+1).
+    Raises CoverageError, naming the least prime in (primes_up_to, bound],
+    when there is one.  `ceiling` bounds the integers sieved plus the
+    `bound` coefficients, charged before the sieve.
     """
     Budget(ceiling, "the Euler product", "integers").predict(max(primes_up_to, bound) + bound)
     everything = _primes_up_to(max(primes_up_to, bound))
     covered = bisect_right(everything, primes_up_to)
     primes = everything[:covered]
-    D = max(bound, 1).bit_length() - 1
-    # cuts[d] counts the primes with p^d <= bound: band d is primes[cuts[d + 1]:cuts[d]]
-    cuts = [len(primes)] + [bisect_right(primes, bound, key=lambda p: p**d)
-                            for d in range(1, D + 2)]
-    local = {}
-    for depth in range(D, -1, -1):  # ascending primes
-        ps = primes[cuts[depth + 1] : cuts[depth]]
-        if isinstance(factor, BivariateRationalFunction):
-            local.update(zip(ps, _rows(*_series(factor, ps, depth))))
-            continue
-        for p in ps:
-            trunc = factor(p)
-            if trunc.depth < depth:
-                raise CoverageError(f"local factor at p={p} too shallow ({trunc.depth} < {depth})")
-            local[p] = trunc.coefficients
+    if isinstance(factor, BivariateRationalFunction):
+        local = _local_rows(factor, primes, bound)
+    else:
+        local = {}
+        for depth, ps in _bands(primes, bound):
+            for p in ps:
+                trunc = factor(p)
+                if trunc.depth < depth:
+                    raise CoverageError(
+                        f"local factor at p={p} too shallow ({trunc.depth} < {depth})")
+                local[p] = trunc.coefficients
     if covered < len(everything):  # a prime in (primes_up_to, bound]
         q = everything[covered]
         raise CoverageError(f"index {q} has prime factor {q} > {primes_up_to}")
@@ -457,30 +484,126 @@ def euler_product(factor, primes_up_to: int, bound: int,
     return GlobalDirichletTruncation(bound, tuple(coeffs))
 
 
-def asymptotic_ratio(g: GlobalDirichletTruncation, alpha, b, c, samples=None):
-    """Partial-sum ratios s_m / (c m^alpha (log m)^b) for convergence inspection.
+def partial_sums(factor, primes_up_to: int, samples, ceiling: int = DEFAULT_CEILING) -> dict:
+    """{x: a_1 + ... + a_x} for every x in samples (0 for x <= 0), where a_m
+    are the coefficients euler_product(factor, primes_up_to, N) assembles,
+    N = max(samples): the same sums, raising what that call raises, in the
+    same order, without building the coefficients.
 
-    Display-only floats; no pass/fail.  Samples outside 1..bound are skipped,
-    duplicates reported once."""
-    import math
+    When the series of factor in Y is 1 + f(X) Y + ... with f an integer
+    polynomial (`_prime_polynomial`), a_p = f(p) at every prime, and a
+    prime above sqrt(N) contributes through f alone.  The sums of f(p) over
+    the primes p <= v, for each v = x // i, come from the Lucy-Hedgehog sieve
+    (`primesums.prime_sums`), and the Min_25 recursion
+    (`primesums.multiplicative_sums`) adds the m with a prime factor
+    p <= sqrt(x), whose rows come from `_local_rows`.  Only those primes
+    are sieved, and the least prime in (primes_up_to, N] is found by trial
+    division by them.  Any other factor is summed from euler_product.
 
-    if samples is None:
-        samples = []
-        m = 10
-        while m < g.bound:
-            samples.append(m)
-            m *= 10
-        samples.append(g.bound)
-    out = []
-    running, done = 0, 0
-    for m in sorted(set(samples)):
-        if not 1 <= m <= g.bound:
-            continue
-        running += sum(g.coefficients[done + 1 : m + 1])
-        done = m
-        denom = c * m**alpha * (math.log(m) ** b if b else 1.0)
-        out.append((m, running / denom if denom else float("inf")))
-    return out
+    `ceiling` bounds the table updates, predicted before the sieve: for
+    each x whose table no larger sample's holds, `predicted_updates` for
+    each prime-sum table (one per monomial of f) and for the recursion.
+    """
+    samples = set(samples)
+    bound = max(0, max(samples, default=0))
+    f = _prime_polynomial(factor)
+    if f is None:
+        coeffs = euler_product(factor, primes_up_to, bound, ceiling).coefficients
+        sums = list(accumulate(coeffs))
+        return {x: sums[max(x, 0)] for x in samples}
+    from . import primesums
+
+    runs = []  # the samples whose tables hold every sample, largest first
+    for x in sorted(samples, reverse=True):
+        if x > 0 and not any(primesums.in_table(n, x) for n in runs):
+            runs.append(x)
+    Budget(ceiling, "the Euler product", "table updates").predict(
+        (len(f) + 1) * sum(map(primesums.predicted_updates, runs)))
+    primes = _primes_up_to(math.isqrt(bound))
+    rows = _local_rows(factor, primes[: bisect_right(primes, primes_up_to)], bound)
+    for q in range(primes_up_to + 1, bound + 1):  # the least prime in (primes_up_to, bound]
+        if q > 1 and all(q % p for p in primes[: bisect_right(primes, math.isqrt(q))]):
+            raise CoverageError(f"index {q} has prime factor {q} > {primes_up_to}")
+    sums = {x: 0 for x in samples if x <= 0}
+    for n in runs:
+        r = math.isqrt(n)
+        ps = primes[: bisect_right(primes, r)]
+        lo, hi = primesums.multiplicative_sums(*primesums.prime_sums(f, n, ps), n, ps, rows)
+        for x in samples - sums.keys():
+            if primesums.in_table(n, x):
+                sums[x] = 1 + (lo[x] if x <= r else hi[n // x])
+    return sums
+
+
+def _prime_polynomial(f):
+    """{k: c} with a_p = sum c p^k at every prime p: the Y^1 coefficient of
+    the series of f, when its Y^0 coefficient is 1; None when f is not a
+    BivariateRationalFunction, has a negative Y-power, a denominator whose
+    Y^0 part is not 1, or a Y^1 coefficient with a non-integer coefficient
+    or a negative X-power."""
+    if not isinstance(f, BivariateRationalFunction):
+        return None
+    one = Polynomial(XY, {(0, 0): 1})
+    num, den = f.num.slices(1), _denominator(f, 1).slices(1)
+    if min(num, default=0) < 0 or num.get(0) != one or den.get(0) != one:
+        return None
+    a1 = num.get(1, Polynomial(XY)) - den.get(1, Polynomial(XY))
+    if any(ex < 0 or not isinstance(c, int) for (ex, _), c in a1.terms.items()):
+        return None
+    return {ex: c for (ex, _), c in a1.terms.items()}
+
+
+def _ratio(s, m, alpha, b, c):
+    """s / (c m^alpha (log m)^b): the float quotient wherever every step
+    stays finite; past the float range the quotient in Decimal, returned as
+    a float where it fits and as the Decimal where it does not.  A zero
+    denominator gives inf; (log 1)^b for b < 0, infinite, gives 0."""
+    log_m = math.log(m)
+    if not c or (not log_m and b > 0):
+        return math.inf
+    if not log_m and b < 0:
+        return 0.0
+    try:
+        denom = c * m**alpha * (log_m**b if b else 1.0)
+        if denom and math.isfinite(denom) and math.isfinite(ratio := s / denom):
+            return ratio
+    except OverflowError:  # an int or a power past the float range
+        pass
+    from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
+
+    with localcontext(Context(Emax=MAX_EMAX, Emin=MIN_EMIN)):
+        denom = Decimal(c) * Decimal(m) ** Decimal(alpha)
+        if b:
+            denom *= Decimal(m).ln() ** Decimal(b)
+        ratio = Decimal(s) / denom
+    as_float = float(ratio)
+    return as_float if math.isfinite(as_float) else ratio
+
+
+def asymptotic_samples(bound):
+    """10, 100, ... below bound, then bound: the default samples of
+    asymptotic_ratio."""
+    samples, m = [], 10
+    while m < bound:
+        samples.append(m)
+        m *= 10
+    return samples + [bound]
+
+
+def asymptotic_ratio(sums, alpha, b, c, samples=None):
+    """Partial-sum ratios s_m / (c m^alpha (log m)^b) for convergence
+    inspection, at each sample in 1..N once, N the bound.
+
+    sums is {m: s_m}, as partial_sums returns it, with N its largest m, or a
+    GlobalDirichletTruncation; the samples default to asymptotic_samples(N).
+    Display-only (`_ratio`), no pass/fail; alpha, b and c must be finite."""
+    if not all(map(math.isfinite, (alpha, b, c))):
+        raise MalformedInputError("asymptotics need finite alpha, b and c")
+    if isinstance(sums, GlobalDirichletTruncation):
+        sums = dict(enumerate(accumulate(sums.coefficients)))
+    bound = max(sums, default=0)
+    wanted = sorted(set(asymptotic_samples(bound) if samples is None else samples))
+    return [(m, _ratio(sums[m], m, alpha, b, c)) for m in wanted if 1 <= m <= bound]
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +655,16 @@ def zeta_zn(n: int) -> BivariateRationalFunction:
     for i in range(n):
         f = f * zp_factor(i, 1)
     return f
+
+
+def sublattice_count_prediction(n: int, p: int, k: int) -> int:
+    """Number of index-p^k sublattices: coefficient of t^k in prod_i 1/(1 - p^i t)."""
+    coeffs = [1] + [0] * k
+    for i in range(n):
+        q = p**i
+        for d in range(1, k + 1):
+            coeffs[d] += coeffs[d - 1] * q
+    return coeffs[k]
 
 
 def abelian_pgroups(d: int) -> BivariateRationalFunction:

@@ -577,6 +577,58 @@ def test_euler_command_with_asymptotics():
     assert "1.000000" in out
 
 
+def test_euler_sieves_only_up_to_the_square_root(monkeypatch):
+    # the sums sieve the primes up to sqrt(--max-m), and the 30 printed
+    # coefficients the primes up to 30; --primes-up-to above --max-m adds none
+    from ringzeta import ratfun
+
+    sieved, sieve = [], ratfun._primes_up_to
+    monkeypatch.setattr(ratfun, "_primes_up_to", lambda n: sieved.append(n) or sieve(n))
+    code, out = run(["euler", "--name", "heisenberg_subring", "--primes-up-to", str(10**8),
+                     "--max-m", str(10**6)])
+    assert code == 0 and sorted(sieved) == [30, 1000]
+    assert "partial_sum: 7790838328519" in out and "\n30  72\n" in out
+
+
+@pytest.mark.parametrize("argv, ratios", [
+    # 10^400 and 100^400 are past the float range
+    (["--name", "zeta_Zn(2)", "--primes-up-to", "100", "--max-m", "100",
+      "--asymptotics", "400,0,1"], ["0.000000", "0.000000"]),
+    # the partial sums of zeta_Zn(200) are past it too
+    (["--name", "zeta_Zn(200)", "--primes-up-to", "100", "--max-m", "100",
+      "--asymptotics", "1,0,1"], None),
+    # (log 1)^-1 is infinite, so the ratio at m = 1 is 0
+    (["--name", "zeta_Zn(2)", "--primes-up-to", "5", "--max-m", "1",
+      "--asymptotics", "1,-1,1"], ["0.000000"]),
+])
+def test_euler_asymptotics_past_the_float_range(argv, ratios):
+    code, out = run(["euler", *argv, "--output", "json"])
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    if ratios is not None:
+        assert [row["ratio"] for row in rows] == ratios
+        return
+    # s_10 / 10 is a float of 199 digits and s_100 / 100 a Decimal of 397,
+    # 28 of them significant: each leads with the exact quotient's digits
+    from ringzeta import ratfun
+
+    coefficients = ratfun.euler_product(ratfun.zeta_zn(200), 100, 100).coefficients
+    sums = {m: sum(coefficients[: m + 1]) for m in (10, 100)}
+    wholes = [row["ratio"].split(".")[0] for row in rows]
+    for row, whole in zip(rows, wholes):
+        exact = str(sums[row["m"]] // row["m"])
+        assert len(whole) == len(exact) and whole[:15] == exact[:15]
+    assert [len(whole) for whole in wholes] == [199, 397]
+
+
+@pytest.mark.parametrize("asymptotics", ["inf,0,1", "1,nan,1", "1,0,-inf", "1e999,0,1"])
+def test_euler_asymptotics_must_be_finite(asymptotics, capsys):
+    argv = ["euler", "--name", "zeta_Zn(2)", "--primes-up-to", "10", "--max-m", "10",
+            "--asymptotics", asymptotics]
+    assert run(argv) == (2, "")
+    assert "finite" in capsys.readouterr().err
+
+
 def test_euler_resolves_the_formula_before_the_product():
     # no prime <= 1, so no local factor is ever needed: the formula is checked anyway
     for name in ("dusautoy_rep", "no_such_formula"):
@@ -605,11 +657,12 @@ def test_euler_is_refused_before_the_sieve(monkeypatch, capsys):
         raise AssertionError(f"sieved up to {n}")
 
     monkeypatch.setattr(ratfun, "_primes_up_to", sieve)
-    argv = ["euler", "--name", "zeta_Zn(2)", "--primes-up-to", "100", "--max-m", "1"]
-    assert run(["--ceiling", "100", *argv]) == (3, "")
-    assert "the Euler product needs 101 integers" in capsys.readouterr().err
-    # 10^11 + 1 integers: refused at the default ceiling, with no sieve
-    argv[4] = str(10**11)
+    # f(X) = 1 + X: two prime-sum tables and the recursion, 460 updates each
+    argv = ["euler", "--name", "zeta_Zn(2)", "--primes-up-to", "100", "--max-m", "1000"]
+    assert run(["--ceiling", "1000", *argv]) == (3, "")
+    assert "the Euler product needs 1380 table updates" in capsys.readouterr().err
+    # --max-m 10^30: refused at the default ceiling, with no sieve
+    argv[6] = str(10**30)
     assert run(argv) == (3, "")
 
 
@@ -745,6 +798,8 @@ print(json.dumps([m for m in sys.modules if m.split(".")[0] == "ringzeta"]))
      {"algebra", "exactlinalg", "latticezeta", "repzeta", "igusa", "cones", "coxeter"}),
     ([["igusa", "poincare", "--poly", "y^2 - x^3 + x", "--prime", "5", "--depth", "3"]],
      {"algebra", "latticezeta"}),
+    ([["igusa", "zeta3d", "--ring", "catalog:heisenberg", "--prime", "3", "--max-index", "2"]],
+     {"latticezeta"}),
 ])
 def test_a_command_loads_only_the_layers_it_calls(argvs, unloaded):
     """In a fresh interpreter, importing the CLI and building its parser loads

@@ -1,5 +1,7 @@
+import math
 import random
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -221,6 +223,21 @@ def test_euler_product_band_errors_match_per_prime_expand():
     assert kinds == {tuple, NonExpandableError, MalformedInputError}, kinds
 
 
+def test_euler_product_expands_each_band_that_holds_a_prime_once(monkeypatch):
+    # one denominator, at the deepest order, for the whole product, and one
+    # series division for each of the 8 depths that the primes up to 10^5
+    # take (16 for p = 2 down to 1 above 316) out of the 17 depths 0..16
+    orders, depths = [], []
+    denominator, series = ratfun._denominator, ratfun._series
+    monkeypatch.setattr(ratfun, "_denominator",
+                        lambda f, order: orders.append(order) or denominator(f, order))
+    monkeypatch.setattr(ratfun, "_series",
+                        lambda f, primes, K, den=None: depths.append(K) or series(f, primes, K, den))
+    f = ratfun.formula_catalog("heisenberg_subring")
+    ratfun.euler_product(f, 10**5, 10**5)
+    assert orders == [16] and depths == [16, 10, 7, 5, 4, 3, 2, 1]
+
+
 def _running_ratios(g, alpha, b, c, samples):
     """asymptotic_ratio by one running sum over every m <= bound."""
     import math
@@ -247,6 +264,125 @@ def test_asymptotic_ratio_rank_one():
                 h, *args, samples)
     default = [10, 100, 1000]
     assert ratfun.asymptotic_ratio(h, 2, 0, 1.0) == _running_ratios(h, 2, 0, 1.0, default)
+
+
+def _random_uniform_factor(rng):
+    """A random W = g / prod (1 - X^a Y^b)^mult with g = 1 + integer terms in
+    Y^1..Y^3: the Y^0 coefficient of its series is 1 and the Y^1 coefficient
+    an integer polynomial, the shape partial_sums sums without the array.  A
+    quarter of them get an X^-1 Y^2 term with coefficient 6, so a_{p^2} is
+    not an integer at the primes p > 3."""
+    g = {(0, 0): 1}
+    for _ in range(rng.randrange(0, 4)):
+        g[(rng.randrange(0, 4), rng.randrange(1, 4))] = rng.choice((-3, -1, 1, 2, 5))
+    if rng.random() < 0.25:
+        g[(-1, 2)] = 6
+    den = {}
+    for _ in range(rng.randrange(0, 4)):
+        den[(rng.randrange(0, 4), rng.randrange(1, 4))] = rng.randrange(1, 3)
+    return BivariateRationalFunction(Polynomial(XY, g), den)
+
+
+def _near_uniform_factor(rng):
+    """A uniform factor with one condition of the shape broken: a Y^0 part
+    of the denominator other than 1, a Y^1 coefficient (1 + X) / 2, integral
+    only at the odd primes, or 6 X^-1 Y, integral only at 2 and 3, or a Y^-1
+    term in the numerator."""
+    f = _random_uniform_factor(rng)
+    extra, num = {(0, 0): 1}, {}
+    kind = rng.randrange(4)
+    if kind == 0:
+        extra = rng.choice(({(0, 0): 2}, {(0, 0): 1, (1, 0): 1}, {(0, 0): -1, (0, 1): 1}))
+    elif kind == 1:
+        num = {(0, 1): Fraction(1, 2), (1, 1): Fraction(1, 2)}
+    elif kind == 2:
+        num = {(-1, 1): 6}
+    else:
+        num = {(0, -1): 1}
+    g = BivariateRationalFunction(Polynomial(XY, num), f.den_factors) + f
+    return g * BivariateRationalFunction(1, None, Polynomial(XY, extra))
+
+
+def test_partial_sums_match_the_coefficient_array(monkeypatch):
+    # seeded: uniform factors, summed from the prime sums and the small
+    # primes, and other shapes (`_random_euler_factor`, and uniform factors
+    # with one condition broken), summed from euler_product; the same sums,
+    # or the same error class and message, as summing the array, at bounds
+    # 0, 1, 2, p^2 - 1, p^2, prime powers and 10^k, with samples off the
+    # tables of the bound; a uniform factor sieves no prime above sqrt(N)
+    rng = random.Random(24601)
+    sieved = []
+    sieve = ratfun._primes_up_to
+    monkeypatch.setattr(ratfun, "_primes_up_to", lambda n: sieved.append(n) or sieve(n))
+    monkeypatch.setattr(Polynomial, "evaluate", None)  # ratfun must not call it
+    bounds = (0, 1, 2, 3, 8, 24, 25, 48, 49, 120, 121, 125, 243, 256, 360, 361, 1000, 10**4)
+    seen = Counter()
+
+    def outcome(run):
+        try:
+            return run()
+        except (NonExpandableError, MalformedInputError, CoverageError) as exc:
+            return type(exc), str(exc)
+
+    for i in range(400):
+        f = (_random_uniform_factor, _random_euler_factor, _near_uniform_factor)[i % 4 % 3](rng)
+        N = rng.choice(bounds)
+        P = rng.choice((N, N + rng.randrange(1, 50), max(0, N - rng.randrange(1, 50)),
+                        rng.randrange(0, 20)))
+        samples = {N, N // 2, min(N, N // 3 + 1), rng.randrange(0, N + 1),
+                   *ratfun.asymptotic_samples(N)}
+
+        def from_array():
+            coefficients = ratfun.euler_product(f, P, N).coefficients
+            return {x: sum(coefficients[: x + 1]) for x in samples}
+
+        want = outcome(from_array)
+        sieved.clear()
+        got = outcome(lambda: ratfun.partial_sums(f, P, samples))
+        assert got == want, (f, P, N, samples)
+        uniform = ratfun._prime_polynomial(f) is not None
+        if uniform:
+            assert max(sieved, default=0) <= math.isqrt(N), (f, N, sieved)
+        seen[uniform, want[0].__name__ if isinstance(want, tuple) else "sums"] += 1
+    assert all(seen[True, kind] >= 10 for kind in ("sums", "CoverageError", "NonExpandableError"))
+    assert all(seen[False, kind] >= 10 for kind in
+               ("sums", "CoverageError", "NonExpandableError", "MalformedInputError")), seen
+
+
+def test_partial_sums_far_past_the_array():
+    # sigma(m) summed as sum_d d * (N // d), and the Heisenberg subring sum
+    # at 10^7, pinned from the coefficient array (7.9 s to build); every
+    # power of ten is read off the one table at 10^7
+    N = 10**6
+    assert ratfun.partial_sums(ratfun.zeta_zn(2), N, [N]) == {
+        N: sum(d * (N // d) for d in range(1, N + 1))}
+    sums = ratfun.partial_sums(ratfun.formula_catalog("heisenberg_subring"), 10**7,
+                               ratfun.asymptotic_samples(10**7))
+    assert sums[10**7] == 908139225448740
+    array = ratfun.euler_product(ratfun.formula_catalog("heisenberg_subring"), 10**4, 10**4)
+    assert [sums[10**k] for k in range(1, 5)] == [
+        sum(array.coefficients[: 10**k + 1]) for k in range(1, 5)]
+
+
+def test_asymptotic_ratio_past_the_float_range():
+    # the ratio is the float quotient wherever that is finite; past the
+    # float range it is taken in Decimal, and it is a Decimal where it does
+    # not fit a float
+    sums = {10: 10**400, 100: 3}
+    (_, huge), (_, small) = ratfun.asymptotic_ratio(sums, 1, 0, 1.0)
+    assert isinstance(huge, Decimal) and huge == Decimal(10) ** 399
+    assert small == 3 / 100
+    # 1e300 * 10.0^10 overflows to inf, where the ratio is 1e-5
+    assert math.isclose(ratfun.asymptotic_ratio({10: 10**305}, 10, 0, 1e300)[0][1], 1e-5)
+    # 100.0^-400 underflows to 0.0, where the ratio is finite
+    assert ratfun.asymptotic_ratio(sums, -400, 0, 1.0, samples=[100]) == [(100, Decimal("3E800"))]
+    assert ratfun.asymptotic_ratio(sums, 400, 0, 1.0) == [(10, 1.0), (100, 0.0)]
+    assert ratfun.asymptotic_ratio({1: 1}, 1, -1, 1.0) == [(1, 0.0)]  # (log 1)^-1 is infinite
+    assert ratfun.asymptotic_ratio({1: 1}, 1, 1, 1.0) == [(1, math.inf)]
+    for bad in (math.inf, -math.inf, math.nan):
+        for args in ((bad, 0, 1.0), (1, bad, 1.0), (1, 0, bad)):
+            with pytest.raises(MalformedInputError, match="finite"):
+                ratfun.asymptotic_ratio(sums, *args)
 
 
 def _partitions_at_most(n, d):
