@@ -24,8 +24,17 @@ step).  Where closure is linear in the row (ideals, antisymmetric subrings),
 the first row's entries above the diagonal need not be tried one by one: the
 ones that pass form a coset in Z_p^{n-1} modulo the span of the later rows,
 counted for every diagonal exponent at once by one linear solve over Z/p^E,
-used wherever the later rows leave more candidates than a solve costs.  A
-ring with no such order (the cross product on Z^3, for one) goes through
+used wherever the later rows leave more candidates than a solve costs.  The
+search also quotients by a symmetry: for a grading w of the ring (w_a + w_b =
+w_k for every constant (a, b, k)) and a unit u, e_j -> u^(w_j) e_j is an
+automorphism that keeps every coordinate flag, index and closure.  One that
+maps the rows already fixed onto themselves maps the subtree under each
+sibling row one-to-one onto the subtree under another, so the search descends
+into one row per orbit and multiplies its counts by the orbit size.  Residues
+mod p^K suffice, since the fixed rows have index dividing p^K in their span
+and so contain p^K times it (see `_search_counts`).  Rings with no nonzero
+grading, such as `componentwise(n)`, have no such maps.  A ring with no
+triangular order (the cross product on Z^3, for one) goes through
 `enumerate_sublattices` and tests each lattice with `is_subring`/`is_ideal`.
 That path and the search are the oracles the central sums are tested against,
 and that path is the oracle of the search.
@@ -38,6 +47,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, product
+from operator import add
 
 from .algebra import (
     StructureConstantAlgebra,
@@ -47,7 +57,7 @@ from .algebra import (
     projective_points,
 )
 from .errors import DEFAULT_CEILING, MODES, Budget, MalformedInputError
-from .exactlinalg import local_elimination
+from .exactlinalg import local_elimination, rref
 from .ratfun import LocalDirichletTruncation, sublattice_count_prediction
 
 
@@ -254,7 +264,8 @@ def count(
       constants are relabelled into it and the objects are counted by the
       pruned search (sublattices as the ideals of the zero ring); the counts
       do not depend on the basis.  `ceiling` bounds the search nodes: one per
-      candidate row tested, row-0 solve or subtree credited.
+      candidate row tested, row of a passing orbit mapped (see
+      `_search_counts`), row-0 solve or subtree credited.
     - any other ring is enumerated and tested lattice by lattice; `ceiling`
       bounds the predicted number of sublattices of index up to p^K, checked
       before any is enumerated.
@@ -331,8 +342,29 @@ def _search_counts(alg, p, K, mode, ceiling):
     When closure is linear in the row (ideals, antisymmetric subrings), and
     rows 1..n-1 leave row 0 more than 8 candidates (`_solve_pays`), they are
     not tried: `_row0_counts` counts the passing tails for every exponent
-    left with one linear solve.  A search node is one candidate row tested,
-    one such solve or one subtree credited; `ceiling` bounds their number.
+    left with one linear solve.
+
+    Sibling rows are split into orbits of the ring's diagonal automorphisms
+    (`_scalings`): e_j -> u^(w_j) e_j, u a unit, w a grading.  Such a map keeps
+    every coordinate flag, index and closure, so if it maps the span L' of
+    rows i+1..n-1 onto itself it maps the subtree under row i one-to-one onto
+    the subtree under the image row: the image scaled by u^(-w_i) and reduced
+    modulo rows i+1..n-1 (`_reduced`), another sibling.  Only the maps that
+    keep L' are used (a smaller group gives finer orbits and the same counts),
+    and only their residues mod p^K: |V : L'| divides p^K for the span V of
+    e_{i+1}..e_{n-1}, so p^K V lies in L' and any two lifts of a residue give
+    the same image.  Where a sibling group of row i >= 1 outnumbers the maps
+    (`_orbits_pay`), one row per passing orbit (`_orbit`) is descended into,
+    its orbit size a multiplier on every count below it: the credited
+    subtrees, the row-0 solves and the leaves.  A row already met in a passing
+    orbit is not tested again; the rows of a failing orbit are tested one by
+    one.  Rings with no nonzero grading, such as `componentwise(n)`, have no
+    maps and are searched row by row.
+
+    A search node is one candidate row tested, one row of a passing orbit
+    mapped, one row-0 solve or one subtree credited; `ceiling` bounds their
+    number.  The rows are kept on an explicit stack, one pending node per
+    row, so any rank is searched without recursion.
     """
     n = alg.rank
     antisym = "antisymmetric" in alg.flags
@@ -340,20 +372,25 @@ def _search_counts(alg, p, K, mode, ceiling):
     rows = [None] * n
     coeffs = [0] * (K + 1)
     visit = Budget(ceiling, "search", "nodes").charge
+    M = p**K
+    scalings = _scalings(alg, p, M)
     if mode == "ideals":
         # basis vectors whose products on that side can be nonzero
         units = _unit_vectors(n)
         right = [units[b - 1] for b in sorted({b for _, b, _ in alg.constants})]
         left = [] if antisym else [units[a - 1] for a in sorted({a for a, _, _ in alg.constants})]
+    factors = sorted({c - 1 for key in alg.constants for c in key[:2]})
 
-    def closed(i):
+    def closed(i, partners):
+        """Does row i pass closure?  `partners` are the later rows that are
+        nonzero on some factor column; products with the others vanish."""
         row = rows[i]
         if mode == "ideals":
             pairs = chain(((row, e) for e in right), ((e, row) for e in left))
         elif antisym:
-            pairs = ((row, r) for r in rows[i + 1:])
+            pairs = ((row, r) for r in partners)
         else:
-            pairs = chain(((row, r) for r in rows[i:]), ((r, row) for r in rows[i + 1:]))
+            pairs = chain(((row, row),), ((row, r) for r in partners), ((r, row) for r in partners))
         for u, v in pairs:
             prod = multiply(alg, u, v)
             if any(prod) and not _in_span(rows, i, prod):
@@ -369,7 +406,7 @@ def _search_counts(alg, p, K, mode, ceiling):
     # Otherwise row i's test reads its own inert entries, and no column is
     # inert.
     if all(k not in (a, b) for a, b, k in alg.constants):
-        active = {c - 1 for key in alg.constants for c in key[:2]}
+        active = set(factors)
     else:
         active = set(range(n))
 
@@ -380,12 +417,30 @@ def _search_counts(alg, p, K, mode, ceiling):
     square = {tuple(w) for w in products.values() if any(w)}
     low = min((next(j for j, x in enumerate(w) if x) for w in square), default=n)
 
-    def place(i, used):
+    def stabilisers(i):
+        """The scalings that map the span of rows i+1..n-1 into itself, as
+        multipliers of columns i+1..n-1 divided by that of column i, mod p^K;
+        those that fix all of them are left out."""
+        maps = []
+        for s in scalings:
+            if all(_in_span(rows, i + 1, [c * x for c, x in zip(s, r)]) for r in rows[i + 1:]):
+                inverse = pow(s[i], -1, M)
+                ratios = [c * inverse % M for c in s[i + 1:]]
+                if any(c != 1 for c in ratios):
+                    maps.append(ratios)
+        return maps
+
+    def place(i, used, mult):
+        """Choose row i under rows i+1..n-1 (of index p^used), each of whose
+        completions stands for mult objects.  Credits what it can count at
+        once, and yields (i - 1, index exponent, multiplicity) for each row
+        to descend into, with rows[i] set to it."""
         exponents = range(K - used + 1)
         if i < low and all(_in_span(rows, i + 1, w) for w in square):
             visit()
+            credit = mult * p ** ((i + 1) * used)
             for r in exponents:
-                coeffs[used + r] += p ** ((i + 1) * used) * sublattice_count_prediction(i + 1, p, r)
+                coeffs[used + r] += credit * sublattice_count_prediction(i + 1, p, r)
             return
         cols = range(i + 1, n)
         choices = [range(rows[j][j]) if j in active else (0,) for j in cols]
@@ -397,26 +452,139 @@ def _search_counts(alg, p, K, mode, ceiling):
                 passing, least = _row0_counts(alg, rows, p, used, rights, lefts)
                 for m in exponents:
                     if m >= least:
-                        coeffs[m + used] += passing
+                        coeffs[m + used] += mult * passing
                 return
         fills = [(0,) if j in active else range(rows[j][j]) for j in cols]
-        weight = math.prod(len(f) for f in fills)
+        weight = math.prod(map(len, fills))
+        siblings = math.prod(map(len, choices)) * weight
+        maps = stabilisers(i) if i and _orbits_pay(siblings, len(scalings)) else ()
+        partners = [] if mode == "ideals" else [
+            r for r in rows[i + 1:] if any(map(r.__getitem__, factors))]
         for m in exponents:
             head = (0,) * i + (p**m,)
+            kids, seen = [], set()  # seen: the rows of the passing orbits found
             for tail in product(*choices):
-                visit()
-                rows[i] = head + tail
-                if not closed(i):
-                    continue
+                row = rows[i] = head + tail
+                if row not in seen:
+                    visit()
+                    if not closed(i, partners):
+                        continue
                 if not i:
-                    coeffs[m + used] += weight
+                    coeffs[m + used] += mult * weight
                     continue
                 for fill in product(*fills):
-                    rows[i] = head + tuple(a + b for a, b in zip(tail, fill))
-                    place(i - 1, used + m)
+                    full = head + tuple(map(add, tail, fill)) if weight > 1 else row
+                    if full not in seen:
+                        kids.append((full, _orbit(rows, i, full, maps, seen, visit) if maps else 1))
+            del seen  # one sibling group's rows held at a time, not one per row on the stack
+            for full, size in kids:
+                rows[i] = full
+                yield i - 1, used + m, mult * size
 
-    place(n - 1, 0)
+    stack = [place(n - 1, 0, 1)]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+        else:
+            stack.append(place(*step))
     return coeffs
+
+
+def _scalings(alg, p, M):
+    """The diagonal automorphisms e_j -> u^(w_j) e_j of alg, as lists of the
+    multipliers u^(w_j) mod M, M a power of p, that are not all 1.
+
+    w runs over a basis of the integer gradings (w_a + w_b = w_k for every
+    nonzero constant (a, b, k)): a rational nullspace basis, each vector
+    scaled to integers.  u runs over -1 and 5 for p = 2, which generate
+    (Z/2^K)^x, and for odd p over one unit that is a primitive root mod p^2,
+    and so generates every (Z/p^K)^x, whenever p - 1 has at most one prime
+    factor above 2^16 (see `_unit`).  Any units would give the same counts."""
+    n = alg.rank
+    eqs = []
+    for (a, b, k), v in alg.constants.items():
+        if v:
+            eq = [0] * n
+            eq[a - 1] += 1
+            eq[b - 1] += 1
+            eq[k - 1] -= 1
+            eqs.append(eq)
+    red, pivots = rref(eqs, n) if eqs else ([], [])
+    units = (-1, 5) if p == 2 else (_unit(p),)
+    trivial = [1 % M] * n
+    out = []
+    for free in sorted(set(range(n)) - set(pivots)):
+        entries = {pc: -red[r][free] for r, pc in enumerate(pivots) if red[r][free]}
+        scale = math.lcm(*(f.denominator for f in entries.values()))
+        entries = {j: int(f * scale) for j, f in entries.items()}
+        entries[free] = scale
+        for u in units:
+            s = list(trivial)
+            for j, w in entries.items():
+                s[j] = pow(u, w, M)
+            if s != trivial:
+                out.append(s)
+    return out
+
+
+def _unit(p):
+    """A unit mod p^2 that generates (Z/p^K)^x for every K, p an odd prime:
+    the least primitive root g mod p, or g + p if g^(p-1) = 1 mod p^2.  The
+    prime factors of p - 1 are found by trial division up to 2^16; a cofactor
+    left over is taken as prime, so for the rare p - 1 with two prime factors
+    above 2^16 the unit may generate a smaller group."""
+    primes, rest, q = [], p - 1, 2
+    while q * q <= rest and q < 1 << 16:
+        if rest % q == 0:
+            primes.append(q)
+            while rest % q == 0:
+                rest //= q
+        q += 1
+    if rest > 1:
+        primes.append(rest)
+    g = next(g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in primes))
+    return g + p if pow(g, p - 1, p * p) == 1 else g
+
+
+def _orbit(rows, i, row, maps, seen, visit):
+    """The size of the orbit of row, a candidate for row i under rows
+    i+1..n-1, under the multipliers maps (see `_search_counts`); each member
+    is added to seen and charged to visit as it is found."""
+    todo, size = [row], 0
+    seen.add(row)
+    while todo:
+        x = todo.pop()
+        visit()
+        size += 1
+        for ratios in maps:
+            y = _reduced(rows, i + 1, list(x[:i + 1]) + [c * t for c, t in zip(ratios, x[i + 1:])])
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return size
+
+
+def _reduced(rows, start, v):
+    """v with its coordinates from start on reduced modulo the diagonals of
+    rows[start:], from left to right, by subtracting multiples of those rows:
+    the Hermite row of v modulo their span."""
+    n = len(v)
+    for j in range(start, n):
+        q = v[j] // rows[j][j]
+        if q:
+            row = rows[j]
+            for k in range(j, n):
+                v[k] -= q * row[k]
+    return tuple(v)
+
+
+def _orbits_pay(siblings, generators):
+    """Split a sibling group into orbits only when its candidate rows
+    outnumber the generators: finding the ones that keep the later rows costs
+    one membership test per generator and later row, before any row is
+    mapped."""
+    return siblings > generators
 
 
 def _solve_pays(tests):

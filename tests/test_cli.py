@@ -223,6 +223,27 @@ def test_zero_ring_of_rank_1200_is_counted_in_one_node(mode):
     assert out.splitlines()[-1].split() == ["1", str(2**1200 - 1)]
 
 
+@pytest.mark.parametrize("mode, p", [("ideals", 2), ("subrings", 3)])
+def test_row_search_places_1200_rows_without_recursion(tmp_path, mode, p):
+    # Z_p^1199 + Z_p with e_1200 e_1200 = e_1200: a hyperplane of index p is
+    # an ideal, and a subring, iff it contains e_1200 or is x_1200 = 0.  Every
+    # row below the last is placed, and each grading of coordinates 1..1199
+    # gives a scaling, so at p = 3 the 1,199 of them outnumber every sibling
+    # group and no stabiliser is sought.
+    ring = tmp_path / "big.json"
+    ring.write_text(json.dumps({"rank": 1200, "constants": [[1200, 1200, 1200, 1]]}))
+    code, out = run(["zeta", "count", "--ring", str(ring), "--prime", str(p),
+                     "--max-index", "1", "--mode", mode, "--yes"])
+    assert code == 0
+    assert out.splitlines()[-1].split() == ["1", str((p**1199 - 1) // (p - 1) + 1)]
+
+
+def test_sl2_subrings_at_p7_k6_pass_under_the_default_ceiling():
+    code, out = run(["zeta", "compare", "--ring", "catalog:sl2", "--formula", "sl2_odd",
+                     "--prime", "7", "--max-index", "6", "--mode", "subrings"])
+    assert code == 0 and "pass" in out
+
+
 @pytest.mark.parametrize("argv", [
     ["rep", "zeta", "--presentation", "catalog:dusautoy_ec", "--prime", "5", "--max-exp", "2"],
     ["rep", "compare", "--presentation", "catalog:dusautoy_ec", "--formula", "dusautoy_rep",

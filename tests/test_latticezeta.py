@@ -197,12 +197,15 @@ def test_resource_guard():
     assert latticezeta.count(heis, 2, 3, "subrings", ceiling=16).coefficients == (1, 3, 19, 43)
     with pytest.raises(ResourceGuardError):
         latticezeta.count(heis, 2, 3, "subrings", ceiling=15)
-    # sl2 at p=3, K=5 takes 1,097 nodes, row-0 solves included (a loop over
-    # row 0's tails visited 112,377)
+    # sl2 at p=3, K=5 takes 660 nodes.  A node is one candidate row tested,
+    # one row of a passing orbit mapped, one row-0 solve or one subtree
+    # credited: every one of row 1's 543 candidates is tested or mapped, but
+    # row 0 is solved under one row per orbit only (1,097 nodes without the
+    # orbits, 112,377 with a loop over row 0's tails)
     sl2 = algebra.catalog("sl2")
-    latticezeta.count(sl2, 3, 5, "subrings", ceiling=1097)
+    latticezeta.count(sl2, 3, 5, "subrings", ceiling=660)
     with pytest.raises(ResourceGuardError):
-        latticezeta.count(sl2, 3, 5, "subrings", ceiling=1096)
+        latticezeta.count(sl2, 3, 5, "subrings", ceiling=659)
     # the zero ring's whole search tree is one credited subtree: abelian(5)
     # sublattices at p=2, K=4 take one node (16,349 when walked row by row)
     abelian = algebra.catalog("abelian", 5)
@@ -372,6 +375,86 @@ def test_count_matches_brute_enumeration_on_random_triangular_rings(monkeypatch)
                 credited += bool(credits) and latticezeta.count_path(alg, mode)[0] == "row search"
     assert min(searched.values()) >= 40, searched
     assert credited >= 50, credited
+
+
+def _random_graded_ring(rng, n, mode):
+    """A random ring with a grading: weights w are drawn first, and only
+    constants (a, b, k) with w_a + w_b = w_k are kept, each with k >= min(a, b)
+    (mode "subrings") or k >= max(a, b) (mode "ideals").  Weight 0 is common,
+    so products often land on a factor (k = a when w_b = 0), as in sl2.  Half
+    are antisymmetric; the rest carry no flags."""
+    values = (-2, -1, 1, 2, 3, 4, 6)
+    antisym = rng.random() < 0.5
+    low = min if mode == "subrings" else max
+    constants = {}
+    while not constants:
+        w = [rng.choice((-1, 0, 0, 1, 2)) for _ in range(n)]
+        for a in range(1, n + 1):
+            for b in range(a + 1 if antisym else 1, n + 1):
+                for k in range(low(a, b), n + 1):
+                    if w[a - 1] + w[b - 1] == w[k - 1] and rng.random() < 0.5:
+                        c = rng.choice(values)
+                        constants[(a, b, k)] = c
+                        if antisym:
+                            constants[(b, a, k)] = -c
+    flags = ("antisymmetric",) if antisym else ()
+    return algebra.StructureConstantAlgebra("graded", n, constants, flags)
+
+
+def _signed_permutation(alg, rng):
+    """alg in the basis f_sigma(j) = s_j e_j, for a random permutation sigma
+    and random signs s_j."""
+    n = alg.rank
+    perm = rng.sample(range(1, n + 1), n)
+    sign = [rng.choice((1, -1)) for _ in range(n)]
+    constants = {
+        (perm[a - 1], perm[b - 1], perm[k - 1]): c * sign[a - 1] * sign[b - 1] * sign[k - 1]
+        for (a, b, k), c in alg.constants.items()
+    }
+    return algebra.StructureConstantAlgebra("signed", n, constants, alg.flags)
+
+
+def test_orbits_match_brute_enumeration_on_random_graded_rings(monkeypatch):
+    """The row search with its orbit step must equal the brute enumeration
+    and the search with the step turned off, on random graded rings in a
+    signed permuted basis, and some orbit of more than one row must occur."""
+    rng = random.Random(1123)
+    orbit, sizes = latticezeta._orbit, []
+    monkeypatch.setattr(latticezeta, "_orbit", lambda *args: sizes.append(orbit(*args)) or sizes[-1])
+    seen = {}
+    for trial in range(200):
+        mode = rng.choice(("subrings", "ideals"))
+        n, p = rng.randrange(2, 5), rng.choice((2, 3, 5))
+        K = _brute_depth(n, p)
+        alg = _signed_permutation(_random_graded_ring(rng, n, mode), rng)
+        if latticezeta.count_path(alg, mode)[0] != "row search":
+            continue
+        sizes.clear()
+        got = latticezeta.count(alg, p, K, mode).coefficients
+        brute = latticezeta._brute_counts(alg, p, K, mode, latticezeta.DEFAULT_CEILING)
+        with monkeypatch.context() as m:
+            m.setattr(latticezeta, "_orbits_pay", lambda *args: False)
+            plain = latticezeta.count(alg, p, K, mode).coefficients
+        assert got == tuple(brute) == plain, (trial, p, K, mode, alg.flags, alg.constants)
+        kind = f"{mode}, {'antisymmetric' if alg.flags else 'no flags'}"
+        for key in (kind, f"p = {p}", f"orbit > 1 in {kind}"):
+            seen[key] = seen.get(key, 0) + (max(sizes, default=1) > 1 if "orbit" in key else 1)
+    assert len(seen) == 11 and min(seen.values()) >= 4, seen
+
+
+def test_reduced_is_the_hermite_row_modulo_the_later_rows():
+    # the orbit step names each image row by its reduction: entries from
+    # coordinate 1 on in [0, p^m_j), and the difference in the span of rows 1..
+    rng = random.Random(5051)
+    for _ in range(300):
+        n, p = rng.randrange(2, 6), rng.choice((2, 3))
+        m = [rng.randrange(0, 3) for _ in range(n)]
+        rows = [[0] * j + [p ** m[j]] + [rng.randrange(p ** m[k]) for k in range(j + 1, n)]
+                for j in range(n)]
+        v = [0] + [rng.randrange(-50, 50) for _ in range(n - 1)]
+        got = latticezeta._reduced(rows, 1, list(v))
+        assert all(0 <= got[j] < rows[j][j] for j in range(1, n)), (rows, v, got)
+        assert latticezeta._in_span(rows, 1, [a - b for a, b in zip(v, got)]), (rows, v, got)
 
 
 def _kernel_size(rows, ncols, modulus):
