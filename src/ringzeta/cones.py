@@ -3,17 +3,20 @@
 A system Phi * alpha = 0 (with optional <=-rows rewritten via slack columns)
 defines the monoid E of non-negative integer solutions.  The module produces
 
-  * box-truncated series of E by direct enumeration,
+  * box-truncated series of E by direct enumeration over the free
+    coordinates of the system's echelon form, the pivot coordinates solved,
   * the completely fundamental solutions (primitive extreme-ray generators),
   * an exact rational form: the cone is split into half-open simplicial
     subcones on the extreme rays, so the pieces partition the cone and the
     series identity holds term by term with no inclusion-exclusion; the
-    facets it cones over are coordinate faces, read off the rays' zeros,
+    facets it cones over are coordinate faces, read off the rays' zeros;
+    each piece inverts a square subsystem of its rays once and solves every
+    coordinate change with it,
   * Stanley-reciprocity verdicts, and monomial substitutions into Euler
     factors W(X, Y).
 
 All arithmetic is exact (int / Fraction).  `ceiling` bounds each walk on its
-own: the values the enumeration tries, the supports the ray search tries, the
+own: the values the enumeration sets, the supports the ray search tries, the
 faces the triangulation visits, the numerator terms of the rational
 form, the expansion's steps, and the points of a min-form box.
 """
@@ -27,7 +30,7 @@ from itertools import combinations, product
 from math import comb, gcd, lcm, prod
 
 from .errors import DEFAULT_CEILING, Budget, InternalConsistencyError, MalformedInputError, PoleError
-from .exactlinalg import diagonalize_rowlattice, nullspace, rank, solve_exact
+from .exactlinalg import diagonalize_rowlattice, nullspace, rank, rref
 from .poly import Polynomial
 from .ratfun import XY, BivariateRationalFunction
 
@@ -123,50 +126,47 @@ class MultivariateSeriesTruncation:
 def brute_series(sys: DiophantineConeSystem, B: int, strict: bool = False,
                  ceiling: int = DEFAULT_CEILING):
     """Enumerate solutions with every coordinate in [0, B] ([1, B] when strict),
-    then marginalize the slack columns.  `ceiling` bounds the values tried,
-    the B + 1 - lo candidates of each inner node of the search, which keeps
-    one pending iterator per coordinate, not one call frame."""
+    then marginalize the slack columns.
+
+    Only the free columns of the rows' echelon form are walked, over the box
+    [lo, B]^f; each pivot coordinate is solved from its row scaled to
+    integers and kept when it is an integer in [lo, B].  `ceiling` bounds the
+    values set, f at each of the (B + 1 - lo)^f points, predicted.  The box is
+    walked as an odometer, never held in memory."""
     lo = 1 if strict else 0
     m = sys.m
-    rows = sys.rows
-    # suffix contribution bounds for pruning
-    nrows = len(rows)
-    suff_min = [[0] * (m + 1) for _ in range(nrows)]
-    suff_max = [[0] * (m + 1) for _ in range(nrows)]
-    for r in range(nrows):
-        for idx in range(m - 1, -1, -1):
-            c = rows[r][idx]
-            lo_c, hi_c = sorted((c * lo, c * B))
-            suff_min[r][idx] = suff_min[r][idx + 1] + lo_c
-            suff_max[r][idx] = suff_max[r][idx + 1] + hi_c
-    charge = Budget(ceiling, "the enumeration", "values").charge
-
-    def children(idx, partial):
-        """The values at idx that leave every row solvable, with the new sums;
-        at the last coordinate that means every row sum is 0."""
-        charge(B + 1 - lo)
-        for v in range(lo, B + 1):
-            new = [partial[r] + rows[r][idx] * v for r in range(nrows)]
-            if all(
-                new[r] + suff_min[r][idx + 1] <= 0 <= new[r] + suff_max[r][idx + 1]
-                for r in range(nrows)
-            ):
-                yield v, new
-
-    terms = {} if m else {(): 1}
+    red, pivots = rref(sys.rows, m) if sys.rows else ([], [])
+    free = [j for j in range(m) if j not in pivots]
+    width = B + 1 - lo
+    Budget(ceiling, "the enumeration", "values").predict(len(free) * width ** len(free))
+    if free and width <= 0:
+        return MultivariateSeriesTruncation(m, B, {})
+    # scale[r] * alpha[pivots[r]] = sum_j coeffs[r][j] * alpha[free[j]]
+    scale = [lcm(*(row[j].denominator for j in free)) for row in red]
+    coeffs = [[int(-row[j] * d) for j in free] for row, d in zip(red, scale)]
+    odometer = [lo] * len(free)
+    sums = [lo * sum(c) for c in coeffs]
     alpha = [0] * m
-    stack = [children(0, [0] * nrows)] if m else []
-    while stack:
-        step = next(stack[-1], None)
-        if step is None:
-            stack.pop()
-            continue
-        alpha[len(stack) - 1] = step[0]
-        if len(stack) < m:
-            stack.append(children(len(stack), step[1]))
+    terms = {}
+    while True:
+        for p, total, d in zip(pivots, sums, scale):
+            x, rem = divmod(total, d)
+            if rem or not lo <= x <= B:
+                break
+            alpha[p] = x
         else:
-            e = tuple(alpha)
-            terms[e] = terms.get(e, 0) + 1
+            for j, x in zip(free, odometer):
+                alpha[j] = x
+            terms[tuple(alpha)] = 1
+        i = len(free) - 1  # advance the last free coordinate, carrying
+        while i >= 0 and odometer[i] == B:
+            odometer[i] = lo
+            sums = [total - c[i] * (B - lo) for total, c in zip(sums, coeffs)]
+            i -= 1
+        if i < 0:
+            break
+        odometer[i] += 1
+        sums = [total + c[i] for total, c in zip(sums, coeffs)]
     series = MultivariateSeriesTruncation(m, B, terms)
     if sys.slack_columns:
         series = series.marginalize(sys.slack_columns)
@@ -228,6 +228,7 @@ class MultivariateRationalForm:
     m: int
     numerator: dict  # exponent tuple -> int
     denominator_rays: tuple  # tuple of ray tuples (with multiplicity)
+    dim: int  # dimension of the cone, which the rays span
 
 
 def _triangulate(rays, dim, charge):
@@ -252,33 +253,66 @@ def _triangulate(rays, dim, charge):
     return simplices
 
 
-def _solve_in_ray_basis(rays, target):
-    """Coefficients t with sum t_i * rays[i] = target; the rays are independent."""
-    t = solve_exact([[r[j] for r in rays] for j in range(len(target))], target)
-    if t is None:
-        raise InternalConsistencyError("target not in the span of the rays")
-    return t
+def _ray_solver(rays):
+    """(den, solve) for independent integer rays: solve(target) gives the
+    integers u with sum (u_i / den) rays[i] = target, den > 0.
+
+    Gauss-Jordan elimination in integers, one row per coordinate with the
+    identity appended to record the row operations, finds a coordinate for
+    each ray on which the rays are independent; its pivot rows then hold the
+    inverse of that square subsystem, scaled to the common denominator den.
+    Each solve is checked on every coordinate, so a target outside the span
+    of the rays raises InternalConsistencyError."""
+    k, m = len(rays), len(rays[0])
+    rows = [[r[j] for r in rays] + [int(i == j) for i in range(m)] for j in range(m)]
+    for c in range(k):
+        p = next((i for i in range(c, m) if rows[i][c]), None)
+        if p is None:
+            raise InternalConsistencyError("the rays are not independent")
+        rows[c], rows[p] = rows[p], rows[c]
+        pivot = rows[c]
+        for i, row in enumerate(rows):
+            if i != c and row[c]:
+                row = [pivot[c] * a - row[c] * b for a, b in zip(row, pivot)]
+                g = gcd(*row)
+                rows[i] = [x // g for x in row]
+    den = abs(lcm(*(rows[c][c] for c in range(k))))
+    inverse = [[x * (den // rows[c][c]) for x in rows[c][k:]] for c in range(k)]
+
+    def solve(target):
+        u = [sum(a * x for a, x in zip(row, target) if a) for row in inverse]
+        if any(sum(ui * r[j] for ui, r in zip(u, rays)) != den * x for j, x in enumerate(target)):
+            raise InternalConsistencyError("target not in the span of the rays")
+        return u
+
+    return den, solve
 
 
-def _parallelepiped_points(rays, closed, lattice):
+def _parallelepiped_points(rays, closed, lattice, solver):
     """Lattice points of the half-open fundamental parallelepiped of the rays,
-    given `lattice` = diagonalize_rowlattice(rays).
+    given `lattice` = diagonalize_rowlattice(rays) and `solver` =
+    _ray_solver(rays).
 
     closed[i] says whether the facet t_i = 0, the one spanned by the other
     rays, is kept: a closed coordinate takes t_i in [0, 1) and an open one in
     (0, 1].  There is one point per coset of the ray lattice in its
     saturation; an integer diagonalization gives coset representatives, and
-    coordinates in the ray basis are linear in them."""
+    coordinates in the ray basis are linear in them, kept here as numerators
+    over the solver's denominator."""
     divisors, V = lattice
-    basis = [_solve_in_ray_basis(rays, v) for v in V[:len(rays)]]
+    den, solve = solver
+    basis = [solve(v) for v in V[:len(rays)]]
     points = {}
     for combo in product(*map(range, divisors)):
-        t = [sum(c * b[i] for c, b in zip(combo, basis)) % 1 for i in range(len(rays))]
-        t = [ti or int(not keep) for ti, keep in zip(t, closed)]
-        pt = [sum(ti * r[j] for ti, r in zip(t, rays)) for j in range(len(rays[0]))]
-        if any(x.denominator != 1 for x in pt):
-            raise InternalConsistencyError("parallelepiped point is not integral")
-        pt = tuple(map(int, pt))
+        t = [sum(c * b[i] for c, b in zip(combo, basis)) % den for i in range(len(rays))]
+        t = [ti or den * (not keep) for ti, keep in zip(t, closed)]
+        pt = []
+        for j in range(len(rays[0])):
+            x, rem = divmod(sum(ti * r[j] for ti, r in zip(t, rays)), den)
+            if rem:
+                raise InternalConsistencyError("parallelepiped point is not integral")
+            pt.append(x)
+        pt = tuple(pt)
         if pt in points:
             raise InternalConsistencyError("duplicate parallelepiped representative")
         points[pt] = 1
@@ -307,33 +341,40 @@ def rational_form(sys: DiophantineConeSystem, _seed: int = 0,
     ex = extreme_rays(sys, ceiling)
     m = sys.m
     if not ex.rays:
-        return MultivariateRationalForm(m, {tuple([0] * m): 1}, ())
+        return MultivariateRationalForm(m, {tuple([0] * m): 1}, (), ex.dim)
     rays = list(ex.rays)
     simplices = _triangulate(rays, ex.dim, Budget(ceiling, "the triangulation", "faces").charge)
     all_rays = sorted({rays[i] for sigma in simplices for i in sigma})
     lattices = [diagonalize_rowlattice([rays[i] for i in sigma]) for sigma in simplices]
     Budget(ceiling, "the numerator", "terms").predict(
         sum(prod(divisors) for divisors, _ in lattices) << (len(all_rays) - ex.dim))
+    solvers = [_ray_solver([rays[i] for i in sigma]) for sigma in simplices]
     # generic interior point for the half-open orientation
     rng = random.Random(_seed)
     for _ in range(64):
         w_coeff = [rng.randrange(1, 1000) for _ in rays]
         w = [sum(w_coeff[i] * rays[i][j] for i in range(len(rays))) for j in range(m)]
-        barycentric = [_solve_in_ray_basis([rays[i] for i in sigma], w) for sigma in simplices]
-        if all(all(t) for t in barycentric):
+        barycentric = []
+        for _, solve in solvers:
+            u = solve(w)
+            if not all(u):
+                break
+            barycentric.append(u)
+        else:
             break
     else:
         raise InternalConsistencyError("could not find a generic interior point")
     names, zero = _variables(m), tuple([0] * m)
     numerator = Polynomial(names)
-    for sigma, t, lattice in zip(simplices, barycentric, lattices):
+    for sigma, u, lattice, solver in zip(simplices, barycentric, lattices, solvers):
         sigma_rays = [rays[i] for i in sigma]
-        piece = Polynomial(names, _parallelepiped_points(sigma_rays, [ti > 0 for ti in t], lattice))
+        piece = Polynomial(names, _parallelepiped_points(
+            sigma_rays, [ui > 0 for ui in u], lattice, solver))
         for r in all_rays:
             if r not in sigma_rays:
                 piece = piece * Polynomial(names, {zero: 1, r: -1})
         numerator = numerator + piece
-    return MultivariateRationalForm(m, numerator.terms, tuple(all_rays))
+    return MultivariateRationalForm(m, numerator.terms, tuple(all_rays), ex.dim)
 
 
 def expand_form(form: MultivariateRationalForm, B: int,
@@ -350,10 +391,13 @@ def _expand_with_laurent(numerator, rays, m, B, ceiling):
     """Series of numerator / prod(1 - X^ray) in the box [0, B]^m.
 
     Laurent numerators are allowed; returns (terms_in_box, negatives_present).
-    The terms are kept in one bucket per total degree.  `ceiling` bounds the
-    steps: each pass over the buckets, one per ray and one to read them out,
-    is charged before the buckets are made, and each term propagated as it
-    goes."""
+    The terms are kept in one bucket per total degree.  Each exponent, shifted
+    to be non-negative, is packed into one integer, coordinate j in a field of
+    its own as e_j + top - cap_j: adding a ray adds the packed ray, and the
+    term leaves the box exactly when a field passes top, setting its guard
+    bit.  `ceiling` bounds the steps: each pass over the buckets, one per ray
+    and one to read them out, is charged before the buckets are made, and
+    each term propagated as it goes."""
     if not numerator:
         return {}, False
     shift = [max(0, -min(e[j] for e in numerator)) for j in range(m)]
@@ -361,37 +405,43 @@ def _expand_with_laurent(numerator, rays, m, B, ceiling):
     maxdeg = sum(cap)
     budget = Budget(ceiling, "the expansion", "steps")
     budget.predict((len(rays) + 1) * (maxdeg + 1))
+    w = max(cap + [x for r in rays for x in r], default=0).bit_length()
+    top, fields = (1 << w) - 1, [(w + 1) * j for j in range(m)]
+    guard = sum((top + 1) << f for f in fields)
+
+    def pack(e):
+        return sum(x << f for x, f in zip(e, fields))
+
     buckets = [dict() for _ in range(maxdeg + 1)]
     for e, c in numerator.items():
-        e2 = tuple(x + s for x, s in zip(e, shift))
-        if all(0 <= x <= cp for x, cp in zip(e2, cap)):
+        e2 = [x + s for x, s in zip(e, shift)]
+        if all(x <= cp for x, cp in zip(e2, cap)):
             b = buckets[sum(e2)]
-            b[e2] = b.get(e2, 0) + c
+            key = pack([x + top - cp for x, cp in zip(e2, cap)])
+            b[key] = b.get(key, 0) + c
     for r in rays:
-        rsum = sum(r)
+        rsum, step = sum(r), pack(r)
         for deg in range(maxdeg + 1):
             bucket = buckets[deg]
             if not bucket or deg + rsum > maxdeg:
                 continue
             budget.charge(len(bucket))
             target = buckets[deg + rsum]
-            for e, c in list(bucket.items()):
-                if not c:
-                    continue
-                e2 = tuple(x + y for x, y in zip(e, r))
-                if all(x <= cp for x, cp in zip(e2, cap)):
-                    target[e2] = target.get(e2, 0) + c
+            for key, c in list(bucket.items()):
+                if c and not (key := key + step) & guard:
+                    target[key] = target.get(key, 0) + c
     # every exponent is within the cap, and shifting back is one-to-one
+    offset = [top - cp + s for cp, s in zip(cap, shift)]
     out, negatives = {}, False
     for bucket in buckets:
-        for e, c in bucket.items():
+        for key, c in bucket.items():
             if not c:
                 continue
-            e2 = tuple(x - s for x, s in zip(e, shift))
-            if any(x < 0 for x in e2):
+            e = tuple((key >> f & top) - o for f, o in zip(fields, offset))
+            if any(x < 0 for x in e):
                 negatives = True
             else:
-                out[e2] = c
+                out[e] = c
     return out, negatives
 
 
@@ -412,10 +462,8 @@ def reciprocity_check(sys: DiophantineConeSystem, B: int,
     if not strict.terms:
         return ReciprocityVerdict("inconclusive", "no strict solution within the bound")
     form = rational_form(sys, ceiling=ceiling)
-    # the simplices are full-dimensional, so their rays span the cone
-    dim = rank(list(form.denominator_rays), sys.m)
     # E(1/X): invert numerator exponents; each 1/(1 - X^-r) = -X^r/(1 - X^r)
-    sign = (-1) ** (dim + len(form.denominator_rays))
+    sign = (-1) ** (form.dim + len(form.denominator_rays))
     shift_total = [sum(r[j] for r in form.denominator_rays) for j in range(sys.m)]
     num = Polynomial(_variables(sys.m), form.numerator).invert().shift(*shift_total).scale(sign)
     series, negatives = _expand_with_laurent(num.terms, form.denominator_rays, sys.m, B, ceiling)

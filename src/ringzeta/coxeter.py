@@ -1,18 +1,23 @@
 """Symmetric-group combinatorics: lengths, descents, Gaussian binomials.
 
-Lengths are inversion counts, descents are one-line descents; the word-based
-definitions are validated once, exhaustively, in the test suite.  Gaussian
-binomials come from the q-Pascal rule and double as flag counts over prime
-fields, which the exhaustive flag enumerator cross-checks.  They and the
-descent sums are polynomials in X with no Y, in the ring XY of the Euler
-factors W(X, Y).
+`walk_symmetric_group` passes over S_n once.  For each permutation w it
+reads the length (inversion count) and the descent set (one-line descents,
+a bit mask) of w and, from their own one-line images, of w w0.  It tallies
+the lengths of each descent set and checks the longest-element identities
+on every w.  The word-based definitions of length and descent are validated
+once, exhaustively, in the test suite.  The descent sums over D <= I come
+from one subset-sum transform over the masks.  Gaussian binomials come from
+the q-Pascal rule and double as flag counts over prime fields, which the
+exhaustive flag enumerator cross-checks.  They and the descent sums are
+polynomials in X with no Y, in the ring XY of the Euler factors W(X, Y).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from functools import lru_cache
+from itertools import combinations, compress, permutations, product, starmap
+from operator import gt
 
 from .errors import DEFAULT_CEILING, Budget, MalformedInputError, UnsupportedError
 from .exactlinalg import local_elimination
@@ -21,42 +26,17 @@ from .ratfun import XY
 
 
 @dataclass(frozen=True)
-class PermutationData:
-    images: tuple  # w(1..n), a bijection of [n]
-
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise MalformedInputError(f"{self.images} is not a permutation of [{n}]")
-
-    @property
-    def n(self):
-        return len(self.images)
-
-
-def length(w: PermutationData) -> int:
-    """Coxeter length = inversion count."""
-    img = w.images
-    n = w.n
-    return sum(1 for i in range(n) for j in range(i + 1, n) if img[i] > img[j])
-
-
-def descent_set(w: PermutationData) -> frozenset:
-    img = w.images
-    return frozenset(i + 1 for i in range(w.n - 1) if img[i + 1] < img[i])
-
-
-def complement_by_longest(w: PermutationData) -> PermutationData:
-    """Composition with the longest element: i -> n + 1 - w(i)."""
-    n = w.n
-    return PermutationData(tuple(n + 1 - x for x in w.images))
-
-
-@dataclass(frozen=True)
 class LongestElementVerdict:
     n: int
     holds: bool
     witness: tuple | None = None
+
+
+@dataclass(frozen=True)
+class SymmetricGroupWalk:
+    n: int
+    lengths: list  # lengths[D][l]: the w with descent mask D and length l
+    longest: LongestElementVerdict
 
 
 def _charge_permutations(n, ceiling):
@@ -70,35 +50,54 @@ def _charge_permutations(n, ceiling):
     Budget(ceiling, what, "permutations").predict(order)
 
 
+def _permutation_statistics(n):
+    """(w, D(w), l(w), D(w w0), l(w w0)) for each w in S_n, in one-line
+    order.  w w0 is i -> n + 1 - w(i); a descent set is a mask with bit i - 1
+    for the descent i, and a length is an inversion count."""
+    bits = [1 << i for i in range(n - 1)]
+    flip = (n + 1).__sub__
+    for w in permutations(range(1, n + 1)):
+        v = tuple(map(flip, w))
+        yield (w, sum(compress(bits, map(gt, w, w[1:]))), sum(starmap(gt, combinations(w, 2))),
+               sum(compress(bits, map(gt, v, v[1:]))), sum(starmap(gt, combinations(v, 2))))
+
+
+def walk_symmetric_group(n: int, ceiling: int = DEFAULT_CEILING) -> SymmetricGroupWalk:
+    """One pass over S_n: the lengths of each descent set, and the check of
+    l(w) + l(w w0) = C(n,2) and D(w w0) = D(w)^c on every w, with the first
+    w that breaks one as the witness; `ceiling` bounds the n! permutations."""
+    _charge_permutations(n, ceiling)
+    full = n * (n - 1) // 2
+    everything = (1 << max(n - 1, 0)) - 1
+    lengths = [[0] * (full + 1) for _ in range(everything + 1)]
+    witness = None
+    for w, dw, lw, dv, lv in _permutation_statistics(n):
+        lengths[dw][lw] += 1
+        if witness is None and (lw + lv != full or dv != everything ^ dw):
+            witness = w
+    return SymmetricGroupWalk(n, lengths, LongestElementVerdict(n, witness is None, witness))
+
+
 def longest_element_identities(n: int, ceiling: int = DEFAULT_CEILING) -> LongestElementVerdict:
     """Check l(w) + l(w w0) = C(n,2) and D(w w0) = D(w)^c over all of S_n;
     `ceiling` bounds the n! permutations."""
-    _charge_permutations(n, ceiling)
-    full = n * (n - 1) // 2
-    everything = frozenset(range(1, n))
-    for img in permutations(range(1, n + 1)):
-        w = PermutationData(img)
-        ww0 = complement_by_longest(w)
-        if length(w) + length(ww0) != full:
-            return LongestElementVerdict(n, False, img)
-        if descent_set(ww0) != everything - descent_set(w):
-            return LongestElementVerdict(n, False, img)
-    return LongestElementVerdict(n, True)
+    return walk_symmetric_group(n, ceiling).longest
 
 
 # ---------------------------------------------------------------------------
 # Gaussian binomials and descent sums, polynomials in X
 
 
-def gaussian_binomial_single(n: int, i: int) -> Polynomial:
-    """[n, i] by the q-Pascal rule [m, j] = [m-1, j-1] + X^j [m-1, j]."""
-    if not 0 <= i <= n:
-        raise MalformedInputError("need 0 <= i <= n")
+@lru_cache(maxsize=4)
+def _q_pascal(n):
+    """The rows [m, 0..m] for m = 0..n, by the q-Pascal rule
+    [m, j] = [m-1, j-1] + X^j [m-1, j]."""
     one = Polynomial(XY, {(0, 0): 1})
-    row = [one]  # [m, 0..m] for m = 0, 1, ..., n
+    rows = [(one,)]
     for m in range(1, n + 1):
-        row = [one] + [row[j - 1] + row[j].shift(j, 0) for j in range(1, m)] + [one]
-    return row[i]
+        row = rows[-1]
+        rows.append((one, *(row[j - 1] + row[j].shift(j, 0) for j in range(1, m)), one))
+    return tuple(rows)
 
 
 def gaussian_binomial(n: int, I) -> Polynomial:
@@ -106,34 +105,35 @@ def gaussian_binomial(n: int, I) -> Polynomial:
     chain = sorted(I)
     if any(not 1 <= i <= n - 1 for i in chain) or len(set(chain)) != len(chain):
         raise MalformedInputError("I must be a subset of [n-1]")
+    rows = _q_pascal(n)
     out = Polynomial(XY, {(0, 0): 1})
     upper = n
     for i in reversed(chain):
-        out = out * gaussian_binomial_single(upper, i)
+        out = out * rows[upper][i]
         upper = i
     return out
 
 
 def descent_sum(n: int, I) -> Polynomial:
     """Sum of X^{l(w)} over w in S_n with descent set contained in I."""
-    return descent_sums(n)[frozenset(I) & frozenset(range(1, n))]
+    return descent_sums(walk_symmetric_group(n))[frozenset(I) & frozenset(range(1, n))]
 
 
-def descent_sums(n: int, ceiling: int = DEFAULT_CEILING) -> dict:
-    """I -> descent_sum(n, I) for every subset I of [n-1], from one walk of S_n
-    that counts the lengths of each descent set; `ceiling` bounds the n!
-    permutations."""
-    _charge_permutations(n, ceiling)
-    table = {}  # descent set -> Counter of lengths
-    for img in permutations(range(1, n + 1)):
-        w = PermutationData(img)
-        table.setdefault(descent_set(w), Counter())[length(w)] += 1
-    sums = {}
+def descent_sums(walk: SymmetricGroupWalk) -> dict:
+    """I -> descent_sum(n, I) for every subset I of [n-1], from the walk's
+    lengths by one subset-sum transform over the descent masks."""
+    n, sums = walk.n, list(walk.lengths)
+    for i in range(n - 1):
+        bit = 1 << i
+        for mask in range(len(sums)):
+            if mask & bit:
+                sums[mask] = [a + b for a, b in zip(sums[mask], sums[mask ^ bit])]
+    out = {}
     for size in range(max(n, 1)):  # the subsets of [n-1]; only the empty one for n <= 1
-        for I in map(frozenset, combinations(range(1, n), size)):
-            total = sum((lengths for D, lengths in table.items() if D <= I), Counter())
-            sums[I] = Polynomial(XY, {(l, 0): c for l, c in total.items()})
-    return sums
+        for I in combinations(range(1, n), size):
+            counts = sums[sum(1 << (i - 1) for i in I)]
+            out[frozenset(I)] = Polynomial(XY, {(l, 0): c for l, c in enumerate(counts)})
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -241,10 +242,14 @@ def test_rational_form_matches_enumeration_on_random_cones():
 
 
 def test_broken_invariants_are_internal_errors():
+    den, solve = cones._ray_solver([(1, 0)])
+    assert solve([3, 0]) == [3 * den]
     with pytest.raises(InternalConsistencyError):
-        cones._solve_in_ray_basis([(1, 0)], [0, 1])
+        solve([0, 1])
     with pytest.raises(InternalConsistencyError):
-        expand_form(cones.MultivariateRationalForm(1, {(-1,): 1}, ()), 2)
+        cones._ray_solver([(1, 2), (2, 4)])
+    with pytest.raises(InternalConsistencyError):
+        expand_form(cones.MultivariateRationalForm(1, {(-1,): 1}, (), 0), 2)
 
 
 def test_ceiling_bounds_each_walk():
@@ -265,12 +270,16 @@ def test_ceiling_bounds_each_walk():
         cones.rational_form(DiophantineConeSystem([[1, 1, 1, 1, -1, -1, -1, -1]]), ceiling=38)
 
 
-def test_a_charge_as_the_walk_goes_is_not_a_prediction():
-    # the first node's 61 values are not the walk's total
-    with pytest.raises(ResourceGuardError, match="^the enumeration visited more than 1 values"
-                       ) as err:
+def test_the_enumeration_predicts_its_free_box():
+    # 12 free columns: 12 values set at each of the 61^12 points
+    with pytest.raises(ResourceGuardError, match="^the enumeration needs") as err:
         brute_series(DiophantineConeSystem.empty(12), 60, ceiling=1)
-    assert err.value.predicted is None
+    assert err.value.predicted == 12 * 61**12
+    # Stanley's cone has 3 free columns; strict takes [1, 6]
+    with pytest.raises(ResourceGuardError) as err:
+        brute_series(STANLEY, 6, strict=True, ceiling=647)
+    assert err.value.predicted == 3 * 6**3 == 648
+    assert brute_series(STANLEY, 6, strict=True, ceiling=648).terms
 
 
 def test_minform_box_is_refused_at_the_default_ceiling():
@@ -292,3 +301,32 @@ def test_numerator_terms_are_charged_before_any_piece(monkeypatch):
     assert err.value.predicted == 6 and not walked
     cones.rational_form(skew, ceiling=6)
     assert len(walked) == 2
+
+
+def test_free_column_walk_matches_a_naive_filter_on_random_systems():
+    """Seeded oracle: on random eq/le systems the walk over the free columns
+    finds exactly the points of [lo, B]^m that solve every row, and the
+    rational form expands to the same series."""
+    rng = random.Random(20261019)
+    nonzero = 0
+    for _ in range(150):
+        m0 = rng.randint(1, 5)
+        kinds = [rng.choice(("eq", "le")) for _ in range(rng.choice((1, 1, 2, 3)))]
+        while m0 + kinds.count("le") > 5:
+            kinds[kinds.index("le")] = "eq"
+        phi = [[rng.randint(-3, 3) for _ in range(m0)] for _ in kinds]
+        sys_ = DiophantineConeSystem(phi, kinds)
+        B = rng.randint(0, 4)
+        for strict in (False, True):
+            lo = int(strict)
+            naive = Counter(
+                alpha[:m0] + (0,) * (sys_.m - m0)
+                for alpha in product(range(lo, B + 1), repeat=sys_.m)
+                if all(sum(c * x for c, x in zip(row, alpha)) == 0 for row in sys_.rows))
+            assert brute_series(sys_, B, strict=strict).terms == dict(naive), (phi, kinds, B)
+            nonzero += len(naive) > 1 - lo  # more than the origin
+        got = expand_form(cones.rational_form(sys_), B)
+        if sys_.slack_columns:
+            got = got.marginalize(sys_.slack_columns)
+        assert got == brute_series(sys_, B), (phi, kinds, B)
+    assert nonzero >= 80, nonzero

@@ -1,18 +1,11 @@
 from collections import deque
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
-from ringzeta import coxeter
-from ringzeta.coxeter import (
-    PermutationData,
-    descent_set,
-    descent_sum,
-    flag_count,
-    gaussian_binomial,
-    length,
-)
-from ringzeta.errors import MalformedInputError, ResourceGuardError, UnsupportedError
+from ringzeta import cli, coxeter
+from ringzeta.coxeter import descent_sum, flag_count, gaussian_binomial
+from ringzeta.errors import ResourceGuardError, UnsupportedError
 from ringzeta.poly import Polynomial
 from ringzeta.ratfun import XY
 
@@ -22,20 +15,21 @@ def in_x(coeffs):
     return Polynomial(XY, {(d, 0): c for d, c in coeffs.items()})
 
 
+def mask(D):
+    """The descent set D as the walk's bit mask."""
+    return sum(1 << (i - 1) for i in D)
+
+
+def statistics(n):
+    """w -> (D(w), l(w), D(w w0), l(w w0)) as the walk reads them."""
+    return {w: tuple(rest) for w, *rest in coxeter._permutation_statistics(n)}
+
+
 def test_length_and_descent_examples():
-    w = PermutationData((3, 5, 2, 4, 1))
-    assert length(w) == 7
-    assert descent_set(w) == frozenset({2, 4})
-    ident = PermutationData((1, 2, 3, 4))
-    assert length(ident) == 0 and descent_set(ident) == frozenset()
-    w0 = PermutationData((4, 3, 2, 1))
-    assert length(w0) == 6
-    assert descent_set(w0) == frozenset({1, 2, 3})
-
-
-def test_invalid_permutation():
-    with pytest.raises(MalformedInputError):
-        PermutationData((1, 1, 2))
+    assert statistics(5)[(3, 5, 2, 4, 1)] == (mask({2, 4}), 7, mask({1, 3}), 3)
+    identity, w0 = (1, 2, 3, 4), (4, 3, 2, 1)
+    assert statistics(4)[identity] == (0, 0, mask({1, 2, 3}), 6)
+    assert statistics(4)[w0] == (mask({1, 2, 3}), 6, 0, 0)
 
 
 def _word_lengths(n):
@@ -55,27 +49,60 @@ def _word_lengths(n):
     return dist
 
 
-def test_length_matches_word_metric_on_s4():
-    dist = _word_lengths(4)
-    for img, d in dist.items():
-        w = PermutationData(img)
-        assert length(w) == d
-        # descent characterization: the swaps that shorten the word
-        shorter = frozenset(
-            i + 1
-            for i in range(3)
-            if dist[tuple(img[:i] + (img[i + 1], img[i]) + img[i + 2:])] < d
-        )
-        assert descent_set(w) == shorter
+def _word_descents(w, dist):
+    """The descent set by words: the adjacent swaps that shorten w."""
+    return frozenset(i + 1 for i in range(len(w) - 1)
+                     if dist[w[:i] + (w[i + 1], w[i]) + w[i + 2:]] < dist[w])
+
+
+def test_walk_matches_the_word_definitions():
+    """For n <= 5, every w and w w0 has the word length and word descent set,
+    and the walk tallies exactly those."""
+    for n in range(6):
+        dist = _word_lengths(n)
+        stats = statistics(n)
+        assert sorted(stats) == sorted(dist)
+        lengths = [[0] * (n * (n - 1) // 2 + 1) for _ in range(1 << max(n - 1, 0))]
+        for w, (D, l, Dv, lv) in stats.items():
+            v = tuple(n + 1 - x for x in w)
+            assert (D, l) == (mask(_word_descents(w, dist)), dist[w])
+            assert (Dv, lv) == (mask(_word_descents(v, dist)), dist[v])
+            lengths[D][l] += 1
+        walk = coxeter.walk_symmetric_group(n)
+        assert walk.lengths == lengths and walk.longest.holds
+
+
+def test_coxeter_check_walks_the_group_once(monkeypatch, capsys):
+    walks = []
+
+    def counted(*args):
+        walks.append(args)
+        return permutations(*args)
+
+    monkeypatch.setattr(coxeter, "permutations", counted)
+    assert cli.main(["coxeter", "check", "--n", "5"]) == 0
+    assert "pass" in capsys.readouterr().out
+    assert walks == [(range(1, 6),)]
 
 
 def test_longest_element_identities():
     for n in (1, 3, 5):
         assert coxeter.longest_element_identities(n).holds
-    w = PermutationData((3, 5, 2, 4, 1))
-    assert length(coxeter.complement_by_longest(w)) == 10 - 7
     with pytest.raises(ResourceGuardError):
         coxeter.longest_element_identities(9, ceiling=10**5)
+
+
+def test_broken_identity_is_reported_with_its_witness(monkeypatch):
+    # a walk whose w w0 data is off for one w must not pass
+    real = coxeter._permutation_statistics
+
+    def skewed(n):
+        for w, D, l, Dv, lv in real(n):
+            yield (w, D, l, Dv, lv + (w == (2, 1, 3)))
+
+    monkeypatch.setattr(coxeter, "_permutation_statistics", skewed)
+    verdict = coxeter.longest_element_identities(3)
+    assert not verdict.holds and verdict.witness == (2, 1, 3)
 
 
 def test_gaussian_binomial_examples():
