@@ -252,8 +252,8 @@ def cmd_cone(args):
             {"part": "denominator-ray", "exponents": " ".join(map(str, r)), "coefficient": ""}
             for r in form.denominator_rays
         ]
-        # the enumeration predicts its box, so it refuses a huge bound before
-        # the expansion stores any term
+        # the enumeration charges each term it keeps, so it refuses a huge box
+        # before the expansion stores any term
         series = cones.brute_series(sys_, args.bound, ceiling=args.ceiling)
         check = cones.expand_form(form, args.bound, ceiling=args.ceiling)
         if sys_.slack_columns:

@@ -3,22 +3,23 @@
 A system Phi * alpha = 0 (with optional <=-rows rewritten via slack columns)
 defines the monoid E of non-negative integer solutions.  The module produces
 
-  * box-truncated series of E by direct enumeration over the free
+  * box-truncated series of E by a pruned enumeration over the free
     coordinates of the system's echelon form, the pivot coordinates solved,
   * the completely fundamental solutions (primitive extreme-ray generators),
   * an exact rational form: the cone is split into half-open simplicial
     subcones on the extreme rays, so the pieces partition the cone and the
     series identity holds term by term with no inclusion-exclusion; the
     facets it cones over are coordinate faces, read off the rays' zeros;
-    each piece inverts a square subsystem of its rays once and solves every
-    coordinate change with it,
+    each piece solves every coordinate change with one left inverse of its
+    rays,
   * Stanley-reciprocity verdicts, and monomial substitutions into Euler
     factors W(X, Y).
 
 All arithmetic is exact (int / Fraction).  `ceiling` bounds each walk on its
-own: the values the enumeration sets, the supports the ray search tries, the
-faces the triangulation visits, the numerator terms of the rational
-form, the expansion's steps, and the points of a min-form box.
+own: the values the enumeration sets and the terms it keeps, the supports
+the ray search tries, the faces the triangulation visits, the numerator
+terms of the rational form, the expansion's steps, and the points of a
+min-form box.
 """
 
 from __future__ import annotations
@@ -128,45 +129,77 @@ def brute_series(sys: DiophantineConeSystem, B: int, strict: bool = False,
     """Enumerate solutions with every coordinate in [0, B] ([1, B] when strict),
     then marginalize the slack columns.
 
-    Only the free columns of the rows' echelon form are walked, over the box
-    [lo, B]^f; each pivot coordinate is solved from its row scaled to
-    integers and kept when it is an integer in [lo, B].  `ceiling` bounds the
-    values set, f at each of the (B + 1 - lo)^f points, predicted.  The box is
-    walked as an odometer, never held in memory."""
+    Only the free columns of the rows' echelon form are walked, depth-first
+    with an explicit stack; each pivot coordinate is solved from its row
+    scaled to integers and kept when it is an integer in [lo, B].  A free
+    column takes only the values that leave every pivot reachable in
+    [lo, B], given the least and greatest sums the later free columns can
+    add.  `ceiling` bounds the values, charged as the walk goes: the values
+    each free column takes, and B + 1 - lo for each solution kept, so at most
+    ceiling / (B + 1 - lo) terms are stored."""
     lo = 1 if strict else 0
     m = sys.m
     red, pivots = rref(sys.rows, m) if sys.rows else ([], [])
     free = [j for j in range(m) if j not in pivots]
-    width = B + 1 - lo
-    Budget(ceiling, "the enumeration", "values").predict(len(free) * width ** len(free))
-    if free and width <= 0:
+    if free and B < lo:
         return MultivariateSeriesTruncation(m, B, {})
     # scale[r] * alpha[pivots[r]] = sum_j coeffs[r][j] * alpha[free[j]]
     scale = [lcm(*(row[j].denominator for j in free)) for row in red]
     coeffs = [[int(-row[j] * d) for j in free] for row, d in zip(red, scale)]
-    odometer = [lo] * len(free)
-    sums = [lo * sum(c) for c in coeffs]
+    # least[r][i], most[r][i]: the extreme sums free columns i.. add to row r
+    least, most = [], []
+    for c in coeffs:
+        least.append([0] * (len(free) + 1))
+        most.append([0] * (len(free) + 1))
+        for i in range(len(free) - 1, -1, -1):
+            a, b = sorted((c[i] * lo, c[i] * B))
+            least[-1][i], most[-1][i] = least[-1][i + 1] + a, most[-1][i + 1] + b
+    charge = Budget(ceiling, "the enumeration", "values").charge
+
+    def values(i, sums):
+        """The values of free column i that keep every pivot reachable."""
+        first, last = lo, B
+        for c, d, t, low, high in zip(coeffs, scale, sums, least, most):
+            a = c[i]
+            below, above = lo * d - t - high[i + 1], B * d - t - low[i + 1]  # a * v in between
+            if a > 0:
+                first, last = max(first, -(-below // a)), min(last, above // a)
+            elif a < 0:
+                first, last = max(first, -(-above // a)), min(last, below // a)
+            elif below > 0 or above < 0:
+                return range(0)
+        charge(max(0, last + 1 - first))
+        return range(first, last + 1)
+
     alpha = [0] * m
     terms = {}
-    while True:
+
+    def keep(sums):
         for p, total, d in zip(pivots, sums, scale):
             x, rem = divmod(total, d)
             if rem or not lo <= x <= B:
-                break
+                return
             alpha[p] = x
+        charge(B + 1 - lo)
+        terms[tuple(alpha)] = 1
+
+    sums, stack = [0] * len(coeffs), []
+    if free:
+        stack.append((iter(values(0, sums)), sums))
+    else:
+        keep(sums)
+    while stack:
+        v = next(stack[-1][0], None)
+        if v is None:
+            stack.pop()
+            continue
+        i = len(stack) - 1
+        alpha[free[i]] = v
+        sums = [t + c[i] * v for t, c in zip(stack[-1][1], coeffs)]
+        if i + 1 < len(free):
+            stack.append((iter(values(i + 1, sums)), sums))
         else:
-            for j, x in zip(free, odometer):
-                alpha[j] = x
-            terms[tuple(alpha)] = 1
-        i = len(free) - 1  # advance the last free coordinate, carrying
-        while i >= 0 and odometer[i] == B:
-            odometer[i] = lo
-            sums = [total - c[i] * (B - lo) for total, c in zip(sums, coeffs)]
-            i -= 1
-        if i < 0:
-            break
-        odometer[i] += 1
-        sums = [total + c[i] for total, c in zip(sums, coeffs)]
+            keep(sums)
     series = MultivariateSeriesTruncation(m, B, terms)
     if sys.slack_columns:
         series = series.marginalize(sys.slack_columns)
@@ -257,27 +290,17 @@ def _ray_solver(rays):
     """(den, solve) for independent integer rays: solve(target) gives the
     integers u with sum (u_i / den) rays[i] = target, den > 0.
 
-    Gauss-Jordan elimination in integers, one row per coordinate with the
-    identity appended to record the row operations, finds a coordinate for
-    each ray on which the rays are independent; its pivot rows then hold the
-    inverse of that square subsystem, scaled to the common denominator den.
-    Each solve is checked on every coordinate, so a target outside the span
-    of the rays raises InternalConsistencyError."""
+    The echelon form of [M | I], M the coordinates-by-rays matrix, holds a
+    left inverse of M in its first pivot rows, scaled here to the common
+    denominator den.  Each solve is checked on every coordinate, so a target
+    outside the span of the rays raises InternalConsistencyError."""
     k, m = len(rays), len(rays[0])
-    rows = [[r[j] for r in rays] + [int(i == j) for i in range(m)] for j in range(m)]
-    for c in range(k):
-        p = next((i for i in range(c, m) if rows[i][c]), None)
-        if p is None:
-            raise InternalConsistencyError("the rays are not independent")
-        rows[c], rows[p] = rows[p], rows[c]
-        pivot = rows[c]
-        for i, row in enumerate(rows):
-            if i != c and row[c]:
-                row = [pivot[c] * a - row[c] * b for a, b in zip(row, pivot)]
-                g = gcd(*row)
-                rows[i] = [x // g for x in row]
-    den = abs(lcm(*(rows[c][c] for c in range(k))))
-    inverse = [[x * (den // rows[c][c]) for x in rows[c][k:]] for c in range(k)]
+    red, pivots = rref([[r[j] for r in rays] + [int(i == j) for i in range(m)]
+                        for j in range(m)], k + m)
+    if pivots[:k] != list(range(k)):
+        raise InternalConsistencyError("the rays are not independent")
+    den = lcm(*(x.denominator for row in red[:k] for x in row[k:]))
+    inverse = [[int(x * den) for x in row[k:]] for row in red[:k]]
 
     def solve(target):
         u = [sum(a * x for a, x in zip(row, target) if a) for row in inverse]
@@ -391,13 +414,10 @@ def _expand_with_laurent(numerator, rays, m, B, ceiling):
     """Series of numerator / prod(1 - X^ray) in the box [0, B]^m.
 
     Laurent numerators are allowed; returns (terms_in_box, negatives_present).
-    The terms are kept in one bucket per total degree.  Each exponent, shifted
-    to be non-negative, is packed into one integer, coordinate j in a field of
-    its own as e_j + top - cap_j: adding a ray adds the packed ray, and the
-    term leaves the box exactly when a field passes top, setting its guard
-    bit.  `ceiling` bounds the steps: each pass over the buckets, one per ray
-    and one to read them out, is charged before the buckets are made, and
-    each term propagated as it goes."""
+    The terms are kept in one bucket per total degree.  `ceiling` bounds the
+    steps: each pass over the buckets, one per ray and one to read them out,
+    is charged before the buckets are made, and each term propagated as it
+    goes."""
     if not numerator:
         return {}, False
     shift = [max(0, -min(e[j] for e in numerator)) for j in range(m)]
@@ -405,43 +425,37 @@ def _expand_with_laurent(numerator, rays, m, B, ceiling):
     maxdeg = sum(cap)
     budget = Budget(ceiling, "the expansion", "steps")
     budget.predict((len(rays) + 1) * (maxdeg + 1))
-    w = max(cap + [x for r in rays for x in r], default=0).bit_length()
-    top, fields = (1 << w) - 1, [(w + 1) * j for j in range(m)]
-    guard = sum((top + 1) << f for f in fields)
-
-    def pack(e):
-        return sum(x << f for x, f in zip(e, fields))
-
     buckets = [dict() for _ in range(maxdeg + 1)]
     for e, c in numerator.items():
-        e2 = [x + s for x, s in zip(e, shift)]
-        if all(x <= cp for x, cp in zip(e2, cap)):
+        e2 = tuple(x + s for x, s in zip(e, shift))
+        if all(0 <= x <= cp for x, cp in zip(e2, cap)):
             b = buckets[sum(e2)]
-            key = pack([x + top - cp for x, cp in zip(e2, cap)])
-            b[key] = b.get(key, 0) + c
+            b[e2] = b.get(e2, 0) + c
     for r in rays:
-        rsum, step = sum(r), pack(r)
+        rsum = sum(r)
         for deg in range(maxdeg + 1):
             bucket = buckets[deg]
             if not bucket or deg + rsum > maxdeg:
                 continue
             budget.charge(len(bucket))
             target = buckets[deg + rsum]
-            for key, c in list(bucket.items()):
-                if c and not (key := key + step) & guard:
-                    target[key] = target.get(key, 0) + c
+            for e, c in list(bucket.items()):
+                if not c:
+                    continue
+                e2 = tuple(x + y for x, y in zip(e, r))
+                if all(x <= cp for x, cp in zip(e2, cap)):
+                    target[e2] = target.get(e2, 0) + c
     # every exponent is within the cap, and shifting back is one-to-one
-    offset = [top - cp + s for cp, s in zip(cap, shift)]
     out, negatives = {}, False
     for bucket in buckets:
-        for key, c in bucket.items():
+        for e, c in bucket.items():
             if not c:
                 continue
-            e = tuple((key >> f & top) - o for f, o in zip(fields, offset))
-            if any(x < 0 for x in e):
+            e2 = tuple(x - s for x, s in zip(e, shift))
+            if any(x < 0 for x in e2):
                 negatives = True
             else:
-                out[e] = c
+                out[e2] = c
     return out, negatives
 
 

@@ -388,22 +388,24 @@ def test_cone_commands(tmp_path):
 
 
 @pytest.mark.parametrize("command, doc, bound, ceiling, walk", [
-    ("series", {"phi": [[0] * 12]}, "60", "1", "the enumeration"),  # 12 * 61^12 values
+    ("series", {"phi": [[0] * 12]}, "60", "1", "the enumeration"),  # 61 values for x1
     # one parallelepiped of 100,000 points, after 6 supports and 1 face
     ("ratform", {"phi": [[1, 1, -100000]]}, "2", "10", "the numerator"),
-    # ratform enumerates before it expands: 10 * 13^10 values
+    # ratform enumerates before it expands: 13 values for x1
     ("ratform", {"phi": [[0] * 10]}, "12", "10", "the enumeration"),
     # a bound of 10^12 is refused before any loop or list of that length
-    ("series", {"phi": [[1, 1]]}, str(10**12), "10", "the enumeration"),  # 10^12 values
+    ("series", {"phi": [[1, 1]]}, str(10**12), "10", "the enumeration"),  # the origin, kept
     ("ratform", {"phi": [[1, 1, -1, -1]]}, str(10**12), "10", "the enumeration"),
     ("ratform", {"phi": [[1, 1]]}, str(10**12), "10", "the enumeration"),  # no rays
     # 13 values enumerated; the expansion scans 25 degrees twice, one ray
     ("ratform", {"phi": [[1, -100000]]}, "12", "30", "the expansion"),
     # the box that filled the memory when the expansion ran first
     ("ratform", {"phi": [[1, 1, -1, -1]]}, "3000", "100000000", "the enumeration"),
+    # 10^7 + 1 terms, each charged 10^7 + 1 values: refused before the memory fills
+    ("series", {"phi": [[1, -1]]}, str(10**7), "100000000", "the enumeration"),
 ], ids=["series-doc0-60", "ratform-doc1-2", "ratform-doc2-12", "series-huge-bound",
         "ratform-huge-bound", "ratform-no-rays-huge-bound", "ratform-expansion",
-        "ratform-stanley-3000"])
+        "ratform-stanley-3000", "series-diagonal-10M"])
 def test_cone_walks_are_refused_at_the_ceiling(tmp_path, capsys, command, doc, bound, ceiling,
                                                walk):
     system = tmp_path / "cone.json"
@@ -439,8 +441,21 @@ def test_cone_series_walks_more_coordinates_than_the_recursion_limit(tmp_path, c
     assert code == 0 and " ".join(["0"] * 2000) in out
     assert run(argv + ["--ceiling", "5"]) == (3, "")
     err = capsys.readouterr().err
-    # one value set in each of the 2,000 free columns, predicted
-    assert "the enumeration needs 2000 values, over ceiling 5" in err and "Traceback" not in err
+    assert "the enumeration visited more than 5 values" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["series", "ratform"])
+@pytest.mark.parametrize("doc, bound", [
+    ({"phi": [[1] * 8]}, "10"),  # one-signed: 7 free columns held at 0
+    ({"phi": [[1] * 6 + [-1]]}, "12"),  # partition type: 18,564 solutions
+], ids=["one-signed", "partition"])
+def test_pruned_cone_walks_finish_at_the_default_ceiling(tmp_path, command, doc, bound):
+    system = tmp_path / "cone.json"
+    system.write_text(json.dumps(doc))
+    code, out = run(["cone", command, "--system", str(system), "--bound", bound])
+    assert code == 0
+    if command == "ratform":
+        assert "expansion_matches_enumeration: True" in out
 
 
 @pytest.mark.parametrize("command", ["ratform", "reciprocity"])

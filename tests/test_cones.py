@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -270,16 +271,37 @@ def test_ceiling_bounds_each_walk():
         cones.rational_form(DiophantineConeSystem([[1, 1, 1, 1, -1, -1, -1, -1]]), ceiling=38)
 
 
-def test_the_enumeration_predicts_its_free_box():
-    # 12 free columns: 12 values set at each of the 61^12 points
-    with pytest.raises(ResourceGuardError, match="^the enumeration needs") as err:
+def test_a_charge_as_the_walk_goes_is_not_a_prediction():
+    # the first node's 61 values are not the walk's total
+    with pytest.raises(ResourceGuardError, match="^the enumeration visited more than 1 values"
+                       ) as err:
         brute_series(DiophantineConeSystem.empty(12), 60, ceiling=1)
-    assert err.value.predicted == 12 * 61**12
-    # Stanley's cone has 3 free columns; strict takes [1, 6]
-    with pytest.raises(ResourceGuardError) as err:
-        brute_series(STANLEY, 6, strict=True, ceiling=647)
-    assert err.value.predicted == 3 * 6**3 == 648
-    assert brute_series(STANLEY, 6, strict=True, ceiling=648).terms
+    assert err.value.predicted is None
+
+
+def test_the_walk_prunes_one_signed_and_partition_rows():
+    # only the origin: each of the 7 free columns takes the one value 0, and
+    # the kept origin is charged its 11 values
+    ones = DiophantineConeSystem([[1] * 8])
+    assert brute_series(ones, 10, ceiling=18).terms == {(0,) * 8: 1}
+    with pytest.raises(ResourceGuardError):
+        brute_series(ones, 10, ceiling=17)
+    # x7 = x1 + ... + x6: the points of [0, 12]^6 with sum at most 12
+    partition = brute_series(DiophantineConeSystem([[1] * 6 + [-1]]), 12)
+    assert len(partition.terms) == comb(18, 6)
+    assert all(sum(e[:6]) == e[6] for e in partition.terms)
+
+
+def test_the_expansion_predicts_a_huge_box_before_any_bucket():
+    # one pass per ray and one to read out, over every total degree
+    stanley = cones.rational_form(STANLEY)
+    with pytest.raises(ResourceGuardError, match="^the expansion needs") as err:
+        expand_form(stanley, 10**12, ceiling=10)
+    assert err.value.predicted == (len(stanley.denominator_rays) + 1) * (4 * 10**12 + 1)
+    # no rays: the one pass that reads the 2 * 10^12 + 1 degree buckets out
+    with pytest.raises(ResourceGuardError, match="^the expansion needs") as err:
+        expand_form(cones.rational_form(ONLY_ZERO), 10**12, ceiling=10)
+    assert err.value.predicted == 2 * 10**12 + 1
 
 
 def test_minform_box_is_refused_at_the_default_ceiling():
@@ -314,7 +336,12 @@ def test_free_column_walk_matches_a_naive_filter_on_random_systems():
         kinds = [rng.choice(("eq", "le")) for _ in range(rng.choice((1, 1, 2, 3)))]
         while m0 + kinds.count("le") > 5:
             kinds[kinds.index("le")] = "eq"
+        shape = rng.choice(("mixed", "one-signed", "partition"))
         phi = [[rng.randint(-3, 3) for _ in range(m0)] for _ in kinds]
+        if shape == "one-signed":
+            phi = [[abs(x) for x in row] for row in phi]
+        elif shape == "partition":
+            phi = [[1] * (m0 - 1) + [-1] for _ in kinds]
         sys_ = DiophantineConeSystem(phi, kinds)
         B = rng.randint(0, 4)
         for strict in (False, True):
