@@ -102,11 +102,15 @@ def _guard_preview(args, alg):
     takes.  Only the enumerate path prints a prediction: the sublattices of
     index up to p^K, confirmed at a terminal above 10^6."""
     from . import latticezeta
-    path = latticezeta.count_path(alg, args.mode)[0]
+    path, how = latticezeta.count_path(alg, args.mode)
     if path == "central sum":
-        walked = ("central lattices walked and the points of the rank walk" if args.mode == "ideals"
-                  else "lattices of the abelian quotient of index below p^K, predicted, "
-                  "and the central lattices walked")
+        if args.mode == "ideals":
+            walked = "central lattices walked and the points of the rank walk"
+        elif latticezeta.is_free_class2(how):
+            walked = "cotypes of the abelian quotient and the subgroup types of the centre"
+        else:
+            walked = ("lattices of the abelian quotient of index below p^K, predicted, "
+                      "and the subgroup types of the centre")
         print(f"resource guard: central sum, --ceiling {args.ceiling} bounds the {walked}",
               file=sys.stderr)
         return

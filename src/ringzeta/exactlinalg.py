@@ -1,8 +1,8 @@
 """Small exact linear algebra helpers over Q, Z and Z/p^E (Fraction / int, no floats).
 
-Over Q, `rref` is the one row-echelon routine: `rank`, `nullspace` and
-`solve_exact` read off it, and so do the cone computations and the lower
-central series of `algebra.nilpotency_class`."""
+Over Q, `rref` is the one row-echelon routine: `rank` and `nullspace` read
+off it, and so do the cone computations and the lower central series of
+`algebra.nilpotency_class`."""
 
 import math
 from fractions import Fraction
@@ -49,21 +49,6 @@ def nullspace(rows, ncols):
             v[pc] = -red[r][fc]
         basis.append(v)
     return basis
-
-
-def solve_exact(rows, rhs):
-    """Solve M x = rhs over Q; returns None when inconsistent, else one solution
-    (the one with free variables set to 0)."""
-    n = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    aug = [[Fraction(x) for x in rows[i]] + [Fraction(rhs[i])] for i in range(n)]
-    red, pivots = rref(aug, ncols + 1)
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
-    return x
 
 
 def diagonalize_rowlattice(A):

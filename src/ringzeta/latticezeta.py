@@ -10,8 +10,11 @@ closed-form Euler factors are checked against.
 class 2 in its given basis (every product lands in coordinates that are no
 factor of any product) come from a central sum.  Subrings sum over the
 lattices M of the abelian quotient: the subrings over M are counted by the
-lattices of the centre that contain the products of M, which depend only on
-their elementary-divisor type (see `_central_subring_counts`).  Ideals sum
+lattices of the centre that contain the products of M, the subgroups of a
+finite abelian p-group, whose number by type is Birkhoff's formula.  On a free
+class-2 ring the type of that group depends only on the cotype of M, so the
+sum runs over cotypes, counted by the same formula, and no M is walked (see
+`_central_subring_counts`).  Ideals sum
 over the lattices of the centre, one linear solve each, over only the ones
 that the least rank of the commutator forms mod p leaves (see
 `_central_counts`).  Otherwise, if some basis order makes the ring triangular
@@ -46,7 +49,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, product
+from itertools import chain, combinations, product
 from operator import add
 
 from .algebra import (
@@ -257,9 +260,10 @@ def count(
       `algebra.class2_presentation`): the central sums
       `_central_subring_counts` and `_central_counts`, which read its
       presentation.  `ceiling` bounds their nodes: for subrings one per
-      lattice of the abelian quotient of index below p^K, predicted, and one
-      per lattice of the centre walked; for ideals one per point of
-      P^(d'-1)(F_p) in the rank walk and one per lattice of the centre walked.
+      cotype of the abelian quotient on a free class-2 ring, else one per
+      lattice of it of index below p^K, predicted, and one per subgroup type
+      of the centre counted; for ideals one per point of P^(d'-1)(F_p) in the
+      rank walk and one per lattice of the centre walked.
     - a ring with a triangular order for the mode (see `_search_order`): the
       constants are relabelled into it and the objects are counted by the
       pruned search (sublattices as the ideals of the zero ring); the counts
@@ -753,7 +757,7 @@ def _lattices_containing(p, bounds, most):
 
 def _central_subring_counts(pres, antisym, p, K, ceiling):
     """Subrings of index p^k, k = 0..K, of a ring that is class 2 in its given
-    basis, by the sum over the lattices M of the abelian quotient.  `pres` is
+    basis, by a sum over the lattices M of the abelian quotient.  `pres` is
     its presentation (`algebra.class2_presentation`), and `antisym` says
     whether the ring is antisymmetric.
 
@@ -776,56 +780,125 @@ def _central_subring_counts(pres, antisym, p, K, ceiling):
 
     For M of index p^k, the Lambda' that count have index p^e <= p^c,
     c = K - k, so they contain p^c Z, and they contain beta(M, M) iff they
-    contain beta(M, M) + p^c Z.  The number of them of each index depends
-    only on the elementary divisors of Z / (beta(M, M) + p^c Z): the pivot
-    valuations of one `local_elimination` mod p^c, padded with c.  The M of
-    index p^K have c = 0, only Lambda' = Z, and are credited at once; the
-    others are walked by Hermite rows from the last one up, each row's
-    products with itself and the later rows computed once for its subtree,
-    and tallied by (k, type).  The Lambda' of each (k, type) found are then
-    walked once (`_lattices_containing`, the diagonal lattice of that type).
-    A search node is one M walked or one Lambda' walked; the M are predicted
-    before any work, and `ceiling` bounds the total.
+    contain beta(M, M) + p^c Z.  They are the subgroups of index p^e of the
+    finite abelian p-group Z / (beta(M, M) + p^c Z), so their number depends
+    only on its type mu, and Birkhoff's formula gives it (`_subgroups`).  The
+    M of index p^K have c = 0, only Lambda' = Z, and are credited at once.
+
+    The others are tallied by (k, mu).  On a free class-2 ring
+    (`is_free_class2`) beta(M, M) is the exterior square of M, and
+    GL_d(Z_p), which acts on the ring through it, sends M to a diagonal
+    lattice: if Z_p^d / M has type nu, Z / beta(M, M) has type
+    {nu_i + nu_j : i < j}, so mu is {min(nu_i + nu_j, c) : i < j}.  The M of
+    index below p^K contain p^(K-1) Z_p^d, and those with quotient of type nu
+    are the subgroups of type (K-1-nu_i) of (Z/p^(K-1))^d, again counted by
+    Birkhoff's formula.  On any other ring the M are walked by Hermite rows
+    from the last one up, each row's products with itself and the later rows
+    computed once for its subtree, and mu read off the pivot valuations of
+    one `local_elimination` mod p^c, padded with c.
+
+    A node is one (k, nu) term or one M walked, and one (k, mu) subgroup term
+    of Z; the walked M are predicted before any work, and `ceiling` bounds
+    the total.
     """
     d, dc = pres.d, pres.dprime
-    form = [(a - 1, b - 1, k - 1, v) for (a, b, k), v in pres.constants.items()]
     budget = Budget(ceiling, "central sum", "nodes")
-    budget.predict(sum(sublattice_count_prediction(d, p, k) for k in range(K)))
-
-    def beta(x, y):
-        w = [0] * dc
-        for a, b, k, v in form:
-            if x[a] and y[b]:
-                w[k] += v * x[a] * y[b]
-        return w
-
-    rows = [None] * d
     types = Counter()
+    if K and is_free_class2(pres):
+        for conj, ms, k in _subgroups(p, (d,) * (K - 1), K - 1):
+            budget.charge()
+            nu = [K - 1 - sum(n > j for n in conj) for j in range(d)]
+            types[k, tuple(sorted(min(a + b, K - k) for a, b in combinations(nu, 2)))] += ms
+    else:
+        budget.predict(sum(sublattice_count_prediction(d, p, k) for k in range(K)))
+        form = [(a - 1, b - 1, k - 1, v) for (a, b, k), v in pres.constants.items()]
 
-    def place(i, used, products):
-        for m in range(K - used):
-            for tail in product(*(range(rows[j][j]) for j in range(i + 1, d))):
-                row = rows[i] = (0,) * i + (p**m,) + tail
-                later = rows[i + 1:] if antisym else rows[i:]
-                new = [beta(row, r) for r in later]
-                if not antisym:
-                    new += [beta(r, row) for r in rows[i + 1:]]
-                new = products + [w for w in new if any(w)]
-                if i:
-                    place(i - 1, used + m, new)
-                    continue
-                c = K - used - m
-                valuations, _ = local_elimination(new, [0] * len(new), dc, p, c)
-                types[used + m, tuple(sorted(valuations)) + (c,) * (dc - len(valuations))] += 1
+        def beta(x, y):
+            w = [0] * dc
+            for a, b, k, v in form:
+                if x[a] and y[b]:
+                    w[k] += v * x[a] * y[b]
+            return w
 
-    place(d - 1, 0, [])
+        rows = [None] * d
+
+        def place(i, used, products):
+            for m in range(K - used):
+                for tail in product(*(range(rows[j][j]) for j in range(i + 1, d))):
+                    row = rows[i] = (0,) * i + (p**m,) + tail
+                    later = rows[i + 1:] if antisym else rows[i:]
+                    new = [beta(row, r) for r in later]
+                    if not antisym:
+                        new += [beta(r, row) for r in rows[i + 1:]]
+                    new = products + [w for w in new if any(w)]
+                    if i:
+                        place(i - 1, used + m, new)
+                        continue
+                    c = K - used - m
+                    valuations, _ = local_elimination(new, [0] * len(new), dc, p, c)
+                    types[used + m, tuple(sorted(valuations)) + (c,) * (dc - len(valuations))] += 1
+
+        place(d - 1, 0, [])
     coeffs = [0] * (K + 1)
     coeffs[K] = sublattice_count_prediction(d, p, K)
     for (k, mu), ms in types.items():
-        for _, e in _lattices_containing(p, mu, K - k):
+        conj = [sum(m > i for m in mu) for i in range(max(mu))]
+        for _, n, e in _subgroups(p, conj, K - k):
             budget.charge()
-            coeffs[k + e] += ms * p ** (e * d)
+            coeffs[k + e] += ms * n * p ** (e * d)
     return coeffs
+
+
+def is_free_class2(pres) -> bool:
+    """Is the ring of the class-2 presentation pres free class 2: antisymmetric,
+    with d' = d(d-1)/2 and each pair e_a, e_b, a < b, sent to +-f_k for a k of
+    its own?  Then f_k -> +-e_a ^ e_b identifies Z with the exterior square of
+    Z_p^d and beta(x, y) with x ^ y.  `free_nilpotent_2_d(d)` and `heisenberg`
+    are, in any signed or permuted basis; the test reads the constants only."""
+    constants = pres.constants
+    upper = [key for key in constants if key[0] < key[1]]
+    return (
+        pres.dprime == pres.d * (pres.d - 1) // 2 == len(upper)
+        == len({key[:2] for key in upper}) == len({key[2] for key in upper})
+        and all(abs(v) == 1 and constants.get((b, a, k)) == -v
+                for (a, b, k), v in constants.items())
+    )
+
+
+def _subgroups(p, lam, most):
+    """Yield (nu, n, e) for each type nu of the subgroups of index p^e <= p^most
+    in a finite abelian p-group of type lam, with n the number of them.  Both
+    types are given by their conjugate partitions (entry i is the number of
+    parts above i), nu as long as lam, padded with zeros.
+
+    By Birkhoff's formula (Birkhoff, Proc. London Math. Soc. 38 (1935); see
+    Butler, Mem. AMS 539 (1994))
+
+        n = prod_i p^(nu_{i+1} (lam_i - nu_i)) [lam_i - nu_{i+1} choose nu_i - nu_{i+1}]_p,
+
+    with nu_i <= lam_i, nu non-increasing and e = sum_i (lam_i - nu_i).  The
+    entries are fixed from the last one up on an explicit stack, so a group of
+    any rank takes len(lam) levels, its largest part."""
+    stack = [((), 1, 0)]
+    while stack:
+        nu, n, e = stack.pop()
+        i = len(lam) - len(nu) - 1
+        if i < 0:
+            yield nu, n, e
+            continue
+        top, after = lam[i], (nu[0] if nu else 0)
+        for x in range(max(after, top - most + e), top + 1):
+            term = p ** (after * (top - x)) * _gaussian(top - after, x - after, p)
+            stack.append(((x,) + nu, n * term, e + top - x))
+
+
+def _gaussian(n, k, p):
+    """The Gaussian binomial [n choose k]_p, 0 <= k <= n: the number of
+    k-dimensional subspaces of F_p^n."""
+    out = 1
+    for i in range(min(k, n - k)):
+        out = out * (p ** (n - i) - 1) // (p ** (i + 1) - 1)
+    return out
 
 
 def _scaled_inverse(H, D):

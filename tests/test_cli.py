@@ -170,19 +170,46 @@ def test_central_sum_ceiling_bounds_lattices_and_rank_points(capsys):
 
 
 def test_central_subring_sum_ceiling_bounds_both_lattice_walks(capsys):
-    # free_nilpotent_2_d(3) subrings at p = 3: the 1 + 13 lattices M of Z_3^3
-    # of index below 9 are predicted, then the central lattices walked: Z^3
-    # for M = Z_3^3, and for the 13 M of index 3, whose products span a
-    # lattice of type (0, 1, 1) mod 3, the 1 + 4 that contain it
+    # free_nilpotent_2_d(3) subrings at p = 3 are free class 2: one node for
+    # each cotype of the lattices M of Z_3^3 of index below 9, (0, 0, 0) and
+    # (1, 0, 0), then one for each subgroup type of Z / beta(M, M) capped at
+    # the index left: Z itself for M = Z_3^3, and for the M of index 3, whose
+    # products span a lattice of type (0, 1, 1) mod 3, the types of index 1
+    # and 3 (20 nodes when the 14 M were predicted and the 1 + 5 Lambda'
+    # walked)
     argv = ["zeta", "count", "--ring", "catalog:free_nilpotent_2_d(3)", "--prime", "3",
             "--max-index", "2"]
-    assert cli.main(["--ceiling", "5", *argv]) == 3
+    assert cli.main(["--ceiling", "5", *argv]) == 0
+    assert "central sum, --ceiling 5 bounds the cotypes of the abelian quotient" in (
+        capsys.readouterr().err)
+    assert cli.main(["--ceiling", "4", *argv]) == 3
     err = capsys.readouterr().err
-    assert "central sum, --ceiling 5 bounds the lattices of the abelian quotient" in err
-    assert "central sum needs 14 nodes, over ceiling 5" in err and "Traceback" not in err
-    assert cli.main(["--ceiling", "20", *argv]) == 0
-    assert cli.main(["--ceiling", "19", *argv]) == 3
-    assert "visited more than 19 nodes" in capsys.readouterr().err
+    assert "visited more than 4 nodes" in err and "Traceback" not in err
+    # dusautoy_ec is not free class 2: its 1 + 63 lattices M of index below 4
+    # are predicted, then walked, and each (index, type) adds its subgroup
+    # types of Z
+    argv = ["zeta", "count", "--ring", "catalog:dusautoy_ec", "--prime", "2", "--max-index", "2"]
+    assert cli.main(["--ceiling", "60", *argv]) == 3
+    err = capsys.readouterr().err
+    assert "bounds the lattices of the abelian quotient of index below p^K, predicted" in err
+    assert "central sum needs 64 nodes, over ceiling 60" in err and "Traceback" not in err
+    assert cli.main(["--ceiling", "66", *argv]) == 0
+    assert cli.main(["--ceiling", "65", *argv]) == 3
+    assert "visited more than 65 nodes" in capsys.readouterr().err
+
+
+def test_class2_ring_with_a_centre_of_rank_1198_counts_its_subrings(tmp_path):
+    # e_1 e_2 = e_1200 = -e_2 e_1, centre e_3..e_1200: the 2^1197 - 1 lattices
+    # of index 2 in the centre that contain e_1200 each take 2^2 maps from
+    # Z_2^2, and the 3 lattices of Z_2^2 of index 2 add the whole centre.  The
+    # central lattices are counted by type, with no frame per coordinate.
+    ring = tmp_path / "big.json"
+    ring.write_text(json.dumps({"rank": 1200, "flags": ["antisymmetric"],
+                                "constants": [[1, 2, 1200, 1], [2, 1, 1200, -1]]}))
+    code, out = run(["zeta", "count", "--ring", str(ring), "--prime", "2",
+                     "--max-index", "1", "--mode", "subrings"])
+    assert code == 0
+    assert out.splitlines()[-1].split() == ["1", str(2**1199 - 1)]
 
 
 def test_lookup_errors_print_the_bare_message(capsys):

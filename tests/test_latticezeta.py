@@ -187,16 +187,16 @@ def test_resource_guard():
     with pytest.raises(ResourceGuardError) as err:
         list(latticezeta.enumerate_sublattices(6, 2, 9, ceiling=1000))
     assert err.value.predicted > 1000
-    # the central subring sum predicts the 1 + 3 + 7 lattices M of Z_2^2 of
-    # index below 8, then walks 1 + 2 + 2 central lattices, one walk for each
-    # index of M (the type of Z / beta(M, M) is fixed by it)
+    # heisenberg is free class 2: the central subring sum takes one node per
+    # cotype of the lattices M of Z_2^2 of index below 8, (), (1), (2) and
+    # (1, 1), and one per subgroup type of the centre for each index of M
+    # (the type of Z / beta(M, M) is fixed by it), 1 + 2 + 2: 9 nodes (16 when
+    # the 11 M were predicted and the central lattices walked)
     heis = algebra.catalog("heisenberg")
+    assert latticezeta.count(heis, 2, 3, "subrings", ceiling=9).coefficients == (1, 3, 19, 43)
     with pytest.raises(ResourceGuardError) as err:
-        latticezeta.count(heis, 2, 3, "subrings", ceiling=10)
-    assert (err.value.predicted, err.value.ceiling) == (11, 10)
-    assert latticezeta.count(heis, 2, 3, "subrings", ceiling=16).coefficients == (1, 3, 19, 43)
-    with pytest.raises(ResourceGuardError):
-        latticezeta.count(heis, 2, 3, "subrings", ceiling=15)
+        latticezeta.count(heis, 2, 3, "subrings", ceiling=8)
+    assert (err.value.predicted, err.value.ceiling) == (None, 8)
     # sl2 at p=3, K=5 takes 660 nodes.  A node is one candidate row tested,
     # one row of a passing orbit mapped, one row-0 solve or one subtree
     # credited: every one of row 1's 543 candidates is tested or mapped, but
@@ -737,15 +737,116 @@ def test_class2_subrings_never_take_the_search_or_the_enumeration(monkeypatch):
     from ringzeta import ratfun
 
     def refuse(*args, **kwargs):
-        raise AssertionError("searched or enumerated")
+        raise AssertionError("searched, enumerated or walked")
 
     monkeypatch.setattr(latticezeta, "_search_counts", refuse)
     monkeypatch.setattr(latticezeta, "enumerate_sublattices", refuse)
+    # the free class-2 route walks no lattice M, so it never eliminates
+    monkeypatch.setattr(latticezeta, "local_elimination", refuse)
     rng = random.Random(31)
     cases = ((algebra.catalog("heisenberg"), "heisenberg_subring", 3, 5),
-             (algebra.catalog("free_nilpotent_2_d", 3), "f23_subring", 2, 3))
+             (algebra.catalog("heisenberg"), "heisenberg_subring", 7, 12),
+             (algebra.catalog("free_nilpotent_2_d", 3), "f23_subring", 2, 3),
+             (algebra.catalog("free_nilpotent_2_d", 3), "f23_subring", 2, 12),
+             (algebra.catalog("free_nilpotent_2_d", 3), "f23_subring", 3, 10))
     for alg, formula, p, K in cases:
         expected = ratfun.expand(ratfun.formula_catalog(formula), p, K).coefficients
         for _ in range(3):
             isomorph = _signed_central_permutation(alg, rng)
             assert latticezeta.count(isomorph, p, K, "subrings").coefficients == expected
+
+
+def test_subgroup_counts_match_the_lattices_containing_them():
+    """Birkhoff's count of the subgroups of each type, summed by index, must
+    equal the walk over the lattices of Z_p^r that contain the diagonal
+    lattice of that type."""
+    rng = random.Random(1935)
+    for trial in range(140):
+        p = rng.choice((2, 3, 5))
+        r = rng.randrange(1, 6)
+        mu = [rng.randrange(4) for _ in range(r)]
+        while p ** sum(mu) > 1024:  # the walk visits up to about that many
+            mu[rng.randrange(r)] = 0
+        most = rng.randrange(sum(mu) + 1)
+        walked = [0] * (most + 1)
+        for _, e in latticezeta._lattices_containing(p, mu, most):
+            walked[e] += 1
+        conj = [sum(m > i for m in mu) for i in range(max(mu))]
+        counted = [0] * (most + 1)
+        for nu, n, e in latticezeta._subgroups(p, conj, most):
+            assert len(nu) == len(conj) and e == sum(conj) - sum(nu)
+            counted[e] += n
+        assert counted == walked, (trial, p, mu, most)
+
+
+def _free_class2_ring(d, rng, flags):
+    """F_{2,d} with each pair e_a, e_b (a < b) sent to a random sign times its
+    own central coordinate, in a shuffled basis."""
+    centre = rng.sample(range(d + 1, d + d * (d - 1) // 2 + 1), d * (d - 1) // 2)
+    constants = {}
+    for (a, b), k in zip(((a, b) for a in range(1, d + 1) for b in range(a + 1, d + 1)), centre):
+        s = rng.choice((-1, 1))
+        constants[(a, b, k)], constants[(b, a, k)] = s, -s
+    alg = algebra.StructureConstantAlgebra("free", d + len(centre), constants, flags)
+    return _shuffled(alg, rng)
+
+
+def _refuse_walk(*args):
+    raise AssertionError("walked the lattices M")
+
+
+def test_free_class2_route_matches_the_lattice_walk_and_brute_enumeration(monkeypatch):
+    """Signed, shuffled free class-2 rings take the cotype sum, which must
+    equal the walk over the lattices M and the brute enumeration; random
+    class-2 rings, seldom free, take the walk."""
+    rng = random.Random(1994)
+    routes = {"cotypes": 0, "walk": 0}
+    for trial in range(30):
+        p = rng.choice((2, 3))
+        if trial % 2:
+            d = rng.choice((2, 3, 4))
+            alg = _free_class2_ring(d, rng, rng.choice(((), ("antisymmetric",))))
+            K = {2: 5, 3: 3, 4: 2}[d]
+        else:
+            alg = _shuffled(_random_class2_ring(rng), rng)
+            K = 3 if alg.rank + p <= 7 else 2
+        free = latticezeta.is_free_class2(algebra.class2_presentation(alg))
+        routes["cotypes" if free else "walk"] += 1
+        with monkeypatch.context() as m:
+            if free:  # the cotype sum walks no M, so it never eliminates
+                m.setattr(latticezeta, "local_elimination", _refuse_walk)
+            got = latticezeta.count(alg, p, K, "subrings").coefficients
+        with monkeypatch.context() as m:
+            m.setattr(latticezeta, "is_free_class2", lambda pres: False)
+            walked = latticezeta.count(alg, p, K, "subrings").coefficients
+        assert got == walked, (trial, p, K)
+        depth = _brute_depth(alg.rank, p)
+        brute = latticezeta._brute_counts(alg, p, depth, "subrings", latticezeta.DEFAULT_CEILING)
+        assert got[:depth + 1] == tuple(brute), (trial, p, depth, alg.constants)
+    assert min(routes.values()) >= 12, routes
+
+
+def test_near_misses_of_free_class2_take_the_lattice_walk(monkeypatch):
+    f23 = {(1, 2, 4): 1, (2, 1, 4): -1, (1, 3, 5): 1, (3, 1, 5): -1, (2, 3, 6): 1, (3, 2, 6): -1}
+    without_23 = {k: v for k, v in f23.items() if k[2] != 6}
+    near_misses = {
+        "coefficient 2": {**f23, (2, 3, 6): 2, (3, 2, 6): -2},
+        "one pair sent to two central coordinates": {**without_23, (1, 2, 6): 1, (2, 1, 6): -1},
+        "two pairs sent to one central coordinate": {**without_23, (2, 3, 4): 1, (3, 2, 4): -1},
+        "a missing pair": without_23,
+        "not antisymmetric": {**f23, (3, 2, 6): 1},
+    }
+    assert latticezeta.is_free_class2(
+        algebra.class2_presentation(algebra.StructureConstantAlgebra("f23", 6, f23)))
+    for name, constants in near_misses.items():
+        alg = algebra.StructureConstantAlgebra(name, 6, constants)
+        pres = algebra.class2_presentation(alg)
+        assert pres is not None and not latticezeta.is_free_class2(pres), name
+        got = latticezeta.count(alg, 2, 3, "subrings").coefficients
+        depth = _brute_depth(6, 2)
+        brute = latticezeta._brute_counts(alg, 2, depth, "subrings", latticezeta.DEFAULT_CEILING)
+        assert got[:depth + 1] == tuple(brute), name
+        with monkeypatch.context() as m:  # the walk eliminates once per M
+            m.setattr(latticezeta, "local_elimination", _refuse_walk)
+            with pytest.raises(AssertionError, match="walked"):
+                latticezeta.count(alg, 2, 3, "subrings")
