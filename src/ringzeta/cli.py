@@ -105,7 +105,7 @@ def _guard_preview(args, alg):
     path, how = latticezeta.count_path(alg, args.mode)
     if path == "central sum":
         if args.mode == "ideals":
-            walked = "central lattices walked and the points of the rank walk"
+            walked = "central lattices, predicted, and the points of the rank walk"
         elif latticezeta.is_free_class2(how):
             walked = "cotypes of the abelian quotient and the subgroup types of the centre"
         else:

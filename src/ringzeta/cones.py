@@ -30,7 +30,8 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb, gcd, lcm, prod
 
-from .errors import DEFAULT_CEILING, Budget, InternalConsistencyError, MalformedInputError, PoleError
+from .errors import DEFAULT_CEILING, Budget, InternalConsistencyError, MalformedInputError
+from .errors import PoleError, depth_first
 from .exactlinalg import diagonalize_rowlattice, nullspace, rank, rref
 from .poly import Polynomial
 from .ratfun import XY, BivariateRationalFunction
@@ -129,8 +130,8 @@ def brute_series(sys: DiophantineConeSystem, B: int, strict: bool = False,
     """Enumerate solutions with every coordinate in [0, B] ([1, B] when strict),
     then marginalize the slack columns.
 
-    Only the free columns of the rows' echelon form are walked, depth-first
-    with an explicit stack; each pivot coordinate is solved from its row
+    Only the free columns of the rows' echelon form are walked, by
+    `errors.depth_first`; each pivot coordinate is solved from its row
     scaled to integers and kept when it is an integer in [lo, B].  A free
     column takes only the values that leave every pivot reachable in
     [lo, B], given the least and greatest sums the later free columns can
@@ -155,22 +156,6 @@ def brute_series(sys: DiophantineConeSystem, B: int, strict: bool = False,
             a, b = sorted((c[i] * lo, c[i] * B))
             least[-1][i], most[-1][i] = least[-1][i + 1] + a, most[-1][i + 1] + b
     charge = Budget(ceiling, "the enumeration", "values").charge
-
-    def values(i, sums):
-        """The values of free column i that keep every pivot reachable."""
-        first, last = lo, B
-        for c, d, t, low, high in zip(coeffs, scale, sums, least, most):
-            a = c[i]
-            below, above = lo * d - t - high[i + 1], B * d - t - low[i + 1]  # a * v in between
-            if a > 0:
-                first, last = max(first, -(-below // a)), min(last, above // a)
-            elif a < 0:
-                first, last = max(first, -(-above // a)), min(last, below // a)
-            elif below > 0 or above < 0:
-                return range(0)
-        charge(max(0, last + 1 - first))
-        return range(first, last + 1)
-
     alpha = [0] * m
     terms = {}
 
@@ -183,23 +168,32 @@ def brute_series(sys: DiophantineConeSystem, B: int, strict: bool = False,
         charge(B + 1 - lo)
         terms[tuple(alpha)] = 1
 
-    sums, stack = [0] * len(coeffs), []
+    def place(i, sums):
+        """Set free column i to each value that keeps every pivot reachable,
+        and yield (i + 1, the sums with it); keep the solutions at the last."""
+        first, last = lo, B
+        for c, d, t, low, high in zip(coeffs, scale, sums, least, most):
+            a = c[i]
+            below, above = lo * d - t - high[i + 1], B * d - t - low[i + 1]  # a * v in between
+            if a > 0:
+                first, last = max(first, -(-below // a)), min(last, above // a)
+            elif a < 0:
+                first, last = max(first, -(-above // a)), min(last, below // a)
+            elif below > 0 or above < 0:
+                return
+        charge(max(0, last + 1 - first))
+        for v in range(first, last + 1):
+            alpha[free[i]] = v
+            later = [t + c[i] * v for t, c in zip(sums, coeffs)]
+            if i + 1 < len(free):
+                yield i + 1, later
+            else:
+                keep(later)
+
     if free:
-        stack.append((iter(values(0, sums)), sums))
+        depth_first(place, 0, [0] * len(coeffs))
     else:
-        keep(sums)
-    while stack:
-        v = next(stack[-1][0], None)
-        if v is None:
-            stack.pop()
-            continue
-        i = len(stack) - 1
-        alpha[free[i]] = v
-        sums = [t + c[i] * v for t, c in zip(stack[-1][1], coeffs)]
-        if i + 1 < len(free):
-            stack.append((iter(values(i + 1, sums)), sums))
-        else:
-            keep(sums)
+        keep([0] * len(coeffs))
     series = MultivariateSeriesTruncation(m, B, terms)
     if sys.slack_columns:
         series = series.marginalize(sys.slack_columns)

@@ -1,5 +1,6 @@
 """Shared exception types, mapped to CLI exit codes by ringzeta.cli, the one
-resource guard every walk counts its work against, and shared constants."""
+resource guard every walk counts its work against, the one depth-first driver
+every generator walk runs on, and shared constants."""
 
 DEFAULT_CEILING = 10**8
 MODES = ("subrings", "ideals", "sublattices")  # what `latticezeta.count` counts
@@ -43,6 +44,17 @@ class Budget:
         if self.used > self.ceiling:
             raise ResourceGuardError(
                 f"{self.what} visited more than {self.ceiling} {self.unit}", ceiling=self.ceiling)
+
+
+def depth_first(place, *root):
+    """Run place(*root), then place(*step) for each step a call yields, depth
+    first on one explicit stack of pending generators, so no walk recurses."""
+    stack = [place(*root)]
+    while stack:
+        if (step := next(stack[-1], None)) is None:
+            stack.pop()
+        else:
+            stack.append(place(*step))
 
 
 class InternalConsistencyError(RuntimeError):

@@ -34,12 +34,16 @@ if TYPE_CHECKING:  # `igusa poincare` loads neither algebra nor latticezeta
 IntegerPolynomial = Polynomial
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*^()])")
+# the deepest parenthesis nesting parse_polynomial reads: four parser frames
+# a level, so 100 levels stay well inside Python's default recursion limit
+MAX_NESTING = 100
 
 
 def parse_polynomial(text: str, variables=None) -> Polynomial:
     """Parse +, -, *, ^ (or **), parentheses, integer literals and variables.
 
-    Variable order is the sorted set of names seen, unless given explicitly."""
+    Variable order is the sorted set of names seen, unless given explicitly.
+    Parentheses nested deeper than MAX_NESTING are refused."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -59,7 +63,7 @@ def parse_polynomial(text: str, variables=None) -> Polynomial:
             raise MalformedInputError("expression uses undeclared variables")
         names = sorted(variables)
     one = Polynomial(names, {(0,) * len(names): 1})
-    state = {"i": 0}
+    state = {"i": 0, "depth": 0}
 
     def peek():
         return tokens[state["i"]]
@@ -102,21 +106,26 @@ def parse_polynomial(text: str, variables=None) -> Polynomial:
         return base
 
     def parse_atom():
-        t = take()
+        t, sign = take(), 1
+        while t == "-":
+            t, sign = take(), -sign
         if t == "(":
+            state["depth"] += 1
+            if state["depth"] > MAX_NESTING:
+                raise MalformedInputError(f"parentheses nested deeper than {MAX_NESTING}")
             node = parse_expr()
             if take() != ")":
                 raise MalformedInputError("unbalanced parentheses")
-            return node
-        if t == "-":
-            return -parse_atom()
-        if t is None:
+            state["depth"] -= 1
+        elif t is None:
             raise MalformedInputError("unexpected end of expression")
-        if t.isdigit():
-            return one.scale(int(t))
-        if t in names:
-            return one.shift(*(int(v == t) for v in names))
-        raise MalformedInputError(f"unexpected token {t!r}")
+        elif t.isdigit():
+            node = one.scale(int(t))
+        elif t in names:
+            node = one.shift(*(int(v == t) for v in names))
+        else:
+            raise MalformedInputError(f"unexpected token {t!r}")
+        return node.scale(sign)
 
     result = parse_expr()
     if peek() is not None:

@@ -59,7 +59,7 @@ from .algebra import (
     multiply,
     projective_points,
 )
-from .errors import DEFAULT_CEILING, MODES, Budget, MalformedInputError
+from .errors import DEFAULT_CEILING, MODES, Budget, MalformedInputError, depth_first
 from .exactlinalg import local_elimination, rref
 from .ratfun import LocalDirichletTruncation, sublattice_count_prediction
 
@@ -137,12 +137,11 @@ def _in_span(rows, start, v):
 
 
 def _compositions(k, n):
-    if n == 1:
-        yield (k,)
-        return
-    for first in range(k + 1):
-        for rest in _compositions(k - first, n - 1):
-            yield (first,) + rest
+    """The n-tuples of non-negative integers with sum k, in lexicographic
+    order: stars and bars, n - 1 bars among k + n - 1 slots."""
+    for bars in combinations(range(k + n - 1), n - 1):
+        ends = (-1,) + bars + (k + n - 1,)
+        yield tuple(b - a - 1 for a, b in zip(ends, ends[1:]))
 
 
 def enumerate_sublattices(n, p, k, ceiling=DEFAULT_CEILING):
@@ -263,7 +262,8 @@ def count(
       cotype of the abelian quotient on a free class-2 ring, else one per
       lattice of it of index below p^K, predicted, and one per subgroup type
       of the centre counted; for ideals one per point of P^(d'-1)(F_p) in the
-      rank walk and one per lattice of the centre walked.
+      rank walk and one per lattice of the centre, predicted before any is
+      walked.
     - a ring with a triangular order for the mode (see `_search_order`): the
       constants are relabelled into it and the objects are counted by the
       pruned search (sublattices as the ideals of the zero ring); the counts
@@ -367,8 +367,8 @@ def _search_counts(alg, p, K, mode, ceiling):
 
     A search node is one candidate row tested, one row of a passing orbit
     mapped, one row-0 solve or one subtree credited; `ceiling` bounds their
-    number.  The rows are kept on an explicit stack, one pending node per
-    row, so any rank is searched without recursion.
+    number.  The rows are walked by `errors.depth_first`, one pending node
+    per row, so any rank is searched without recursion.
     """
     n = alg.rank
     antisym = "antisymmetric" in alg.flags
@@ -485,13 +485,7 @@ def _search_counts(alg, p, K, mode, ceiling):
                 rows[i] = full
                 yield i - 1, used + m, mult * size
 
-    stack = [place(n - 1, 0, 1)]
-    while stack:
-        step = next(stack[-1], None)
-        if step is None:
-            stack.pop()
-        else:
-            stack.append(place(*step))
+    depth_first(place, n - 1, 0, 1)
     return coeffs
 
 
@@ -685,8 +679,10 @@ def _central_counts(pres, antisym, p, K, ceiling):
     elementary divisor of Z/Lambda', some ell primitive mod p kills Lambda'
     mod p^l, so x R(ell) = 0 mod p^l on X(Lambda'): its index is at least
     p^(l r), and the ideals over Lambda' have index at least p^(l (1 + r)).
-    A search node is one point ell of the rank walk or one Lambda' walked;
-    `ceiling` bounds their number.
+    A search node is one point ell of the rank walk, charged as it goes, or
+    one Lambda'; `ceiling` bounds their number.  The Lambda' are predicted
+    before any is walked: they match the subgroups of (Z/p^L)^d' of index at
+    most p^K, which `_subgroups` counts.
     """
     d, dc = pres.d, pres.dprime
     sides = ((0, 1),) if antisym else ((0, 1), (1, 0))
@@ -698,7 +694,7 @@ def _central_counts(pres, antisym, p, K, ceiling):
             block = blocks.setdefault((r, key[o]), [[0] * dc for _ in range(d)])
             block[key[r] - 1][key[2] - 1] += v
     blocks = list(blocks.values())
-    visit = Budget(ceiling, "central sum", "nodes").charge
+    budget = Budget(ceiling, "central sum", "nodes")
 
     def kernel_log(Y, E):
         """log_p of the number of x mod p^E with x C Y = 0 for every C."""
@@ -712,24 +708,27 @@ def _central_counts(pres, antisym, p, K, ceiling):
 
     r = d
     for ell in projective_points(p, dc):
-        visit()
+        budget.charge()
         r = min(r, d - kernel_log([[x] for x in ell], 1))
         if not r:
             break
     L = K // (1 + r)
+    budget.predict(sum(n for _, n, _ in _subgroups(p, [dc] * L, K)))
     # the images of the ideals over Lambda': sublattices of X(Lambda'), a copy of Z_p^d
     abelian = [sublattice_count_prediction(d, p, k) for k in range(K + 1)]
     coeffs = [0] * (K + 1)
-    for rows, E in _lattices_containing(p, [L] * dc, K):
-        visit()
+
+    def tally(rows, E):
         least = E + E * d - kernel_log(_scaled_inverse(rows, p**E), E)
         for k in range(K - least + 1):
             coeffs[least + k] += p ** (E * d) * abelian[k]
+
+    _lattices_containing(p, [L] * dc, K, tally)
     return coeffs
 
 
-def _lattices_containing(p, bounds, most):
-    """Yield (rows, e) for each lattice of Z_p^n, n = len(bounds), of index
+def _lattices_containing(p, bounds, most, leaf):
+    """Call leaf(rows, e) for each lattice of Z_p^n, n = len(bounds), of index
     p^e <= p^most that contains p^bounds[i] e_i for every i, in Hermite form.
     The rows list is reused from one lattice to the next.
 
@@ -744,15 +743,14 @@ def _lattices_containing(p, bounds, most):
         for m in range(min(bounds[i], most - used) + 1):
             for tail in product(*(range(rows[j][j]) for j in range(i + 1, n))):
                 scaled = (0,) * (i + 1) + tuple(p ** (bounds[i] - m) * t for t in tail)
-                if not _in_span(rows, i + 1, scaled):
-                    continue
-                rows[i] = (0,) * i + (p**m,) + tail
-                if i:
-                    yield from place(i - 1, used + m)
-                else:
-                    yield rows, used + m
+                if _in_span(rows, i + 1, scaled):
+                    rows[i] = (0,) * i + (p**m,) + tail
+                    if i:
+                        yield i - 1, used + m
+                    else:
+                        leaf(rows, used + m)
 
-    return place(n - 1, 0)
+    depth_first(place, n - 1, 0)
 
 
 def _central_subring_counts(pres, antisym, p, K, ceiling):
@@ -793,9 +791,9 @@ def _central_subring_counts(pres, antisym, p, K, ceiling):
     index below p^K contain p^(K-1) Z_p^d, and those with quotient of type nu
     are the subgroups of type (K-1-nu_i) of (Z/p^(K-1))^d, again counted by
     Birkhoff's formula.  On any other ring the M are walked by Hermite rows
-    from the last one up, each row's products with itself and the later rows
-    computed once for its subtree, and mu read off the pivot valuations of
-    one `local_elimination` mod p^c, padded with c.
+    from the last one up (`errors.depth_first`), each row's products with
+    itself and the later rows computed once for its subtree, and mu read off
+    the pivot valuations of one `local_elimination` mod p^c, padded with c.
 
     A node is one (k, nu) term or one M walked, and one (k, mu) subgroup term
     of Z; the walked M are predicted before any work, and `ceiling` bounds
@@ -832,13 +830,13 @@ def _central_subring_counts(pres, antisym, p, K, ceiling):
                         new += [beta(r, row) for r in rows[i + 1:]]
                     new = products + [w for w in new if any(w)]
                     if i:
-                        place(i - 1, used + m, new)
+                        yield i - 1, used + m, new
                         continue
                     c = K - used - m
                     valuations, _ = local_elimination(new, [0] * len(new), dc, p, c)
                     types[used + m, tuple(sorted(valuations)) + (c,) * (dc - len(valuations))] += 1
 
-        place(d - 1, 0, [])
+        depth_first(place, d - 1, 0, [])
     coeffs = [0] * (K + 1)
     coeffs[K] = sublattice_count_prediction(d, p, K)
     for (k, mu), ms in types.items():

@@ -250,6 +250,22 @@ def test_zero_ring_of_rank_1200_is_counted_in_one_node(mode):
     assert out.splitlines()[-1].split() == ["1", str(2**1200 - 1)]
 
 
+def test_central_ideal_sum_predicts_its_lattices_before_walking_any(tmp_path, capsys):
+    # e_1 e_2 = e_1200 = -e_2 e_1: the first point of the rank walk has rank
+    # 0, so the sum would walk all 2^1198 lattices between 2Z and Z, Z of
+    # rank 1198; the prediction refuses them before any is walked
+    ring = tmp_path / "wide_centre.json"
+    ring.write_text(json.dumps({"rank": 1200, "flags": ["antisymmetric"],
+                                "constants": [[1, 2, 1200, 1], [2, 1, 1200, -1]]}))
+    start = time.perf_counter()
+    code = cli.main(["zeta", "count", "--ring", str(ring), "--prime", "2", "--max-index", "1",
+                     "--mode", "ideals"])
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert code == 3 and "Traceback" not in err
+    assert f"central sum needs {1 + 2**1198} nodes" in err
+
+
 @pytest.mark.parametrize("mode, p", [("ideals", 2), ("subrings", 3)])
 def test_row_search_places_1200_rows_without_recursion(tmp_path, mode, p):
     # Z_p^1199 + Z_p with e_1200 e_1200 = e_1200: a hyperplane of index p is

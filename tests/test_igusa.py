@@ -29,6 +29,18 @@ def test_parser():
         parse_polynomial("x ^ y")
 
 
+def test_parser_reads_any_run_of_signs_and_refuses_deep_nesting():
+    # neither input may end in a RecursionError: a run of unary minus signs
+    # is read in a loop, and nesting past MAX_NESTING is refused
+    assert parse_polynomial("x*" + "-" * 3000 + "x").terms == {(2,): 1}
+    assert parse_polynomial("x*" + "-" * 3001 + "x").terms == {(2,): -1}
+    assert parse_polynomial("2*-(-x)^2*-3").terms == {(2,): -6}
+    deepest = igusa.MAX_NESTING
+    assert parse_polynomial("(" * deepest + "x" + ")" * deepest).terms == {(1,): 1}
+    with pytest.raises(MalformedInputError, match="nested deeper than"):
+        parse_polynomial("(" * 300 + "x" + ")" * 300)
+
+
 def test_poincare_examples():
     f = parse_polynomial("x")
     assert poincare_counts(f, 3, 2).counts == (1, 1, 1)

@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import permutations, product
 
 import pytest
@@ -27,6 +28,43 @@ def test_enumeration_small_examples():
     assert len(list(latticezeta.enumerate_sublattices(2, 2, 2))) == 7
     only = list(latticezeta.enumerate_sublattices(4, 3, 0))
     assert len(only) == 1 and only[0].index() == 1
+
+
+def test_enumeration_places_1200_rows_without_recursion():
+    only = list(latticezeta.enumerate_sublattices(1200, 2, 0))
+    assert len(only) == 1 and only[0].index() == 1
+
+
+def _frames():
+    """The number of frames on the caller's stack."""
+    frame, depth = sys._getframe(1), 0
+    while frame:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_lattice_walks_run_deeper_than_the_recursion_limit():
+    # the limit is lowered to 50 frames above this one, and each walk places
+    # more rows than that: a walk that recursed once per row would end in a
+    # RecursionError.  The ring is e_(2i-1) e_(2i) = f = -e_(2i) e_(2i-1),
+    # d = 100, d' = 1: class 2 but not free, so its lattices M are walked.
+    d = 100
+    constants = {}
+    for i in range(1, d, 2):
+        constants[i, i + 1, d + 1], constants[i + 1, i, d + 1] = 1, -1
+    alg = algebra.StructureConstantAlgebra("wide", d + 1, constants, frozenset({"antisymmetric"}))
+    assert not latticezeta.is_free_class2(algebra.class2_presentation(alg))
+    walked = []
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frames() + 50)
+    try:
+        latticezeta._lattices_containing(2, [1] * 300, 0, lambda rows, e: walked.append(e))
+        subrings = latticezeta.count(alg, 2, 1).coefficients
+    finally:
+        sys.setrecursionlimit(limit)
+    assert walked == [0]
+    # an index-2 subring contains Z, since beta(M, M) = Z when M = Z_2^d
+    assert subrings == (1, 2**d - 1)
 
 
 def test_canonical_form_validation():
@@ -769,8 +807,11 @@ def test_subgroup_counts_match_the_lattices_containing_them():
             mu[rng.randrange(r)] = 0
         most = rng.randrange(sum(mu) + 1)
         walked = [0] * (most + 1)
-        for _, e in latticezeta._lattices_containing(p, mu, most):
+
+        def tally(rows, e):
             walked[e] += 1
+
+        latticezeta._lattices_containing(p, mu, most, tally)
         conj = [sum(m > i for m in mu) for i in range(max(mu))]
         counted = [0] * (most + 1)
         for nu, n, e in latticezeta._subgroups(p, conj, most):
