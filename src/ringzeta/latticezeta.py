@@ -679,6 +679,11 @@ def _central_counts(pres, antisym, p, K, ceiling):
     elementary divisor of Z/Lambda', some ell primitive mod p kills Lambda'
     mod p^l, so x R(ell) = 0 mod p^l on X(Lambda'): its index is at least
     p^(l r), and the ideals over Lambda' have index at least p^(l (1 + r)).
+    Any larger L is safe, so the rank walk stops as soon as L reaches
+    K // (1 + f), with f a floor on r: 0 when ell -> R(ell) has a kernel mod
+    p, else 1, and 2 on an antisymmetric ring, whose R(ell) is alternating
+    and so of even rank.  One `local_elimination` mod p of that map gives f,
+    and the walk is not entered at all when r = d already gives that L.
     A search node is one point ell of the rank walk, charged as it goes, or
     one Lambda'; `ceiling` bounds their number.  The Lambda' are predicted
     before any is walked: they match the subgroups of (Z/p^L)^d' of index at
@@ -706,12 +711,18 @@ def _central_counts(pres, antisym, p, K, ceiling):
         valuations, _ = local_elimination(system, [0] * len(system), d, p, E)
         return sum(valuations) + E * (d - len(valuations))
 
+    # the largest L the rank walk can reach, from the floor on r: R(ell) = 0
+    # mod p iff ell is in the kernel mod p of ell -> R(ell)
+    valuations, _ = local_elimination([row for C in blocks for row in C], [0] * d * len(blocks),
+                                      dc, p, 1)
+    most = K // (1 + (0 if len(valuations) < dc else 2 if antisym else 1))
     r = d
-    for ell in projective_points(p, dc):
-        budget.charge()
-        r = min(r, d - kernel_log([[x] for x in ell], 1))
-        if not r:
-            break
+    if K // (1 + r) < most:
+        for ell in projective_points(p, dc):
+            budget.charge()
+            r = min(r, d - kernel_log([[x] for x in ell], 1))
+            if K // (1 + r) == most:  # L can grow no further
+                break
     L = K // (1 + r)
     budget.predict(sum(n for _, n, _ in _subgroups(p, [dc] * L, K)))
     # the images of the ideals over Lambda': sublattices of X(Lambda'), a copy of Z_p^d
@@ -792,7 +803,8 @@ def _central_subring_counts(pres, antisym, p, K, ceiling):
     are the subgroups of type (K-1-nu_i) of (Z/p^(K-1))^d, again counted by
     Birkhoff's formula.  On any other ring the M are walked by Hermite rows
     from the last one up (`errors.depth_first`), each row's products with
-    itself and the later rows computed once for its subtree, and mu read off
+    itself and the later rows computed once for its subtree, reading only the
+    constants whose first factor is in the row's support, and mu read off
     the pivot valuations of one `local_elimination` mod p^c, padded with c.
 
     A node is one (k, nu) term or one M walked, and one (k, mu) subgroup term
@@ -809,25 +821,28 @@ def _central_subring_counts(pres, antisym, p, K, ceiling):
             types[k, tuple(sorted(min(a + b, K - k) for a, b in combinations(nu, 2)))] += ms
     else:
         budget.predict(sum(sublattice_count_prediction(d, p, k) for k in range(K)))
-        form = [(a - 1, b - 1, k - 1, v) for (a, b, k), v in pres.constants.items()]
+        by_first = [[] for _ in range(d)]  # a -> (b, k, v) for each constant (a, b, k)
+        for (a, b, k), v in pres.constants.items():
+            by_first[a - 1].append((b - 1, k - 1, v))
+        rows, support = [None] * d, [None] * d  # support[i]: the nonzero (a, x_a) of row i
 
-        def beta(x, y):
+        def beta(i, y):
+            """The product of row i, read through its support, with y."""
             w = [0] * dc
-            for a, b, k, v in form:
-                if x[a] and y[b]:
-                    w[k] += v * x[a] * y[b]
+            for a, x in support[i]:
+                for b, k, v in by_first[a]:
+                    if y[b]:
+                        w[k] += v * x * y[b]
             return w
-
-        rows = [None] * d
 
         def place(i, used, products):
             for m in range(K - used):
                 for tail in product(*(range(rows[j][j]) for j in range(i + 1, d))):
                     row = rows[i] = (0,) * i + (p**m,) + tail
-                    later = rows[i + 1:] if antisym else rows[i:]
-                    new = [beta(row, r) for r in later]
+                    support[i] = [(i, p**m)] + [(j, t) for j, t in enumerate(tail, i + 1) if t]
+                    new = [beta(i, rows[j]) for j in range(i + 1 if antisym else i, d)]
                     if not antisym:
-                        new += [beta(r, row) for r in rows[i + 1:]]
+                        new += [beta(j, row) for j in range(i + 1, d)]
                     new = products + [w for w in new if any(w)]
                     if i:
                         yield i - 1, used + m, new

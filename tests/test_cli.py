@@ -212,6 +212,68 @@ def test_class2_ring_with_a_centre_of_rank_1198_counts_its_subrings(tmp_path):
     assert out.splitlines()[-1].split() == ["1", str(2**1199 - 1)]
 
 
+def test_central_subring_walk_reads_only_the_support_of_each_row(tmp_path):
+    # e_(2i-1) e_(2i) = e_1200 = -e_(2i) e_(2i-1) for i <= 599: d = 1198 and
+    # d' = 2.  At K = 1 the one lattice M is Z_2^1198, and each of its
+    # d^2 / 2 row products reads only the one constant of the row's support
+    ring = tmp_path / "wide_quotient.json"
+    constants = [c for i in range(1, 600) for c in ([2 * i - 1, 2 * i, 1200, 1],
+                                                    [2 * i, 2 * i - 1, 1200, -1])]
+    ring.write_text(json.dumps({"rank": 1200, "flags": ["antisymmetric"],
+                                "constants": constants}))
+    start = time.perf_counter()
+    code, out = run(["zeta", "count", "--ring", str(ring), "--prime", "2",
+                     "--max-index", "1", "--mode", "subrings"])
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    assert out.splitlines()[-1].split() == ["1", str(2**1199 - 1)]
+
+
+def test_central_ideal_sum_never_enters_a_rank_walk_that_cannot_move_L():
+    # F_{2,8} ideals at p = 3, K = 2: ell -> R(ell) has no kernel mod 3 and
+    # R(ell) is alternating, so the least rank is at least 2 and L = 2 // 3 = 0,
+    # as with r = d.  The walk over the (3^28 - 1) / 2 points of P^27(F_3) is
+    # never entered, and the sum takes one node, the lattice Z itself
+    argv = ["zeta", "count", "--ring", "catalog:free_nilpotent_2_d(8)", "--prime", "3",
+            "--max-index", "2", "--mode", "ideals"]
+    start = time.perf_counter()
+    assert run(["--ceiling", "1", *argv])[0] == 0
+    code, out = run(argv)
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    assert out.splitlines()[-2].split() == ["1", str((3**8 - 1) // 2)]
+
+
+def test_free_class2_orbit_count_credits_every_class_at_the_generic_rank():
+    # free_nilpotent_2_d(3): R(ell) is 3 x 3, of generic rank 2, and its
+    # 2-Pfaffians are the coordinates of ell, one of which is a unit at every
+    # class.  So every lift at every level is credited with no Smith form
+    start = time.perf_counter()
+    code, out = run(["rep", "zeta", "--presentation", "catalog:free_nilpotent_2_d(3)",
+                     "--prime", "5", "--max-exp", "4"])
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert [line.split() for line in out.splitlines()[-5:]] == [
+        ["0", "1"], ["1", "124"], ["2", "15500"], ["3", "1937500"], ["4", "242187500"]]
+
+
+def test_orbit_count_of_a_wide_presentation_keeps_the_smith_walk(tmp_path):
+    # d = 40, d' = 1, e_i e_(i+20) = f_1 for i <= 20: the 2^39 - 1 principal
+    # subsets are not worth building for the one class of P^0(F_3), so one
+    # Smith form finds it nonsingular, exponent 20 at level 1 and beyond 25
+    # at every later level
+    pres = tmp_path / "wide.json"
+    constants = [c for i in range(1, 21) for c in ([i, i + 20, 1, 1], [i + 20, i, 1, -1])]
+    pres.write_text(json.dumps({"d": 40, "dprime": 1, "constants": constants}))
+    start = time.perf_counter()
+    code, out = run(["rep", "zeta", "--presentation", str(pres), "--prime", "3",
+                     "--max-exp", "25"])
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    rows = [line.split() for line in out.splitlines()[3:]]
+    assert len(rows) == 26 and [row for row in rows if row[1] != "0"] == [["0", "1"], ["20", "2"]]
+
+
 def test_lookup_errors_print_the_bare_message(capsys):
     assert cli.main(["zeta", "formula", "--name", "nosuch", "--prime", "3",
                      "--max-index", "2"]) == 2

@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 from itertools import permutations, product
 
 import pytest
@@ -717,6 +718,35 @@ def test_central_sum_matches_the_search_and_brute_enumeration(monkeypatch):
         seen["left products"] += "antisymmetric" not in alg.flags
         seen["d' = 3"] += algebra.class2_presentation(alg).dprime == 3
     assert min(seen.values()) >= 8, seen
+
+
+def test_central_ideal_sum_skips_the_rank_walk_where_L_cannot_grow(monkeypatch):
+    """The least rank of R(ell) mod p is 0 when ell -> R(ell) has a kernel
+    mod p, else at least 1, and at least 2 on an antisymmetric ring.  Where
+    K // (1 + d) already equals K // (1 + that floor) the rank walk is never
+    entered; the counts must still equal the row search and the brute
+    enumeration."""
+    walks = []
+    real = latticezeta.projective_points
+    monkeypatch.setattr(latticezeta, "projective_points",
+                        lambda p, n: walks.append(n) or real(p, n))
+    rng = random.Random(4181)
+    skipped = Counter()
+    for trial in range(50):
+        alg = _random_class2_ring(rng)
+        p, K = rng.choice((2, 3)), rng.choice((1, 2, 2, 3))
+        d = alg.rank - len(_central(alg))
+        floor = 0 if _some_R_vanishes(alg, p) else 2 if "antisymmetric" in alg.flags else 1
+        walks.clear()
+        got = latticezeta.count(_shuffled(alg, rng), p, K, "ideals").coefficients
+        assert (not walks) == (K // (1 + d) == K // (1 + floor)), (trial, p, K, alg.constants)
+        search = latticezeta._search_counts(alg, p, K, "ideals", latticezeta.DEFAULT_CEILING)
+        assert got == tuple(search), (trial, p, K, alg.flags, alg.constants)
+        depth = min(K, _brute_depth(alg.rank, p))
+        brute = latticezeta._brute_counts(alg, p, depth, "ideals", latticezeta.DEFAULT_CEILING)
+        assert got[:depth + 1] == tuple(brute), (trial, p, depth, alg.flags, alg.constants)
+        skipped[not walks, floor] += 1
+    assert skipped[True, 1] >= 2 and skipped[True, 2] >= 4 and skipped[False, 0] >= 10, skipped
 
 
 def test_central_subring_sum_matches_the_search_and_brute_enumeration():

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -13,6 +14,7 @@ from ringzeta.errors import (
     ResourceGuardError,
     UnsupportedError,
 )
+from ringzeta.exactlinalg import rank
 from ringzeta.repzeta import (
     ProjectivePlaneCurve,
     point_count_affine,
@@ -272,21 +274,110 @@ def test_rep_rank_bound_matches_full_walk_on_random_presentations():
     assert InternalConsistencyError in outcomes
 
 
+def _without(constants, gone):
+    """The constants that involve none of the generators in `gone`."""
+    return {key: c for key, c in constants.items() if not gone & set(key[:2])}
+
+
+def _det(A):
+    """The determinant over Q, by elimination."""
+    A = [[Fraction(x) for x in row] for row in A]
+    det = Fraction(1)
+    for c in range(len(A)):
+        pivot = next((i for i in range(c, len(A)) if A[i][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            A[c], A[pivot], det = A[pivot], A[c], -det
+        det *= A[c][c]
+        for i in range(c + 1, len(A)):
+            f = A[i][c] / A[c][c]
+            A[i] = [a - f * b for a, b in zip(A[i], A[c])]
+    return det
+
+
+def test_pfaffians_give_the_generic_rank_and_square_to_their_minors():
+    # rho is the largest rank over Q of R(ell) on the grid {0..d//2}^d': a
+    # nonzero rho-Pfaffian has degree rho / 2 <= d // 2, so it cannot vanish
+    # on the whole grid, and every larger minor vanishes identically.  Each
+    # Pfaffian squares to its principal minor at every integer point.
+    rng = random.Random(31337)
+    degenerate = 0
+    for trial in range(60):
+        d, dprime = rng.randint(2, 6), rng.randint(1, 3)
+        gone = set(rng.sample(range(1, d + 1), rng.choice((0, 0, 1, 2))))
+        constants = _without(_random_constants(rng, d, dprime, 3), gone)
+        R = commutator_matrix(algebra.Class2Presentation("random", d, dprime, constants))
+        rho, pfaffians = repzeta._pfaffians(R)
+        grid = product(range(d // 2 + 1), repeat=dprime)
+        assert rho == max(rank(R.evaluate(ell), d) for ell in grid), (trial, constants)
+        assert pfaffians or not rho
+        for _ in range(3):
+            ell = [rng.randint(-5, 5) for _ in range(dprime)]
+            M = R.evaluate(ell)
+            for S, f in pfaffians.items():
+                assert len(S) == rho
+                assert f.evaluate(ell) ** 2 == _det([[M[i][j] for j in S] for i in S]), (trial, S)
+        degenerate += rho < 2 * (d // 2)
+    assert degenerate >= 15, degenerate
+
+
+def test_generic_rank_credit_matches_full_walk_below_full_rank(monkeypatch):
+    # every relation of one generator dropped (two when d is odd) leaves a
+    # generic rank rho < 2 (d // 2).  A class where some rho-Pfaffian is a
+    # unit mod p takes no Smith form: it is credited at level 1, and its lifts
+    # at every level N with rho N <= 2 J.  Both credits must fire, the Smith
+    # forms of level 1 must be exactly the other classes, and the counts must
+    # equal the oracle's, errors included.
+    calls = []
+    real = repzeta.smith_type
+    monkeypatch.setattr(repzeta, "smith_type", lambda A, p, N: calls.append(N) or real(A, p, N))
+    rng = random.Random(2010)
+    outcomes, at_level_1, at_lifts = [], 0, 0
+    while len(outcomes) < 40:
+        d, dprime = rng.choice((4, 5, 6)), rng.choice((2, 3))
+        p, J = rng.choice((3, 5, 7)), rng.randint(1, 4)
+        classes = (p**dprime - 1) // (p - 1)
+        if (not repzeta._pfaffians_pay(d, classes)
+                or d * d * sum(p ** (N * dprime) for N in range(1, J + 1)) > 60000):
+            continue
+        gone = set(rng.sample(range(1, d + 1), 1 + d % 2))
+        pres = algebra.Class2Presentation(
+            "random", d, dprime, _without(_random_constants(rng, d, dprime, p), gone))
+        rho, pfaffians = repzeta._pfaffians(commutator_matrix(pres))
+        assert rho < 2 * (d // 2)
+        calls.clear()
+        fast = _outcome(lambda: rep_zeta_class2(pres, p, J))
+        smith_forms = calls.count(1)
+        full = _outcome(lambda: repzeta._brute_orbit_counts(pres, p, J, DEFAULT_CEILING))
+        assert fast == full, (pres.constants, d, dprime, p, J)
+        outcomes.append(full)
+        if isinstance(full, tuple):
+            credited = sum(any(f.evaluate(ell) % p for f in pfaffians.values())
+                           for ell in algebra.projective_points(p, dprime))
+            assert smith_forms == classes - credited
+            at_level_1 += credited > 0
+            at_lifts += credited > 0 and rho <= J  # level 2 reaches p^J
+    assert at_level_1 >= 10 and at_lifts >= 5, (at_level_1, at_lifts)
+    assert InternalConsistencyError in outcomes
+
+
 def test_smith_forms_walked_by_the_quotient_and_the_oracle(monkeypatch):
     # dusautoy_ec at p = 3: R(ell) has rank 4 mod 3 on the b(3) = 4 points of
     # the elliptic curve among the 13 level-1 classes and is nonsingular on the
-    # rest.  A level-N lift of a rank-4 class has e >= 4 N / 2, so at J = 2 no
-    # level-2 lift is walked; at J = 4 level 2 walks the 4 * 3^2 lifts and
-    # levels 3 and 4 none.  The oracle walks all 3^6 - 3^3 primitive characters.
+    # rest, where the Pfaffian is a unit and no Smith form is taken.  A level-N
+    # lift of a rank-4 class has e >= 4 N / 2, so at J = 2 no level-2 lift is
+    # walked; at J = 4 level 2 walks the 4 * 3^2 lifts and levels 3 and 4
+    # none.  The oracle walks all 3^6 - 3^3 primitive characters.
     calls = []
     real = repzeta.smith_type
     monkeypatch.setattr(repzeta, "smith_type", lambda A, p, N: calls.append(N) or real(A, p, N))
     pres = _catalog("dusautoy_ec")
     rep_zeta_class2(pres, 3, 2)
-    assert (calls.count(1), calls.count(2)) == (13, 0)
+    assert (calls.count(1), calls.count(2)) == (4, 0)
     calls.clear()
     rep_zeta_class2(pres, 3, 4)
-    assert [calls.count(N) for N in range(1, 5)] == [13, 4 * 9, 0, 0]
+    assert [calls.count(N) for N in range(1, 5)] == [4, 4 * 9, 0, 0]
     calls.clear()
     repzeta._brute_orbit_counts(pres, 3, 2, DEFAULT_CEILING)
     assert (calls.count(1), calls.count(2)) == (26, 3**6 - 3**3)
@@ -374,11 +465,11 @@ def test_rep_zeta_guard(monkeypatch):
     with pytest.raises(ResourceGuardError) as info:
         rep_zeta_class2(pres, 101, 2, ceiling=10302)
     assert info.value.predicted == 10303 and not calls
-    # at p = 3, J = 4: 13 level-1 classes, then the 4 * 9 level-2 lifts of the
-    # curve points; level 3 walks none (4 * 3 > 8)
+    # at p = 3, J = 4: 13 level-1 classes, a Smith form for the 4 curve
+    # points, then the 4 * 9 level-2 lifts of those; level 3 walks none (4 * 3 > 8)
     with pytest.raises(ResourceGuardError) as info:
         rep_zeta_class2(pres, 3, 4, ceiling=48)
-    assert info.value.predicted == 13 + 36 and calls == [1] * 13
+    assert info.value.predicted == 13 + 36 and calls == [1] * 4
     calls.clear()
     assert rep_zeta_class2(pres, 3, 4, ceiling=49).coefficients == (1, 0, 8, 18, 72)
     calls.clear()
@@ -390,7 +481,8 @@ def test_rep_zeta_guard(monkeypatch):
 
 def test_rep_zeta_refuses_the_whole_walk_after_level_1(monkeypatch):
     # free_nilpotent_2_d(4) at p = 5, J = 3: 806 of the 3,906 level-1 classes
-    # have rank r = 2, so levels 2 and 3 both walk their lifts.  Level 2 alone
+    # have rank r = 2, where the Pfaffian vanishes mod 5 and a Smith form is
+    # taken, so levels 2 and 3 both walk their lifts.  Level 2 alone
     # (806 * 5^5) fits the default ceiling, level 3 (806 * 5^10) does not, and
     # the refusal comes before any Smith form of level 2
     calls = []
@@ -400,7 +492,7 @@ def test_rep_zeta_refuses_the_whole_walk_after_level_1(monkeypatch):
     with pytest.raises(ResourceGuardError) as info:
         rep_zeta_class2(pres, 5, 3)
     assert info.value.predicted == 3906 + 806 * 5**5 + 806 * 5**10
-    assert calls == [1] * 3906
+    assert calls == [1] * 806
 
 
 def test_weight_values_requires_curve():
