@@ -110,9 +110,8 @@ class StructureConstantAlgebra:
 
 
 def multiply(alg: StructureConstantAlgebra, u, v):
-    """Bilinear product of two coordinate vectors, as a tuple of ints."""
-    if len(u) != alg.rank or len(v) != alg.rank:
-        raise MalformedInputError("vector length must equal the rank")
+    """Bilinear product of two coordinate vectors of length alg.rank, as a
+    tuple of ints.  The lengths are not checked: callers pass vectors they built."""
     out = [0] * alg.rank
     for (i, j, k), c in alg.constants.items():
         ui = u[i - 1]
@@ -228,9 +227,7 @@ class CommutatorMatrix:
                     f"commutator forms not antisymmetric at {(i + 1, j + 1, k + 1)}")
 
     def evaluate(self, ell):
-        """Integer matrix R(ell)."""
-        if len(ell) != self.dprime:
-            raise MalformedInputError("evaluation point has wrong length")
+        """Integer matrix R(ell) at a point ell of length dprime (not checked)."""
         return [
             [sum(c * l for c, l in zip(form, ell)) for form in row]
             for row in self.entries

@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import combinations, compress, permutations, product, starmap
 from operator import gt
 
-from .errors import DEFAULT_CEILING, Budget, MalformedInputError, UnsupportedError
+from .errors import DEFAULT_CEILING, Budget, MalformedInputError, UnsupportedError, depth_first
 from .exactlinalg import local_elimination
 from .poly import Polynomial
 from .ratfun import XY
@@ -172,8 +172,9 @@ def _contained(sub, sup, q):
 
 
 def flag_count(n: int, I, q: int, ceiling: int = DEFAULT_CEILING) -> int:
-    """Number of flags of type I in F_q^n, by exhaustive chain enumeration;
-    `ceiling` bounds the subspaces listed plus the chain nodes."""
+    """Number of flags of type I in F_q^n, by exhaustive chain enumeration
+    on `errors.depth_first`; `ceiling` bounds the subspaces listed plus the
+    chain nodes."""
     if q not in FLAG_PRIMES:
         raise UnsupportedError("prime fields q in {2, 3} only")
     chain = sorted(I)
@@ -183,7 +184,7 @@ def flag_count(n: int, I, q: int, ceiling: int = DEFAULT_CEILING) -> int:
     levels = [_rref_subspaces(n, d, q, charge) for d in chain]
     count = 0
 
-    def rec(level, prev):
+    def place(level, prev):
         nonlocal count
         charge()
         if level == len(levels):
@@ -191,7 +192,7 @@ def flag_count(n: int, I, q: int, ceiling: int = DEFAULT_CEILING) -> int:
             return
         for sub in levels[level]:
             if prev is None or _contained(prev, sub, q):
-                rec(level + 1, sub)
+                yield level + 1, sub
 
-    rec(0, None)
+    depth_first(place, 0, None)
     return count

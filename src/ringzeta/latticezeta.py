@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, product
 from operator import add
@@ -64,57 +63,12 @@ from .exactlinalg import local_elimination, rref
 from .ratfun import LocalDirichletTruncation, sublattice_count_prediction
 
 
-@dataclass(frozen=True)
-class HermiteSublattice:
-    p: int
-    n: int
-    rows: tuple  # tuple of n row tuples, generators of the lattice
-
-    def __post_init__(self):
-        for i, row in enumerate(self.rows):
-            if len(row) != self.n:
-                raise MalformedInputError("matrix must be square of size rank")
-            if any(row[j] for j in range(i)):
-                raise MalformedInputError("matrix must be upper triangular")
-            if not _is_p_power(row[i], self.p):
-                raise MalformedInputError("diagonal entries must be powers of p")
-        for j in range(self.n):
-            for i in range(j):
-                if not (0 <= self.rows[i][j] < self.rows[j][j]):
-                    raise MalformedInputError(
-                        "entries must be reduced modulo the diagonal of their column"
-                    )
-
-    @classmethod
-    def _trusted(cls, p, n, rows):
-        """Construct without validation, for rows already in canonical form."""
-        lat = object.__new__(cls)
-        object.__setattr__(lat, "p", p)
-        object.__setattr__(lat, "n", n)
-        object.__setattr__(lat, "rows", rows)
-        return lat
-
-    def index(self):
-        out = 1
-        for i in range(self.n):
-            out *= self.rows[i][i]
-        return out
-
-
-def _is_p_power(x, p):
-    if x < 1:
-        return False
-    while x % p == 0:
-        x //= p
-    return x == 1
-
-
-def contains(lat: HermiteSublattice, v) -> bool:
-    """Is v a Z_p-combination of the rows?  Exact triangular substitution;
-    the coefficients are p-integral iff each pivot division is exact."""
-    if len(v) != lat.n:
-        raise MalformedInputError("vector length must equal the rank")
-    return _in_span(lat.rows, 0, v)
+def contains(rows, v) -> bool:
+    """Is v a Z_p-combination of the Hermite rows?  Exact triangular
+    substitution; the coefficients are p-integral iff each pivot division is
+    exact.  The rows are a lattice as `enumerate_sublattices` yields it and v
+    has their length; neither is checked."""
+    return _in_span(rows, 0, v)
 
 
 def _in_span(rows, start, v):
@@ -145,55 +99,48 @@ def _compositions(k, n):
 
 
 def enumerate_sublattices(n, p, k, ceiling=DEFAULT_CEILING):
-    """Yield each index-p^k sublattice of Z_p^n exactly once, in canonical form."""
+    """Yield each index-p^k sublattice of Z_p^n exactly once, as its n Hermite
+    rows: upper triangular, row i with p^(m_i) on the diagonal and entries
+    reduced modulo the diagonal entry of their column."""
     if n < 1 or k < 0:
         raise MalformedInputError("need n >= 1 and k >= 0")
     Budget(ceiling, f"index {p}^{k}", "lattices").predict(sublattice_count_prediction(n, p, k))
     for m in _compositions(k, n):
-        yield from _lattices_for_composition(n, p, m)
+        diag = [p**e for e in m]
+        yield from product(*(
+            [(0,) * i + (diag[i],) + tail for tail in product(*map(range, diag[i + 1:]))]
+            for i in range(n)
+        ))
 
 
-def _lattices_for_composition(n, p, m):
-    diag = [p**e for e in m]
-    choices = [
-        [(0,) * i + (diag[i],) + tail for tail in product(*map(range, diag[i + 1:]))]
-        for i in range(n)
-    ]
-    for rows in product(*choices):
-        yield HermiteSublattice._trusted(p, n, rows)
-
-
-def is_subring(alg: StructureConstantAlgebra, lat: HermiteSublattice) -> bool:
-    """Closed under products of generators.  For antisymmetric algebras only
-    pairs i < j need testing (r*r = 0 and the mirror product is the negation,
-    and lattices are closed under negation)."""
-    if alg.rank != lat.n:
-        raise MalformedInputError("algebra rank must equal lattice rank")
-    rows = lat.rows
+def is_subring(alg: StructureConstantAlgebra, rows) -> bool:
+    """Are the Hermite rows, alg.rank of them, closed under products of
+    generators?  For antisymmetric algebras only pairs i < j need testing
+    (r*r = 0 and the mirror product is the negation, and lattices are closed
+    under negation)."""
     antisym = "antisymmetric" in alg.flags
-    n = lat.n
+    n = len(rows)
     for i in range(n):
         start = i + 1 if antisym else 0
         for j in range(start, n):
             prod = multiply(alg, rows[i], rows[j])
-            if any(prod) and not contains(lat, prod):
+            if any(prod) and not contains(rows, prod):
                 return False
     return True
 
 
-def is_ideal(alg: StructureConstantAlgebra, lat: HermiteSublattice) -> bool:
-    """Closed under products with arbitrary basis elements, on both sides."""
-    if alg.rank != lat.n:
-        raise MalformedInputError("algebra rank must equal lattice rank")
+def is_ideal(alg: StructureConstantAlgebra, rows) -> bool:
+    """Are the Hermite rows, alg.rank of them, closed under products with
+    arbitrary basis elements, on both sides?"""
     antisym = "antisymmetric" in alg.flags
-    for row in lat.rows:
-        for e in _unit_vectors(lat.n):
+    for row in rows:
+        for e in _unit_vectors(len(rows)):
             prod = multiply(alg, row, e)
-            if any(prod) and not contains(lat, prod):
+            if any(prod) and not contains(rows, prod):
                 return False
             if not antisym:
                 prod = multiply(alg, e, row)
-                if any(prod) and not contains(lat, prod):
+                if any(prod) and not contains(rows, prod):
                     return False
     return True
 
@@ -315,12 +262,12 @@ def _brute_counts(alg, p, K, mode, ceiling):
     predicted = sum(sublattice_count_prediction(alg.rank, p, k) for k in range(K + 1))
     Budget(ceiling, "the enumeration", "lattices").predict(predicted)
     test = {
-        "subrings": lambda lat: is_subring(alg, lat),
-        "ideals": lambda lat: is_ideal(alg, lat),
-        "sublattices": lambda lat: True,
+        "subrings": lambda rows: is_subring(alg, rows),
+        "ideals": lambda rows: is_ideal(alg, rows),
+        "sublattices": lambda rows: True,
     }[mode]
     return [
-        sum(1 for lat in enumerate_sublattices(alg.rank, p, k, ceiling=ceiling) if test(lat))
+        sum(1 for rows in enumerate_sublattices(alg.rank, p, k, ceiling=ceiling) if test(rows))
         for k in range(K + 1)
     ]
 

@@ -97,14 +97,6 @@ class BivariateRationalFunction:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return BivariateRationalFunction(-self.num, self.den_factors, self.extra_den)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = BivariateRationalFunction.constant(other)
-        return self + (-other)
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = BivariateRationalFunction.constant(other)
@@ -181,9 +173,6 @@ class LocalDirichletTruncation:
     @property
     def depth(self):
         return len(self.coefficients) - 1
-
-    def as_dict(self):
-        return {"prime": self.p, "coefficients": list(self.coefficients)}
 
 
 def expand_series(f: BivariateRationalFunction, p: int, K: int) -> list[Fraction]:

@@ -43,23 +43,13 @@ class ElementaryDivisorType:
     level: int
     type: tuple  # weakly increasing, entries in [0, level]
 
-    def __post_init__(self):
-        t = self.type
-        if any(t[i] > t[i + 1] for i in range(len(t) - 1)):
-            raise MalformedInputError("type must be weakly increasing")
-        if t and (t[0] < 0 or t[-1] > self.level):
-            raise MalformedInputError("divisor valuations must lie in [0, level]")
-
 
 def smith_type(A, p: int, N: int) -> ElementaryDivisorType:
     """Elementary divisor type of the square matrix A over Z/p^N: the pivot
     valuations of `exactlinalg.local_elimination`, and N for each row left
-    without a pivot, so the divisors are capped at N."""
-    if N < 1:
-        raise MalformedInputError("need N >= 1")
+    without a pivot, so the divisors are capped at N.  A is square and
+    N >= 1, as `R.evaluate` and the level walk give them; neither is checked."""
     d = len(A)
-    if any(len(row) != d for row in A):
-        raise MalformedInputError("matrix must be square")
     valuations, _ = local_elimination(A, [0] * d, d, p, N)
     return ElementaryDivisorType(N, tuple(sorted(valuations + [N] * (d - len(valuations)))))
 

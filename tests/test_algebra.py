@@ -51,11 +51,6 @@ def test_multiply_examples():
     assert algebra.multiply(sl2, (0, 0, 0), (5, -3, 2)) == (0, 0, 0)
 
 
-def test_multiply_length_mismatch():
-    with pytest.raises(MalformedInputError):
-        algebra.multiply(algebra.catalog("heisenberg"), (1, 0), (0, 1, 0))
-
-
 @settings(max_examples=60, derandomize=True)
 @given(
     a=st.integers(-9, 9),

@@ -274,6 +274,24 @@ def test_orbit_count_of_a_wide_presentation_keeps_the_smith_walk(tmp_path):
     assert len(rows) == 26 and [row for row in rows if row[1] != "0"] == [["0", "1"], ["20", "2"]]
 
 
+@pytest.mark.parametrize("mode", ["subrings", "ideals"])
+def test_ring_file_index_out_of_range_is_a_usage_error(tmp_path, capsys, mode):
+    # the walks trust the ring's shape, so the constructor must refuse it
+    ring = tmp_path / "ring.json"
+    ring.write_text(json.dumps({"rank": 3, "constants": [[1, 2, 4, 1]]}))
+    assert cli.main(["zeta", "count", "--ring", str(ring), "--prime", "2", "--max-index", "1",
+                     "--mode", mode]) == 2
+    assert "out of range" in capsys.readouterr().err
+
+
+def test_presentation_file_that_is_not_antisymmetric_is_a_usage_error(tmp_path, capsys):
+    pres = tmp_path / "pres.json"
+    pres.write_text(json.dumps({"d": 2, "dprime": 1, "constants": [[1, 2, 1, 1]]}))
+    assert cli.main(["rep", "zeta", "--presentation", str(pres), "--prime", "3",
+                     "--max-exp", "1"]) == 2
+    assert "not antisymmetric" in capsys.readouterr().err
+
+
 def test_lookup_errors_print_the_bare_message(capsys):
     assert cli.main(["zeta", "formula", "--name", "nosuch", "--prime", "3",
                      "--max-index", "2"]) == 2
@@ -474,6 +492,15 @@ def test_funeq_solve_and_expectations():
     assert code == 1
     code, _ = run(["zeta", "funeq", "--name", "dusautoy_normal", "--solve"])
     assert code == 2  # hybrids need explicit expectations
+
+
+def test_funeq_checks_expectations_of_a_plain_formula(capsys):
+    # --solve gives (-1, 3, 3) for heisenberg_subring
+    argv = ["zeta", "funeq", "--name", "heisenberg_subring"]
+    assert run([*argv, "--expect-sign", "-1", "--expect-a", "3", "--expect-b", "3"])[0] == 0
+    assert run([*argv, "--expect-sign", "1", "--expect-a", "3", "--expect-b", "6"])[0] == 1
+    assert cli.main([*argv, "--expect-sign", "1"]) == 2
+    assert "give --solve or all of --expect-sign/--expect-a/--expect-b" in capsys.readouterr().err
 
 
 def test_cone_commands(tmp_path):
@@ -722,6 +749,12 @@ def test_euler_command_with_asymptotics():
     )
     assert code == 0
     assert "1.000000" in out
+
+
+def test_euler_asymptotics_wants_three_numbers(capsys):
+    assert cli.main(["euler", "--name", "zeta_Zn(2)", "--primes-up-to", "100", "--max-m", "100",
+                     "--asymptotics", "1,2"]) == 2
+    assert "--asymptotics wants alpha,b,c" in capsys.readouterr().err
 
 
 def test_euler_sieves_only_up_to_the_square_root(monkeypatch):
