@@ -23,11 +23,16 @@ central series are the strict case), the objects come from a depth-first
 search that fixes Hermite rows from the last one up, cuts a subtree as soon
 as a row fails closure, and counts a subtree in one step once its fixed rows
 contain every product (so sublattices, the ideals of the zero ring, take one
-step).  Where closure is linear in the row (ideals, antisymmetric subrings),
-the first row's entries above the diagonal need not be tried one by one: the
-ones that pass form a coset in Z_p^{n-1} modulo the span of the later rows,
-counted for every diagonal exponent at once by one linear solve over Z/p^E,
-used wherever the later rows leave more candidates than a solve costs.  The
+step).  The search reads products from sparse maps built once per search: for
+each basis vector e_g and side, the (a, k, v) that send coordinate a of a row
+to coordinate k of row e_g (e_g row).  A ring flagged commutative or
+antisymmetric has e_g x = +-x e_g, so its products are tested, and its central
+ideal sum solved, on one side only.  Where closure is linear in the row
+(ideals, antisymmetric subrings), the first row's entries above the diagonal
+need not be tried one by one: the ones that pass form a coset in Z_p^{n-1}
+modulo the span of the later rows, counted for every diagonal exponent at
+once by one linear solve over Z/p^E, used wherever the later rows leave more
+candidates than a solve costs.  The
 search also quotients by a symmetry: for a grading w of the ring (w_a + w_b =
 w_k for every constant (a, b, k)) and a unit u, e_j -> u^(w_j) e_j is an
 automorphism that keeps every coordinate flag, index and closure.  One that
@@ -228,7 +233,7 @@ def count(
     path, how = count_path(alg, mode)
     if path == "central sum":
         central = _central_counts if mode == "ideals" else _central_subring_counts
-        coeffs = central(how, "antisymmetric" in alg.flags, p, K, ceiling)
+        coeffs = central(how, alg.flags, p, K, ceiling)
     elif path == "enumeration":
         coeffs = _brute_counts(alg, p, K, mode, ceiling)
     else:
@@ -290,10 +295,19 @@ def _search_counts(alg, p, K, mode, ceiling):
     (`sublattice_count_prediction`) with one of p^e fills of the later
     columns in each of rows 0..i.
 
+    Products are read from the product maps, built once per search from the
+    constants: right[g] (left[g]), for each g that is a factor on that side,
+    lists the (a, k, v) with which coordinate a of a row adds v times itself
+    to coordinate k of row e_g (e_g row).  An ideal is tested with the maps
+    of the basis vectors; a subring with row -> row r = sum_g r_g (row e_g),
+    and r row, for each later row r, built once when r is fixed, and with
+    the square of the row.  A ring flagged commutative or antisymmetric has
+    e_g x = +-x e_g, so left = {} and the mirror products are not tested.
+
     When closure is linear in the row (ideals, antisymmetric subrings), and
     rows 1..n-1 leave row 0 more than 8 candidates (`_solve_pays`), they are
     not tried: `_row0_counts` counts the passing tails for every exponent
-    left with one linear solve.
+    left with one linear solve over the same maps.
 
     Sibling rows are split into orbits of the ring's diagonal automorphisms
     (`_scalings`): e_j -> u^(w_j) e_j, u a unit, w a grading.  Such a map keeps
@@ -319,31 +333,35 @@ def _search_counts(alg, p, K, mode, ceiling):
     """
     n = alg.rank
     antisym = "antisymmetric" in alg.flags
+    one_side = antisym or "commutative" in alg.flags  # e_g x = +-x e_g
     linear = mode == "ideals" or antisym
     rows = [None] * n
     coeffs = [0] * (K + 1)
     visit = Budget(ceiling, "search", "nodes").charge
     M = p**K
     scalings = _scalings(alg, p, M)
-    if mode == "ideals":
-        # basis vectors whose products on that side can be nonzero
-        units = _unit_vectors(n)
-        right = [units[b - 1] for b in sorted({b for _, b, _ in alg.constants})]
-        left = [] if antisym else [units[a - 1] for a in sorted({a for a, _, _ in alg.constants})]
-    factors = sorted({c - 1 for key in alg.constants for c in key[:2]})
+    right, left = {}, {}  # the product maps, one (a, k, v) per constant
+    for (a, b, k), v in alg.constants.items():
+        right.setdefault(b - 1, []).append((a - 1, k - 1, v))
+        left.setdefault(a - 1, []).append((b - 1, k - 1, v))
+    if one_side:
+        left = {}
 
-    def closed(i, partners):
-        """Does row i pass closure?  `partners` are the later rows that are
-        nonzero on some factor column; products with the others vanish."""
+    def joined(tested, maps, r):
+        """tested and, unless it is empty, the map sum_g r_g maps[g]: row ->
+        row r for the right maps, r row for the left ones."""
+        m = [(a, k, r[g] * v) for g, side in maps.items() if r[g] for a, k, v in side]
+        return tested + [m] if m else tested
+
+    def closed(i, tested):
+        """Does row i pass closure?  `tested` are the product maps of its
+        sibling group; where closure is not linear, row -> row row too."""
         row = rows[i]
-        if mode == "ideals":
-            pairs = chain(((row, e) for e in right), ((e, row) for e in left))
-        elif antisym:
-            pairs = ((row, r) for r in partners)
-        else:
-            pairs = chain(((row, row),), ((row, r) for r in partners), ((r, row) for r in partners))
-        for u, v in pairs:
-            prod = multiply(alg, u, v)
+        for m in tested if linear else joined(tested, right, row):
+            prod = [0] * n
+            for a, k, v in m:
+                if row[a]:
+                    prod[k] += v * row[a]
             if any(prod) and not _in_span(rows, i, prod):
                 return False
         return True
@@ -357,7 +375,7 @@ def _search_counts(alg, p, K, mode, ceiling):
     # Otherwise row i's test reads its own inert entries, and no column is
     # inert.
     if all(k not in (a, b) for a, b, k in alg.constants):
-        active = set(factors)
+        active = {c - 1 for key in alg.constants for c in key[:2]}
     else:
         active = set(range(n))
 
@@ -381,11 +399,14 @@ def _search_counts(alg, p, K, mode, ceiling):
                     maps.append(ratios)
         return maps
 
-    def place(i, used, mult):
+    def place(i, used, mult, rights, lefts):
         """Choose row i under rows i+1..n-1 (of index p^used), each of whose
-        completions stands for mult objects.  Credits what it can count at
-        once, and yields (i - 1, index exponent, multiplicity) for each row
-        to descend into, with rows[i] set to it."""
+        completions stands for mult objects.  `rights` and `lefts` are the
+        product maps a row is tested with: for ideals those of the basis
+        vectors, for subrings those of rows i+2..n-1, to which row i+1's
+        join here.  Credits what it can count at once, and yields (i - 1,
+        index exponent, multiplicity, rights, lefts) for each row to descend
+        into, with rows[i] set to it."""
         exponents = range(K - used + 1)
         if i < low and all(_in_span(rows, i + 1, w) for w in square):
             visit()
@@ -395,12 +416,13 @@ def _search_counts(alg, p, K, mode, ceiling):
             return
         cols = range(i + 1, n)
         choices = [range(rows[j][j]) if j in active else (0,) for j in cols]
+        if mode == "subrings" and i + 1 < n:
+            rights, lefts = joined(rights, right, rows[i + 1]), joined(lefts, left, rows[i + 1])
         if not i and linear:
-            rights, lefts = (right, left) if mode == "ideals" else (rows[1:], ())
             tests = math.prod(map(len, choices)) * len(exponents)
             if _solve_pays(tests):
                 visit()
-                passing, least = _row0_counts(alg, rows, p, used, rights, lefts)
+                passing, least = _row0_counts(rows, p, used, rights, lefts)
                 for m in exponents:
                     if m >= least:
                         coeffs[m + used] += mult * passing
@@ -409,8 +431,7 @@ def _search_counts(alg, p, K, mode, ceiling):
         weight = math.prod(map(len, fills))
         siblings = math.prod(map(len, choices)) * weight
         maps = stabilisers(i) if i and _orbits_pay(siblings, len(scalings)) else ()
-        partners = [] if mode == "ideals" else [
-            r for r in rows[i + 1:] if any(map(r.__getitem__, factors))]
+        tested = rights + lefts
         for m in exponents:
             head = (0,) * i + (p**m,)
             kids, seen = [], set()  # seen: the rows of the passing orbits found
@@ -418,7 +439,7 @@ def _search_counts(alg, p, K, mode, ceiling):
                 row = rows[i] = head + tail
                 if row not in seen:
                     visit()
-                    if not closed(i, partners):
+                    if not closed(i, tested):
                         continue
                 if not i:
                     coeffs[m + used] += mult * weight
@@ -430,9 +451,10 @@ def _search_counts(alg, p, K, mode, ceiling):
             del seen  # one sibling group's rows held at a time, not one per row on the stack
             for full, size in kids:
                 rows[i] = full
-                yield i - 1, used + m, mult * size
+                yield i - 1, used + m, mult * size, rights, lefts
 
-    depth_first(place, n - 1, 0, 1)
+    sides = (list(right.values()), list(left.values())) if mode == "ideals" else ([], [])
+    depth_first(place, n - 1, 0, 1, *sides)
     return coeffs
 
 
@@ -535,16 +557,20 @@ def _orbits_pay(siblings, generators):
 def _solve_pays(tests):
     """Count row 0 by `_row0_counts` rather than test its candidate rows one
     by one when there are more than 8.  Timed at every leaf of the lattice
-    benchmark's rings (CPython 3.11), one solve cost as much as 7.5 to 19 row
-    tests at ranks 3 to 9; any cut from 4 to 16 gave the same total within 5%."""
+    benchmark's rings searched directly (CPython 3.11, 2-core Xeon), one
+    solve cost as much as 7 to 33 row tests at ranks 3 to 6 (`dusautoy_ec`
+    ideals at p=2, K=2 reach no solve); any cut from 4 to 16 gave the same
+    total within 4% on `sl2` and `componentwise(4)`, and within the 8% run
+    to run spread on all seven searches."""
     return tests > 8
 
 
-def _row0_counts(alg, rows, p, E, rights, lefts):
+def _row0_counts(rows, p, E, rights, lefts):
     """(passing, least): for every m >= least, `passing` tails t (coordinates
     1..n-1, each reduced modulo its column diagonal) make row 0 = (p^m, t)
-    pass closure, and for m < least none do.  Closure: every product row*x,
-    x in rights, and x*row, x in lefts, lies in the lattice.  Rows 1..n-1 are
+    pass closure, and for m < least none do.  Closure: every product map
+    (a, k, v) of rights (row -> row x) and lefts (row -> x row), see
+    `_search_counts`, sends the row into the lattice.  Rows 1..n-1 are
     fixed, their span L_1 has passed closure, and their diagonal exponents sum
     to E, so the tails are the points of Q = Z_p^{n-1} / L_1 and p^E = |Q|
     kills Q.
@@ -553,56 +579,47 @@ def _row0_counts(alg, rows, p, E, rights, lefts):
     coordinate 0 of the product taken with e_0 in place of the row, so c is an
     integer that does not depend on t.  The product lies in the lattice iff
     prod - c * row_0, which is (F - c) t + p^m b on coordinates 1..n-1, lies in
-    L_1; F maps L_1 into itself because L_1 is closed.  With Y = p^E H^-1 for
-    the Hermite matrix H of L_1, w lies in L_1 iff w Y = 0 mod p^E, so the
-    passing tails are the solutions mod p^E of one linear system.  Its right
-    side is p^m times a fixed vector, so one `local_elimination` serves every
-    m.  Each point of Q has p^(E(n-2)) lifts mod p^E, so with pivot valuations
-    v the count is p^(sum(v) + E (1 - len(v))).  E = max m_j would not do:
-    rows (2, 1), (0, 2) give Q = Z/4.
+    L_1; F maps L_1 into itself because L_1 is closed.  F, b and c are read
+    off the map's entries: a >= 1 adds to F, a = 0 to b or c.  With
+    Y = p^E H^-1 for the Hermite matrix H of L_1, w lies in L_1 iff
+    w Y = 0 mod p^E, so the passing tails are the solutions mod p^E of one
+    linear system; its rows that are zero with a zero right side are dropped.
+    Its right side is p^m times a fixed vector, so one `local_elimination`
+    serves every m.  Each point of Q has p^(E(n-2)) lifts mod p^E, so with
+    pivot valuations v the count is p^(sum(v) + E (1 - len(v))).  E = max m_j
+    would not do: rows (2, 1), (0, 2) give Q = Z/4.
     """
     s = len(rows) - 1
     Y = _scaled_inverse([row[1:] for row in rows[1:]], p**E)
     system, rhs = [], []
-    # (x, r, o): the row is factor r of each constant (a, b, k), x factor o
-    for x, r, o in chain(((x, 0, 1) for x in rights), ((x, 1, 0) for x in lefts)):
-        # coordinates 1..n-1 of the product: F[k, j] the coefficient of t_j
-        # in coordinate k, b[k] that of p^m; c that of p^m in coordinate 0
-        F, b, c = {}, [0] * s, 0
-        for key, v in alg.constants.items():
-            f = v * x[key[o] - 1]
-            if f:
-                j, k = key[r] - 2, key[2] - 2
-                if j >= 0:
-                    F[k, j] = F.get((k, j), 0) + f
-                elif k >= 0:
-                    b[k] += f
-                else:
-                    c += f
-        for j in range(s):  # prod - c * row_0
-            F[j, j] = F.get((j, j), 0) - c
-        # rows Y^T F and right side -Y^T b; Y is upper triangular
-        block = [[0] * s for _ in range(s)]
-        for (k, j), f in F.items():
-            if f:
-                for col in range(k, s):
-                    block[col][j] += Y[k][col] * f
+    for m in chain(rights, lefts):
+        # rows Y^T (F - c) and right side -Y^T b, Y upper triangular: an
+        # entry (a, k, v) with k >= 1 adds v Y[k] to column a of Y^T F
+        # (a >= 1) or subtracts it from the right side (a = 0); c = the v of
+        # the entries (0, 0, v)
+        c = sum(v for a, k, v in m if not a and not k)
+        block = [[-c * y[col] for y in Y] if c else [0] * s for col in range(s)]
         side = [0] * s
-        for k, f in enumerate(b):
-            if f:
-                for col in range(k, s):
-                    side[col] -= Y[k][col] * f
-        system += block
-        rhs += side
+        for a, k, v in m:
+            if k:
+                y = Y[k - 1]
+                for col in range(k - 1, s):
+                    if a:
+                        block[col][a - 1] += y[col] * v
+                    else:
+                        side[col] -= y[col] * v
+        for row, r in zip(block, side):
+            if r or any(row):
+                system.append(row)
+                rhs.append(r)
     valuations, least = local_elimination(system, rhs, s, p, E)
     return p ** (sum(valuations) + E * (1 - len(valuations))), least
 
 
-def _central_counts(pres, antisym, p, K, ceiling):
+def _central_counts(pres, flags, p, K, ceiling):
     """Ideals of index p^k, k = 0..K, of a ring that is class 2 in its given
     basis, by the sum over the lattices Lambda' of Z.  `pres` is its
-    presentation (`algebra.class2_presentation`), and `antisym` says whether
-    the ring is antisymmetric.
+    presentation (`algebra.class2_presentation`), and `flags` the ring's.
 
     Identify L/Z with Z_p^d, spanned by e_1..e_d, and Z with Z_p^d',
     spanned by f_1..f_d'.  An ideal meets Z in some Lambda' and maps onto a
@@ -616,9 +633,10 @@ def _central_counts(pres, antisym, p, K, ceiling):
     With |Z:Lambda'| = p^E, x lies in X(Lambda') iff x C Y = 0 mod p^E for
     Y = p^E H^-1 (`_scaled_inverse`, H the Hermite matrix of Lambda') and the
     matrix C of each product map x -> x e_j, and x -> e_j x unless the ring is
-    antisymmetric, read in Z.  X(Lambda') contains p^E Z_p^d, so the pivot
-    valuations v of one `local_elimination` mod p^E give its index: the
-    solutions number p^(sum(v) + E (d - len(v))).
+    antisymmetric or commutative (then e_j x = +-x e_j), read in Z.
+    X(Lambda') contains p^E Z_p^d, so the pivot valuations v of one
+    `local_elimination` mod p^E give its index: the solutions number
+    p^(sum(v) + E (d - len(v))).
 
     Only the Lambda' that contain p^L Z, L = floor(K / (1 + r)), are walked.
     Here r is the least rank mod p of R(ell) = (ell C), the same system with
@@ -637,7 +655,8 @@ def _central_counts(pres, antisym, p, K, ceiling):
     most p^K, which `_subgroups` counts.
     """
     d, dc = pres.d, pres.dprime
-    sides = ((0, 1),) if antisym else ((0, 1), (1, 0))
+    antisym = "antisymmetric" in flags
+    sides = ((0, 1),) if antisym or "commutative" in flags else ((0, 1), (1, 0))
     # (r, o): x is factor r of each constant (a, b, k), e_j factor o; block
     # (r, j) is the d x d' matrix of x -> x e_j (r = 0) or e_j x (r = 1)
     blocks = {}
@@ -711,11 +730,10 @@ def _lattices_containing(p, bounds, most, leaf):
     depth_first(place, n - 1, 0)
 
 
-def _central_subring_counts(pres, antisym, p, K, ceiling):
+def _central_subring_counts(pres, flags, p, K, ceiling):
     """Subrings of index p^k, k = 0..K, of a ring that is class 2 in its given
     basis, by a sum over the lattices M of the abelian quotient.  `pres` is
-    its presentation (`algebra.class2_presentation`), and `antisym` says
-    whether the ring is antisymmetric.
+    its presentation (`algebra.class2_presentation`), and `flags` the ring's.
 
     Write L = Z_p^d + Z with d' = rank Z.  Every product lands in Z and reads
     only the Z_p^d parts of its factors; call it beta(x, y).  A lattice H of L
@@ -726,8 +744,9 @@ def _central_subring_counts(pres, antisym, p, K, ceiling):
     so there are |Z : Lambda'|^d maps phi.  A product of two elements of H is
     beta of their images, an element of Z, so it lies in H iff it lies in
     Lambda': H is a subring iff Lambda' contains beta(M, M), the span of the
-    beta(m_i, m_j) over the rows of M (i < j when the ring is antisymmetric,
-    for then beta(m, m) = 0 and beta(m_j, m_i) = -beta(m_i, m_j)).  So
+    beta(m_i, m_j) over the rows of M (i <= j when the ring is commutative,
+    for then beta(m_j, m_i) = beta(m_i, m_j); i < j when it is antisymmetric,
+    for then also beta(m, m) = 0).  So
 
         zeta(s) = sum_M |Z_p^d : M|^-s sum_{Lambda' >= beta(M, M)} |Z : Lambda'|^(d-s),
 
@@ -759,6 +778,8 @@ def _central_subring_counts(pres, antisym, p, K, ceiling):
     the total.
     """
     d, dc = pres.d, pres.dprime
+    antisym = "antisymmetric" in flags
+    one_side = antisym or "commutative" in flags
     budget = Budget(ceiling, "central sum", "nodes")
     types = Counter()
     if K and is_free_class2(pres):
@@ -788,7 +809,7 @@ def _central_subring_counts(pres, antisym, p, K, ceiling):
                     row = rows[i] = (0,) * i + (p**m,) + tail
                     support[i] = [(i, p**m)] + [(j, t) for j, t in enumerate(tail, i + 1) if t]
                     new = [beta(i, rows[j]) for j in range(i + 1 if antisym else i, d)]
-                    if not antisym:
+                    if not one_side:
                         new += [beta(j, row) for j in range(i + 1, d)]
                     new = products + [w for w in new if any(w)]
                     if i:

@@ -372,6 +372,13 @@ def _random_triangular_ring(rng, n, mode):
     return algebra.StructureConstantAlgebra("triangular", n, permuted, flags)
 
 
+def _in_order(alg, order):
+    """alg with its basis relabelled so that coordinate order[t] comes t-th."""
+    pos = {c + 1: t + 1 for t, c in enumerate(order)}
+    constants = {(pos[a], pos[b], pos[k]): c for (a, b, k), c in alg.constants.items()}
+    return algebra.StructureConstantAlgebra(alg.name, alg.rank, constants, alg.flags)
+
+
 def _is_triangular(alg, mode, order):
     pos = {c + 1: t for t, c in enumerate(order)}
     low = {"subrings": min, "ideals": max}.get(mode)
@@ -555,26 +562,25 @@ def test_row0_solve_matches_the_tail_loop_at_every_leaf(monkeypatch):
     seen = {"leaves": 0, "Q above max m_j": 0, "c != 0": 0, "left products": 0,
             "none pass": 0, "some pass": 0}
 
-    def checked(alg, rows, p, E, rights, lefts):
+    def checked(rows, p, E, rights, lefts):
         # a ring with no products is credited before any row is placed
         assert rights or lefts
-        passing, least = solve(alg, rows, p, E, rights, lefts)
+        passing, least = solve(rows, p, E, rights, lefts)
         n = len(rows)
         test = latticezeta.is_subring if mode == "subrings" else latticezeta.is_ideal
         tails = list(product(*(range(rows[j][j]) for j in range(1, n))))
-        units = latticezeta._unit_vectors(n)
-        images = [
-            [algebra.multiply(alg, e, x) for x in rights]
-            + [algebra.multiply(alg, x, e) for x in lefts]
-            for e in units
-        ]
+        # images[a]: the tested products of e_a, read off the product maps
+        images = [[[0] * n for _ in rights + lefts] for _ in range(n)]
+        for prod, m in enumerate(rights + lefts):
+            for a, k, v in m:
+                images[a][prod][k] += v
         # coordinate 0 of a tested product never reads the tail, so c is
         # coordinate 0 of the product with e_0 and always an integer
         assert not any(prod[0] for image in images[1:] for prod in image)
         top = max((rows[j][j] for j in range(1, n)), default=1)
         for m in range(K - E + 1):
             expected = sum(
-                test(alg, ((p**m,) + t,) + tuple(rows[1:]))
+                test(searched, ((p**m,) + t,) + tuple(rows[1:]))
                 for t in tails
             )
             assert (passing if m >= least else 0) == expected, (alg.constants, mode, rows, m)
@@ -597,8 +603,10 @@ def test_row0_solve_matches_the_tail_loop_at_every_leaf(monkeypatch):
             continue
         cases.append((alg, mode, rng.choice((2, 2, 3))))
     for alg, mode, p in cases:
-        if latticezeta._search_order(alg, mode) is None:
+        order = latticezeta._search_order(alg, mode)
+        if order is None:
             continue
+        searched = _in_order(alg, order)  # the ring as the search sees it
         K = _brute_depth(alg.rank, p)
         got = latticezeta.count(alg, p, K, mode).coefficients
         brute = latticezeta._brute_counts(alg, p, K, mode, latticezeta.DEFAULT_CEILING)
@@ -621,6 +629,94 @@ def test_a_row0_solve_is_one_search_node(monkeypatch):
     assert latticezeta.count(cw2, 5, 3, "ideals", ceiling=198).coefficients == expected
     with pytest.raises(ResourceGuardError):
         latticezeta.count(cw2, 5, 3, "ideals", ceiling=197)
+
+
+def _random_commutative_ring(rng, n, mode):
+    """A random commutative ring, flagged so, with a basis order in which
+    every constant (a, b, k) has k >= min(a, b) (mode "subrings") or
+    k >= max(a, b) (mode "ideals"), written in a randomly permuted basis.
+    Each e_a * e_b, a <= b, is drawn once and e_b * e_a set equal to it;
+    products often land on a factor, as in `componentwise(n)`."""
+    values = (-2, -1, 1, 2, 3, 4, 6)
+    low = min if mode == "subrings" else max
+    density = rng.choice((0.15, 0.3, 0.5))
+    constants = {}
+    for a in range(1, n + 1):
+        for b in range(a, n + 1):
+            for k in range(low(a, b), n + 1):
+                if rng.random() < (2 * density if k in (a, b) else density):
+                    constants[(a, b, k)] = constants[(b, a, k)] = rng.choice(values)
+    return _shuffled(algebra.StructureConstantAlgebra("commutative", n, constants,
+                                                      ("commutative",)), rng)
+
+
+def test_commutative_rings_test_one_side_and_match_brute_enumeration(monkeypatch):
+    """A ring flagged commutative has its products tested on one side only,
+    in the row search and in the central sum; its counts must still equal
+    the brute enumeration, and row-0 solves must run with no left products."""
+    rng = random.Random(2310)
+    solve, lefts_seen = latticezeta._row0_counts, []
+
+    def recorded(rows, p, E, rights, lefts):
+        lefts_seen.append(len(lefts))
+        return solve(rows, p, E, rights, lefts)
+
+    monkeypatch.setattr(latticezeta, "_row0_counts", recorded)
+    paths = Counter()
+    for trial in range(60):
+        n, p = rng.randrange(2, 6), rng.choice((2, 3))
+        K = _brute_depth(n, p)
+        alg = _random_commutative_ring(rng, n, rng.choice(("subrings", "ideals")))
+        for mode in ("subrings", "ideals"):
+            got = latticezeta.count(alg, p, K, mode).coefficients
+            brute = latticezeta._brute_counts(alg, p, K, mode, latticezeta.DEFAULT_CEILING)
+            assert got == tuple(brute), (trial, p, K, mode, alg.constants)
+            paths[mode, latticezeta.count_path(alg, mode)[0]] += 1
+    assert paths["subrings", "row search"] >= 20 and paths["ideals", "row search"] >= 20, paths
+    assert paths["subrings", "central sum"] and paths["ideals", "central sum"], paths
+    assert lefts_seen and not any(lefts_seen), lefts_seen
+
+
+def test_commutative_class2_ideals_take_one_side_of_the_central_sum(monkeypatch):
+    # e1 e1 = e3, e1 e2 = e2 e1 = e4, e2 e2 = 2 e3: class 2 and commutative,
+    # so the central ideal sum reads only the products x e_j
+    alg = algebra.StructureConstantAlgebra(
+        "commutative class 2", 4, {(1, 1, 3): 1, (1, 2, 4): 1, (2, 1, 4): 1, (2, 2, 3): 2},
+        ("commutative",))
+    assert latticezeta.count_path(alg, "ideals")[0] == "central sum"
+    elimination, sizes = latticezeta.local_elimination, []
+    monkeypatch.setattr(latticezeta, "local_elimination",
+                        lambda rows, *args: sizes.append(len(rows)) or elimination(rows, *args))
+    got = latticezeta.count(alg, 3, 3, "ideals").coefficients
+    assert got == (1, 4, 13, 76)
+    # the first elimination stacks the 2 x 2 blocks of x -> x e_1 and x e_2
+    # only, not those of x -> e_j x as well
+    assert sizes[0] == 4
+    assert got == tuple(latticezeta._brute_counts(alg, 3, 3, "ideals", latticezeta.DEFAULT_CEILING))
+    subrings = latticezeta.count(alg, 3, 3, "subrings").coefficients
+    assert subrings == tuple(
+        latticezeta._brute_counts(alg, 3, 3, "subrings", latticezeta.DEFAULT_CEILING))
+
+
+def test_the_row_search_never_calls_multiply(monkeypatch):
+    # the row search reads its product maps, so the benchmark's traced
+    # algebra.multiply_calls count only the oracles is_subring and is_ideal
+    def refuse(*args):
+        raise AssertionError("multiply called")
+
+    monkeypatch.setattr(latticezeta, "multiply", refuse)
+    rng = random.Random(77)
+    alg = _random_triangular_ring(rng, 4, "ideals")
+    while "antisymmetric" not in alg.flags or latticezeta.count_path(alg, "ideals")[0] != "row search":
+        alg = _random_triangular_ring(rng, 4, "ideals")
+    cases = ((algebra.catalog("componentwise", 4), 2, 4, "ideals"),
+             (algebra.catalog("sl2"), 3, 5, "subrings"),
+             (alg, 3, 3, "ideals"))
+    for ring, p, K, mode in cases:
+        assert latticezeta.count_path(ring, mode)[0] == "row search"
+        latticezeta.count(ring, p, K, mode)
+    with pytest.raises(AssertionError):
+        latticezeta.is_ideal(alg, latticezeta._unit_vectors(4))
 
 
 def _random_class2_ring(rng):
