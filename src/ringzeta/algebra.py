@@ -59,7 +59,10 @@ class ValidationReport:
 
 
 class StructureConstantAlgebra:
-    """Immutable; safe to share between workers."""
+    """Immutable; safe to share between workers.  `flags` are declarations,
+    each checked against the constants here; `antisymmetric` and
+    `commutative` are the verdicts `validate` measures here, which the walks
+    read whatever the ring declares."""
 
     def __init__(self, name, rank, constants, flags=()):
         if rank < 1:
@@ -72,10 +75,11 @@ class StructureConstantAlgebra:
         self.rank = rank
         self.constants = _freeze_constants(constants, rank)
         self.flags = flags
-        self._check_declared_flags()
-
-    def _check_declared_flags(self):
         report = validate(self)
+        self.antisymmetric, self.commutative = report.antisymmetric, report.commutative
+        self._check_declared_flags(report)
+
+    def _check_declared_flags(self, report):
         checks = {
             "antisymmetric": report.antisymmetric,
             "lie": AxiomVerdict(
@@ -132,35 +136,45 @@ def validate(alg: StructureConstantAlgebra) -> ValidationReport:
     sum_m c_jkm c_iml summed over the cyclic shifts of (i, j, k).  The sums
     are keyed (witness..., l), and the witness is the least one with a nonzero
     sum: (i, j, l) with i <= j for antisymmetry, (i, j, None) with i < j for
-    commutativity and (i, j, k) otherwise.
+    commutativity and (i, j, k) otherwise.  The first two come from
+    `_symmetry`, which `Class2Presentation` runs on its own constants.
     """
     by_right = defaultdict(list)  # m -> [(h, l, c_hml)]
     by_left = defaultdict(list)  # m -> [(k, l, c_mkl)]
     for (a, b, l), c in alg.constants.items():
         by_right[b].append((a, l, c))
         by_left[a].append((b, l, c))
-    anti, comm, assoc, jacobi = Counter(), Counter(), Counter(), Counter()
+    assoc, jacobi = Counter(), Counter()
     for (i, j, m), c in alg.constants.items():
-        anti[min(i, j), max(i, j), m] += c
-        if i != j:
-            comm[min(i, j), max(i, j), None, m] += c if i < j else -c
         for k, l, d in by_left[m]:  # (e_i e_j) e_k
             assoc[i, j, k, l] += c * d
         for h, l, d in by_right[m]:  # e_h (e_i e_j)
             assoc[h, i, j, l] -= c * d
             for key in ((h, i, j, l), (j, h, i, l), (i, j, h, l)):
                 jacobi[key] += c * d
-
-    def verdict(sums):
-        w = min((key[:3] for key, v in sums.items() if v), default=None)
-        return AxiomVerdict(w is None, w)
-
+    antisymmetric, commutative = _symmetry(alg.constants)
     return ValidationReport(
-        antisymmetric=verdict(anti),
-        jacobi=verdict(jacobi),
-        associative=verdict(assoc),
-        commutative=verdict(comm),
+        antisymmetric=antisymmetric,
+        jacobi=_verdict(jacobi),
+        associative=_verdict(assoc),
+        commutative=commutative,
     )
+
+
+def _symmetry(constants):
+    """The antisymmetry and commutativity verdicts of the constants (i, j, l)
+    -> c of a ring or a class-2 presentation (see `validate`)."""
+    anti, comm = Counter(), Counter()
+    for (i, j, l), c in constants.items():
+        anti[min(i, j), max(i, j), l] += c
+        if i != j:
+            comm[min(i, j), max(i, j), None, l] += c if i < j else -c
+    return _verdict(anti), _verdict(comm)
+
+
+def _verdict(sums):
+    w = min((key[:3] for key, v in sums.items() if v), default=None)
+    return AxiomVerdict(w is None, w)
 
 
 def nilpotency_class(alg: StructureConstantAlgebra):
@@ -199,8 +213,11 @@ def scale(alg: StructureConstantAlgebra, p: int, i: int) -> StructureConstantAlg
 
 class Class2Presentation:
     """Relations [e_i, e_j] = sum_k c_{ijk} f_k with central f_1..f_{dprime}.
-    They need not be antisymmetric (the central sums take any class-2 ring);
-    `CommutatorMatrix` checks that for the orbit count."""
+    They need not be antisymmetric (the central sums take any class-2 ring).
+    The constructor measures antisymmetry and commutativity as `validate`
+    does: the central sums test one side where either holds, and
+    `commutator_matrix`, for the orbit count, refuses a presentation that is
+    not antisymmetric."""
 
     def __init__(self, name, d, dprime, constants):
         if d < 1 or dprime < 1:
@@ -209,6 +226,7 @@ class Class2Presentation:
         self.d = d
         self.dprime = dprime
         self.constants = _freeze_constants(constants, d, kmax=dprime)
+        self.antisymmetric, self.commutative = _symmetry(self.constants)
 
     def __repr__(self):
         return f"Class2Presentation({self.name!r}, d={self.d}, dprime={self.dprime})"
@@ -221,10 +239,6 @@ class CommutatorMatrix:
         self.d = d
         self.dprime = dprime
         self.entries = entries  # entries[i][j] = coefficient tuple, length dprime
-        for i, j, k in product(range(d), range(d), range(dprime)):
-            if entries[i][j][k] != -entries[j][i][k]:
-                raise MalformedInputError(
-                    f"commutator forms not antisymmetric at {(i + 1, j + 1, k + 1)}")
 
     def evaluate(self, ell):
         """Integer matrix R(ell) at a point ell of length dprime (not checked)."""
@@ -238,6 +252,11 @@ class CommutatorMatrix:
 
 
 def commutator_matrix(pres: Class2Presentation) -> CommutatorMatrix:
+    """The matrix of pres, which must be antisymmetric; the least offending
+    triple (i, j, k), i <= j, is named."""
+    if not pres.antisymmetric.holds:
+        raise MalformedInputError(
+            f"commutator forms not antisymmetric at {pres.antisymmetric.witness}")
     entries = [
         [[0] * pres.dprime for _ in range(pres.d)] for _ in range(pres.d)
     ]
@@ -349,18 +368,17 @@ _SPEC_RE = re.compile(r"^([a-zA-Z_][a-zA-Z0-9_]*)(?:\((\d+)\))?$")
 
 
 def resolve_ring_spec(spec: str) -> StructureConstantAlgebra:
-    """Resolve 'catalog:NAME', 'catalog:NAME(k)', 'catalog:scale(NAME,p,i)' or a JSON path."""
-    if spec.startswith("catalog:"):
-        body = spec[len("catalog:"):]
-        m = re.match(r"^scale\(([a-zA-Z0-9_()]+),(\d+),(\d+)\)$", body)
-        if m:
-            inner = resolve_ring_spec("catalog:" + m.group(1))
-            return scale(inner, int(m.group(2)), int(m.group(3)))
-        m = _SPEC_RE.match(body)
-        if not m:
-            raise MalformedInputError(f"cannot parse ring spec {spec!r}")
-        return catalog(m.group(1), int(m.group(2)) if m.group(2) else None)
-    return load_algebra(spec)
+    """Resolve 'catalog:NAME', 'catalog:NAME(k)', 'catalog:scale(NAME,p,i)',
+    'catalog:scale(NAME(k),p,i)' or a JSON path."""
+    if not spec.startswith("catalog:"):
+        return load_algebra(spec)
+    body = spec[len("catalog:"):]
+    scaled = re.match(r"^scale\(([a-zA-Z0-9_()]+),(\d+),(\d+)\)$", body)
+    m = _SPEC_RE.match(scaled.group(1) if scaled else body)
+    if not m:
+        raise MalformedInputError(f"cannot parse ring spec {spec!r}")
+    alg = catalog(m.group(1), int(m.group(2)) if m.group(2) else None)
+    return scale(alg, int(scaled.group(2)), int(scaled.group(3))) if scaled else alg
 
 
 def resolve_presentation_spec(spec: str) -> Class2Presentation:

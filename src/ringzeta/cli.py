@@ -301,7 +301,7 @@ def cmd_igusa_zeta3d(args):
     )
     return {
         "ring": alg.name,
-        "quadratic_form": repr(form.to_polynomial()),
+        "quadratic_form": repr(form),
         "prime": args.prime,
         "scale_exp": args.scale_exp,
         "rows": _coefficient_rows(trunc.coefficients),
@@ -448,38 +448,24 @@ def _nonnegative_int(text):
     return n
 
 
-def _add_common(parser, suppress):
-    kw = {"default": argparse.SUPPRESS} if suppress else {}
-    parser.add_argument(
-        "--output", choices=("table", "csv", "json"),
-        **(kw if suppress else {"default": "table"}),
-    )
-    if suppress:
-        parser.add_argument("--yes", action="store_true", default=argparse.SUPPRESS,
-                            help="skip interactive guard confirmation")
-    else:
-        parser.add_argument("--yes", action="store_true",
-                            help="skip interactive guard confirmation")
-    parser.add_argument(
-        "--ceiling", type=_positive_int, help="resource-guard ceiling for enumerations",
-        **(kw if suppress else {"default": DEFAULT_CEILING}),
-    )
-
-
 @lru_cache(maxsize=None)
 def build_parser():
     """The CLI parser, built once per process and shared: parsing does not
     modify it, and rebuilding it for every call leaves cyclic garbage that
-    raises the peak memory of a process making many calls."""
+    raises the peak memory of a process making many calls.
+
+    --output, --yes and --ceiling are accepted before the subcommand and
+    after any leaf.  They default to SUPPRESS, so that a leaf does not reset
+    a value given before it, and `main` supplies their defaults."""
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--output", choices=("table", "csv", "json"))
+    common.add_argument("--yes", action="store_true", help="skip interactive guard confirmation")
+    common.add_argument("--ceiling", type=_positive_int,
+                        help="resource-guard ceiling for enumerations")
     parser = argparse.ArgumentParser(
-        prog="ringzeta",
+        prog="ringzeta", parents=[common],
         description="Truncations of local zeta functions of rings: enumeration vs. closed forms.",
     )
-    _add_common(parser, suppress=False)
-    # the same options are accepted after any subcommand; SUPPRESS keeps the
-    # leaf copies from clobbering values parsed at the top level
-    common = argparse.ArgumentParser(add_help=False)
-    _add_common(common, suppress=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
     ring = sub.add_parser("ring", help="ring-level operations").add_subparsers(
@@ -582,7 +568,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            argv, argparse.Namespace(output="table", yes=False, ceiling=DEFAULT_CEILING))
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; re-raise others unchanged
         raise SystemExit(EXIT_USAGE if exc.code not in (0, None) else 0)

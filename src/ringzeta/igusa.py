@@ -12,6 +12,7 @@ sorted variable names, read by `parse_polynomial`.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -239,54 +240,22 @@ def monomial_closed_form(exponents) -> BivariateRationalFunction:
 # the 3-dimensional assembly
 
 
-@dataclass(frozen=True)
-class QuadraticForm3:
-    """Integer ternary quadratic form, coefficients indexed by pairs i <= j."""
-
-    coefficients: tuple  # sorted tuple of ((i, j), c) with 1 <= i <= j <= 3
-
-    @classmethod
-    def from_dict(cls, d):
-        items = tuple(sorted((pair, c) for pair, c in d.items() if c))
-        for (i, j), _ in items:
-            if not 1 <= i <= j <= 3:
-                raise MalformedInputError("pairs must satisfy 1 <= i <= j <= 3")
-        return cls(items)
-
-    def to_polynomial(self) -> Polynomial:
-        terms = {}
-        for (i, j), c in self.coefficients:
-            e = [0, 0, 0]
-            e[i - 1] += 1
-            e[j - 1] += 1
-            terms[tuple(e)] = terms.get(tuple(e), 0) + c
-        return Polynomial(("x1", "x2", "x3"), terms)
-
-    def is_zero(self):
-        return not self.coefficients
-
-
-def theorem3d_form(alg: StructureConstantAlgebra) -> QuadraticForm3:
-    """f(x) = L23(x) x1 - L13(x) x2 + L12(x) x3 read off the product forms
-    L_ij(x) = sum_k c_ijk x_k of a rank-3 antisymmetric algebra."""
+def theorem3d_form(alg: StructureConstantAlgebra) -> Polynomial:
+    """f(x) = L23(x) x1 - L13(x) x2 + L12(x) x3 in x1, x2, x3, read off the
+    product forms L_ij(x) = sum_k c_ijk x_k of a rank-3 antisymmetric algebra."""
     if alg.rank != 3:
         raise MalformedInputError("the assembly needs a rank-3 algebra")
-    if "antisymmetric" not in alg.flags and "lie" not in alg.flags:
-        from .algebra import validate
-
-        if not validate(alg).antisymmetric.holds:
-            raise MalformedInputError("the assembly needs an antisymmetric algebra")
-    lform = {}
+    if not alg.antisymmetric.holds:
+        raise MalformedInputError("the assembly needs an antisymmetric algebra")
+    sign = {(2, 3): 1, (1, 3): -1, (1, 2): 1}  # L_ij multiplies x_(6-i-j)
+    terms = Counter()
     for (i, j, k), c in alg.constants.items():
-        lform.setdefault((i, j), [0, 0, 0])[k - 1] = c
-    coeffs = {}
-    for (pair, sign, xvar) in (((2, 3), 1, 1), ((1, 3), -1, 2), ((1, 2), 1, 3)):
-        form = lform.get(pair, [0, 0, 0])
-        for k in range(3):
-            if form[k]:
-                i, j = sorted((k + 1, xvar))
-                coeffs[(i, j)] = coeffs.get((i, j), 0) + sign * form[k]
-    return QuadraticForm3.from_dict(coeffs)
+        if (i, j) in sign:
+            e = [0, 0, 0]
+            e[k - 1] += 1
+            e[5 - i - j] += 1
+            terms[tuple(e)] += sign[i, j] * c
+    return Polynomial(("x1", "x2", "x3"), terms)
 
 
 def theorem3d_zeta(
@@ -302,9 +271,9 @@ def theorem3d_zeta(
     depth K-i suffices and is what gets computed; `ceiling` bounds its walk."""
     form = theorem3d_form(alg)
     correction = [Fraction(0)] * (K + 1)
-    if K >= i + 1 and not form.is_zero():
+    if K >= i + 1 and form.terms:
         depth = K - i
-        pc = poincare_counts(form.to_polynomial(), p, depth, ceiling=ceiling)
+        pc = poincare_counts(form, p, depth, ceiling=ceiling)
         z = zf_series_from_poincare(pc, 3)
         pref = Fraction(p ** (2 * (i + 1)), 1) / (1 - Fraction(1, p))
         for k in range(i + 1, K + 1):

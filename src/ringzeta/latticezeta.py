@@ -25,9 +25,11 @@ as a row fails closure, and counts a subtree in one step once its fixed rows
 contain every product (so sublattices, the ideals of the zero ring, take one
 step).  The search reads products from sparse maps built once per search: for
 each basis vector e_g and side, the (a, k, v) that send coordinate a of a row
-to coordinate k of row e_g (e_g row).  A ring flagged commutative or
+to coordinate k of row e_g (e_g row).  A ring that is commutative or
 antisymmetric has e_g x = +-x e_g, so its products are tested, and its central
-ideal sum solved, on one side only.  Where closure is linear in the row
+ideal sum solved, on one side only; the ring and its presentation measure both
+properties from the constants when they are built, whatever the ring
+declares.  Where closure is linear in the row
 (ideals, antisymmetric subrings), the first row's entries above the diagonal
 need not be tried one by one: the ones that pass form a coset in Z_p^{n-1}
 modulo the span of the later rows, counted for every diagonal exponent at
@@ -123,7 +125,7 @@ def is_subring(alg: StructureConstantAlgebra, rows) -> bool:
     generators?  For antisymmetric algebras only pairs i < j need testing
     (r*r = 0 and the mirror product is the negation, and lattices are closed
     under negation)."""
-    antisym = "antisymmetric" in alg.flags
+    antisym = alg.antisymmetric.holds
     n = len(rows)
     for i in range(n):
         start = i + 1 if antisym else 0
@@ -137,7 +139,7 @@ def is_subring(alg: StructureConstantAlgebra, rows) -> bool:
 def is_ideal(alg: StructureConstantAlgebra, rows) -> bool:
     """Are the Hermite rows, alg.rank of them, closed under products with
     arbitrary basis elements, on both sides?"""
-    antisym = "antisymmetric" in alg.flags
+    antisym = alg.antisymmetric.holds
     for row in rows:
         for e in _unit_vectors(len(rows)):
             prod = multiply(alg, row, e)
@@ -233,7 +235,7 @@ def count(
     path, how = count_path(alg, mode)
     if path == "central sum":
         central = _central_counts if mode == "ideals" else _central_subring_counts
-        coeffs = central(how, alg.flags, p, K, ceiling)
+        coeffs = central(how, p, K, ceiling)
     elif path == "enumeration":
         coeffs = _brute_counts(alg, p, K, mode, ceiling)
     else:
@@ -244,7 +246,7 @@ def count(
             constants = {
                 (pos[a], pos[b], pos[k]): c for (a, b, k), c in alg.constants.items()
             }
-            alg = StructureConstantAlgebra(alg.name, alg.rank, constants, alg.flags)
+            alg = StructureConstantAlgebra(alg.name, alg.rank, constants)
         coeffs = _search_counts(alg, p, K, mode, ceiling)
     return LocalDirichletTruncation(p, tuple(coeffs))
 
@@ -301,7 +303,8 @@ def _search_counts(alg, p, K, mode, ceiling):
     to coordinate k of row e_g (e_g row).  An ideal is tested with the maps
     of the basis vectors; a subring with row -> row r = sum_g r_g (row e_g),
     and r row, for each later row r, built once when r is fixed, and with
-    the square of the row.  A ring flagged commutative or antisymmetric has
+    the square of the row.  A ring measured commutative or antisymmetric
+    (`StructureConstantAlgebra.antisymmetric`, `.commutative`) has
     e_g x = +-x e_g, so left = {} and the mirror products are not tested.
 
     When closure is linear in the row (ideals, antisymmetric subrings), and
@@ -332,8 +335,8 @@ def _search_counts(alg, p, K, mode, ceiling):
     per row, so any rank is searched without recursion.
     """
     n = alg.rank
-    antisym = "antisymmetric" in alg.flags
-    one_side = antisym or "commutative" in alg.flags  # e_g x = +-x e_g
+    antisym = alg.antisymmetric.holds
+    one_side = antisym or alg.commutative.holds  # e_g x = +-x e_g
     linear = mode == "ideals" or antisym
     rows = [None] * n
     coeffs = [0] * (K + 1)
@@ -616,10 +619,10 @@ def _row0_counts(rows, p, E, rights, lefts):
     return p ** (sum(valuations) + E * (1 - len(valuations))), least
 
 
-def _central_counts(pres, flags, p, K, ceiling):
+def _central_counts(pres, p, K, ceiling):
     """Ideals of index p^k, k = 0..K, of a ring that is class 2 in its given
     basis, by the sum over the lattices Lambda' of Z.  `pres` is its
-    presentation (`algebra.class2_presentation`), and `flags` the ring's.
+    presentation (`algebra.class2_presentation`).
 
     Identify L/Z with Z_p^d, spanned by e_1..e_d, and Z with Z_p^d',
     spanned by f_1..f_d'.  An ideal meets Z in some Lambda' and maps onto a
@@ -633,7 +636,8 @@ def _central_counts(pres, flags, p, K, ceiling):
     With |Z:Lambda'| = p^E, x lies in X(Lambda') iff x C Y = 0 mod p^E for
     Y = p^E H^-1 (`_scaled_inverse`, H the Hermite matrix of Lambda') and the
     matrix C of each product map x -> x e_j, and x -> e_j x unless the ring is
-    antisymmetric or commutative (then e_j x = +-x e_j), read in Z.
+    antisymmetric or commutative (then e_j x = +-x e_j; `pres` measures
+    both), read in Z.
     X(Lambda') contains p^E Z_p^d, so the pivot valuations v of one
     `local_elimination` mod p^E give its index: the solutions number
     p^(sum(v) + E (d - len(v))).
@@ -655,8 +659,8 @@ def _central_counts(pres, flags, p, K, ceiling):
     most p^K, which `_subgroups` counts.
     """
     d, dc = pres.d, pres.dprime
-    antisym = "antisymmetric" in flags
-    sides = ((0, 1),) if antisym or "commutative" in flags else ((0, 1), (1, 0))
+    antisym = pres.antisymmetric.holds
+    sides = ((0, 1),) if antisym or pres.commutative.holds else ((0, 1), (1, 0))
     # (r, o): x is factor r of each constant (a, b, k), e_j factor o; block
     # (r, j) is the d x d' matrix of x -> x e_j (r = 0) or e_j x (r = 1)
     blocks = {}
@@ -730,10 +734,11 @@ def _lattices_containing(p, bounds, most, leaf):
     depth_first(place, n - 1, 0)
 
 
-def _central_subring_counts(pres, flags, p, K, ceiling):
+def _central_subring_counts(pres, p, K, ceiling):
     """Subrings of index p^k, k = 0..K, of a ring that is class 2 in its given
     basis, by a sum over the lattices M of the abelian quotient.  `pres` is
-    its presentation (`algebra.class2_presentation`), and `flags` the ring's.
+    its presentation (`algebra.class2_presentation`), which measures whether
+    the ring is commutative or antisymmetric.
 
     Write L = Z_p^d + Z with d' = rank Z.  Every product lands in Z and reads
     only the Z_p^d parts of its factors; call it beta(x, y).  A lattice H of L
@@ -778,8 +783,8 @@ def _central_subring_counts(pres, flags, p, K, ceiling):
     the total.
     """
     d, dc = pres.d, pres.dprime
-    antisym = "antisymmetric" in flags
-    one_side = antisym or "commutative" in flags
+    antisym = pres.antisymmetric.holds
+    one_side = antisym or pres.commutative.holds
     budget = Budget(ceiling, "central sum", "nodes")
     types = Counter()
     if K and is_free_class2(pres):
@@ -835,14 +840,14 @@ def is_free_class2(pres) -> bool:
     with d' = d(d-1)/2 and each pair e_a, e_b, a < b, sent to +-f_k for a k of
     its own?  Then f_k -> +-e_a ^ e_b identifies Z with the exterior square of
     Z_p^d and beta(x, y) with x ^ y.  `free_nilpotent_2_d(d)` and `heisenberg`
-    are, in any signed or permuted basis; the test reads the constants only."""
-    constants = pres.constants
-    upper = [key for key in constants if key[0] < key[1]]
+    are, in any signed or permuted basis; the test reads only the constants
+    and the antisymmetry measured from them."""
+    upper = [key for key in pres.constants if key[0] < key[1]]
     return (
-        pres.dprime == pres.d * (pres.d - 1) // 2 == len(upper)
+        pres.antisymmetric.holds
+        and pres.dprime == pres.d * (pres.d - 1) // 2 == len(upper)
         == len({key[:2] for key in upper}) == len({key[2] for key in upper})
-        and all(abs(v) == 1 and constants.get((b, a, k)) == -v
-                for (a, b, k), v in constants.items())
+        and all(abs(v) == 1 for v in pres.constants.values())
     )
 
 

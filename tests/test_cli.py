@@ -627,6 +627,17 @@ def test_ring_validate_file_and_catalog(tmp_path):
     assert code == 0 and "not nilpotent" in out
 
 
+def test_a_ring_declared_only_lie_counts_as_the_catalog_ring(tmp_path):
+    # the walks read the symmetry the ring measures, not what its file declares
+    sl2 = algebra.catalog("sl2")
+    ring = tmp_path / "sl2.json"
+    ring.write_text(json.dumps({"name": "sl2", "rank": 3, "flags": ["lie"], "constants": [
+        [*key, c] for key, c in sl2.constants.items()]}))
+    argv = ["zeta", "count", "--prime", "3", "--max-index", "5", "--ceiling", "660", "--ring"]
+    got = run([*argv, str(ring)])
+    assert got == run([*argv, "catalog:sl2"]) and got[0] == 0
+
+
 @pytest.mark.parametrize("doc", [
     [3, [[1, 2, 3, 1]]],  # a list, not an object
     {"rank": "3", "constants": []},

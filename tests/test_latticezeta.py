@@ -247,6 +247,31 @@ def test_resource_guard():
     assert got == tuple(latticezeta.sublattice_count_prediction(5, 2, k) for k in range(5))
 
 
+@pytest.mark.parametrize("flags", [("antisymmetric", "lie"), ("lie",), ()])
+def test_the_search_reads_measured_symmetry_not_declared_flags(flags):
+    # sl2 declared fully, as a Lie ring only or not at all is measured
+    # antisymmetric when it is built, so all three take the one-sided search:
+    # the same counts and the same 660 nodes at p=3, K=5
+    sl2 = algebra.catalog("sl2")
+    alg = algebra.StructureConstantAlgebra("sl2", 3, sl2.constants, flags)
+    assert alg.antisymmetric.holds and not alg.commutative.holds
+    for p, K in ((3, 5), (2, 7)):
+        assert latticezeta.count(alg, p, K, "subrings") == latticezeta.count(sl2, p, K, "subrings")
+    latticezeta.count(alg, 3, 5, "subrings", ceiling=660)
+    with pytest.raises(ResourceGuardError):
+        latticezeta.count(alg, 3, 5, "subrings", ceiling=659)
+
+
+def test_central_sums_read_measured_symmetry_not_declared_flags():
+    dus = algebra.catalog("dusautoy_ec")
+    lie = algebra.StructureConstantAlgebra("dusautoy_ec", 9, dus.constants, ("lie",))
+    pres = algebra.class2_presentation(lie)
+    assert pres.antisymmetric.holds and not pres.commutative.holds
+    for mode in ("subrings", "ideals"):
+        assert latticezeta.count_path(lie, mode)[0] == "central sum"
+        assert latticezeta.count(lie, 3, 3, mode) == latticezeta.count(dus, 3, 3, mode), mode
+
+
 def test_count_searches_filtered_rings_only(monkeypatch):
     # every ring with a triangular order for the mode is searched, whatever
     # its basis; only a ring without one is enumerated
@@ -477,7 +502,7 @@ def test_orbits_match_brute_enumeration_on_random_graded_rings(monkeypatch):
             m.setattr(latticezeta, "_orbits_pay", lambda *args: False)
             plain = latticezeta.count(alg, p, K, mode).coefficients
         assert got == tuple(brute) == plain, (trial, p, K, mode, alg.flags, alg.constants)
-        kind = f"{mode}, {'antisymmetric' if alg.flags else 'no flags'}"
+        kind = f"{mode}, {'antisymmetric' if alg.antisymmetric.holds else 'not antisymmetric'}"
         for key in (kind, f"p = {p}", f"orbit > 1 in {kind}"):
             seen[key] = seen.get(key, 0) + (max(sizes, default=1) > 1 if "orbit" in key else 1)
     assert len(seen) == 11 and min(seen.values()) >= 4, seen
@@ -599,7 +624,7 @@ def test_row0_solve_matches_the_tail_loop_at_every_leaf(monkeypatch):
         mode = rng.choice(("subrings", "ideals"))
         n = rng.randrange(2, 5)
         alg = _random_triangular_ring(rng, n, mode)
-        if mode == "subrings" and "antisymmetric" not in alg.flags:
+        if mode == "subrings" and not alg.antisymmetric.holds:
             continue
         cases.append((alg, mode, rng.choice((2, 2, 3))))
     for alg, mode, p in cases:
@@ -624,6 +649,13 @@ def test_a_row0_solve_is_one_search_node(monkeypatch):
     assert latticezeta.count(cw2, 5, 3, "ideals", ceiling=11).coefficients == expected
     with pytest.raises(ResourceGuardError):
         latticezeta.count(cw2, 5, 3, "ideals", ceiling=10)
+    # the same ring built with no flags is measured commutative and tested on
+    # one side just the same
+    bare = algebra.StructureConstantAlgebra("bare", 2, cw2.constants)
+    assert bare.commutative.holds
+    assert latticezeta.count(bare, 5, 3, "ideals", ceiling=11).coefficients == expected
+    with pytest.raises(ResourceGuardError):
+        latticezeta.count(bare, 5, 3, "ideals", ceiling=10)
     # testing every row instead: 4 + 4*1 + 3*5 + 2*25 + 1*125 = 198 nodes
     monkeypatch.setattr(latticezeta, "_solve_pays", lambda *args: False)
     assert latticezeta.count(cw2, 5, 3, "ideals", ceiling=198).coefficients == expected
@@ -707,7 +739,7 @@ def test_the_row_search_never_calls_multiply(monkeypatch):
     monkeypatch.setattr(latticezeta, "multiply", refuse)
     rng = random.Random(77)
     alg = _random_triangular_ring(rng, 4, "ideals")
-    while "antisymmetric" not in alg.flags or latticezeta.count_path(alg, "ideals")[0] != "row search":
+    while not alg.antisymmetric.holds or latticezeta.count_path(alg, "ideals")[0] != "row search":
         alg = _random_triangular_ring(rng, 4, "ideals")
     cases = ((algebra.catalog("componentwise", 4), 2, 4, "ideals"),
              (algebra.catalog("sl2"), 3, 5, "subrings"),
@@ -806,7 +838,7 @@ def test_central_sum_matches_the_search_and_brute_enumeration(monkeypatch):
             m.setattr(latticezeta, "projective_points", lambda p, n: [(0,) * n])
             assert latticezeta.count(shuffled, p, K, "ideals").coefficients == got, trial
         seen["r = 0" if _some_R_vanishes(alg, p) else "r > 0"] += 1
-        seen["left products"] += "antisymmetric" not in alg.flags
+        seen["left products"] += not (alg.antisymmetric.holds or alg.commutative.holds)
         seen["d' = 3"] += algebra.class2_presentation(alg).dprime == 3
     assert min(seen.values()) >= 8, seen
 
@@ -827,7 +859,7 @@ def test_central_ideal_sum_skips_the_rank_walk_where_L_cannot_grow(monkeypatch):
         alg = _random_class2_ring(rng)
         p, K = rng.choice((2, 3)), rng.choice((1, 2, 2, 3))
         d = alg.rank - len(_central(alg))
-        floor = 0 if _some_R_vanishes(alg, p) else 2 if "antisymmetric" in alg.flags else 1
+        floor = 0 if _some_R_vanishes(alg, p) else 2 if alg.antisymmetric.holds else 1
         walks.clear()
         got = latticezeta.count(_shuffled(alg, rng), p, K, "ideals").coefficients
         assert (not walks) == (K // (1 + d) == K // (1 + floor)), (trial, p, K, alg.constants)
@@ -845,7 +877,7 @@ def test_central_subring_sum_matches_the_search_and_brute_enumeration():
     its basis, here written in a shuffled basis.  It must equal the row search
     (in the unshuffled, triangular basis) and the brute enumeration."""
     rng = random.Random(2718)
-    seen = {"no flags": 0, "antisymmetric": 0, "d' = 3": 0, "unused central coordinate": 0}
+    seen = {"not antisymmetric": 0, "antisymmetric": 0, "d' = 3": 0, "unused central coordinate": 0}
     for trial in range(45):
         alg = _random_class2_ring(rng)
         p = rng.choice((2, 3))
@@ -860,7 +892,7 @@ def test_central_subring_sum_matches_the_search_and_brute_enumeration():
         brute = latticezeta._brute_counts(alg, p, depth, "subrings", latticezeta.DEFAULT_CEILING)
         assert got[:depth + 1] == tuple(brute), (trial, p, depth, alg.flags, alg.constants)
         central = _central(alg)
-        seen["antisymmetric" if "antisymmetric" in alg.flags else "no flags"] += 1
+        seen["antisymmetric" if alg.antisymmetric.holds else "not antisymmetric"] += 1
         seen["d' = 3"] += len(central) == 3
         seen["unused central coordinate"] += any(
             all(k - 1 != c for *_, k in alg.constants) for c in central)

@@ -11,7 +11,6 @@ DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 # every cycle of calls passes through one of these, whose depth is bounded
 BOUNDED = {
-    "algebra.resolve_ring_spec": "depth <= 1: the inner spec of scale(...) cannot hold a comma",
     "igusa.parse_polynomial.parse_atom": "one level per parenthesis, at most igusa.MAX_NESTING",
 }
 
