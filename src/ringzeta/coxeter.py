@@ -166,8 +166,7 @@ def _rref_subspaces(n, dim, q, charge):
 def _contained(sub, sup, q):
     """Whether the row space of sub lies in that of sup (independent rows):
     appending sub's rows to sup's adds no pivot mod q."""
-    rows = sup + sub
-    valuations, _ = local_elimination(rows, [0] * len(rows), len(rows[0]), q, 1)
+    valuations, _ = local_elimination([*sup, *sub], len(sup[0]), q, 1)
     return len(valuations) == len(sup)
 
 

@@ -6,6 +6,7 @@ off it, and so do the cone computations and the lower central series of
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 
 def rref(rows, ncols=None):
@@ -100,8 +101,13 @@ def diagonalize_rowlattice(A):
     return divisors, V
 
 
-def local_elimination(rows, rhs, ncols, p, E):
-    """(valuations, least) of one elimination of rows . x = p^s rhs over Z/p^E.
+def local_elimination(rows, ncols, p, E):
+    """(valuations, least) of one elimination of rows . x = p^s b over Z/p^E.
+    Each row holds ncols coefficients, then its right side b or, in every
+    row alike, nothing for b = 0.  Entries may be any integers: every update
+    is taken mod p^E, so nothing is copied or reduced first.  The list is
+    eliminated in place: pivot rows leave it and updated rows replace the
+    old ones, whose own entries never change.
 
     The pivot is an entry of least valuation v among the rows and columns
     left, so every other entry of its row is divisible by p^v and a unimodular
@@ -116,44 +122,44 @@ def local_elimination(rows, rhs, ncols, p, E):
     p^(sum(valuations) + E (ncols - len(valuations))) solutions in
     (Z/p^E)^ncols, and for 0 <= s < least none.  Row operations act linearly
     on the right side, so one elimination serves every scale p^s: a pivot row
-    whose reduced right side has valuation w needs s >= v - w, a row without
-    a pivot needs s >= E - w.
+    whose right side has valuation w needs s >= v - w, a row without a pivot
+    needs s >= E - w.
     """
-    q = p**E
-    valuation = {p**v: v for v in range(E + 1)}
-
-    def val(x):
-        return valuation[math.gcd(x, q)]
-
-    mat = [[x % q for x in row] for row in rows]
-    rhs = [x % q for x in rhs]
-    live, cols = list(range(len(mat))), list(range(ncols))  # ascending
+    q, valuation, gcd = p**E, _valuations(p, E), math.gcd
+    cols = list(range(ncols)) if E else []  # ascending; mod p^0 every entry is 0
     valuations, least = [], 0
-    while live and cols:
-        # the least (v, i, j) over nonzero entries; scanning in ascending
-        # order, the first unit found is that one
+    while rows and cols:
+        # the least (v, i, j) over entries nonzero mod p^E; scanning in
+        # ascending order, the first unit found is that one
         v = E
-        for i in live:
-            row = mat[i]
+        for i, row in enumerate(rows):
             for j in cols:
-                if row[j] and (w := val(row[j])) < v:
+                if row[j] % p:
+                    v, r, c = 0, i, j
+                    break
+                if row[j] and (w := valuation[gcd(row[j], q)]) < v:
                     v, r, c = w, i, j
-                    if not v:
-                        break
-            if not v:
-                break
-        if v == E:  # every entry left is 0
+            else:
+                continue
             break
-        least = max(least, v - val(rhs[r]))
-        live.remove(r)
+        if v == E:  # every entry left is 0 mod p^E
+            break
+        top = rows.pop(r)
         cols.remove(c)
         valuations.append(v)
+        if len(top) > ncols:
+            least = max(least, v - valuation[gcd(top[ncols], q)])
         pivot = p**v
-        inverse = pow(mat[r][c] // pivot, -1, q)
-        for i in live:
-            if mat[i][c]:
-                f = mat[i][c] // pivot * inverse % q
-                mat[i] = [(a - f * b) % q for a, b in zip(mat[i], mat[r])]
-                rhs[i] = (rhs[i] - f * rhs[r]) % q
-    least = max([least] + [E - val(rhs[i]) for i in live])
+        inverse = pow(top[c] // pivot, -1, q)
+        for i, row in enumerate(rows):
+            if row[c]:
+                f = row[c] // pivot * inverse % q
+                rows[i] = [(a - f * b) % q for a, b in zip(row, top)]
+    least = max([least] + [E - valuation[gcd(row[ncols], q)] for row in rows if len(row) > ncols])
     return valuations, least
+
+
+@lru_cache(maxsize=None)
+def _valuations(p, E):
+    """{p^v: v} for v = 0..E: the valuation of x mod p^E is that of gcd(x, p^E)."""
+    return {p**v: v for v in range(E + 1)}

@@ -39,13 +39,14 @@ search also quotients by a symmetry: for a grading w of the ring (w_a + w_b =
 w_k for every constant (a, b, k)) and a unit u, e_j -> u^(w_j) e_j is an
 automorphism that keeps every coordinate flag, index and closure.  One that
 maps the rows already fixed onto themselves maps the subtree under each
-sibling row one-to-one onto the subtree under another, so the search descends
-into one row per orbit and multiplies its counts by the orbit size.  Residues
-mod p^K suffice, since the fixed rows have index dividing p^K in their span
-and so contain p^K times it (see `_search_counts`).  Rings with no nonzero
-grading, such as `componentwise(n)`, have no such maps.  A ring with no
-triangular order (the cross product on Z^3, for one) goes through
-`enumerate_sublattices` and tests each lattice with `is_subring`/`is_ideal`.
+sibling row one-to-one onto the subtree under another, so the search tests
+and descends into one row per orbit and multiplies its counts by the orbit
+size.  The orbits are read off the maps as permutations of integer codes of
+the sibling rows, built by list operations over all codes at once (see
+`_search_counts`).  Rings with no nonzero grading, such as `componentwise(n)`,
+have no such maps.  A ring with no triangular order (the cross product on
+Z^3, for one) goes through `enumerate_sublattices` and tests each lattice
+with `is_subring`/`is_ideal`.
 That path and the search are the oracles the central sums are tested against,
 and that path is the oracle of the search.
 """
@@ -55,7 +56,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import lru_cache
-from itertools import chain, combinations, product
+from itertools import chain, combinations, compress, product
 from operator import add
 
 from .algebra import (
@@ -222,8 +223,9 @@ def count(
       constants are relabelled into it and the objects are counted by the
       pruned search (sublattices as the ideals of the zero ring); the counts
       do not depend on the basis.  `ceiling` bounds the search nodes: one per
-      candidate row tested, row of a passing orbit mapped (see
-      `_search_counts`), row-0 solve or subtree credited.
+      candidate row or orbit representative tested, row-0 solve or subtree
+      credited, and one per sibling code of a group split into orbits (see
+      `_search_counts`).
     - any other ring is enumerated and tested lattice by lattice; `ceiling`
       bounds the predicted number of sublattices of index up to p^K, checked
       before any is enumerated.
@@ -319,20 +321,24 @@ def _search_counts(alg, p, K, mode, ceiling):
     the subtree under the image row: the image scaled by u^(-w_i) and reduced
     modulo rows i+1..n-1 (`_reduced`), another sibling.  Only the maps that
     keep L' are used (a smaller group gives finer orbits and the same counts),
-    and only their residues mod p^K: |V : L'| divides p^K for the span V of
-    e_{i+1}..e_{n-1}, so p^K V lies in L' and any two lifts of a residue give
-    the same image.  Where a sibling group of row i >= 1 outnumbers the maps
-    (`_orbits_pay`), one row per passing orbit (`_orbit`) is descended into,
-    its orbit size a multiplier on every count below it: the credited
-    subtrees, the row-0 solves and the leaves.  A row already met in a passing
-    orbit is not tested again; the rows of a failing orbit are tested one by
-    one.  Rings with no nonzero grading, such as `componentwise(n)`, have no
-    maps and are searched row by row.
+    and only their residues mod |V : L'|, V the span of e_{i+1}..e_{n-1}:
+    |V : L'| V lies in L', so any two lifts of a residue give the same image.
+    Where row i >= 1 has more siblings than finding the maps costs membership
+    tests (`_orbits_pay`), `_orbits` codes their tails as integers and each
+    map as a permutation of the codes, once for every exponent of row i, and
+    walks forward images from each code not yet reached.  A permutation g of
+    a finite set has finite order k, so g^-1 = g^(k-1): forward images alone
+    reach the orbit under the group the maps generate.  Closure is invariant
+    under the maps, so one representative per orbit (per active part, as
+    closure reads no inert entry) is tested, and a passing one is descended
+    into, its orbit size a multiplier on every count below it.  Rings with no
+    nonzero grading, such as `componentwise(n)`, have no maps.
 
-    A search node is one candidate row tested, one row of a passing orbit
-    mapped, one row-0 solve or one subtree credited; `ceiling` bounds their
-    number.  The rows are walked by `errors.depth_first`, one pending node
-    per row, so any rank is searched without recursion.
+    A search node is one candidate row or orbit representative tested, one
+    row-0 solve or one subtree credited, and a group split into orbits is
+    first charged its sibling codes, before they are built; `ceiling` bounds
+    their number.  The rows are walked by `errors.depth_first`, one pending
+    node per row, so any rank is searched without recursion.
     """
     n = alg.rank
     antisym = alg.antisymmetric.holds
@@ -357,8 +363,9 @@ def _search_counts(alg, p, K, mode, ceiling):
         return tested + [m] if m else tested
 
     def closed(i, tested):
-        """Does row i pass closure?  `tested` are the product maps of its
-        sibling group; where closure is not linear, row -> row row too."""
+        """One node: does row i pass closure under `tested`, the product maps
+        of its sibling group, and where closure is not linear row -> row row?"""
+        visit()
         row = rows[i]
         for m in tested if linear else joined(tested, right, row):
             prod = [0] * n
@@ -389,16 +396,16 @@ def _search_counts(alg, p, K, mode, ceiling):
     square = {tuple(w) for w in products.values() if any(w)}
     low = min((next(j for j, x in enumerate(w) if x) for w in square), default=n)
 
-    def stabilisers(i):
-        """The scalings that map the span of rows i+1..n-1 into itself, as
-        multipliers of columns i+1..n-1 divided by that of column i, mod p^K;
-        those that fix all of them are left out."""
+    def stabilisers(i, index):
+        """The scalings that keep the span of rows i+1..n-1, of index `index`
+        in that of e_{i+1}..e_{n-1}, as distinct multipliers of columns
+        i+1..n-1 over that of column i, mod index, not all 1."""
         maps = []
         for s in scalings:
             if all(_in_span(rows, i + 1, [c * x for c, x in zip(s, r)]) for r in rows[i + 1:]):
                 inverse = pow(s[i], -1, M)
-                ratios = [c * inverse % M for c in s[i + 1:]]
-                if any(c != 1 for c in ratios):
+                ratios = [c * inverse % index for c in s[i + 1:]]
+                if any(c != 1 for c in ratios) and ratios not in maps:
                     maps.append(ratios)
         return maps
 
@@ -433,25 +440,31 @@ def _search_counts(alg, p, K, mode, ceiling):
         fills = [(0,) if j in active else range(rows[j][j]) for j in cols]
         weight = math.prod(map(len, fills))
         siblings = math.prod(map(len, choices)) * weight
-        maps = stabilisers(i) if i and _orbits_pay(siblings, len(scalings)) else ()
+        maps = stabilisers(i, siblings) if i and _orbits_pay(siblings, len(scalings), n - 1 - i) else ()
+        if maps:  # one (tail, size) per orbit, the same for every exponent
+            visit(siblings)
+            orbits, keep = _orbits(rows, i, maps), [j in active for j in cols]
         tested = rights + lefts
         for m in exponents:
             head = (0,) * i + (p**m,)
-            kids, seen = [], set()  # seen: the rows of the passing orbits found
-            for tail in product(*choices):
-                row = rows[i] = head + tail
-                if row not in seen:
-                    visit()
+            kids, verdicts = [], {}  # closure reads no inert entry: one test per active part
+            if maps:
+                for tail, size in orbits:
+                    row = rows[i] = head + tail
+                    if (key := tuple(compress(tail, keep))) not in verdicts:
+                        verdicts[key] = closed(i, tested)
+                    if verdicts[key]:
+                        kids.append((row, size))
+            else:
+                for tail in product(*choices):
+                    row = rows[i] = head + tail
                     if not closed(i, tested):
                         continue
-                if not i:
-                    coeffs[m + used] += mult * weight
-                    continue
-                for fill in product(*fills):
-                    full = head + tuple(map(add, tail, fill)) if weight > 1 else row
-                    if full not in seen:
-                        kids.append((full, _orbit(rows, i, full, maps, seen, visit) if maps else 1))
-            del seen  # one sibling group's rows held at a time, not one per row on the stack
+                    if not i:
+                        coeffs[m + used] += mult * weight
+                        continue
+                    for fill in product(*fills):
+                        kids.append((head + tuple(map(add, tail, fill)) if weight > 1 else row, 1))
             for full, size in kids:
                 rows[i] = full
                 yield i - 1, used + m, mult * size, rights, lefts
@@ -517,15 +530,54 @@ def _unit(p):
     return g + p if pow(g, p - 1, p * p) == 1 else g
 
 
-def _orbit(rows, i, row, maps, seen, visit):
-    """The size of the orbit of row, a candidate for row i under rows
-    i+1..n-1, under the multipliers maps (see `_search_counts`); each member
-    is added to seen and charged to visit as it is found."""
+def _orbits(rows, i, maps):
+    """One (tail, size) per orbit, under the multipliers maps (see
+    `_search_counts`), of the tails of row i under rows i+1..n-1: entries of
+    columns i+1..n-1, each below its column's diagonal.  A tail's code is the
+    mixed-radix number of its entries, column i+1 the most significant, each
+    diagonal its radix.  Each map becomes the permutation of the codes that
+    `_reduced` gives member by member: scale the columns, then reduce from
+    left to right, in list operations over every code at once.  One walk per
+    orbit, over forward images, marks the codes reached in one bytearray."""
+    diagonals = [rows[j][j] for j in range(i + 1, len(rows))]
+    total = math.prod(diagonals)
+    digits, block = [], total  # digits[a][x]: entry a of the tail coded x
+    for d in diagonals:
+        block //= d
+        digits.append([x // block % d for x in range(total)])
+    perms = []
+    for ratios in maps:
+        scaled = [[c * t for t in column] for c, column in zip(ratios, digits)]
+        code = [0] * total
+        for a, d in enumerate(diagonals):
+            row = rows[i + 1 + a]
+            for b in range(a + 1, len(diagonals)):
+                if h := row[i + 1 + b]:
+                    scaled[b] = [y - x // d * h for y, x in zip(scaled[b], scaled[a])]
+            code = [z * d + x % d for z, x in zip(code, scaled[a])]
+        perms.append(code)
+    seen, out, x = bytearray(total), [], 0
+    while x >= 0:
+        seen[x], todo, size = 1, [x], 0
+        while todo:
+            y = todo.pop()
+            size += 1
+            for perm in perms:
+                if not seen[z := perm[y]]:
+                    seen[z] = 1
+                    todo.append(z)
+        out.append((tuple(column[x] for column in digits), size))
+        x = seen.find(0, x + 1)
+    return out
+
+
+def _orbit(rows, i, row, maps, seen):
+    """The size of the orbit of row, a candidate for row i, under the maps of
+    `_orbits`, found member by member into seen: the oracle of `_orbits`."""
     todo, size = [row], 0
     seen.add(row)
     while todo:
         x = todo.pop()
-        visit()
         size += 1
         for ratios in maps:
             y = _reduced(rows, i + 1, list(x[:i + 1]) + [c * t for c, t in zip(ratios, x[i + 1:])])
@@ -549,22 +601,24 @@ def _reduced(rows, start, v):
     return tuple(v)
 
 
-def _orbits_pay(siblings, generators):
-    """Split a sibling group into orbits only when its candidate rows
-    outnumber the generators: finding the ones that keep the later rows costs
-    one membership test per generator and later row, before any row is
-    mapped."""
-    return siblings > generators
+def _orbits_pay(siblings, generators, later):
+    """Split a sibling group into orbits only when its rows outnumber the
+    membership tests that finding its maps costs, one per generator and later
+    row.  Against a cut at `generators` alone (CPython 3.11, 2 cores, searches
+    run directly, median ratios of 7 interleaved rounds), the same at rank 3,
+    it took `dusautoy_ec` ideals at p=2, K=2 and `free_nilpotent_2_d(3)`
+    subrings at p=2, K=3 to 0.47 and 0.39 of the time.  Splitting no group
+    is 3 to 36 times slower on `sl2` subrings."""
+    return siblings > generators * later
 
 
 def _solve_pays(tests):
     """Count row 0 by `_row0_counts` rather than test its candidate rows one
-    by one when there are more than 8.  Timed at every leaf of the lattice
-    benchmark's rings searched directly (CPython 3.11, 2-core Xeon), one
-    solve cost as much as 7 to 33 row tests at ranks 3 to 6 (`dusautoy_ec`
-    ideals at p=2, K=2 reach no solve); any cut from 4 to 16 gave the same
-    total within 4% on `sl2` and `componentwise(4)`, and within the 8% run
-    to run spread on all seven searches."""
+    by one when there are more than 8.  Timed with the copy-free solve on the
+    seven searches of the lattice benchmark's rings run directly (CPython
+    3.11, 2 cores, median ratios of 9 interleaved rounds): every cut from 4
+    to 10 came within 5% of 8 on each, gaining 3% at most, and 12 and 16 were
+    up to 10% and 8% slower."""
     return tests > 8
 
 
@@ -592,30 +646,28 @@ def _row0_counts(rows, p, E, rights, lefts):
     pivot valuations v the count is p^(sum(v) + E (1 - len(v))).  E = max m_j
     would not do: rows (2, 1), (0, 2) give Q = Z/4.
     """
-    s = len(rows) - 1
-    Y = _scaled_inverse([row[1:] for row in rows[1:]], p**E)
-    system, rhs = [], []
+    s, q = len(rows) - 1, p**E
+    Y = _scaled_inverse(rows, q, 1)
+    system = []
     for m in chain(rights, lefts):
-        # rows Y^T (F - c) and right side -Y^T b, Y upper triangular: an
-        # entry (a, k, v) with k >= 1 adds v Y[k] to column a of Y^T F
-        # (a >= 1) or subtracts it from the right side (a = 0); c = the v of
-        # the entries (0, 0, v)
-        c = sum(v for a, k, v in m if not a and not k)
-        block = [[-c * y[col] for y in Y] if c else [0] * s for col in range(s)]
-        side = [0] * s
+        # row j: column j of Y^T (F - c), then of the right side -Y^T b; an
+        # entry (a, k, v), k >= 1, adds v Y[k - 1] to column a - 1, the right
+        # side last (a = 0, v negated); one with a = k = 0 adds v to c
+        block = [[0] * (s + 1) for _ in Y]
         for a, k, v in m:
             if k:
-                y = Y[k - 1]
-                for col in range(k - 1, s):
-                    if a:
-                        block[col][a - 1] += y[col] * v
-                    else:
-                        side[col] -= y[col] * v
-        for row, r in zip(block, side):
-            if r or any(row):
+                y, x, v = Y[k - 1], a - 1, v if a else -v
+                for j in range(k - 1, s):
+                    block[j][x] += v * y[j]
+            elif not a:
+                for x, y in enumerate(Y):
+                    for j in range(x, s):
+                        block[j][x] -= v * y[j]
+        for row in block:
+            row = [x % q for x in row]
+            if any(row):
                 system.append(row)
-                rhs.append(r)
-    valuations, least = local_elimination(system, rhs, s, p, E)
+    valuations, least = local_elimination(system, s, p, E)
     return p ** (sum(valuations) + E * (1 - len(valuations))), least
 
 
@@ -678,13 +730,12 @@ def _central_counts(pres, p, K, ceiling):
             for C in blocks
             for col in range(len(Y[0]))
         ]
-        valuations, _ = local_elimination(system, [0] * len(system), d, p, E)
+        valuations, _ = local_elimination(system, d, p, E)
         return sum(valuations) + E * (d - len(valuations))
 
     # the largest L the rank walk can reach, from the floor on r: R(ell) = 0
     # mod p iff ell is in the kernel mod p of ell -> R(ell)
-    valuations, _ = local_elimination([row for C in blocks for row in C], [0] * d * len(blocks),
-                                      dc, p, 1)
+    valuations, _ = local_elimination([row for C in blocks for row in C], dc, p, 1)
     most = K // (1 + (0 if len(valuations) < dc else 2 if antisym else 1))
     r = d
     if K // (1 + r) < most:
@@ -821,7 +872,7 @@ def _central_subring_counts(pres, p, K, ceiling):
                         yield i - 1, used + m, new
                         continue
                     c = K - used - m
-                    valuations, _ = local_elimination(new, [0] * len(new), dc, p, c)
+                    valuations, _ = local_elimination(new, dc, p, c)
                     types[used + m, tuple(sorted(valuations)) + (c,) * (dc - len(valuations))] += 1
 
         depth_first(place, d - 1, 0, [])
@@ -887,18 +938,20 @@ def _gaussian(n, k, p):
     return out
 
 
-def _scaled_inverse(H, D):
-    """Y = D H^-1 for an upper triangular integer matrix H with det H | D.
+def _scaled_inverse(H, D, start=0):
+    """Y = D H'^-1 for H' the rows and columns of H from `start` on, an upper
+    triangular integer matrix with det H' | D.
 
     Row i of Y follows from the rows below it, and each division is exact
-    because D H^-1 = (D / det H) adj(H) is integral.  A vector w lies in the
-    row span of H over Z_p iff w Y = 0 mod D."""
-    s = len(H)
+    because D H'^-1 = (D / det H') adj(H') is integral.  A vector w lies in
+    the row span of H' over Z_p iff w Y = 0 mod D."""
+    s = len(H) - start
     Y = [None] * s
     for i in reversed(range(s)):
+        row = H[start + i]
         acc = [D * (j == i) for j in range(s)]
         for k in range(i + 1, s):
-            if H[i][k]:
-                acc = [a - H[i][k] * y for a, y in zip(acc, Y[k])]
-        Y[i] = [a // H[i][i] for a in acc]
+            if h := row[start + k]:
+                acc = [a - h * y for a, y in zip(acc, Y[k])]
+        Y[i] = [a // row[start + i] for a in acc]
     return Y

@@ -50,7 +50,7 @@ def smith_type(A, p: int, N: int) -> ElementaryDivisorType:
     without a pivot, so the divisors are capped at N.  A is square and
     N >= 1, as `R.evaluate` and the level walk give them; neither is checked."""
     d = len(A)
-    valuations, _ = local_elimination(A, [0] * d, d, p, N)
+    valuations, _ = local_elimination(list(A), d, p, N)
     return ElementaryDivisorType(N, tuple(sorted(valuations + [N] * (d - len(valuations)))))
 
 

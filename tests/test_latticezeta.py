@@ -231,15 +231,15 @@ def test_resource_guard():
     with pytest.raises(ResourceGuardError) as err:
         latticezeta.count(heis, 2, 3, "subrings", ceiling=8)
     assert (err.value.predicted, err.value.ceiling) == (None, 8)
-    # sl2 at p=3, K=5 takes 660 nodes.  A node is one candidate row tested,
-    # one row of a passing orbit mapped, one row-0 solve or one subtree
-    # credited: every one of row 1's 543 candidates is tested or mapped, but
-    # row 0 is solved under one row per orbit only (1,097 nodes without the
-    # orbits, 112,377 with a loop over row 0's tails)
+    # sl2 at p=3, K=5 takes 486 nodes.  A node is one candidate row or orbit
+    # representative tested, one row-0 solve or one subtree credited, and a
+    # sibling group split into orbits is charged its sibling codes too: 363
+    # codes in 5 groups, 68 rows tested and 55 solves (1,097 nodes without
+    # the orbits, 9,035 with a loop over row 0's tails)
     sl2 = algebra.catalog("sl2")
-    latticezeta.count(sl2, 3, 5, "subrings", ceiling=660)
+    latticezeta.count(sl2, 3, 5, "subrings", ceiling=486)
     with pytest.raises(ResourceGuardError):
-        latticezeta.count(sl2, 3, 5, "subrings", ceiling=659)
+        latticezeta.count(sl2, 3, 5, "subrings", ceiling=485)
     # the zero ring's whole search tree is one credited subtree: abelian(5)
     # sublattices at p=2, K=4 take one node (16,349 when walked row by row)
     abelian = algebra.catalog("abelian", 5)
@@ -251,15 +251,36 @@ def test_resource_guard():
 def test_the_search_reads_measured_symmetry_not_declared_flags(flags):
     # sl2 declared fully, as a Lie ring only or not at all is measured
     # antisymmetric when it is built, so all three take the one-sided search:
-    # the same counts and the same 660 nodes at p=3, K=5
+    # the same counts and the same 486 nodes at p=3, K=5
     sl2 = algebra.catalog("sl2")
     alg = algebra.StructureConstantAlgebra("sl2", 3, sl2.constants, flags)
     assert alg.antisymmetric.holds and not alg.commutative.holds
     for p, K in ((3, 5), (2, 7)):
         assert latticezeta.count(alg, p, K, "subrings") == latticezeta.count(sl2, p, K, "subrings")
-    latticezeta.count(alg, 3, 5, "subrings", ceiling=660)
+    latticezeta.count(alg, 3, 5, "subrings", ceiling=486)
     with pytest.raises(ResourceGuardError):
-        latticezeta.count(alg, 3, 5, "subrings", ceiling=659)
+        latticezeta.count(alg, 3, 5, "subrings", ceiling=485)
+
+
+def test_a_sibling_group_is_charged_its_codes_before_its_orbits_are_found(monkeypatch):
+    # sl2 subrings at p=101, K=1: 7 rows are tested first (row 2 at both
+    # exponents, and under its unit diagonal row 1 twice and row 0 three
+    # times).  Then row 1's group under the diagonal 101 is charged its 101
+    # codes before its orbits are found, and 2 representatives tested and 2
+    # row-0 solves follow: 112 nodes in all
+    sl2 = algebra.catalog("sl2")
+    assert latticezeta.count(sl2, 101, 1, "subrings", ceiling=112).coefficients == (1, 102)
+    with pytest.raises(ResourceGuardError):
+        latticezeta.count(sl2, 101, 1, "subrings", ceiling=111)
+
+    def refuse(*args):
+        raise AssertionError("orbits found past the ceiling")
+
+    # a ceiling below the group's codes stops the search before the codes
+    # are built, and so before any representative is tested
+    monkeypatch.setattr(latticezeta, "_orbits", refuse)
+    with pytest.raises(ResourceGuardError):
+        latticezeta.count(sl2, 101, 1, "subrings", ceiling=7 + 100)
 
 
 def test_central_sums_read_measured_symmetry_not_declared_flags():
@@ -447,10 +468,13 @@ def _random_graded_ring(rng, n, mode):
     """A random ring with a grading: weights w are drawn first, and only
     constants (a, b, k) with w_a + w_b = w_k are kept, each with k >= min(a, b)
     (mode "subrings") or k >= max(a, b) (mode "ideals").  Weight 0 is common,
-    so products often land on a factor (k = a when w_b = 0), as in sl2.  Half
-    are antisymmetric; the rest carry no flags."""
+    so products often land on a factor (k = a when w_b = 0), as in sl2.  From
+    rank 3 on, one ring in three keeps no product on a factor, so the columns
+    that are no factor are inert.  Half are antisymmetric; the rest carry no
+    flags."""
     values = (-2, -1, 1, 2, 3, 4, 6)
     antisym = rng.random() < 0.5
+    off = n >= 3 and rng.random() < 1 / 3
     low = min if mode == "subrings" else max
     constants = {}
     while not constants:
@@ -458,6 +482,8 @@ def _random_graded_ring(rng, n, mode):
         for a in range(1, n + 1):
             for b in range(a + 1 if antisym else 1, n + 1):
                 for k in range(low(a, b), n + 1):
+                    if off and k in (a, b):
+                        continue
                     if w[a - 1] + w[b - 1] == w[k - 1] and rng.random() < 0.5:
                         c = rng.choice(values)
                         constants[(a, b, k)] = c
@@ -480,22 +506,54 @@ def _signed_permutation(alg, rng):
     return algebra.StructureConstantAlgebra("signed", n, constants, alg.flags)
 
 
+def _inert_columns(alg, mode):
+    """The columns of alg, relabelled into its search order, that no product
+    reads and that the row search therefore fills in every way at once."""
+    searched = _in_order(alg, latticezeta._search_order(alg, mode))
+    if any(k in (a, b) for a, b, k in searched.constants):
+        return set()
+    return set(range(alg.rank)) - {c - 1 for key in searched.constants for c in key[:2]}
+
+
 def test_orbits_match_brute_enumeration_on_random_graded_rings(monkeypatch):
     """The row search with its orbit step must equal the brute enumeration
     and the search with the step turned off, on random graded rings in a
-    signed permuted basis, and some orbit of more than one row must occur."""
+    signed permuted basis.  In every sibling group the (tail, size) list of
+    `_orbits` must partition the sibling rows exactly as the member walk
+    `_orbit` does: each representative opens an orbit of its own, of the
+    size given, and together they cover every sibling.  Every group with a
+    stabilising map is split, however small, so the oracle sees them all.
+    Orbits of more than one row, orbits larger than p, and groups of several
+    tail columns with an inert one must all occur."""
     rng = random.Random(1123)
-    orbit, sizes = latticezeta._orbit, []
-    monkeypatch.setattr(latticezeta, "_orbit", lambda *args: sizes.append(orbit(*args)) or sizes[-1])
+    orbits, sizes = latticezeta._orbits, []
+
+    def checked(rows, i, maps):
+        got = orbits(rows, i, maps)
+        members = set()
+        for tail, size in got:
+            row = (0,) * i + (1,) + tail
+            assert row not in members, (rows, i, maps, got)
+            assert latticezeta._orbit(rows, i, row, maps, members) == size, (rows, i, maps, got)
+        cols = range(i + 1, len(rows))
+        assert len(members) == math.prod(rows[j][j] for j in cols), (rows, i, maps, got)
+        sizes.extend(size for _, size in got)
+        if len(cols) > 1 and any(rows[j][j] > 1 for j in inert & set(cols)):
+            seen["several columns, one inert"] = seen.get("several columns, one inert", 0) + 1
+        return got
+
+    monkeypatch.setattr(latticezeta, "_orbits", checked)
+    monkeypatch.setattr(latticezeta, "_orbits_pay", lambda *args: True)
     seen = {}
     for trial in range(200):
         mode = rng.choice(("subrings", "ideals"))
-        n, p = rng.randrange(2, 5), rng.choice((2, 3, 5))
+        n, p = rng.randrange(2, 6), rng.choice((2, 3, 5))
         K = _brute_depth(n, p)
         alg = _signed_permutation(_random_graded_ring(rng, n, mode), rng)
         if latticezeta.count_path(alg, mode)[0] != "row search":
             continue
         sizes.clear()
+        inert = _inert_columns(alg, mode)
         got = latticezeta.count(alg, p, K, mode).coefficients
         brute = latticezeta._brute_counts(alg, p, K, mode, latticezeta.DEFAULT_CEILING)
         with monkeypatch.context() as m:
@@ -503,14 +561,16 @@ def test_orbits_match_brute_enumeration_on_random_graded_rings(monkeypatch):
             plain = latticezeta.count(alg, p, K, mode).coefficients
         assert got == tuple(brute) == plain, (trial, p, K, mode, alg.flags, alg.constants)
         kind = f"{mode}, {'antisymmetric' if alg.antisymmetric.holds else 'not antisymmetric'}"
-        for key in (kind, f"p = {p}", f"orbit > 1 in {kind}"):
-            seen[key] = seen.get(key, 0) + (max(sizes, default=1) > 1 if "orbit" in key else 1)
-    assert len(seen) == 11 and min(seen.values()) >= 4, seen
+        for key in (kind, f"p = {p}", f"orbit > 1 in {kind}", "orbit > p"):
+            bound = p if key == "orbit > p" else 1
+            seen[key] = seen.get(key, 0) + (max(sizes, default=1) > bound if "orbit" in key else 1)
+    assert len(seen) == 13 and min(seen.values()) >= 4, seen
 
 
 def test_reduced_is_the_hermite_row_modulo_the_later_rows():
-    # the orbit step names each image row by its reduction: entries from
-    # coordinate 1 on in [0, p^m_j), and the difference in the span of rows 1..
+    # the member walk `_orbit`, the oracle of the orbit step, names each image
+    # row by its reduction: entries from coordinate 1 on in [0, p^m_j), and
+    # the difference in the span of rows 1..
     rng = random.Random(5051)
     for _ in range(300):
         n, p = rng.randrange(2, 6), rng.choice((2, 3))
@@ -542,12 +602,24 @@ def test_local_elimination_matches_brute_force():
         ncols = rng.randrange(0, 4)
         while q**ncols > 4096:
             ncols -= 1
-        # entries often divisible by p, so pivots of every valuation occur
-        draw = lambda: rng.choice((0, 1, p, p * p, rng.randrange(-q - 3, q + 4)))
+        # entries often divisible by p, so pivots of every valuation occur;
+        # some negative, some far above p^E
+        big = lambda: rng.choice((-1, 1)) * (p ** (E + 2) * rng.randrange(10**6) + rng.randrange(q))
+        draw = lambda: rng.choice((0, 1, p, p * p, rng.randrange(-q - 3, q + 4), big()))
         rows = [[draw() for _ in range(ncols)] for _ in range(rng.randrange(0, 5))]
-        rhs = [draw() for _ in rows]
-        valuations, least = local_elimination(rows, rhs, ncols, p, E)
+        # the right side is the last entry of each row, or left out and 0
+        sided = rng.random() < 0.75
+        rhs = [draw() if sided else 0 for _ in rows]
+        given = [row + [b] if sided else list(row) for row, b in zip(rows, rhs)]
+        kept = [list(row) for row in given]
+        system = list(given)
+        valuations, least = local_elimination(system, ncols, p, E)
+        # the rows given are left as they were; only the list is eliminated
+        assert given == kept and len(system) == len(given) - len(valuations)
         assert all(0 <= v < E for v in valuations) and len(valuations) <= min(len(rows), ncols)
+        assert sided or not least
+        kinds.add(("right side", sided))
+        kinds.add(("unreduced", any(not 0 <= x < q for row in given for x in row)))
         solutions = p ** (sum(valuations) + E * (ncols - len(valuations)))
         for s in range(E + 2):
             expected = sum(
@@ -563,7 +635,9 @@ def test_local_elimination_matches_brute_force():
             exponent = sum(min(v, k) for v in valuations) + k * (ncols - len(valuations))
             assert _kernel_size(rows, ncols, p**k) == p**exponent, (rows, ncols, p, E, k)
     assert kinds == {(True, False), (False, True), (False, False),
-                     ("unsolvable unscaled", True), ("unsolvable unscaled", False)}
+                     ("unsolvable unscaled", True), ("unsolvable unscaled", False),
+                     ("right side", True), ("right side", False),
+                     ("unreduced", True), ("unreduced", False)}
 
 
 def _exponent_of_quotient(rows, p):
